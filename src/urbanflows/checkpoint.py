@@ -15,6 +15,8 @@ concatenated in manifest order, so a save/load round trip is bit exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -64,10 +66,32 @@ def save_checkpoint(path, store, config_dict, rng_state=None, extra=None):
     }
     if extra:
         header["extra"] = _clean(extra)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + b" v%d\n" % FORMAT_VERSION)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(payload)
+    # write beside the target and rename, so a failed save never leaves a
+    # partial file where a good checkpoint was
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + b" v%d\n" % FORMAT_VERSION)
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _manifest_bytes(manifest):
+    """Payload size a manifest describes; rejects malformed entries."""
+    if not isinstance(manifest, list):
+        raise CheckpointManifestError("manifest is not a list")
+    total = 0
+    for entry in manifest:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], list)
+                and all(type(v) is int and v >= 0 for v in entry[1])):
+            raise CheckpointManifestError(f"malformed manifest entry {entry!r:.80}")
+        total += 8 * math.prod(entry[1])
+    return total
 
 
 def read_header(path):
@@ -95,12 +119,14 @@ def read_header(path):
         header = json.loads(blob[nl1 + 1:nl2].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointManifestError(f"header is not valid JSON: {exc}")
+    if not isinstance(header, dict):
+        raise CheckpointManifestError("header is not a JSON object")
     for key in ("format_version", "config", "manifest", "payload_bytes"):
         if key not in header:
             raise CheckpointManifestError(f"header missing key {key!r}")
     payload = blob[nl2 + 1:]
     declared = header["payload_bytes"]
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in header["manifest"])
+    expected = _manifest_bytes(header["manifest"])
     if declared != expected:
         raise CheckpointManifestError(
             f"manifest describes {expected} payload bytes but header declares {declared}"

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, read_header, rng_state_of, save_checkpoint
+from .checkpoint import read_header, rng_state_of, save_checkpoint
 from .config_flow import quantize_config
 from .errors import ConfigurationError, DataError, PipelineError, UrbanFlowsError
 from .pipeline import (
@@ -63,7 +63,7 @@ def _write_loss_log(path, rc, history):
 
 def _bundle_from_checkpoint(path, overrides=None):
     try:
-        header = read_header(path)[0]
+        header, payload = read_header(path)
     except FileNotFoundError:
         raise PipelineError(f"checkpoint not found: {path}")
     cfg_dict = dict(header["config"])
@@ -71,7 +71,7 @@ def _bundle_from_checkpoint(path, overrides=None):
         cfg_dict[key] = val
     rc = RunConfig.from_sources(None, cfg_dict)
     bundle = ModelBundle(rc)
-    load_checkpoint(path, bundle.store)
+    bundle.store.load_payload(header["manifest"], payload)
     return bundle, header
 
 
@@ -112,14 +112,14 @@ def cmd_train_config(args):
     check_dataset_dims(meta, rc)
     bundle = ModelBundle(rc)
     try:
-        header = read_header(args.zone_ckpt)[0]
+        header, payload = read_header(args.zone_ckpt)
     except FileNotFoundError:
         raise PipelineError(f"zone checkpoint not found: {args.zone_ckpt}")
     if header["manifest"] != bundle.store.manifest():
         raise ConfigurationError(
             "zone checkpoint was built with different model dimensions"
         )
-    load_checkpoint(args.zone_ckpt, bundle.store)
+    bundle.store.load_payload(header["manifest"], payload)
     rng = np.random.default_rng(rc.seed + 1)
     history = []
     fault = None

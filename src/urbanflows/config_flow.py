@@ -156,7 +156,8 @@ class ConfigFlowModel:
         return h, logdet
 
     def inverse(self, z, a_flat, mode="eval", collect=None):
-        """Latent -> data with sequential AR inversion; not differentiable."""
+        """Latent -> data; each AR layer is inverted by a fixed-point solve
+        of at most d + 1 conditioner passes.  Not differentiable."""
         h = permute_columns(z, self.final_layout)
         for flat_idx in range(len(self.layers) - 1, -1, -1):
             kind, block_idx, layer, layout = self.layers[flat_idx]

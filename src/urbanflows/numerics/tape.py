@@ -9,6 +9,7 @@ inference paths pay essentially nothing beyond the numpy calls.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -435,7 +436,7 @@ def mean_(a, axis=None, keepdims=False):
     if axis is None:
         count = a.size
     else:
-        count = a.shape[axis]
+        count = math.prod(a.shape[ax] for ax in np.atleast_1d(axis))
 
     def backward(g):
         if axis is None:

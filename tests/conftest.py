@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,21 @@ def mini_runconfig(**overrides):
                 stem_channels=2, n_cx=2, batch_size=4, seed=11)
     base.update(overrides)
     return RunConfig(**base).validate()
+
+
+def _rewrite_header(path, edit):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    nl1 = blob.find(b"\n")
+    nl2 = blob.find(b"\n", nl1 + 1)
+    header = json.loads(blob[nl1 + 1:nl2])
+    edit(header)
+    with open(path, "wb") as fh:
+        fh.write(blob[:nl1 + 1] + json.dumps(header).encode() + blob[nl2:])
+
+
+@pytest.fixture
+def rewrite_header():
+    """rewrite_header(path, edit): apply ``edit`` to a checkpoint's parsed
+    JSON header in place and write the file back."""
+    return _rewrite_header

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from ar_reference import sequential_inverse
 from urbanflows.checkpoint import read_header, save_checkpoint
 from urbanflows.cli import main
 from urbanflows.config_flow import (
@@ -477,6 +478,33 @@ def test_criterion_9_traceability(trained_session):
             assert d_last == 0.0
             assert d_first >= d_last
         assert time.perf_counter() - t0 < 10.0
+
+
+def test_trained_stack_fixed_point_inverse_matches_sequential(trained_session,
+                                                              monkeypatch):
+    """Not a criterion: the fixed-point AR inverse of the fully trained
+    stage-2 stack agrees with the sequential reference at B=64."""
+    bundle = trained_session["bundle"]
+    rc = bundle.cfg
+    model = bundle.config
+    es, zones, _, _ = dataset_arrays(trained_session["samples"][:64])
+    with no_grad():
+        a_flat, _ = bundle.fusion.condition(
+            zones, Tensor(zones[:, None] / (rc.m - 1.0)), es, mode="eval")
+    z = np.random.default_rng(64).standard_normal((64, rc.d_config))
+    nets = [layer.net for kind, _, layer, _ in model.layers if kind != "batchnorm"]
+    for net in nets:
+        net.calls = 0
+    with no_grad():
+        x = model.inverse(Tensor(z), a_flat, mode="eval").data
+        z_back, _ = model.forward(Tensor(x), a_flat, mode="eval", update_stats=False)
+    assert all(2 <= net.calls <= rc.d_config + 1 for net in nets)
+    np.testing.assert_allclose(z_back.data, z, rtol=0.0, atol=1e-10)
+
+    monkeypatch.setattr(MaskedARLayer, "inverse", sequential_inverse)
+    with no_grad():
+        want = model.inverse(Tensor(z), a_flat, mode="eval").data
+    np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from urbanflows import checkpoint
 from urbanflows.checkpoint import (
     load_checkpoint,
     read_header,
@@ -116,3 +117,45 @@ def test_manifest_mismatches(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(CheckpointManifestError):
         read_header(path)
+
+@pytest.mark.parametrize("shape", ["ab", [-1, 2], [2.5], [True, 2], None])
+def test_malformed_manifest_shape(tmp_path, rewrite_header, shape):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, small_store(), {})
+
+    def edit(header):
+        header["manifest"][0][1] = shape
+
+    rewrite_header(path, edit)
+    with pytest.raises(CheckpointManifestError):
+        read_header(path)
+
+
+def test_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b"URBANFLOWS-CKPT v1\n7\n")
+    with pytest.raises(CheckpointManifestError):
+        read_header(path)
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, failure):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, small_store(), {"seed": 1})
+    before = path.read_bytes()
+
+    store = small_store(seed=8)
+    if failure == "write":
+        # header goes out, then the payload write fails part way through
+        monkeypatch.setattr(store, "to_payload", lambda: "not bytes")
+        expected = TypeError
+    else:
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "replace", refuse)
+        expected = OSError
+    with pytest.raises(expected):
+        save_checkpoint(path, store, {"seed": 2})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]

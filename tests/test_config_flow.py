@@ -18,7 +18,7 @@ from urbanflows.config_flow import (
     nll_tensors_config,
     quantize_config,
 )
-from urbanflows.errors import ConfigurationError, DataError, TrainingFault
+from urbanflows.errors import ConfigurationError, DataError, SamplingFault, TrainingFault
 from urbanflows.flow_layers import LN_2PI
 from urbanflows.fusion import FusionModule
 from urbanflows.numerics import Adam, ParameterStore, Tensor, no_grad
@@ -118,6 +118,22 @@ def test_forward_inverse_roundtrip_eval(rng):
         x = model.inverse(Tensor(z), cond, mode="eval")
         z2, _ = model.forward(x, cond, mode="eval", update_stats=False)
     assert np.max(np.abs(z2.data - z)) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_poisoned_ar_layer_raises_sampling_fault_within_cap(rng):
+    model, store = build_model(perturb=0.1, k=2)
+    # flat layers: mar0 uar0 bn0 mar1 uar1 bn1; inversion runs from the end
+    store["config.block0.uar.out.b"].data[D] = np.inf   # shift of coordinate 0
+    nets = [layer.net for kind, _, layer, _ in model.layers if kind != "batchnorm"]
+    cond = Tensor(rng.normal(size=(3, COND)))
+    with no_grad(), pytest.raises(SamplingFault) as info:
+        model.inverse(Tensor(rng.normal(size=(3, D))), cond, mode="eval")
+    assert info.value.layer_index == 1
+    calls = [net.calls for net in nets]
+    assert calls[0] == 0                          # mar0 is never reached
+    assert calls[1] == D + 1                      # the poisoned layer hits the cap
+    assert all(2 <= c <= D + 1 for c in calls[2:])
 
 
 def test_reversal_changes_coordinates_between_blocks(rng):

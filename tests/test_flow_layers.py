@@ -5,6 +5,7 @@ wrapper API."""
 import numpy as np
 import pytest
 
+from ar_reference import sequential_inverse
 from urbanflows.errors import ConfigurationError, ModeError
 from urbanflows.flow_layers import (
     CLAMP,
@@ -131,9 +132,38 @@ def test_conditioner_call_counter(rng):
     with no_grad():
         y, _ = layer.forward(x, cond)
     assert layer.net.calls == 1          # density: one vectorized pass
+    sequential_inverse(layer, y, cond)
+    assert layer.net.calls == 1 + D      # reference: d sequential passes
+    layer.net.calls = 0
     with no_grad():
         layer.inverse(y, cond)
-    assert layer.net.calls == 1 + D      # generation: d sequential passes
+    assert 2 <= layer.net.calls <= D + 1  # fixed point: at most d + 1 sweeps
+
+    # a fresh layer is the identity: one sweep to reach y, one to confirm it
+    fresh = MaskedARLayer(ParameterStore(), "f", D, COND, rng, widths=(8,))
+    with no_grad():
+        back = fresh.inverse(y, cond)
+    assert np.array_equal(back.data, y.data)
+    assert fresh.net.calls == 2
+
+
+@pytest.mark.parametrize("cls", [MaskedARLayer, UncondARLayer])
+@pytest.mark.parametrize("batch", [1, 37])
+def test_ar_fixed_point_inverse_matches_sequential(cls, batch, rng):
+    d = 24
+    kwargs = {"cond_dim": COND} if cls is MaskedARLayer else {}
+    layer, _ = perturbed_layer(cls, rng, d=d, widths=(16, 16), mask_seed=5,
+                               **kwargs)
+    cond = Tensor(rng.normal(size=(batch, COND))) if layer.cond_dim else None
+    y = Tensor(rng.normal(size=(batch, d)))
+    want = sequential_inverse(layer, y, cond).data
+    layer.net.calls = 0
+    with no_grad():
+        got = layer.inverse(y, cond).data
+        y_back, _ = layer.forward(Tensor(got), cond)
+    assert layer.net.calls <= d + 1
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(y_back.data, y.data, rtol=0.0, atol=1e-10)
 
 
 def test_identity_initialization(rng):

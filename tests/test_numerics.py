@@ -121,6 +121,16 @@ def test_sum_mean_axis_gradients(rng):
     check_scalar_grad(lambda a: a.mean(), x)
 
 
+def test_mean_over_tuple_axes(rng):
+    x = rng.normal(size=(2, 3, 4))
+    weights = rng.normal(size=(3,))
+    for keepdims in (False, True):
+        out = Tensor(x).mean(axis=(0, 2), keepdims=keepdims)
+        np.testing.assert_array_equal(out.data, x.mean(axis=(0, 2), keepdims=keepdims))
+    check_scalar_grad(lambda a: (a.mean(axis=(0, -1)) * weights).sum(), x)
+    check_scalar_grad(lambda a: exp(a.mean(axis=(1, 2), keepdims=True)).sum(), x)
+
+
 def test_clip_gradient_masks_boundaries(rng):
     x = np.array([[-2.0, -0.5, 0.3, 1.7]])
     t = Tensor(x, requires_grad=True)

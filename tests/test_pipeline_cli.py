@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from urbanflows import checkpoint, cli
 from urbanflows.checkpoint import read_header
 from urbanflows.cli import main
 from urbanflows.config_flow import dequantize_config_batch
@@ -307,6 +308,47 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = main(["synth", "--config", cfg, "--count", "1",
                "--out", str(tmp_path / "missing_dir" / "x.jsonl")])
     assert rc == 1
+
+
+def zero_budget_checkpoint(tmp_path):
+    """An untrained full-bundle checkpoint written by `train-zone`."""
+    cfg = write_mini_config(tmp_path, steps_zone=0)
+    data = str(tmp_path / "data.jsonl")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    ckpt = str(tmp_path / "z.ckpt")
+    assert main(["train-zone", "--config", cfg, "--dataset", data,
+                 "--out-ckpt", ckpt]) == 0
+    return ckpt
+
+
+def test_cli_generate_reads_checkpoint_once(tmp_path, monkeypatch):
+    ckpt = zero_budget_checkpoint(tmp_path)
+    paths = []
+
+    def counting_read_header(path):
+        paths.append(path)
+        return read_header(path)
+
+    monkeypatch.setattr(checkpoint, "read_header", counting_read_header)
+    monkeypatch.setattr(cli, "read_header", counting_read_header)
+    assert main(["generate", "--ckpt", ckpt, "--green-level", "1",
+                 "--out-dir", str(tmp_path / "g")]) == 0
+    assert paths == [ckpt]
+
+
+def test_cli_generate_rejects_malformed_manifest_shape(tmp_path, capsys,
+                                                       rewrite_header):
+    ckpt = zero_budget_checkpoint(tmp_path)
+
+    def edit(header):
+        header["manifest"][0][1] = "ab"
+
+    rewrite_header(ckpt, edit)
+    capsys.readouterr()
+    rc = main(["generate", "--ckpt", ckpt, "--green-level", "1",
+               "--out-dir", str(tmp_path / "g")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "malformed manifest entry" in err
 
 
 def test_cli_module_entry_point(tmp_path):
