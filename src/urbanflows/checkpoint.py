@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
 )
+from .fileio import atomic_write
 
 MAGIC = b"URBANFLOWS-CKPT"
 FORMAT_VERSION = 1
@@ -66,18 +66,10 @@ def save_checkpoint(path, store, config_dict, rng_state=None, extra=None):
     }
     if extra:
         header["extra"] = _clean(extra)
-    # write beside the target and rename, so a failed save never leaves a
-    # partial file where a good checkpoint was
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + b" v%d\n" % FORMAT_VERSION)
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            fh.write(payload)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC + b" v%d\n" % FORMAT_VERSION)
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(payload)
 
 
 def _manifest_bytes(manifest):

@@ -18,6 +18,7 @@ import numpy as np
 from .checkpoint import read_header, rng_state_of, save_checkpoint
 from .config_flow import quantize_config
 from .errors import ConfigurationError, DataError, PipelineError, UrbanFlowsError
+from .fileio import atomic_write
 from .pipeline import (
     ModelBundle,
     check_dataset_dims,
@@ -54,7 +55,7 @@ def _load_run_config(args):
 
 
 def _write_loss_log(path, rc, history):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("# urbanflows loss log\n")
         fh.write("# config " + json.dumps(rc.as_dict(), sort_keys=True) + "\n")
         for step, loss in history:
@@ -154,7 +155,7 @@ def _context_for_generation(args, rc):
 
 
 def _write_trace(path, trace, rc, gen_index, green_level):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         head = {
             "format_version": 1,
             "kind": "config-trace",
@@ -188,7 +189,7 @@ def cmd_generate(args, trace_flag=None):
     rng = np.random.default_rng(seed)
     os.makedirs(args.out_dir, exist_ok=True)
     records_path = os.path.join(args.out_dir, "configs.jsonl")
-    with open(records_path, "w") as fh:
+    with atomic_write(records_path) as fh:
         head = {
             "format_version": 1,
             "kind": "generated-configs",
@@ -231,7 +232,7 @@ def cmd_evaluate(args):
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     text = format_report(report, rc.as_dict())
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write(text)
     print(text, end="")
     return 0

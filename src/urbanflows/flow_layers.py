@@ -379,7 +379,10 @@ class MaskedARLayer:
         if cond is not None and not isinstance(cond, Tensor):
             cond = Tensor(cond)
         x = np.zeros_like(y_data)
-        with no_grad():
+        # a non-finite state meets the zero masked weights (inf * 0) and may
+        # overflow exp; the caller turns it into a SamplingFault, so numpy
+        # need not warn on the way
+        with no_grad(), np.errstate(invalid="ignore", over="ignore"):
             for _ in range(self.d + 1):
                 s, b = self.net(Tensor(x), cond)
                 x_next = (y_data - b.data) * np.exp(-s.data)

@@ -1,7 +1,16 @@
 """Neural-net building blocks on top of the tape.
 
-``conv2d`` is a true primitive (hand-written backward); everything else is
-composed from tape ops so its gradients are exact by construction.
+``conv2d`` and ``depthwise_conv2d`` are true primitives with hand-written
+backwards; everything else is composed from tape ops so its gradients are
+exact by construction.
+
+``conv2d`` is lowered to one BLAS matrix product: the input's k x k windows
+are copied once into an im2col matrix with one row per output pixel, which
+the forward and the weight gradient each multiply once; the input gradient
+is the product with the weight matrix, scattered back by k*k strided slice
+adds (col2im).  ``depthwise_conv2d`` mixes no channels, so it is k*k
+multiply-adds of shifted slices of the padded input, in the forward and in
+both gradients.
 """
 
 from __future__ import annotations
@@ -56,18 +65,27 @@ def conv2d(x, w, b, stride=1):
     else:
         xp = x.data
     windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    out_data = np.einsum("bchwij,ocij->bohw", windows, w.data) + b.data[None, :, None, None]
-    h_out, w_out = out_data.shape[2], out_data.shape[3]
+    batch, h_out, w_out = windows.shape[0], windows.shape[2], windows.shape[3]
+    # im2col: one row per output pixel, (channel, ki, kj) along the row
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, in_ch * k * k)
+    wmat = w.data.reshape(out_ch, in_ch * k * k)
+    out_rows = cols @ wmat.T
+    out_rows += b.data
+    out_data = out_rows.reshape(batch, h_out, w_out, out_ch).transpose(0, 3, 1, 2)
+    padded_shape = xp.shape
 
     def backward(g):
+        g_rows = g.transpose(0, 2, 3, 1).reshape(-1, out_ch)
         _accumulate(b, g.sum(axis=(0, 2, 3)))
-        _accumulate(w, np.einsum("bohw,bchwij->ocij", g, windows))
+        _accumulate(w, (g_rows.T @ cols).reshape(w.shape))
         if x.requires_grad:
-            gx = np.zeros_like(xp)
+            # col2im: scatter each kernel tap's column block back onto the input
+            g_cols = (g_rows @ wmat).reshape(batch, h_out, w_out, in_ch, k, k)
+            gx = np.zeros(padded_shape)
             for ki in range(k):
                 for kj in range(k):
-                    gx[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += np.einsum(
-                        "bohw,oc->bchw", g, w.data[:, :, ki, kj]
+                    gx[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += (
+                        g_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
                     )
             if pad:
                 gx = gx[:, :, pad:-pad, pad:-pad]
@@ -91,18 +109,32 @@ def depthwise_conv2d(x, w, b):
         raise DimensionError("depthwise_conv2d channel mismatch")
     pad = (k - 1) // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-    out_data = np.einsum("bchwij,cij->bchw", windows, w.data) + b.data[None, :, None, None]
-    h_out, w_out = out_data.shape[2], out_data.shape[3]
+    h_out, w_out = x.shape[2], x.shape[3]
+    taps = w.data[None, :, :, :, None, None]  # (1, C, k, k, 1, 1)
+
+    def shifted(ki, kj):
+        return xp[:, :, ki : ki + h_out, kj : kj + w_out]
+
+    out_data = np.empty(x.shape)
+    out_data[...] = b.data[None, :, None, None]
+    tmp = np.empty(x.shape)
+    for ki in range(k):
+        for kj in range(k):
+            out_data += np.multiply(shifted(ki, kj), taps[:, :, ki, kj], out=tmp)
 
     def backward(g):
         _accumulate(b, g.sum(axis=(0, 2, 3)))
-        _accumulate(w, np.einsum("bchw,bchwij->cij", g, windows))
+        prod = np.empty(g.shape)
+        gw = np.empty(w.shape)
+        for ki in range(k):
+            for kj in range(k):
+                gw[:, ki, kj] = np.multiply(g, shifted(ki, kj), out=prod).sum(axis=(0, 2, 3))
+        _accumulate(w, gw)
         if x.requires_grad:
             gx = np.zeros_like(xp)
             for ki in range(k):
                 for kj in range(k):
-                    gx[:, :, ki : ki + h_out, kj : kj + w_out] += g * w.data[None, :, ki, kj, None, None]
+                    gx[:, :, ki : ki + h_out, kj : kj + w_out] += np.multiply(g, taps[:, :, ki, kj], out=prod)
             _accumulate(x, gx[:, :, pad:-pad, pad:-pad])
 
     return _node(out_data, (x, w, b), backward)
@@ -144,4 +176,4 @@ def global_avg_pool(x):
     """Mean over the spatial axes of an NCHW tensor, giving (B, C)."""
     if x.ndim != 4:
         raise DimensionError("global_avg_pool expects (B,C,H,W)")
-    return x.mean(axis=3).mean(axis=2)
+    return x.mean(axis=(2, 3))

@@ -390,12 +390,27 @@ def concat(parts, axis):
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
+def _is_basic_index(idx):
+    """True for ints, slices, ``...`` and ``None`` (alone or in a tuple):
+    numpy basic indexing, which selects each element at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        p is None or p is Ellipsis or isinstance(p, slice)
+        or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+        for p in parts
+    )
+
+
 def getitem(a, idx):
     a = as_tensor(a)
 
     def backward(g):
         full = np.zeros(a.shape)
-        np.add.at(full, idx, g)
+        if _is_basic_index(idx):
+            full[idx] = g
+        else:
+            # advanced indices may repeat an element; add.at sums the repeats
+            np.add.at(full, idx, g)
         _accumulate(a, full)
 
     return _node(a.data[idx], (a,), backward)

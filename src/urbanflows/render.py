@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
+from .fileio import atomic_write
 
 # one color per category slot, chosen for contrast between neighbors
 PALETTE = np.array(
@@ -62,7 +63,7 @@ def config_image(counts, cell=CELL_PIXELS):
 def write_ppm(path, image):
     image = np.ascontiguousarray(image, dtype=np.uint8)
     h, w = image.shape[:2]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
         fh.write(image.tobytes())
 

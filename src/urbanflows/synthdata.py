@@ -16,6 +16,7 @@ import numpy as np
 
 from .config_flow import ConfigTensor
 from .errors import ConfigurationError, DataError, FormatError, ParseError
+from .fileio import atomic_write
 from .zone_flow import ZoneMap
 
 GUIDANCE_LEVELS = 5
@@ -213,7 +214,7 @@ DATASET_VERSION = 1
 
 
 def write_dataset(path, samples, n, m, p):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         header = {"format_version": DATASET_VERSION, "N": n, "M": m, "P": p}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for s in samples:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from urbanflows import checkpoint
+from urbanflows import fileio
 from urbanflows.checkpoint import (
     load_checkpoint,
     read_header,
@@ -153,7 +153,7 @@ def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, failure):
         def refuse(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(checkpoint.os, "replace", refuse)
+        monkeypatch.setattr(fileio.os, "replace", refuse)
         expected = OSError
     with pytest.raises(expected):
         save_checkpoint(path, store, {"seed": 2})

@@ -120,7 +120,6 @@ def test_forward_inverse_roundtrip_eval(rng):
     assert np.max(np.abs(z2.data - z)) < 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_poisoned_ar_layer_raises_sampling_fault_within_cap(rng):
     model, store = build_model(perturb=0.1, k=2)
     # flat layers: mar0 uar0 bn0 mar1 uar1 bn1; inversion runs from the end

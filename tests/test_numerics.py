@@ -8,6 +8,7 @@ all flow and fusion gradients are built from these primitives.
 import numpy as np
 import pytest
 
+import conv_reference
 from urbanflows.errors import OracleError
 from urbanflows.numerics import (
     Adam,
@@ -102,6 +103,8 @@ def test_reshape_transpose_concat_getitem(rng):
     check_scalar_grad(lambda a: exp(a.transpose((1, 0))).sum(), x)
     check_scalar_grad(lambda a, b: tanh(concat([a, b], axis=1)).sum(), x, y)
     check_scalar_grad(lambda a: (a[:, 1:3] ** 2).sum(), x)
+    # a repeated advanced index must sum the gradient of each repeat
+    check_scalar_grad(lambda a: (a[[0, 0, 2]] ** 2).sum(), x)
 
 
 def test_permute_columns_gradient(rng):
@@ -157,6 +160,37 @@ def test_depthwise_conv2d_gradients(rng):
     b = rng.normal(size=(4,))
     check_scalar_grad(lambda a, k, c: (depthwise_conv2d(a, k, c) ** 2).sum(),
                       x, w, b, tol=1e-5)
+
+
+def _output_and_grads(kernel, arrays, g, **kw):
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = kernel(*tensors, **kw)
+    (out * Tensor(g)).sum().backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("batch", [1, 37])
+@pytest.mark.parametrize("name,k,stride", [
+    ("conv2d", 3, 1), ("conv2d", 5, 1), ("conv2d", 2, 2),
+    ("depthwise_conv2d", 3, 1), ("depthwise_conv2d", 5, 1),
+])
+def test_conv_kernels_match_einsum_reference(rng, name, k, stride, batch):
+    c, o, size = 3, 4, 6
+    x = rng.normal(size=(batch, c, size, size))
+    if name == "conv2d":
+        w, b = rng.normal(size=(o, c, k, k)), rng.normal(size=(o,))
+        g = rng.normal(size=(batch, o, size // stride, size // stride))
+        kw = {"stride": stride}
+    else:
+        w, b = rng.normal(size=(c, k, k)), rng.normal(size=(c,))
+        g = rng.normal(size=(batch, c, size, size))
+        kw = {}
+    shipped = {"conv2d": conv2d, "depthwise_conv2d": depthwise_conv2d}[name]
+    got = _output_and_grads(shipped, (x, w, b), g, **kw)
+    want = _output_and_grads(getattr(conv_reference, name), (x, w, b), g, **kw)
+    for part, a, r in zip(("out", "x", "w", "b"), got, want):
+        assert a.shape == r.shape, part
+        assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
 
 
 def test_layer_norm_gelu_softmax_gap(rng):

@@ -5,6 +5,7 @@ CLI tests call cli.main(argv) in-process; one smoke test goes through
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -349,6 +350,28 @@ def test_cli_generate_rejects_malformed_manifest_shape(tmp_path, capsys,
                "--out-dir", str(tmp_path / "g")])
     err = capsys.readouterr().err
     assert rc == 1 and "malformed manifest entry" in err
+
+
+def test_cli_evaluate_failed_rename_keeps_old_report(tmp_path, monkeypatch,
+                                                    capsys):
+    ckpt = zero_budget_checkpoint(tmp_path)
+    data = str(tmp_path / "data.jsonl")
+    report = tmp_path / "report.txt"
+    args = ["evaluate", "--ckpt", ckpt, "--dataset", data, "--out", str(report)]
+    assert main(args) == 0
+    before = report.read_bytes()
+    files = sorted(p.name for p in tmp_path.iterdir())
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert report.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -1,6 +1,8 @@
 """Synthetic-corpus properties: guidance-controlled sparsity, archetype
 rates, context features, info-vector layout, and dataset file round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,21 @@ def test_dataset_file_roundtrip(tmp_path):
     path2 = tmp_path / "data2.jsonl"
     write_dataset(path2, samples, N, M, P)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_failed_dataset_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, make_dataset(3, N, M, P, seed=1), N, M, P)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_dataset(path, make_dataset(5, N, M, P, seed=2), N, M, P)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
 
 
 def test_dataset_empty_file_and_header_only(tmp_path):
