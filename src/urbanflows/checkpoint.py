@@ -116,6 +116,8 @@ def read_header(path):
     for key in ("format_version", "config", "manifest", "payload_bytes"):
         if key not in header:
             raise CheckpointManifestError(f"header missing key {key!r}")
+    if not isinstance(header["config"], dict):
+        raise CheckpointManifestError("header config is not a JSON object")
     payload = blob[nl2 + 1:]
     declared = header["payload_bytes"]
     expected = _manifest_bytes(header["manifest"])

@@ -174,8 +174,14 @@ class MaskedConditioner:
 
     The optional condition vector bypasses every mask: it is injected,
     unmasked, into each hidden layer, so conditioning never violates the
-    autoregressive ordering over the data coordinates.  ``calls`` counts
-    forward evaluations, which the sampling-complexity audit reads.
+    autoregressive ordering over the data coordinates.
+
+    ``bind(cond)`` builds what one condition fixes for any number of passes
+    (the masked weights ``w * mask`` and each hidden layer's condition term
+    ``cond @ v``) and returns the pass ``x -> (s, b)``; a call
+    ``net(x, cond)`` is ``net.bind(cond)(x)``, so the density forward (on
+    the tape) and the fixed-point inverse run the same code.  ``calls``
+    counts passes, which the sampling-complexity audit reads.
     """
 
     def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64), mask_seed=0):
@@ -202,25 +208,35 @@ class MaskedConditioner:
         self._mask_tensors = [Tensor(m) for m in self.masks.hidden_masks]
         self._out_mask = Tensor(np.tile(self.masks.out_mask, (1, 2)))
 
-    def __call__(self, x, cond=None):
-        if x.shape[-1] != self.d:
-            raise ConfigurationError(
-                f"masked conditioner built for d={self.d}, got {x.shape[-1]}"
-            )
+    def bind(self, cond=None):
+        """Fix the condition and return the pass ``x -> (s, b)``."""
         if self.cond_dim and (cond is None or cond.shape[-1] != self.cond_dim):
             raise ConfigurationError("condition vector missing or mis-sized")
-        self.calls += 1
-        h = x
-        for (w, v, b), mask in zip(self.hidden, self._mask_tensors):
-            pre = h @ (w * mask) + b
-            if v is not None:
-                pre = pre + cond @ v
-            h = gelu(pre)
-        w, b = self.final
-        out = h @ (w * self._out_mask) + b
-        s = clamp_scale(out[:, : self.d])
-        shift = out[:, self.d :]
-        return s, shift
+        hidden = [(w * mask, b, None if v is None else cond @ v)
+                  for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
+        w, b_out = self.final
+        w_out = w * self._out_mask
+        d = self.d
+
+        def conditioner_pass(x):
+            if x.shape[-1] != d:
+                raise ConfigurationError(
+                    f"masked conditioner built for d={d}, got {x.shape[-1]}"
+                )
+            self.calls += 1
+            h = x
+            for w_masked, b, cv in hidden:
+                pre = h @ w_masked + b
+                if cv is not None:
+                    pre = pre + cv
+                h = gelu(pre)
+            out = h @ w_out + b_out
+            return clamp_scale(out[:, :d]), out[:, d:]
+
+        return conditioner_pass
+
+    def __call__(self, x, cond=None):
+        return self.bind(cond)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +387,10 @@ class MaskedARLayer:
         i + 1, the fixed point is unique, and d + 1 sweeps always reach (and
         confirm) it.  The loop stops at the first sweep that leaves x
         unchanged.  A non-finite state never compares equal, runs to the cap
-        and is reported by the caller.  Pure numpy under no_grad: the
-        generation direction of AR layers is never differentiated in this
-        package.
+        and is reported by the caller.  The conditioner is bound to ``cond``
+        once, so the sweeps share its masked weights and condition terms.
+        Runs under no_grad: the generation direction of AR layers is never
+        differentiated in this package.
         """
         y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
         if cond is not None and not isinstance(cond, Tensor):
@@ -383,8 +400,9 @@ class MaskedARLayer:
         # overflow exp; the caller turns it into a SamplingFault, so numpy
         # need not warn on the way
         with no_grad(), np.errstate(invalid="ignore", over="ignore"):
+            conditioner_pass = self.net.bind(cond)
             for _ in range(self.d + 1):
-                s, b = self.net(Tensor(x), cond)
+                s, b = conditioner_pass(Tensor(x))
                 x_next = (y_data - b.data) * np.exp(-s.data)
                 if np.array_equal(x_next, x):
                     break

@@ -1,8 +1,9 @@
 """Neural-net building blocks on top of the tape.
 
-``conv2d`` and ``depthwise_conv2d`` are true primitives with hand-written
-backwards; everything else is composed from tape ops so its gradients are
-exact by construction.
+``conv2d``, ``depthwise_conv2d``, ``layer_norm`` and ``gelu`` are true
+primitives: one tape node each, with a hand-written backward.  ``linear``,
+``softmax_rows`` and ``global_avg_pool`` are composed from tape ops, so
+their gradients are exact by construction.
 
 ``conv2d`` is lowered to one BLAS matrix product: the input's k x k windows
 are copied once into an im2col matrix with one row per output pixel, which
@@ -11,15 +12,21 @@ is the product with the weight matrix, scattered back by k*k strided slice
 adds (col2im).  ``depthwise_conv2d`` mixes no channels, so it is k*k
 multiply-adds of shifted slices of the padded input, in the forward and in
 both gradients.
+
+``layer_norm`` and ``gelu`` run the same numpy operations, in the same
+order, as their compositions from tape ops, so their outputs are bit for
+bit the composed ones; the primitive saves the tape nodes (five per GELU,
+nine per layer-norm) and the intermediates each one would keep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import erf as _erf
 
 from ..errors import DimensionError
-from .tape import Tensor, as_tensor, erf, exp, sqrt, _accumulate, _node
+from .tape import Tensor, as_tensor, exp, _accumulate, _node, _unbroadcast
 
 __all__ = [
     "conv2d",
@@ -149,20 +156,54 @@ def linear(x, weight, bias=None):
 
 
 def layer_norm(x, gamma, beta, axis=-1, eps=1e-5):
-    """Normalize over one axis; gamma/beta must broadcast against x."""
-    mu = x.mean(axis=axis, keepdims=True)
-    centered = x - mu
+    """Normalize over one axis; gamma/beta must broadcast against x.
+
+    With x_hat the normalized input, sigma = sqrt(var + eps) and
+    g_hat = g * gamma, the input gradient is the closed form
+    (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / sigma, means over
+    ``axis``.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    mu = x.data.mean(axis=axis, keepdims=True)
+    centered = x.data - mu
     var = (centered * centered).mean(axis=axis, keepdims=True)
-    normed = centered / sqrt(var + eps)
-    return normed * gamma + beta
+    sigma = np.sqrt(var + eps)
+    normed = centered / sigma
+    out_data = normed * gamma.data + beta.data
+
+    def backward(g):
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.shape))
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * normed, gamma.shape))
+        if x.requires_grad:
+            g_hat = g * gamma.data
+            gx = (g_hat - g_hat.mean(axis=axis, keepdims=True)
+                  - normed * (g_hat * normed).mean(axis=axis, keepdims=True))
+            _accumulate(x, gx / sigma)
+
+    return _node(out_data, (x, gamma, beta), backward)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(x):
-    """Exact Gaussian error linear unit: 0.5 x (1 + erf(x/sqrt(2)))."""
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    """Exact Gaussian error linear unit: 0.5 x (1 + erf(x/sqrt(2))).
+
+    Its derivative is 0.5 (1 + erf(x/sqrt(2))) + x phi(x), phi the standard
+    normal density; the backward reuses the forward's 1 + erf.
+    """
+    x = as_tensor(x)
+    one_plus_erf = _erf(x.data * _INV_SQRT2) + 1.0
+    out_data = (x.data * 0.5) * one_plus_erf
+
+    def backward(g):
+        phi = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
+        _accumulate(x, g * (0.5 * one_plus_erf + x.data * phi))
+
+    return _node(out_data, (x,), backward)
 
 
 def softmax_rows(x):

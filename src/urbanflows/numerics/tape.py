@@ -237,8 +237,10 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), backward)
 
@@ -247,8 +249,10 @@ def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(a.data / b.data, (a, b), backward)
 
@@ -279,10 +283,10 @@ def matmul(a, b):
         raise ValueError("matmul expects tensors with ndim >= 2")
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _node(a.data @ b.data, (a, b), backward)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import ConfigurationError, ParseError
+from .fileio import read_text_lines
 
 GUIDANCE_DIM = 5
 
@@ -78,8 +79,8 @@ class RunConfig:
             )
         if self.n_cx < 1:
             raise ConfigurationError("n_cx must be >= 1")
-        down = 1 << (self.n_cx - 1)
-        if self.n % down or self.n // down < 1:
+        # test n >> k first: 1 << k for a huge k would build a huge int
+        if self.n >> (self.n_cx - 1) < 1 or self.n % (1 << (self.n_cx - 1)):
             raise ConfigurationError(
                 f"n={self.n} incompatible with {self.n_cx - 1} stride-2 down-samples"
             )
@@ -117,9 +118,13 @@ class RunConfig:
         return cls(**kwargs).validate()
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(raw, default, key):
     if not isinstance(raw, str):
-        return raw
+        return _check_typed(raw, default, key)
     raw = raw.strip()
     if isinstance(default, bool):
         low = raw.lower()
@@ -146,16 +151,39 @@ def _coerce(raw, default, key):
     return raw
 
 
+def _check_typed(raw, default, key):
+    """Accept an already-typed value (from a checkpoint's JSON config) only
+    if it has the field's type; ints widen to floats, lists to tuples."""
+    if isinstance(default, bool):
+        if isinstance(raw, bool):
+            return raw
+        expected = "a boolean"
+    elif isinstance(default, int):
+        if _is_int(raw):
+            return raw
+        expected = "an integer"
+    elif isinstance(default, float):
+        if _is_int(raw) or isinstance(raw, float):
+            return float(raw)
+        expected = "a number"
+    elif isinstance(default, tuple):
+        if isinstance(raw, (list, tuple)) and all(_is_int(v) for v in raw):
+            return tuple(raw)
+        expected = "a list of integers"
+    else:
+        return raw
+    raise ConfigurationError(f"{key}: expected {expected}, got {raw!r:.40}")
+
+
 def parse_config_file(path):
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"expected 'key = value': {stripped!r}",
-                                 line_number=lineno)
-            key, _, val = stripped.partition("=")
-            values[key.strip()] = val.strip()
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"expected 'key = value': {stripped!r}",
+                             line_number=lineno)
+        key, _, val = stripped.partition("=")
+        values[key.strip()] = val.strip()
     return values

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config_flow import ConfigTensor
 from .errors import ConfigurationError, DataError, FormatError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text_lines
 from .zone_flow import ZoneMap
 
 GUIDANCE_LEVELS = 5
@@ -230,21 +230,22 @@ def write_dataset(path, samples, n, m, p):
 
 def read_dataset(path):
     """Returns (samples, meta dict with N/M/P)."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text_lines(path)
     if not lines:
         raise ParseError("dataset file has no header line", line_number=1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
         raise ParseError(f"bad header: {exc}", line_number=1) from exc
+    if not isinstance(header, dict):
+        raise ParseError("header is not a JSON object", line_number=1)
     if header.get("format_version") != DATASET_VERSION:
         raise FormatError(
             f"unsupported dataset version {header.get('format_version')!r}"
         )
     try:
         n, m, p = int(header["N"]), int(header["M"]), int(header["P"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"header missing dimensions: {exc}", line_number=1) from exc
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -257,7 +258,7 @@ def read_dataset(path):
             config = np.array(rec["config"], dtype=np.int64).reshape(n, n, p)
             sample = SynthSample(rec["id"], rec["green_level"], context,
                                  ZoneMap(zones), ConfigTensor(config))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError, DataError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:
             raise ParseError(f"bad record: {exc}", line_number=lineno) from exc
         samples.append(sample)
     return samples, {"N": n, "M": m, "P": p}

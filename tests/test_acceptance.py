@@ -15,11 +15,13 @@ import pytest
 from scipy.stats import spearmanr
 
 from ar_reference import sequential_inverse
+from composed_reference import unbound_bind
 from urbanflows.checkpoint import read_header, save_checkpoint
 from urbanflows.cli import main
 from urbanflows.config_flow import (
     ConfigFlowModel,
     config_sample,
+    config_sample_batch,
     dequantize_config_batch,
     joint_loss,
     quantize_config,
@@ -34,6 +36,7 @@ from urbanflows.flow_layers import (
     ConditionProjectionLayer,
     CouplingLayer,
     MaskedARLayer,
+    MaskedConditioner,
     Permutation,
     UncondARLayer,
     half_swap_perm,
@@ -505,6 +508,28 @@ def test_trained_stack_fixed_point_inverse_matches_sequential(trained_session,
     with no_grad():
         want = model.inverse(Tensor(z), a_flat, mode="eval").data
     np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)
+
+
+def test_trained_stack_bound_conditioner_matches_unbound(trained_session, monkeypatch):
+    """Not a criterion: stage-2 sampling from the fully trained stack with
+    each conditioner bound once per inverse is bit for bit the per-pass
+    reference, at B=1 and B=64."""
+    bundle = trained_session["bundle"]
+    rc = bundle.cfg
+    es, zones, _, _ = dataset_arrays(trained_session["samples"][:64])
+    with no_grad():
+        o = bundle.fusion.extract(Tensor(zones[:, None] / (rc.m - 1.0)), mode="eval")
+        c, _ = bundle.fusion.fuse(partition_zones_batch(zones, rc.m), Tensor(es), o)
+
+    def sample():
+        return [config_sample_batch(bundle.config, cs, np.random.default_rng(65))[0]
+                for cs in (c.data[:1], c.data)]
+
+    got = sample()
+    monkeypatch.setattr(MaskedConditioner, "bind", unbound_bind)
+    want = sample()
+    for a, r in zip(got, want):
+        assert np.array_equal(a, r)
 
 
 # ---------------------------------------------------------------------------

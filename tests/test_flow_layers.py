@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ar_reference import sequential_inverse
+from composed_reference import unbound_bind
 from urbanflows.errors import ConfigurationError, ModeError
 from urbanflows.flow_layers import (
     CLAMP,
@@ -15,6 +16,7 @@ from urbanflows.flow_layers import (
     ConditionProjectionLayer,
     FlowState,
     MaskedARLayer,
+    MaskedConditioner,
     Permutation,
     UncondARLayer,
     batchnorm_apply,
@@ -164,6 +166,51 @@ def test_ar_fixed_point_inverse_matches_sequential(cls, batch, rng):
     assert layer.net.calls <= d + 1
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(y_back.data, y.data, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("cls", [MaskedARLayer, UncondARLayer])
+@pytest.mark.parametrize("batch", [1, 37])
+def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatch):
+    """Binding the condition once gives bit-identical (s, b), forwards and
+    inverses to the per-pass reference, the same pass counts, and
+    gradients within atol 1e-12."""
+    d = 24
+    kwargs = {"cond_dim": COND} if cls is MaskedARLayer else {}
+    layer, store = perturbed_layer(cls, rng, d=d, widths=(16, 16), mask_seed=5,
+                                   **kwargs)
+    x_data = rng.normal(size=(batch, d))
+    cond_data = rng.normal(size=(batch, COND)) if layer.cond_dim else None
+    g = rng.normal(size=(batch, d))
+
+    def run():
+        for _, t in store.items():
+            t.zero_grad()
+        x = Tensor(x_data, requires_grad=True)
+        cond = None if cond_data is None else Tensor(cond_data, requires_grad=True)
+        layer.net.calls = 0
+        with no_grad():
+            s, b = layer.net(Tensor(x_data), cond)
+            back = layer.inverse(Tensor(x_data), cond)
+        calls = layer.net.calls
+        y, ld = layer.forward(x, cond)
+        ((y * Tensor(g)).sum() + ld.sum()).backward()
+        grads = {name: t.grad for name, t in store.items()}
+        grads["x"] = x.grad
+        grads["cond"] = None if cond is None else cond.grad
+        return [s.data, b.data, back.data, y.data, ld.data], calls, grads
+
+    got, got_calls, got_grads = run()
+    monkeypatch.setattr(MaskedConditioner, "bind", unbound_bind)
+    want, want_calls, want_grads = run()
+    for part, a, r in zip(("s", "b", "inverse", "y", "logdet"), got, want):
+        assert np.array_equal(a, r), part
+    assert got_calls == want_calls
+    assert got_grads.keys() == want_grads.keys()
+    for name, a in got_grads.items():
+        r = want_grads[name]
+        assert (a is None) == (r is None), name
+        if a is not None:
+            np.testing.assert_allclose(a, r, rtol=0.0, atol=1e-12, err_msg=name)
 
 
 def test_identity_initialization(rng):

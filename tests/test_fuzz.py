@@ -1,0 +1,155 @@
+"""Property fuzz of every file reader: checkpoint headers, dataset header
+and record lines, and config files.
+
+Each input, however malformed, must either parse or raise an
+``UrbanFlowsError``; anything else would leave the CLI as a Python
+traceback.  Inputs start from a valid file and replace one part with
+arbitrary JSON or bytes, so the fuzz reaches past the first check.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from urbanflows.checkpoint import MAGIC, read_header, save_checkpoint
+from urbanflows.errors import UrbanFlowsError
+from urbanflows.numerics import ParameterStore
+from urbanflows.runconfig import RunConfig
+from urbanflows.synthdata import make_dataset, read_dataset, write_dataset
+
+from conftest import mini_runconfig
+
+FUZZ = settings(database=None, deadline=None, max_examples=150)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# a line of text with no line break in it
+lines = st.text(max_size=40).map(lambda t: "".join(t.splitlines()))
+
+
+def parses_or_raises_typed(fn, *args):
+    try:
+        fn(*args)
+    except UrbanFlowsError:
+        pass
+
+
+def _store():
+    store = ParameterStore()
+    store.add("a.w", np.arange(6.0).reshape(2, 3))
+    store.add("b.stat", np.ones(2), trainable=False)
+    return store
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(workdir):
+    """(header JSON text, payload) of a valid checkpoint of ``_store()``."""
+    path = workdir / "valid.ckpt"
+    save_checkpoint(path, _store(), mini_runconfig().as_dict())
+    blob = path.read_bytes()
+    nl1 = blob.find(b"\n")
+    nl2 = blob.find(b"\n", nl1 + 1)
+    return blob[nl1 + 1:nl2].decode(), blob[nl2 + 1:]
+
+
+def _load_checkpoint_like_cli(path):
+    """The checkpoint half of the CLI's model loading, without building a
+    model of the (fuzzed) configured size."""
+    header, payload = read_header(path)
+    RunConfig.from_sources(None, dict(header["config"]))
+    _store().load_payload(header["manifest"], payload)
+
+
+header_edits = st.one_of(
+    st.tuples(st.sampled_from(["format_version", "config", "manifest",
+                               "payload_bytes", "rng_state"]), json_values),
+    st.tuples(st.just("config"),
+              st.dictionaries(st.sampled_from(sorted(mini_runconfig().as_dict())),
+                              json_values, min_size=1, max_size=3)),
+    st.tuples(st.just("manifest"),
+              st.lists(st.tuples(st.sampled_from(["a.w", "b.stat", "c"]),
+                                 st.lists(st.integers(-1, 4), max_size=3)),
+                       max_size=3)),
+)
+
+
+@FUZZ
+@given(edit=header_edits, drop=st.booleans())
+def test_fuzz_checkpoint_header_fields(workdir, valid_checkpoint, edit, drop):
+    header, payload = json.loads(valid_checkpoint[0]), valid_checkpoint[1]
+    key, value = edit
+    if drop:
+        header.pop(key, None)
+    elif key == "config" and isinstance(value, dict):
+        header["config"].update(value)
+    else:
+        header[key] = json.loads(json.dumps(value))
+    path = workdir / "f.ckpt"
+    path.write_bytes(MAGIC + b" v1\n" + json.dumps(header).encode() + b"\n" + payload)
+    parses_or_raises_typed(_load_checkpoint_like_cli, path)
+
+
+@FUZZ
+@given(head=st.binary(max_size=60), tail=st.binary(max_size=60))
+def test_fuzz_checkpoint_header_bytes(workdir, head, tail):
+    path = workdir / "f.ckpt"
+    path.write_bytes(MAGIC + b" v1\n" + head + b"\n" + tail)
+    parses_or_raises_typed(_load_checkpoint_like_cli, path)
+
+
+@pytest.fixture(scope="module")
+def valid_dataset(workdir):
+    """The lines of a valid two-sample dataset: a header and two records."""
+    rc = mini_runconfig()
+    path = workdir / "valid.jsonl"
+    write_dataset(path, make_dataset(2, rc.n, rc.m, rc.p, seed=0), rc.n, rc.m, rc.p)
+    return path.read_text().splitlines()
+
+
+@FUZZ
+@given(line=st.integers(0, 2), key=st.sampled_from(
+    ["format_version", "N", "M", "P", "id", "green_level", "context", "zones", "config"]),
+    value=json_values, whole=st.booleans())
+def test_fuzz_dataset_fields(workdir, valid_dataset, line, key, value, whole):
+    records = [json.loads(r) for r in valid_dataset]
+    records[line] = value if whole else {**records[line], key: value}
+    path = workdir / "f.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    parses_or_raises_typed(read_dataset, path)
+
+
+@FUZZ
+@given(line=st.integers(0, 2), raw=st.one_of(lines.map(str.encode), st.binary(max_size=40)))
+def test_fuzz_dataset_raw_lines(workdir, valid_dataset, line, raw):
+    records = [r.encode() for r in valid_dataset]
+    records[line] = raw
+    path = workdir / "f.jsonl"
+    path.write_bytes(b"\n".join(records) + b"\n")
+    parses_or_raises_typed(read_dataset, path)
+
+
+config_lines = st.one_of(
+    st.tuples(st.sampled_from(sorted(mini_runconfig().as_dict())), lines)
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    lines,
+)
+
+
+@FUZZ
+@given(text=st.lists(config_lines, max_size=5), junk=st.binary(max_size=8))
+def test_fuzz_config_file(workdir, text, junk):
+    path = workdir / "f.cfg"
+    path.write_bytes("\n".join(text).encode() + b"\n" + junk)
+    parses_or_raises_typed(RunConfig.from_sources, path)

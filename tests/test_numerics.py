@@ -8,6 +8,7 @@ all flow and fusion gradients are built from these primitives.
 import numpy as np
 import pytest
 
+import composed_reference
 import conv_reference
 from urbanflows.errors import OracleError
 from urbanflows.numerics import (
@@ -191,6 +192,58 @@ def test_conv_kernels_match_einsum_reference(rng, name, k, stride, batch):
     for part, a, r in zip(("out", "x", "w", "b"), got, want):
         assert a.shape == r.shape, part
         assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
+
+
+@pytest.mark.parametrize("batch", [1, 37])
+@pytest.mark.parametrize("case", ["gelu", "layer_norm_nchw_axis1", "layer_norm_last_axis"])
+def test_gelu_layer_norm_match_composed_reference(rng, case, batch):
+    """The fused primitives give bit-identical outputs to their tape-op
+    compositions, and gradients within atol 1e-12."""
+    if case == "gelu":
+        name, kw = "gelu", {}
+        arrays = (rng.normal(scale=2.0, size=(batch, 5, 7)),)
+    elif case == "layer_norm_nchw_axis1":
+        name, kw, c = "layer_norm", {"axis": 1}, 4
+        arrays = (rng.normal(size=(batch, c, 3, 5)),
+                  rng.normal(size=(1, c, 1, 1)) + 1.0, rng.normal(size=(1, c, 1, 1)))
+    else:
+        name, kw, c = "layer_norm", {"axis": -1}, 6
+        arrays = (rng.normal(size=(batch, c)), rng.normal(size=(c,)) + 1.0,
+                  rng.normal(size=(c,)))
+    shipped = {"gelu": gelu, "layer_norm": layer_norm}[name]
+    g = rng.normal(size=arrays[0].shape)
+    got = _output_and_grads(shipped, arrays, g, **kw)
+    want = _output_and_grads(getattr(composed_reference, name), arrays, g, **kw)
+    assert np.array_equal(got[0], want[0])
+    for part, a, r in zip(("x", "gamma", "beta"), got[1:], want[1:]):
+        assert a.shape == r.shape, part
+        assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
+
+
+def test_backward_skips_constant_operands(rng):
+    """mul, div and matmul form no product for an operand that does not
+    require grad; the other operand's gradient is the one the full rule
+    gives."""
+    v = rng.normal(size=(3, 4))
+    row = rng.normal(size=(4,)) + 3.0
+    mat = rng.normal(size=(4, 2))
+    left = rng.normal(size=(2, 3))
+    cases = [
+        (lambda t, k: t * k, v, row, lambda g, t, k: g * k),
+        (lambda t, k: k * t, row, v, lambda g, t, k: (g * k).sum(axis=0)),
+        (lambda t, k: t / k, v, row, lambda g, t, k: g / k),
+        (lambda t, k: k / t, row, v, lambda g, t, k: (-g * k / (t * t)).sum(axis=0)),
+        (lambda t, k: t @ k, v, mat, lambda g, t, k: g @ k.T),
+        (lambda t, k: k @ t, v, left, lambda g, t, k: k.T @ g),
+    ]
+    for i, (op, t_data, k_data, rule) in enumerate(cases):
+        t = Tensor(t_data.copy(), requires_grad=True)
+        k = Tensor(k_data.copy())
+        out = op(t, k)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        assert k.grad is None, i
+        assert np.array_equal(t.grad, rule(g, t_data, k_data)), i
 
 
 def test_layer_norm_gelu_softmax_gap(rng):

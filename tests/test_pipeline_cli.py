@@ -352,6 +352,31 @@ def test_cli_generate_rejects_malformed_manifest_shape(tmp_path, capsys,
     assert rc == 1 and "malformed manifest entry" in err
 
 
+def test_cli_rejects_dataset_header_that_is_not_an_object(tmp_path, capsys):
+    cfg = write_mini_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    data.write_text("[1]\n")
+    rc = main(["train-zone", "--config", cfg, "--dataset", str(data),
+               "--out-ckpt", str(tmp_path / "z.ckpt")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and "not a JSON object" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda header: header.update(config=5), "config is not a JSON object"),
+    (lambda header: header["config"].update(n=[4]), "n: expected an integer"),
+])
+def test_cli_rejects_mistyped_checkpoint_config(tmp_path, capsys, rewrite_header,
+                                                edit, message):
+    ckpt = zero_budget_checkpoint(tmp_path)
+    rewrite_header(ckpt, edit)
+    capsys.readouterr()
+    rc = main(["generate", "--ckpt", ckpt, "--green-level", "1",
+               "--out-dir", str(tmp_path / "g")])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and message in err
+
+
 def test_cli_evaluate_failed_rename_keeps_old_report(tmp_path, monkeypatch,
                                                     capsys):
     ckpt = zero_budget_checkpoint(tmp_path)
