@@ -7,7 +7,7 @@ by attention.  The flattened result is what the configuration flow sees.
 
 import numpy as np
 
-from urbanflows.fusion import FusionModule, partition_zones
+from urbanflows.fusion import FusionModule, partition_zones_batch
 from urbanflows.numerics import ParameterStore, Tensor
 from urbanflows.synthdata import build_info_vector, generate_sample, info_dim
 
@@ -18,10 +18,11 @@ sample = generate_sample(seed=5, n=N, m=M, p=P, green_level=LEVEL)
 print("zone map:")
 print(sample.zones.labels)
 
-# step 1: M disjoint binary masks, one per zone label
-part = partition_zones(sample.zones, M)
-print("cells per zone:", part.masks.sum(axis=(1, 2)).astype(int),
-      "| masks cover the grid:", bool((part.masks.sum(axis=0) == 1).all()))
+# step 1: M disjoint binary masks, one per zone label (a batch of one map)
+labels = sample.zones.labels[None]
+masks = partition_zones_batch(labels, M)
+print("cells per zone:", masks[0].sum(axis=(1, 2)).astype(int),
+      "| masks cover the grid:", bool((masks[0].sum(axis=0) == 1).all()))
 
 # the conditioning width equals the info vector width, which is usually not
 # divisible by anything useful, hence single-head attention
@@ -31,13 +32,13 @@ fusion = FusionModule(store, "fusion", N, M, D, heads=1,
 print(f"fusion parameters: {len(store)} tensors, D = {D}")
 
 # step 2: the extractor turns the map image into a geographic embedding o
-img = Tensor(sample.zones.labels[None, None].astype(np.float64) / (M - 1))
+img = Tensor(labels[:, None].astype(np.float64) / (M - 1))
 o = fusion.extract(img)
 print("geo embedding |o| =", round(float(np.linalg.norm(o.data)), 3))
 
 # step 3: semantic projection, c_k = softmax(mask stats)_k * (ws e + wg o)
 e = build_info_vector(sample.context, LEVEL)
-c, zone_weights = fusion.fuse(part.masks[None], Tensor(e), o)
+c, zone_weights = fusion.fuse(masks, Tensor(e), o)
 print("zone weights:", np.round(zone_weights.data[0], 3),
       "(sum", round(float(zone_weights.data.sum()), 6), ")")
 ratio = c.data[0, 0] / c.data[0, 1]
@@ -55,8 +56,10 @@ moved = np.abs(a_edit.data - a.data).max(axis=2)[0]
 print("max |change| per output row after editing input row 2:",
       np.round(moved, 4))
 
-# the whole path in one call, flattened for the flow conditioners
-a_flat, _ = fusion.condition(sample.zones.labels[None], img, Tensor(e))
+# steps 1-3 in one call; the configuration flow then attends and flattens
+c_all = fusion.embed(labels, e)
+print("embed() repeats steps 1-3:", bool((c_all.data == c.data).all()))
+a_flat = fusion.attend(c_all).reshape(1, M * D)
 print("conditioning matrix, flattened:", a_flat.shape, "= (1, M*D)")
 
 # ablations used by the reduced variants
@@ -64,6 +67,6 @@ blind = FusionModule(ParameterStore(), "fusion", N, M, D, heads=1,
                      rng=np.random.default_rng(42), stem_channels=4, n_cx=2,
                      use_geo=False, use_attention=False)
 print("use_geo=False extractor output:", float(np.abs(blind.extract(img).data).max()))
-c2, _ = blind.fuse(part.masks[None], Tensor(e), blind.extract(img))
+c2 = blind.embed(labels, e)
 print("use_attention=False passes c through:",
       bool((blind.attend(c2).data == c2.data).all()))

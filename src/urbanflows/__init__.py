@@ -11,9 +11,6 @@ against finite differences.
 from .config_flow import (
     ConfigFlowModel,
     ConfigTensor,
-    config_nll,
-    config_sample,
-    dequantize_config,
     joint_finetune_step,
     quantize_config,
 )
@@ -28,19 +25,12 @@ from .errors import (
     TrainingFault,
     UrbanFlowsError,
 )
-from .fusion import FusedEmbedding, FusionModule, ZonePartition, partition_zones
+from .fusion import FusionModule
 from .metrics import hellinger, kl_div, to_distribution, wasserstein_1d
-from .pipeline import ModelBundle, evaluate_model, generate_one
+from .pipeline import ModelBundle, evaluate_model, generate_batch, generate_one
 from .runconfig import RunConfig
 from .synthdata import SynthSample, build_info_vector, generate_sample, make_dataset
-from .zone_flow import (
-    ZoneFlowModel,
-    ZoneMap,
-    dequantize_zone,
-    quantize_zone,
-    zone_nll,
-    zone_sample,
-)
+from .zone_flow import ZoneFlowModel, ZoneMap, quantize_zone
 
 __version__ = "0.1.0"
 
@@ -51,7 +41,6 @@ __all__ = [
     "ConfigurationError",
     "DataError",
     "DimensionError",
-    "FusedEmbedding",
     "FusionModule",
     "ModeError",
     "ModelBundle",
@@ -63,24 +52,17 @@ __all__ = [
     "UrbanFlowsError",
     "ZoneFlowModel",
     "ZoneMap",
-    "ZonePartition",
     "build_info_vector",
-    "config_nll",
-    "config_sample",
-    "dequantize_config",
-    "dequantize_zone",
     "evaluate_model",
+    "generate_batch",
     "generate_one",
     "generate_sample",
     "hellinger",
     "joint_finetune_step",
     "kl_div",
     "make_dataset",
-    "partition_zones",
     "quantize_config",
     "quantize_zone",
     "to_distribution",
     "wasserstein_1d",
-    "zone_nll",
-    "zone_sample",
 ]

@@ -13,18 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DataError, SamplingFault, TrainingFault
-from .flow_layers import (
-    BatchNormFlow,
-    GenerationTrace,
-    MaskedARLayer,
-    TraceStep,
-    UncondARLayer,
-    gaussian_logp,
-    reversal_perm,
-)
-from .fusion import FusedEmbedding
-from .numerics import Tensor, no_grad, permute_columns
-from .zone_flow import dequantize_zone_batch, nll_tensors, quantize_zone, soft_labels
+from .flow_layers import BatchNormFlow, MaskedARLayer, UncondARLayer, reversal_perm
+from .numerics import Tensor, as_tensor, no_grad, permute_columns
+from .zone_flow import dequantize_zone_batch, nll_tensors, soft_labels
 
 # guards against overflow when quantizing unbounded latents from an
 # untrained model; ordinary data lives far below this
@@ -53,14 +44,9 @@ class ConfigTensor:
         return self.counts.sum(axis=(0, 1))
 
 
-def dequantize_config(x, rng):
-    """ln(1 + count + u) with u ~ U[0,1) per entry, flattened in C order."""
-    counts = np.asarray(getattr(x, "counts", x), dtype=np.float64)
-    u = rng.random(counts.shape)
-    return np.log1p(counts + u).ravel()
-
-
 def dequantize_config_batch(counts, rng):
+    """(B, N, N, P) counts -> (B, N^2 P) values ln(1 + count + u), with
+    u ~ U[0, 1) per entry, flattened in C order."""
     counts = np.asarray(counts, dtype=np.float64)
     u = rng.random(counts.shape)
     return np.log1p(counts + u).reshape(counts.shape[0], -1)
@@ -75,9 +61,7 @@ def quantize_config(vec, n, p):
 
 def category_histogram_of(vec, n, p):
     """Per-category totals of the quantized version of a state vector."""
-    vec = np.minimum(np.asarray(vec, dtype=np.float64), _MAX_LOG_COUNT)
-    counts = np.maximum(0, np.floor(np.expm1(vec) + 1e-12)).astype(np.int64)
-    return counts.reshape(n * n, p).sum(axis=0)
+    return quantize_config(vec, n, p).category_histogram()
 
 
 class ConfigFlowModel:
@@ -89,7 +73,7 @@ class ConfigFlowModel:
     """
 
     def __init__(self, store, prefix, d, cond_dim, rng, k=4, widths=(64, 64),
-                 use_uncond_ar=True, n=None, p=None, attend=None):
+                 use_uncond_ar=True, attend=None):
         if k < 1:
             raise ConfigurationError("need at least one block")
         if d < 2:
@@ -97,8 +81,6 @@ class ConfigFlowModel:
         self.d = d
         self.cond_dim = cond_dim
         self.k = k
-        self.n = n
-        self.p = p
         self.attend = attend
         self.blocks = []
         for i in range(k):
@@ -126,9 +108,6 @@ class ConfigFlowModel:
         self.final_layout = layout
         self.final_inv = np.argsort(layout)
 
-    def layer_count(self):
-        return len(self.layers)
-
     def condition_of(self, cs):
         """(B, M, D) fused embeddings -> flattened conditioning (B, M*D)."""
         if not isinstance(cs, Tensor):
@@ -137,21 +116,26 @@ class ConfigFlowModel:
         a = self.attend(cs) if self.attend is not None else cs
         return a.reshape(b, -1)
 
-    def forward(self, x, a_flat, mode="train", update_stats=True):
+    def forward(self, x, a_flat, mode="train", update_stats=True, collect=None):
+        """Data -> latent; returns (z in canonical coords, per-sample logdet).
+
+        ``collect`` receives (flat_index, kind, canonical state ndarray)
+        after each layer when provided.
+        """
         h = x
         logdet = Tensor(np.zeros(x.shape[0]))
         prev_block = 0
-        for kind, block_idx, layer, _ in self.layers:
+        for flat_idx, (kind, block_idx, layer, layout) in enumerate(self.layers):
             if block_idx != prev_block:
                 h = permute_columns(h, self.rev)
                 prev_block = block_idx
-            if kind == "masked_ar":
-                h, ld = layer.forward(h, a_flat, mode)
-            elif kind == "uncond_ar":
-                h, ld = layer.forward(h, None, mode)
-            else:
+            if kind == "batchnorm":
                 h, ld = layer.forward(h, mode, update_stats)
+            else:  # the unconditional AR layer ignores a_flat
+                h, ld = layer.forward(h, a_flat, mode)
             logdet = logdet + ld
+            if collect is not None:
+                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
         h = permute_columns(h, self.final_inv)
         return h, logdet
 
@@ -161,12 +145,10 @@ class ConfigFlowModel:
         h = permute_columns(z, self.final_layout)
         for flat_idx in range(len(self.layers) - 1, -1, -1):
             kind, block_idx, layer, layout = self.layers[flat_idx]
-            if kind == "masked_ar":
-                h = layer.inverse(h, a_flat, mode)
-            elif kind == "uncond_ar":
-                h = layer.inverse(h, None, mode)
-            else:
+            if kind == "batchnorm":
                 h = layer.inverse(h, mode)
+            else:  # the unconditional AR layer ignores a_flat
+                h = layer.inverse(h, a_flat, mode)
             if not np.all(np.isfinite(h.data)):
                 raise SamplingFault(f"non-finite state after inverting layer {flat_idx}",
                                     layer_index=flat_idx)
@@ -175,52 +157,6 @@ class ConfigFlowModel:
             if flat_idx > 0 and self.layers[flat_idx - 1][1] != block_idx:
                 h = permute_columns(h, self.rev)  # reversal is an involution
         return h
-
-
-def _scan_nonfinite_layer(model, x, a_flat, mode):
-    """Locate the first layer whose output is non-finite (failure path only)."""
-    h = x
-    prev_block = 0
-    with no_grad():
-        for flat_idx, (kind, block_idx, layer, _) in enumerate(model.layers):
-            if block_idx != prev_block:
-                h = permute_columns(h, model.rev)
-                prev_block = block_idx
-            if kind == "masked_ar":
-                h, _ = layer.forward(h, a_flat, mode)
-            elif kind == "uncond_ar":
-                h, _ = layer.forward(h, None, mode)
-            else:
-                h, _ = layer.forward(h, mode, update_stats=False)
-            if not np.all(np.isfinite(h.data)):
-                return flat_idx
-    return None
-
-
-def config_nll(model, batch, rng, mode="train", update_stats=True):
-    """Mean NLL of (ConfigTensor, FusedEmbedding) pairs.
-
-    The attention matrix is computed inside, from each sample's fused
-    embedding, per the conditioning pipeline.
-    """
-    xs = np.stack([dequantize_config(ct, rng) for ct, _ in batch])
-    cs = np.stack([np.asarray(c.c if isinstance(c, FusedEmbedding) else c,
-                              dtype=np.float64) for _, c in batch])
-    a_flat = model.condition_of(cs)
-    mean, per_sample = nll_tensors_config(model, Tensor(xs), a_flat, mode, update_stats)
-    if not np.all(np.isfinite(per_sample)):
-        bad = int(np.flatnonzero(~np.isfinite(per_sample))[0])
-        # rescan the whole batch so train-mode batch statistics match
-        layer = _scan_nonfinite_layer(model, Tensor(xs), Tensor(a_flat.data), mode)
-        raise TrainingFault(f"non-finite NLL at sample {bad}",
-                            sample_index=bad, layer_index=layer)
-    return float(mean.item())
-
-
-def nll_tensors_config(model, x, a_flat, mode="train", update_stats=True):
-    z, logdet = model.forward(x, a_flat, mode, update_stats)
-    nll = gaussian_logp(z) * (-1.0) - logdet
-    return nll.mean(), nll.data
 
 
 def config_sample_batch(model, cs, rng, collect=None):
@@ -233,25 +169,6 @@ def config_sample_batch(model, cs, rng, collect=None):
         a_flat = model.condition_of(cs)
         x = model.inverse(Tensor(z), a_flat, mode="eval", collect=collect)
     return x.data, z
-
-
-def config_sample(model, c, rng, trace=False):
-    """Sample one ConfigTensor; optionally record the layer-by-layer trace."""
-    if model.n is None or model.p is None:
-        raise ConfigurationError("sampling needs a model built with (n, p)")
-    c_arr = np.asarray(c.c if isinstance(c, FusedEmbedding) else c, dtype=np.float64)
-    states = []
-    collect = (lambda i, kind, s: states.append((i, kind, s[0].copy()))) if trace else None
-    x, z = config_sample_batch(model, c_arr[None], rng, collect=collect)
-    ct = quantize_config(x[0], model.n, model.p)
-    if not trace:
-        return ct, None
-    steps = [TraceStep(-1, "latent", z[0],
-                       category_histogram_of(z[0], model.n, model.p))]
-    for idx, kind, state in states:
-        steps.append(TraceStep(idx, kind, state,
-                               category_histogram_of(state, model.n, model.p)))
-    return ct, GenerationTrace(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +194,22 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
     m = fusion_mod.m
     n = fusion_mod.n
     b = es_t.shape[0]
+    zx = as_tensor(zone_x)
     if use_sampled_u:
         u_cont = zone_model.inverse(Tensor(z_fixed), es_t, mode="eval")
         hard = np.clip(np.floor((u_cont.data + 0.5) * m), 0, m - 1)
         hard = hard.astype(np.int64).reshape(b, n, n)
-        soft = soft_labels(u_cont, m) * (1.0 / max(m - 1, 1))
     else:
         if zone_labels is None:
             raise ConfigurationError("ground-truth conditioning needs zone labels")
         hard = np.asarray(zone_labels, dtype=np.int64).reshape(b, n, n)
-        zx = zone_x if isinstance(zone_x, Tensor) else Tensor(zone_x)
-        soft = soft_labels(zx, m) * (1.0 / max(m - 1, 1))
-    soft_img = soft.reshape(b, 1, n, n)
-    a_flat, _ = fusion_mod.condition(hard, soft_img, es_t, mode=mode, rng=rng)
+        u_cont = zx
+    images = (soft_labels(u_cont, m) * (1.0 / max(m - 1, 1))).reshape(b, 1, n, n)
+    c = fusion_mod.embed(hard, es_t, images, mode=mode, rng=rng)
+    a_flat = config_model.condition_of(c)
 
-    cfg_x = config_x if isinstance(config_x, Tensor) else Tensor(config_x)
-    cfg_mean, cfg_per = nll_tensors_config(config_model, cfg_x, a_flat,
-                                           mode, update_stats)
-    zx = zone_x if isinstance(zone_x, Tensor) else Tensor(zone_x)
+    cfg_x = as_tensor(config_x)
+    cfg_mean, cfg_per = nll_tensors(config_model, cfg_x, a_flat, mode, update_stats)
     zone_mean, zone_per = nll_tensors(zone_model, zx, es_t, mode, update_stats)
     total = cfg_mean + lam * zone_mean
     parts = {
@@ -305,10 +220,26 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
     for name, per in (("config", cfg_per), ("zone", zone_per)):
         if not np.all(np.isfinite(per)):
             bad = int(np.flatnonzero(~np.isfinite(per))[0])
+            layer = (_first_nonfinite_layer(config_model, cfg_x, a_flat, mode)
+                     if name == "config" else None)
             raise TrainingFault(f"non-finite {name} NLL at sample {bad}",
-                                sample_index=bad)
+                                sample_index=bad, layer_index=layer)
     return total, parts
 
+
+def _first_nonfinite_layer(model, x, a_flat, mode):
+    """Flat index of the first stage-2 layer whose output is non-finite,
+    found by replaying the forward with batch statistics left as they are
+    (fault path only)."""
+    bad = []
+
+    def watch(flat_idx, kind, state):
+        if not bad and not np.all(np.isfinite(state)):
+            bad.append(flat_idx)
+
+    with no_grad():
+        model.forward(x, a_flat, mode, update_stats=False, collect=watch)
+    return bad[0] if bad else None
 
 def joint_finetune_step(zone_model, fusion_mod, config_model, batch, lam,
                         rng, optimizer, use_sampled_u=True):

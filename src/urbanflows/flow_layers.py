@@ -5,9 +5,8 @@ Conventions used throughout:
 
 * "forward" is the data -> latent direction whose accumulated log-det enters
   the negative log-likelihood; "inverse" is the generation direction.
-* Layers operate on batches: vectors are (B, d) tensors, log-dets are (B,)
-  tensors.  The single-state wrappers at the bottom of the module
-  stack/unstack one sample.
+* Layers operate on batches only: vectors are (B, d) tensors, log-dets are
+  (B,) tensors; one sample is a batch of one.
 * Scale outputs are clamped to [-CLAMP, CLAMP] through a smooth tanh squash
   so exp(s) stays within [e^-5, e^5] no matter what the conditioner emits.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, ModeError
+from .errors import ConfigurationError, ModeError
 from .numerics import Tensor, concat, exp, gelu, log, no_grad, permute_columns, tanh
 
 CLAMP = 5.0
@@ -32,18 +31,6 @@ def gaussian_logp(z):
     """Per-sample standard-normal log-density of a (B, d) tensor."""
     d = z.shape[-1]
     return (z * z).sum(axis=-1) * (-0.5) - 0.5 * d * LN_2PI
-
-
-class FlowState:
-    """One sample mid-stack: a flat vector plus its accumulated log-det."""
-
-    __slots__ = ("vector", "accumulated_logdet")
-
-    def __init__(self, vector, accumulated_logdet=0.0):
-        self.vector = np.asarray(vector, dtype=np.float64)
-        self.accumulated_logdet = float(accumulated_logdet)
-        if not np.isfinite(self.accumulated_logdet):
-            raise ConfigurationError("accumulated_logdet must be finite")
 
 
 class TraceStep:
@@ -318,17 +305,12 @@ class BatchNormFlow:
         self.d = d
         self.momentum = momentum
         self.eps = eps
-        self.mode = "train"
         self.running_mean = store.add(f"{prefix}.running_mean", np.zeros(d), trainable=False)
         self.running_var = store.add(
             f"{prefix}.running_var", np.full(d, 1.0 - eps), trainable=False
         )
 
-    def _effective_mode(self, mode):
-        return self.mode if mode is None else mode
-
-    def forward(self, x, mode=None, update_stats=True):
-        mode = self._effective_mode(mode)
+    def forward(self, x, mode="train", update_stats=True):
         if mode == "train":
             if x.shape[0] < 2:
                 raise ConfigurationError("train-mode batchnorm needs batch size >= 2")
@@ -348,8 +330,7 @@ class BatchNormFlow:
         ld = log(var + self.eps).sum() * (-0.5)
         return y, ld * Tensor(np.ones(x.shape[0]))
 
-    def inverse(self, y, mode=None):
-        mode = self._effective_mode(mode)
+    def inverse(self, y, mode="eval"):
         if mode == "train":
             raise ModeError("batchnorm flow cannot invert with batch statistics")
         mu = self.running_mean.detach().reshape(1, self.d)
@@ -441,9 +422,6 @@ class Permutation:
     def inverse(self, y, cond=None, mode="eval"):
         return permute_columns(y, self.inv_perm)
 
-    def apply_layout(self, layout):
-        return layout[self.perm]
-
 
 def half_swap_perm(d):
     h = d // 2
@@ -452,71 +430,3 @@ def half_swap_perm(d):
 
 def reversal_perm(d):
     return np.arange(d)[::-1].copy()
-
-
-# ---------------------------------------------------------------------------
-# Single-sample wrappers
-# ---------------------------------------------------------------------------
-
-
-def _as_row(vec):
-    return Tensor(np.asarray(vec, dtype=np.float64).reshape(1, -1))
-
-
-def _apply_single(layer, state, cond, direction, needs_cond=True):
-    x = _as_row(state.vector)
-    c = _as_row(cond) if (needs_cond and cond is not None) else None
-    if direction == "forward":
-        with no_grad():
-            if needs_cond:
-                y, ld = layer.forward(x, c)
-            else:
-                y, ld = layer.forward(x)
-        return FlowState(y.data[0], state.accumulated_logdet + float(ld.data[0]))
-    if direction == "inverse":
-        with no_grad():
-            if needs_cond:
-                y = layer.inverse(x, c)
-            else:
-                y = layer.inverse(x)
-        return FlowState(y.data[0], state.accumulated_logdet)
-    raise ConfigurationError(f"unknown direction: {direction!r}")
-
-
-def coupling_apply(state, cond, layer, direction="forward"):
-    """Apply one coupling layer to a single FlowState."""
-    return _apply_single(layer, state, cond, direction)
-
-
-def condition_projection_apply(state, cond, layer, direction="forward"):
-    return _apply_single(layer, state, cond, direction)
-
-
-def masked_ar_apply(state, attn, layer, direction="forward"):
-    """attn is the flattened attention matrix used as the condition."""
-    return _apply_single(layer, state, attn, direction)
-
-
-def uncond_ar_projection_apply(state, layer, direction="forward"):
-    return _apply_single(layer, state, None, direction, needs_cond=False)
-
-
-def batchnorm_apply(states, layer, direction="forward"):
-    """Apply a batch-norm flow to a whole batch of FlowStates.
-
-    The layer's own mode attribute decides train vs eval behaviour, matching
-    how running statistics are defined.
-    """
-    x = Tensor(np.stack([s.vector for s in states]))
-    if direction == "forward":
-        with no_grad():
-            y, ld = layer.forward(x)
-        return [
-            FlowState(y.data[i], states[i].accumulated_logdet + float(ld.data[i]))
-            for i in range(len(states))
-        ]
-    if direction == "inverse":
-        with no_grad():
-            y = layer.inverse(x)
-        return [FlowState(y.data[i], states[i].accumulated_logdet) for i in range(len(states))]
-    raise ConfigurationError(f"unknown direction: {direction!r}")

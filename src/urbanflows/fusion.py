@@ -1,8 +1,9 @@
 """Information fusion: geographic embedding extraction, zone partitioning,
 semantic projection, and the multi-head attention used by stage 2.
 
-Batched entry points take (B, ...) tensors; the single-sample functions at
-the bottom mirror the batched ones for one zone map / embedding at a time.
+Every function takes a batch: (B, ...) arrays or tensors, one zone map or
+embedding being a batch of one.  ``FusionModule.embed`` runs the whole
+chain from hard zone labels to the fused embedding.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError, DimensionError
 from .numerics import (
     Tensor,
+    as_tensor,
     conv2d,
     depthwise_conv2d,
     gelu,
@@ -19,38 +21,6 @@ from .numerics import (
     layer_norm,
     softmax_rows,
 )
-
-
-class ZonePartition:
-    """M binary N x N masks, one per zone label; disjoint and covering."""
-
-    __slots__ = ("masks",)
-
-    def __init__(self, masks):
-        self.masks = np.asarray(masks, dtype=np.float64)
-
-    @property
-    def m(self):
-        return self.masks.shape[0]
-
-
-class FusedEmbedding:
-    """The fused conditioning matrix c plus the zone softmax weights."""
-
-    __slots__ = ("c", "zone_weights")
-
-    def __init__(self, c, zone_weights):
-        self.c = np.asarray(c, dtype=np.float64)
-        self.zone_weights = np.asarray(zone_weights, dtype=np.float64)
-
-
-def partition_zones(zone_map, m):
-    """Split a zone map into M binary indicator masks."""
-    labels = np.asarray(getattr(zone_map, "labels", zone_map))
-    if labels.min() < 0 or labels.max() >= m:
-        raise DataError(f"zone labels must lie in [0, {m - 1}]")
-    masks = np.stack([(labels == k).astype(np.float64) for k in range(m)])
-    return ZonePartition(masks)
 
 
 def partition_zones_batch(labels, m):
@@ -252,52 +222,18 @@ class FusionModule:
                                           self.attn["wk"], self.attn["wv"],
                                           self.attn["wo"])
 
-    def condition(self, hard_labels, soft_images, e, mode="eval", rng=None):
-        """Full conditioning path: returns (A_flat (B, M*D), zone_weights).
+    def embed(self, hard_labels, e, images=None, mode="eval", rng=None):
+        """Fused embedding c (B, M, D) of a batch of zone maps.
 
-        hard_labels feed the partition masks (never differentiated);
-        soft_images feed the extractor and may carry gradients.
+        hard_labels (B, N, N) give the partition masks and are never
+        differentiated; images (B, 1, N, N) feed the extractor and default
+        to the labels rescaled into [0, 1].  Joint training passes soft
+        labels there, which is the gradient path into the zone flow.
         """
-        b = hard_labels.shape[0]
         masks = partition_zones_batch(hard_labels, self.m)
-        o = self.extract(soft_images, mode=mode, rng=rng)
-        if not isinstance(e, Tensor):
-            e = Tensor(e)
-        c, zone_weights = self.fuse(masks, e, o)
-        a = self.attend(c)
-        return a.reshape(b, self.m * self.d), zone_weights
-
-
-# ---------------------------------------------------------------------------
-# Single-sample wrappers
-# ---------------------------------------------------------------------------
-
-
-def extract_geo_embedding(extractor, zone_map, m_labels, mode="eval", rng=None):
-    """Embed one zone map; labels are rescaled by 1/(m-1) into [0, 1]."""
-    labels = np.asarray(getattr(zone_map, "labels", zone_map), dtype=np.float64)
-    n = labels.shape[0]
-    img = Tensor(labels.reshape(1, 1, n, n) / max(m_labels - 1, 1))
-    out = extractor.forward(img, mode=mode, rng=rng)
-    return out.data.reshape(1, -1)
-
-
-def semantic_projection(part, e, o, w_z, w_s, w_g):
-    """Single-sample fused embedding from explicit weight tensors."""
-    masks = part.masks[None]
-    e_t = Tensor(np.asarray(e, dtype=np.float64).reshape(1, -1))
-    o_t = Tensor(np.asarray(o, dtype=np.float64).reshape(1, -1))
-    w_z = w_z if isinstance(w_z, Tensor) else Tensor(np.asarray(w_z, dtype=np.float64))
-    w_s = w_s if isinstance(w_s, Tensor) else Tensor(np.asarray(w_s, dtype=np.float64))
-    w_g = w_g if isinstance(w_g, Tensor) else Tensor(np.asarray(w_g, dtype=np.float64))
-    c, zw = semantic_projection_batch(masks, e_t, o_t, w_z, w_s, w_g)
-    return FusedEmbedding(c.data[0], zw.data[0])
-
-
-def multi_head_attention(fused, heads, wq, wk, wv, wo):
-    """Single-sample attention over a FusedEmbedding, returning M x D."""
-    args = [t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=np.float64))
-            for t in (wq, wk, wv, wo)]
-    c = Tensor(fused.c[None]) if isinstance(fused, FusedEmbedding) else Tensor(np.asarray(fused)[None])
-    out = multi_head_attention_batch(c, heads, *args)
-    return out.data[0]
+        if images is None:
+            images = Tensor(np.asarray(hard_labels)[:, None].astype(np.float64)
+                            / max(self.m - 1, 1))
+        o = self.extract(images, mode=mode, rng=rng)
+        c, _ = self.fuse(masks, as_tensor(e), o)
+        return c

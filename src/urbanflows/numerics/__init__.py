@@ -18,7 +18,6 @@ from .tape import (
 from .kernels import (
     conv2d,
     depthwise_conv2d,
-    linear,
     layer_norm,
     gelu,
     softmax_rows,
@@ -44,7 +43,6 @@ __all__ = [
     "permute_columns",
     "conv2d",
     "depthwise_conv2d",
-    "linear",
     "layer_norm",
     "gelu",
     "softmax_rows",

@@ -1,7 +1,7 @@
 """Neural-net building blocks on top of the tape.
 
 ``conv2d``, ``depthwise_conv2d``, ``layer_norm`` and ``gelu`` are true
-primitives: one tape node each, with a hand-written backward.  ``linear``,
+primitives: one tape node each, with a hand-written backward.
 ``softmax_rows`` and ``global_avg_pool`` are composed from tape ops, so
 their gradients are exact by construction.
 
@@ -31,7 +31,6 @@ from .tape import Tensor, as_tensor, exp, _accumulate, _node, _unbroadcast
 __all__ = [
     "conv2d",
     "depthwise_conv2d",
-    "linear",
     "layer_norm",
     "gelu",
     "softmax_rows",
@@ -145,14 +144,6 @@ def depthwise_conv2d(x, w, b):
             _accumulate(x, gx[:, :, pad:-pad, pad:-pad])
 
     return _node(out_data, (x, w, b), backward)
-
-
-def linear(x, weight, bias=None):
-    """Affine map on the last axis: x @ weight (+ bias)."""
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
 
 
 def layer_norm(x, gamma, beta, axis=-1, eps=1e-5):

@@ -15,15 +15,15 @@ import numpy as np
 
 from .config_flow import (
     ConfigFlowModel,
-    config_sample,
+    category_histogram_of,
     config_sample_batch,
     dequantize_config_batch,
     joint_finetune_step,
-    nll_tensors_config,
     quantize_config,
 )
 from .errors import ConfigurationError, DataError, TrainingFault
-from .fusion import FusionModule, partition_zones_batch
+from .flow_layers import GenerationTrace, TraceStep
+from .fusion import FusionModule
 from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
 from .numerics import Adam, ParameterStore, Tensor, no_grad
 from .synthdata import build_info_vector
@@ -33,7 +33,6 @@ from .zone_flow import (
     dequantize_zone_batch,
     nll_tensors,
     quantize_zone,
-    zone_sample,
     zone_sample_batch,
 )
 
@@ -50,7 +49,6 @@ class ModelBundle:
             self.store, "zone", rc.d_zone, rc.info_dim, rng,
             k=rc.k_zone, widths=rc.zone_hidden,
             use_condition_projection=rc.use_condition_projection,
-            n=rc.n, m=rc.m,
         )
         self.fusion = FusionModule(
             self.store, "fusion", rc.n, rc.m, rc.info_dim, rc.heads, rng,
@@ -61,8 +59,7 @@ class ModelBundle:
         self.config = ConfigFlowModel(
             self.store, "config", rc.d_config, rc.m * rc.info_dim, rng,
             k=rc.k_config, widths=rc.config_hidden,
-            use_uncond_ar=rc.use_uncond_ar, n=rc.n, p=rc.p,
-            attend=self.fusion.attend,
+            use_uncond_ar=rc.use_uncond_ar, attend=self.fusion.attend,
         )
 
     def named_trainable(self, prefixes=None):
@@ -175,22 +172,16 @@ def eval_zone_nll(bundle, samples, seed=0, chunk=256):
 
 def eval_config_nll(bundle, samples, seed=0, chunk=256):
     """Eval-mode stage-2 NLL conditioned on the ground-truth zone maps."""
-    rc = bundle.cfg
     es, zones, counts, _ = dataset_arrays(samples)
     rng = np.random.default_rng(seed)
     x = dequantize_config_batch(counts, rng)
-    scale = 1.0 / max(rc.m - 1, 1)
     vals = []
     with no_grad():
         for lo in range(0, len(samples), chunk):
-            hi = min(lo + chunk, len(samples))
-            masks = partition_zones_batch(zones[lo:hi], rc.m)
-            imgs = Tensor(zones[lo:hi, None].astype(np.float64) * scale)
-            o = bundle.fusion.extract(imgs, mode="eval")
-            c, _ = bundle.fusion.fuse(masks, Tensor(es[lo:hi]), o)
-            a_flat = bundle.config.condition_of(c)
-            _, per = nll_tensors_config(bundle.config, Tensor(x[lo:hi]), a_flat,
-                                        mode="eval", update_stats=False)
+            c = bundle.fusion.embed(zones[lo:lo + chunk], es[lo:lo + chunk])
+            _, per = nll_tensors(bundle.config, Tensor(x[lo:lo + chunk]),
+                                 bundle.config.condition_of(c),
+                                 mode="eval", update_stats=False)
             vals.append(per)
     return float(np.concatenate(vals).mean())
 
@@ -201,37 +192,43 @@ def eval_config_nll(bundle, samples, seed=0, chunk=256):
 
 
 def generate_one(bundle, e_vec, rng, trace=False):
-    """Full two-stage generation for one info vector.
+    """Two-stage generation for one info vector: ``generate_batch`` at B=1.
 
     Returns (ZoneMap, ConfigTensor, config-stage GenerationTrace or None).
     """
-    rc = bundle.cfg
-    zm, _ = zone_sample(bundle.zone, e_vec, rng, trace=False)
-    hard = zm.labels[None]
-    masks = partition_zones_batch(hard, rc.m)
-    img = Tensor(hard[:, None].astype(np.float64) / max(rc.m - 1, 1))
-    with no_grad():
-        o = bundle.fusion.extract(img, mode="eval")
-        c, _ = bundle.fusion.fuse(masks, Tensor(np.asarray(e_vec).reshape(1, -1)), o)
-    ct, trace_obj = config_sample(bundle.config, c.data[0], rng, trace=trace)
-    return zm, ct, trace_obj
+    zone_maps, configs, traces = generate_batch(bundle, np.reshape(e_vec, (1, -1)),
+                                                rng, trace=trace)
+    return zone_maps[0], configs[0], traces[0] if trace else None
 
 
-def generate_batch(bundle, es, rng):
-    """Vectorized two-stage generation; returns (ZoneMaps, ConfigTensors)."""
+def generate_batch(bundle, es, rng, trace=False):
+    """Vectorized two-stage generation.
+
+    Returns (ZoneMaps, ConfigTensors, traces): with ``trace`` set, one
+    config-stage GenerationTrace per sample (the latent draw, then the state
+    after each inverted layer, in data coordinates); otherwise None.
+    """
     rc = bundle.cfg
     es = np.asarray(es, dtype=np.float64)
     xz, _ = zone_sample_batch(bundle.zone, es, rng)
     hard = np.stack([quantize_zone(v, rc.m, rc.n).labels for v in xz])
-    masks = partition_zones_batch(hard, rc.m)
-    img = Tensor(hard[:, None].astype(np.float64) / max(rc.m - 1, 1))
     with no_grad():
-        o = bundle.fusion.extract(img, mode="eval")
-        c, _ = bundle.fusion.fuse(masks, Tensor(es), o)
-    xc, _ = config_sample_batch(bundle.config, c.data, rng)
+        c = bundle.fusion.embed(hard, es)
+    states = []
+    collect = (lambda i, kind, s: states.append((i, kind, s))) if trace else None
+    xc, z = config_sample_batch(bundle.config, c.data, rng, collect=collect)
     zone_maps = [ZoneMap(h) for h in hard]
     configs = [quantize_config(v, rc.n, rc.p) for v in xc]
-    return zone_maps, configs
+    if not trace:
+        return zone_maps, configs, None
+    traces = [
+        GenerationTrace(
+            [TraceStep(-1, "latent", z[b], category_histogram_of(z[b], rc.n, rc.p))]
+            + [TraceStep(i, kind, s[b], category_histogram_of(s[b], rc.n, rc.p))
+               for i, kind, s in states])
+        for b in range(len(es))
+    ]
+    return zone_maps, configs, traces
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +276,7 @@ def evaluate_model(bundle, samples, seed=0):
     and compare the per-level pooled category distributions."""
     es, _, _, levels = dataset_arrays(samples)
     rng = np.random.default_rng(seed)
-    _, generated = generate_batch(bundle, es, rng)
+    _, generated, _ = generate_batch(bundle, es, rng)
     orig_pools = {}
     gen_pools = {}
     for s, g, lvl in zip(samples, generated, levels):

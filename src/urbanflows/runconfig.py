@@ -9,6 +9,7 @@ sync with the primary fields.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ConfigurationError, ParseError
 from .fileio import read_text_lines
@@ -86,10 +87,11 @@ class RunConfig:
             )
         if self.batch_size < 2:
             raise ConfigurationError("batch size must be >= 2 (batch-norm)")
-        if self.lr <= 0:
-            raise ConfigurationError("lr must be positive")
-        if self.lambda_zone < 0 or self.zone_lr_scale < 0:
-            raise ConfigurationError("stage-2 weights must be nonnegative")
+        # written so that NaN fails every comparison and is rejected
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigurationError("lr must be positive and finite")
+        if not (0.0 <= self.lambda_zone < math.inf and 0.0 <= self.zone_lr_scale < math.inf):
+            raise ConfigurationError("stage-2 weights must be nonnegative and finite")
         if self.steps_zone < 0 or self.steps_config < 0:
             raise ConfigurationError("step budgets must be nonnegative")
         if not 0.0 <= self.drop_path < 1.0:

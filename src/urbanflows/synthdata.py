@@ -243,10 +243,11 @@ def read_dataset(path):
         raise FormatError(
             f"unsupported dataset version {header.get('format_version')!r}"
         )
-    try:
-        n, m, p = int(header["N"]), int(header["M"]), int(header["P"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"header missing dimensions: {exc}", line_number=1) from exc
+    dims = [header.get(key) for key in ("N", "M", "P")]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
+        raise ParseError(f"header dimensions N, M, P must be integers, got {dims!r:.60}",
+                         line_number=1)
+    n, m, p = dims
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, SamplingFault, TrainingFault
+from .errors import ConfigurationError, DataError, SamplingFault
 from .flow_layers import (
     BatchNormFlow,
     ConditionProjectionLayer,
     CouplingLayer,
-    GenerationTrace,
-    TraceStep,
     gaussian_logp,
     half_swap_perm,
 )
@@ -43,14 +41,9 @@ class ZoneMap:
         return isinstance(other, ZoneMap) and np.array_equal(self.labels, other.labels)
 
 
-def dequantize_zone(zone_map, m, rng):
-    """Map labels to continuous values in [-0.5, 0.5): (label + u)/M - 0.5."""
-    labels = np.asarray(getattr(zone_map, "labels", zone_map), dtype=np.float64)
-    u = rng.random(labels.shape)
-    return ((labels + u) / m - 0.5).ravel()
-
-
 def dequantize_zone_batch(labels, m, rng):
+    """(B, N, N) labels -> (B, N^2) continuous values (label + u)/M - 0.5 in
+    [-0.5, 0.5), with u ~ U[0, 1) per cell."""
     labels = np.asarray(labels, dtype=np.float64)
     u = rng.random(labels.shape)
     return ((labels + u) / m - 0.5).reshape(labels.shape[0], -1)
@@ -73,14 +66,13 @@ def soft_labels(vec, m):
 class ZoneFlowModel:
     """K blocks of [coupling, condition projection, batch-norm].
 
-    The model works on any even d; the zone pipeline uses d = N^2 and
-    carries (n, m) so samples can be quantized back to maps.  Layouts track
+    The model works on any even d; the zone pipeline uses d = N^2.  Layouts track
     which canonical coordinate each position holds after the inter-block
     half-swaps, letting traces report states in data coordinates.
     """
 
     def __init__(self, store, prefix, d, cond_dim, rng, k=6, widths=(64, 64),
-                 use_condition_projection=True, n=None, m=None):
+                 use_condition_projection=True):
         if k < 1:
             raise ConfigurationError("need at least one block")
         if d % 2:
@@ -88,8 +80,6 @@ class ZoneFlowModel:
         self.d = d
         self.cond_dim = cond_dim
         self.k = k
-        self.n = n
-        self.m = m
         self.blocks = []
         for i in range(k):
             block = {
@@ -109,9 +99,6 @@ class ZoneFlowModel:
         self.inv_layouts = [np.argsort(l) for l in layouts]
         self.final_layout = layouts[-1]
         self.final_inv = np.argsort(self.final_layout)
-
-    def layer_count(self):
-        return self.k
 
     def forward(self, x, e, mode="train", update_stats=True):
         """Data -> latent; returns (z in canonical coords, per-sample logdet)."""
@@ -153,36 +140,13 @@ class ZoneFlowModel:
         return h
 
 
-def nll_tensors(model, x, e, mode="train", update_stats=True):
-    """Mean NLL tensor plus the per-sample NLL values as an ndarray."""
-    z, logdet = model.forward(x, e, mode, update_stats)
+def nll_tensors(model, x, cond, mode="train", update_stats=True):
+    """Mean NLL tensor plus the per-sample NLL values as an ndarray, for
+    either stage: ``cond`` is the info vectors of a ``ZoneFlowModel`` or the
+    flattened conditioning of a ``ConfigFlowModel``."""
+    z, logdet = model.forward(x, cond, mode, update_stats)
     nll = gaussian_logp(z) * (-1.0) - logdet
     return nll.mean(), nll.data
-
-
-def zone_nll(model, batch, rng, mode="train", update_stats=True):
-    """Mean NLL of a list of (ZoneMap, e-vector) pairs.
-
-    Dequantization noise comes from ``rng``; train mode requires a batch of
-    at least 2 for the batch-norm statistics.
-    """
-    if model.m is None:
-        raise ConfigurationError("model has no quantization level count m")
-    xs = np.stack([dequantize_zone(zm, model.m, rng) for zm, _ in batch])
-    es = np.stack([np.asarray(e, dtype=np.float64).ravel() for _, e in batch])
-    mean, per_sample = nll_tensors(model, Tensor(xs), Tensor(es), mode, update_stats)
-    if not np.all(np.isfinite(per_sample)):
-        bad = int(np.flatnonzero(~np.isfinite(per_sample))[0])
-        raise TrainingFault(f"non-finite NLL at sample {bad}", sample_index=bad)
-    return float(mean.item())
-
-
-def log_density(model, x, e):
-    """Per-sample eval-mode log p(x | e) for already-continuous vectors."""
-    with no_grad():
-        z, logdet = model.forward(x, e, mode="eval", update_stats=False)
-        logp = gaussian_logp(z) + logdet
-    return logp.data
 
 
 def zone_sample_batch(model, e, rng, collect=None):
@@ -198,24 +162,3 @@ def zone_sample_batch(model, e, rng, collect=None):
                           mode="eval", collect=collect)
     return x.data, z
 
-
-def zone_sample(model, e, rng, trace=False):
-    """Sample one ZoneMap conditioned on e; optionally trace block states."""
-    if model.n is None or model.m is None:
-        raise ConfigurationError("sampling needs a model built with (n, m)")
-    e = np.asarray(e, dtype=np.float64).reshape(1, -1)
-    states = []
-    collect = (lambda i, s: states.append((i, s[0].copy()))) if trace else None
-    x, z = zone_sample_batch(model, e, rng, collect=collect)
-    zm = quantize_zone(x[0], model.m, model.n)
-    if not trace:
-        return zm, None
-    steps = [TraceStep(-1, "latent", z[0], _zone_histogram(z[0], model.m))]
-    for i, state in states:
-        steps.append(TraceStep(i, "block", state, _zone_histogram(state, model.m)))
-    return zm, GenerationTrace(steps)
-
-
-def _zone_histogram(vec, m):
-    labels = np.clip(np.floor((np.asarray(vec) + 0.5) * m), 0, m - 1).astype(np.int64)
-    return np.bincount(labels, minlength=m)

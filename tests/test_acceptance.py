@@ -20,7 +20,6 @@ from urbanflows.checkpoint import read_header, save_checkpoint
 from urbanflows.cli import main
 from urbanflows.config_flow import (
     ConfigFlowModel,
-    config_sample,
     config_sample_batch,
     dequantize_config_batch,
     joint_loss,
@@ -41,7 +40,6 @@ from urbanflows.flow_layers import (
     UncondARLayer,
     half_swap_perm,
 )
-from urbanflows.fusion import partition_zones_batch
 from urbanflows.numerics import ParameterStore, Tensor, no_grad
 from urbanflows.numerics.oracle import numerical_jacobian
 from urbanflows.pipeline import (
@@ -56,7 +54,7 @@ from urbanflows.pipeline import (
 )
 from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import build_info_vector, make_dataset
-from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch, zone_sample
+from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch
 
 
 @contextmanager
@@ -118,7 +116,7 @@ def test_criterion_1_invertibility():
         # both full stacks at production dimensions
         rng = np.random.default_rng(11)
         s1 = ParameterStore()
-        zone = ZoneFlowModel(s1, "z", 64, 19, rng, k=6, widths=(64, 64), n=8, m=4)
+        zone = ZoneFlowModel(s1, "z", 64, 19, rng, k=6, widths=(64, 64))
         perturb(s1, rng, 0.05)
         xz = rng.normal(size=(100, 64))
         ez = Tensor(rng.normal(size=(100, 19)))
@@ -130,8 +128,7 @@ def test_criterion_1_invertibility():
         assert err < tol, f"zone stack round trip {err:.3e}"
 
         s2 = ParameterStore()
-        cfg = ConfigFlowModel(s2, "c", 320, 95, rng, k=4, widths=(64, 64),
-                              n=8, p=5)
+        cfg = ConfigFlowModel(s2, "c", 320, 95, rng, k=4, widths=(64, 64))
         perturb(s2, rng, 0.05)
         xc = rng.normal(size=(100, 320))
         ac = Tensor(rng.normal(size=(100, 95)))
@@ -417,7 +414,7 @@ def test_criterion_7_conditional_fidelity(trained_session):
             es = np.concatenate(
                 [build_info_vector(samples[i].context, lvl) for i in range(200)],
                 axis=0)
-            _, cts = generate_batch(bundle, es, np.random.default_rng(777 + lvl))
+            _, cts, _ = generate_batch(bundle, es, np.random.default_rng(777 + lvl))
             fractions.append(float(np.mean(
                 [(ct.counts.sum(axis=2) == 0).mean() for ct in cts])))
         increasing = all(a < b for a, b in zip(fractions, fractions[1:]))
@@ -448,28 +445,24 @@ def test_criterion_9_traceability(trained_session):
         bundle = trained_session["bundle"]
         samples = trained_session["samples"]
         rc = bundle.cfg
-        depth = bundle.config.layer_count()
+        depth = len(bundle.config.layers)
 
         def norm(h):
             h = np.asarray(h, dtype=np.float64)
             return h / h.sum()
 
         for g in range(10):
-            e = build_info_vector(samples[g].context, g % 5)[0]
-            zm, _ = zone_sample(bundle.zone, e, np.random.default_rng(900 + g))
-            hard = zm.labels[None]
-            masks = partition_zones_batch(hard, rc.m)
-            img = Tensor(hard[:, None].astype(np.float64) / (rc.m - 1))
-            with no_grad():
-                o = bundle.fusion.extract(img, mode="eval")
-                c, _ = bundle.fusion.fuse(masks, Tensor(e.reshape(1, -1)), o)
-            ct, trace = config_sample(bundle.config, c.data[0],
-                                      np.random.default_rng(7000 + g), trace=True)
+            e = build_info_vector(samples[g].context, g % 5)
+            _, cts, traces = generate_batch(bundle, e, np.random.default_rng(7000 + g),
+                                            trace=True)
+            ct, trace = cts[0], traces[0]
 
             assert len(trace.steps) == depth + 1
             first, last = trace.steps[0], trace.steps[-1]
             assert first.layer_type == "latent"
-            want_z = np.random.default_rng(7000 + g).standard_normal((1, rc.d_config))
+            replay = np.random.default_rng(7000 + g)
+            replay.standard_normal((1, rc.d_zone))     # the zone latent comes first
+            want_z = replay.standard_normal((1, rc.d_config))
             np.testing.assert_array_equal(first.state, want_z[0])
             assert quantize_config(last.state, rc.n, rc.p) == ct
             np.testing.assert_array_equal(last.histogram, ct.category_histogram())
@@ -492,8 +485,7 @@ def test_trained_stack_fixed_point_inverse_matches_sequential(trained_session,
     model = bundle.config
     es, zones, _, _ = dataset_arrays(trained_session["samples"][:64])
     with no_grad():
-        a_flat, _ = bundle.fusion.condition(
-            zones, Tensor(zones[:, None] / (rc.m - 1.0)), es, mode="eval")
+        a_flat = model.condition_of(bundle.fusion.embed(zones, es))
     z = np.random.default_rng(64).standard_normal((64, rc.d_config))
     nets = [layer.net for kind, _, layer, _ in model.layers if kind != "batchnorm"]
     for net in nets:
@@ -515,11 +507,9 @@ def test_trained_stack_bound_conditioner_matches_unbound(trained_session, monkey
     each conditioner bound once per inverse is bit for bit the per-pass
     reference, at B=1 and B=64."""
     bundle = trained_session["bundle"]
-    rc = bundle.cfg
     es, zones, _, _ = dataset_arrays(trained_session["samples"][:64])
     with no_grad():
-        o = bundle.fusion.extract(Tensor(zones[:, None] / (rc.m - 1.0)), mode="eval")
-        c, _ = bundle.fusion.fuse(partition_zones_batch(zones, rc.m), Tensor(es), o)
+        c = bundle.fusion.embed(zones, es)
 
     def sample():
         return [config_sample_batch(bundle.config, cs, np.random.default_rng(65))[0]

@@ -4,26 +4,24 @@ conditioning through attention, and the joint fine-tuning objective."""
 import numpy as np
 import pytest
 
+from conftest import mini_runconfig
 from urbanflows.config_flow import (
     ConfigFlowModel,
     ConfigTensor,
     category_histogram_of,
-    config_nll,
-    config_sample,
     config_sample_batch,
-    dequantize_config,
     dequantize_config_batch,
     joint_finetune_step,
     joint_loss,
-    nll_tensors_config,
     quantize_config,
 )
 from urbanflows.errors import ConfigurationError, DataError, SamplingFault, TrainingFault
 from urbanflows.flow_layers import LN_2PI
 from urbanflows.fusion import FusionModule
 from urbanflows.numerics import Adam, ParameterStore, Tensor, no_grad
-from urbanflows.synthdata import build_info_vector, generate_sample
-from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch
+from urbanflows.pipeline import ModelBundle, generate_batch, train_config_stage
+from urbanflows.synthdata import build_info_vector, generate_sample, make_dataset
+from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch, nll_tensors
 
 N = 4
 P = 3
@@ -44,8 +42,7 @@ def build_model(seed=0, k=2, perturb=0.0, widths=(10,), cond_dim=COND,
     store = ParameterStore()
     rng = np.random.default_rng(seed)
     model = ConfigFlowModel(store, "config", D, cond_dim, rng, k=k,
-                            widths=widths, use_uncond_ar=use_uncond_ar,
-                            n=N, p=P)
+                            widths=widths, use_uncond_ar=use_uncond_ar)
     if perturb:
         for name, t in store.items():
             t.data = t.data + rng.normal(0.0, perturb, size=t.shape)
@@ -53,10 +50,10 @@ def build_model(seed=0, k=2, perturb=0.0, widths=(10,), cond_dim=COND,
 
 
 def test_dequantize_log1p_values():
-    ct = ConfigTensor(np.zeros((N, N, P), dtype=int))
-    assert np.all(dequantize_config(ct, FixedU(0.0)) == 0.0)
-    ct3 = ConfigTensor(np.full((N, N, P), 3, dtype=int))
-    v = dequantize_config(ct3, FixedU(0.5))
+    v0 = dequantize_config_batch(np.zeros((1, N, N, P), dtype=int), FixedU(0.0))
+    assert v0.shape == (1, D)
+    assert np.all(v0 == 0.0)
+    v = dequantize_config_batch(np.full((1, N, N, P), 3, dtype=int), FixedU(0.5))
     # ln(1 + 3 + 0.5) = ln 4.5
     assert np.max(np.abs(v - 1.5040773967762742)) < 1e-15
 
@@ -66,7 +63,7 @@ def test_quantize_inverts_dequantize(rng):
     counts[0, 0, 0] = 4000   # stress the float boundary at larger counts
     ct = ConfigTensor(counts)
     for _ in range(25):
-        v = dequantize_config(ct, rng)
+        v = dequantize_config_batch(counts[None], rng)[0]
         assert quantize_config(v, N, P) == ct
     # nonpositive latents quantize to empty cells
     assert quantize_config(np.zeros(D), N, P).counts.sum() == 0
@@ -84,8 +81,8 @@ def test_config_tensor_validation():
     ct = ConfigTensor(np.arange(N * N * P).reshape(N, N, P))
     assert np.array_equal(ct.category_histogram(),
                           ct.counts.sum(axis=(0, 1)))
-    assert np.array_equal(category_histogram_of(dequantize_config(ct, FixedU(0.0)), N, P),
-                          ct.category_histogram())
+    v = dequantize_config_batch(ct.counts[None], FixedU(0.0))[0]
+    assert np.array_equal(category_histogram_of(v, N, P), ct.category_histogram())
 
 
 def test_identity_init_nll_is_exact(rng):
@@ -93,8 +90,7 @@ def test_identity_init_nll_is_exact(rng):
     x = dequantize_config_batch(rng.poisson(2.0, size=(3, N, N, P)), rng)
     cond = Tensor(rng.normal(size=(3, COND)))
     with no_grad():
-        _, per = nll_tensors_config(model, Tensor(x), cond,
-                                    mode="eval", update_stats=False)
+        _, per = nll_tensors(model, Tensor(x), cond, mode="eval", update_stats=False)
     expect = 0.5 * (np.sum(x * x, axis=1) + D * LN_2PI)
     assert np.max(np.abs(per - expect)) < 1e-12
 
@@ -143,56 +139,83 @@ def test_reversal_changes_coordinates_between_blocks(rng):
     assert np.array_equal(layouts[3], np.arange(D)[::-1])
 
 
+def eval_nll(model, counts, cond):
+    """Eval-mode mean NLL with dequantization noise from a fixed seed."""
+    x = dequantize_config_batch(counts, np.random.default_rng(0))
+    with no_grad():
+        mean, _ = nll_tensors(model, Tensor(x), model.condition_of(cond),
+                              mode="eval", update_stats=False)
+    return float(mean.item())
+
+
 def test_nll_decreases_under_training(rng):
     model, store = build_model(perturb=0.0, k=1, widths=(16,))
     counts = rng.poisson(3.0, size=(64, N, N, P))
     cond = rng.normal(size=(64, COND))
-    batch = [(ConfigTensor(c), e) for c, e in zip(counts, cond)]
-    first = config_nll(model, batch, np.random.default_rng(0),
-                       mode="eval", update_stats=False)
+    first = eval_nll(model, counts, cond)
     opt = Adam(list(store.trainable_items()), lr=2e-3)
     for step in range(60):
         x = dequantize_config_batch(counts, rng)
         opt.zero_grad()
-        mean, _ = nll_tensors_config(model, Tensor(x), Tensor(cond), mode="train")
+        mean, _ = nll_tensors(model, Tensor(x), Tensor(cond), mode="train")
         mean.backward()
         opt.step()
-    last = config_nll(model, batch, np.random.default_rng(0),
-                      mode="eval", update_stats=False)
+    last = eval_nll(model, counts, cond)
     assert last < first
 
 
 def test_config_nll_training_fault_reports_layer(rng):
-    model, store = build_model(perturb=0.1, k=2)
-    store["config.block1.mar.out.w"].data[0, 0] = np.inf
-    counts = rng.poisson(2.0, size=(4, N, N, P))
-    cond = rng.normal(size=(4, COND))
-    batch = [(ConfigTensor(c), e) for c, e in zip(counts, cond)]
+    bundle = ModelBundle(mini_runconfig(k_config=2))
+    # flat layers: mar0 uar0 bn0 mar1 uar1 bn1
+    bundle.store["config.block1.mar.out.w"].data[0, 0] = np.inf
+    before = bundle.store.snapshot()
+    data = make_dataset(8, 4, 2, 2, seed=0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(TrainingFault) as info:
-            config_nll(model, batch, rng)
+            train_config_stage(bundle, data, rng, steps=1)
     assert info.value.sample_index is not None
-    assert info.value.layer_index is not None
+    assert info.value.layer_index == 3
+    # the failed step was rolled back
+    for name, value in before.items():
+        np.testing.assert_array_equal(bundle.store[name].data, value)
 
 
-def test_sampling_trace_structure(rng):
-    model, _ = build_model(perturb=0.1, k=2)
-    # no attention here: condition_of just flattens the (M, D) fused rows
-    cond = rng.normal(size=(3, COND // 3))
-    ct, trace = config_sample(model, cond, np.random.default_rng(4), trace=True)
-    assert isinstance(ct, ConfigTensor)
-    assert len(trace) == 3 * model.k + 1       # mar + uar + bn per block
-    assert trace[0].layer_type == "latent"
-    kinds = [s.layer_type for s in trace.steps[1:]]
-    assert kinds.count("masked_ar") == model.k
-    assert kinds.count("uncond_ar") == model.k
-    assert kinds.count("batchnorm") == model.k
-    # final state quantizes to the emitted tensor, histograms included
-    assert quantize_config(trace[-1].state, N, P) == ct
-    assert np.array_equal(trace[-1].histogram, ct.category_histogram())
-    # determinism
-    ct2, _ = config_sample(model, cond, np.random.default_rng(4), trace=False)
-    assert ct2 == ct
+def perturbed_bundle(**overrides):
+    """A mini bundle moved off the identity initialization."""
+    bundle = ModelBundle(mini_runconfig(**overrides))
+    rng = np.random.default_rng(21)
+    for _, t in bundle.store.trainable_items():
+        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+    return bundle
+
+
+def test_sampling_trace_structure():
+    bundle = perturbed_bundle(k_config=2)
+    rc = bundle.cfg
+    samples = make_dataset(3, rc.n, rc.m, rc.p, seed=4)
+    es = np.concatenate([build_info_vector(s.context, s.green_level) for s in samples])
+    _, cts, traces = generate_batch(bundle, es, np.random.default_rng(4), trace=True)
+    # the latents: the zone draw comes first, then the config draw
+    replay = np.random.default_rng(4)
+    replay.standard_normal((3, rc.d_zone))
+    z = replay.standard_normal((3, rc.d_config))
+    assert len(cts) == len(traces) == 3
+    for b, (ct, trace) in enumerate(zip(cts, traces)):
+        assert isinstance(ct, ConfigTensor)
+        assert len(trace) == 3 * rc.k_config + 1     # mar + uar + bn per block
+        assert trace[0].layer_type == "latent"
+        assert np.array_equal(trace[0].state, z[b])
+        kinds = [s.layer_type for s in trace.steps[1:]]
+        assert kinds.count("masked_ar") == rc.k_config
+        assert kinds.count("uncond_ar") == rc.k_config
+        assert kinds.count("batchnorm") == rc.k_config
+        # final state quantizes to the emitted tensor, histograms included
+        assert quantize_config(trace[-1].state, rc.n, rc.p) == ct
+        assert np.array_equal(trace[-1].histogram, ct.category_histogram())
+    # determinism, and tracing leaves the samples as they are
+    _, cts2, none = generate_batch(bundle, es, np.random.default_rng(4))
+    assert none is None
+    assert cts2 == cts
 
 
 def test_sample_batch_consistency(rng):
@@ -214,12 +237,11 @@ def mini_pipeline(seed=3):
     n, m, p = 4, 2, 2
     d_zone, d_cfg = n * n, n * n * p
     info = 2 * (p + 2) + 5
-    zone = ZoneFlowModel(store, "zone", d_zone, info, rng, k=1, widths=(6,),
-                         n=n, m=m)
+    zone = ZoneFlowModel(store, "zone", d_zone, info, rng, k=1, widths=(6,))
     fusion = FusionModule(store, "fusion", n, m, info, heads=1, rng=rng,
                           stem_channels=2, n_cx=2)
     config = ConfigFlowModel(store, "config", d_cfg, m * info, rng, k=1,
-                             widths=(6,), n=n, p=p, attend=fusion.attend)
+                             widths=(6,), attend=fusion.attend)
     return store, zone, fusion, config, (n, m, p, info)
 
 

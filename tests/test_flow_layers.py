@@ -1,6 +1,5 @@
 """Layer-level contracts: round trips, log-dets vs numerical Jacobians,
-autoregressive masking, batch-norm mode semantics, and the single-sample
-wrapper API."""
+autoregressive masking, and batch-norm mode semantics."""
 
 import numpy as np
 import pytest
@@ -14,20 +13,15 @@ from urbanflows.flow_layers import (
     ConditionerNet,
     CouplingLayer,
     ConditionProjectionLayer,
-    FlowState,
     MaskedARLayer,
     MaskedConditioner,
     Permutation,
     UncondARLayer,
-    batchnorm_apply,
     build_made_masks,
     clamp_scale,
-    coupling_apply,
     gaussian_logp,
     half_swap_perm,
-    masked_ar_apply,
     reversal_perm,
-    uncond_ar_projection_apply,
 )
 from urbanflows.numerics import ParameterStore, Tensor, no_grad, numerical_jacobian
 
@@ -280,6 +274,23 @@ def test_batchnorm_eval_roundtrip_and_train_inverse_forbidden(rng):
             bn.forward(Tensor(x[:1]), mode="train")
 
 
+def test_batchnorm_apply_on_states(rng):
+    # a batch of independent states through eval-mode batch norm and back
+    store = ParameterStore()
+    bn = BatchNormFlow(store, "bn", d=D)
+    warm = rng.normal(0.0, 2.0, size=(32, D))
+    with no_grad():
+        bn.forward(Tensor(warm), mode="train")
+    states = rng.normal(size=(5, D))
+    with no_grad():
+        outs, ld = bn.forward(Tensor(states), mode="eval", update_stats=False)
+        backs = bn.inverse(outs, mode="eval")
+    for s, b in zip(states, backs.data):
+        assert np.max(np.abs(b - s)) < 1e-10
+    # the eval-mode log-det is one value shared by every state
+    assert all(v == ld.data[0] for v in ld.data)
+
+
 def test_batchnorm_logdet_matches_jacobian(rng):
     store = ParameterStore()
     bn = BatchNormFlow(store, "bn", d=D)
@@ -324,44 +335,6 @@ def test_gaussian_logp_reference():
     z2 = Tensor(np.array([[1.0, -2.0]]))
     expect = -0.5 * (1 + 4) - np.log(2 * np.pi)
     assert abs(float(gaussian_logp(z2).data[0]) - expect) < 1e-14
-
-
-def test_single_state_wrappers_roundtrip(rng):
-    layer, _ = perturbed_layer(CouplingLayer, rng, d=D, cond_dim=COND, widths=(8,))
-    cond = rng.normal(size=COND)
-    state = FlowState(rng.normal(size=D), accumulated_logdet=1.5)
-    fwd = coupling_apply(state, cond, layer, direction="forward")
-    assert fwd.accumulated_logdet != 1.5  # perturbed layer has nonzero logdet
-    back = coupling_apply(fwd, cond, layer, direction="inverse")
-    assert np.max(np.abs(back.vector - state.vector)) < 1e-10
-    # inverse direction does not claim any log-det contribution
-    assert back.accumulated_logdet == fwd.accumulated_logdet
-
-    ar, _ = perturbed_layer(MaskedARLayer, rng, d=D, cond_dim=COND,
-                            widths=(8,), mask_seed=9)
-    mid = masked_ar_apply(state, cond, ar, direction="forward")
-    rec = masked_ar_apply(mid, cond, ar, direction="inverse")
-    assert np.max(np.abs(rec.vector - state.vector)) < 1e-9
-
-    uar, _ = perturbed_layer(UncondARLayer, rng, d=D, widths=(8,), mask_seed=9)
-    mid = uncond_ar_projection_apply(state, uar, direction="forward")
-    rec = uncond_ar_projection_apply(mid, uar, direction="inverse")
-    assert np.max(np.abs(rec.vector - state.vector)) < 1e-9
-
-
-def test_batchnorm_apply_on_states(rng):
-    store = ParameterStore()
-    bn = BatchNormFlow(store, "bn", d=D)
-    warm = rng.normal(0.0, 2.0, size=(32, D))
-    with no_grad():
-        bn.forward(Tensor(warm), mode="train")
-    bn.mode = "eval"
-    states = [FlowState(rng.normal(size=D)) for _ in range(5)]
-    outs = batchnorm_apply(states, bn, direction="forward")
-    backs = batchnorm_apply(outs, bn, direction="inverse")
-    for s, b in zip(states, backs):
-        assert np.max(np.abs(b.vector - s.vector)) < 1e-10
-    assert all(o.accumulated_logdet == outs[0].accumulated_logdet for o in outs)
 
 
 def test_conditioner_net_shapes(rng):

@@ -9,12 +9,8 @@ from urbanflows.errors import ConfigurationError, DataError, DimensionError
 from urbanflows.fusion import (
     FusionModule,
     GeoExtractor,
-    extract_geo_embedding,
-    multi_head_attention,
     multi_head_attention_batch,
-    partition_zones,
     partition_zones_batch,
-    semantic_projection,
     semantic_projection_batch,
 )
 from urbanflows.numerics import (
@@ -24,7 +20,6 @@ from urbanflows.numerics import (
     no_grad,
     numerical_gradient,
 )
-from urbanflows.zone_flow import ZoneMap
 
 N = 4
 M = 3
@@ -32,23 +27,24 @@ DIM = 6
 
 
 def test_partition_masks_are_exact_indicators(rng):
-    labels = rng.integers(0, M, (N, N))
-    part = partition_zones(ZoneMap(labels), M)
-    assert part.masks.shape == (M, N, N)
+    labels = rng.integers(0, M, (2, N, N))
+    masks = partition_zones_batch(labels, M)
+    assert masks.shape == (2, M, N, N)
     # one-hot per cell
-    assert np.array_equal(part.masks.sum(axis=0), np.ones((N, N)))
-    for k in range(M):
-        assert np.array_equal(part.masks[k], (labels == k).astype(float))
-    batch = partition_zones_batch(labels[None], M)
-    assert np.array_equal(batch[0], part.masks)
+    assert np.array_equal(masks.sum(axis=1), np.ones((2, N, N)))
+    for b in range(2):
+        for k in range(M):
+            assert np.array_equal(masks[b, k], (labels[b] == k).astype(float))
+    # a batch of one gives the same masks as the row of a larger batch
+    assert np.array_equal(partition_zones_batch(labels[1:], M)[0], masks[1])
 
 
 def test_partition_rejects_out_of_range_labels():
     bad = np.full((N, N), M, dtype=np.int64)
     with pytest.raises(DataError):
-        partition_zones(bad, M)
-    with pytest.raises(DataError):
         partition_zones_batch(bad[None], M)
+    with pytest.raises(DataError):
+        partition_zones_batch(-1 - bad[None], M)
 
 
 def make_extractor(rng, out_dim=DIM, stem=2, n_cx=2, drop_path=0.0):
@@ -138,6 +134,7 @@ def test_semantic_projection_properties(rng):
     c, zw = semantic_projection_batch(masks, e, o, w_z, w_s, w_g)
     assert c.shape == (2, M, DIM)
     assert np.allclose(zw.data.sum(axis=1), 1.0)
+    assert np.max(np.abs(zw.data.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(zw.data > 0)
     # every zone row is the shared content scaled by its softmax weight
     content = e.data + o.data
@@ -179,9 +176,16 @@ def test_fusion_module_condition_path(rng):
     imgs = Tensor(labels[:, None].astype(np.float64) / (M - 1))
     e = Tensor(rng.normal(size=(2, DIM)))
     with no_grad():
-        a_flat, zw = fm.condition(labels, imgs, e, mode="eval")
+        c = fm.embed(labels, e)
+        c_given = fm.embed(labels, e, imgs)
+        a_flat = fm.attend(c).reshape(2, M * DIM)
+        content = e.data + fm.extract(imgs).data
+    # the default extractor images are the labels rescaled into [0, 1]
+    assert np.array_equal(c_given.data, c.data)
+    assert c.shape == (2, M, DIM)
     assert a_flat.shape == (2, M * DIM)
-    assert np.allclose(zw.data.sum(axis=1), 1.0)
+    # the zone rows are the content scaled by zone weights that sum to 1
+    assert np.allclose(c.data.sum(axis=1), content)
     # scalar source weights start at 1
     assert float(store["fusion.ws"].data) == 1.0
     assert float(store["fusion.wg"].data) == 1.0
@@ -207,21 +211,3 @@ def test_fusion_ablation_flags(rng):
     c = Tensor(rng.normal(size=(2, M, DIM)))
     assert no_attn.attend(c) is c
 
-
-def test_single_sample_wrappers(rng):
-    store = ParameterStore()
-    ext = GeoExtractor(store, "geo", DIM, rng, stem_channels=2, n_cx=2)
-    zm = ZoneMap(rng.integers(0, M, (N, N)))
-    emb = extract_geo_embedding(ext, zm, M)
-    assert emb.shape == (1, DIM)
-
-    part = partition_zones(zm, M)
-    e = rng.normal(size=DIM)
-    o = rng.normal(size=DIM)
-    fused = semantic_projection(part, e, o, rng.normal(size=(N, 1)), 1.0, 1.0)
-    assert fused.c.shape == (M, DIM)
-    assert abs(fused.zone_weights.sum() - 1.0) < 1e-12
-
-    mats = [rng.normal(size=(DIM, DIM)) / np.sqrt(DIM) for _ in range(4)]
-    attended = multi_head_attention(fused, 2, *mats)
-    assert attended.shape == (M, DIM)

@@ -23,7 +23,6 @@ from urbanflows.numerics import (
     gelu,
     global_avg_pool,
     layer_norm,
-    linear,
     log,
     max_relative_error,
     no_grad,
@@ -260,10 +259,11 @@ def test_layer_norm_gelu_softmax_gap(rng):
 
 
 def test_linear_gradient(rng):
+    # the dense layers' affine map x @ w + b, bias broadcast over rows
     x = rng.normal(size=(5, 3))
     w = rng.normal(size=(3, 2))
     b = rng.normal(size=(2,))
-    check_scalar_grad(lambda a, ww, bb: (linear(a, ww, bb) ** 2).sum(), x, w, b)
+    check_scalar_grad(lambda a, ww, bb: ((a @ ww + bb) ** 2).sum(), x, w, b)
 
 
 def test_no_grad_blocks_tape(rng):

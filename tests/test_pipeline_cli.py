@@ -108,10 +108,37 @@ def test_generation_shapes_and_determinism():
     np.testing.assert_array_equal(tr.steps[-1].histogram, ct1.category_histogram())
 
     es = np.stack([e] * 6)
-    zms, cts = generate_batch(bundle, es, np.random.default_rng(4))
+    zms, cts, traces = generate_batch(bundle, es, np.random.default_rng(4))
     assert len(zms) == len(cts) == 6
+    assert traces is None
     for ct in cts:
         assert ct.counts.shape == (rc.n, rc.n, rc.p)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_generate_one_is_generate_batch_at_b1(trace):
+    bundle = mini_bundle()
+    rng = np.random.default_rng(8)
+    for _, t in bundle.store.trainable_items():
+        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+    rc = bundle.cfg
+    sample = make_dataset(1, rc.n, rc.m, rc.p, seed=7)[0]
+    e = build_info_vector(sample.context, 3)[0]
+    rng_one, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
+    zm, ct, tr = generate_one(bundle, e, rng_one, trace=trace)
+    zms, cts, trs = generate_batch(bundle, e[None], rng_batch, trace=trace)
+    assert np.array_equal(zm.labels, zms[0].labels)
+    assert np.array_equal(ct.counts, cts[0].counts)
+    if trace:
+        assert len(tr) == len(trs[0])
+        for a, b in zip(tr.steps, trs[0].steps):
+            assert (a.layer_index, a.layer_type) == (b.layer_index, b.layer_type)
+            assert np.array_equal(a.state, b.state)
+            assert np.array_equal(a.histogram, b.histogram)
+    else:
+        assert tr is None and trs is None
+    # both consumed the same draws, so the streams stay aligned
+    assert np.array_equal(rng_one.random(4), rng_batch.random(4))
 
 
 def test_evaluate_pools_self_comparison_is_zero():
@@ -350,6 +377,20 @@ def test_cli_generate_rejects_malformed_manifest_shape(tmp_path, capsys,
                "--out-dir", str(tmp_path / "g")])
     err = capsys.readouterr().err
     assert rc == 1 and "malformed manifest entry" in err
+
+
+def test_cli_rejects_nan_lr_before_training(tmp_path, capsys):
+    cfg = write_mini_config(tmp_path)
+    data = str(tmp_path / "data.jsonl")
+    main(["synth", "--config", cfg, "--count", "8", "--out", data])
+    capsys.readouterr()
+    ckpt = tmp_path / "z.ckpt"
+    rc = main(["train-zone", "--config", cfg, "--set", "lr=nan",
+               "--dataset", data, "--out-ckpt", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and "finite" in err
+    assert not ckpt.exists()
+    assert not os.path.exists(str(ckpt) + ".log")
 
 
 def test_cli_rejects_dataset_header_that_is_not_an_object(tmp_path, capsys):

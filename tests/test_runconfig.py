@@ -28,6 +28,10 @@ def test_defaults_are_valid_and_dimensions_derive():
     dict(lambda_zone=-0.1),
     dict(steps_zone=-5),
     dict(drop_path=1.0),
+    dict(lr=float("nan")),           # NaN fails every comparison
+    dict(lr=float("inf")),
+    dict(lambda_zone=float("nan")),
+    dict(zone_lr_scale=float("inf")),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):

@@ -171,6 +171,15 @@ def test_dataset_parse_errors_carry_line_numbers(tmp_path):
     assert info.value.line_number == 3
 
 
+@pytest.mark.parametrize("n_value", ["4.7", '"4"', "true"])
+def test_dataset_header_dimensions_must_be_integers(tmp_path, n_value):
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"format_version": 1, "N": %s, "M": 2, "P": 2}\n' % n_value)
+    with pytest.raises(ParseError) as info:
+        read_dataset(path)
+    assert info.value.line_number == 1
+
+
 def test_dataset_version_check(tmp_path):
     samples = make_dataset(2, N, M, P, seed=1)
     path = tmp_path / "data.jsonl"

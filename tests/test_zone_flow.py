@@ -1,23 +1,22 @@
 """Stage-1 contracts: dequantization algebra, stack invertibility, exact
-identity-initialization NLL, sampling, and traces."""
+identity-initialization NLL, sampling, and the per-block collect hook."""
 
 import numpy as np
 import pytest
 
+from conftest import mini_runconfig
 from urbanflows.errors import ConfigurationError, DataError, TrainingFault
 from urbanflows.flow_layers import LN_2PI
 from urbanflows.numerics import Adam, ParameterStore, Tensor, no_grad
+from urbanflows.pipeline import ModelBundle, train_zone_stage
+from urbanflows.synthdata import make_dataset
 from urbanflows.zone_flow import (
     ZoneFlowModel,
     ZoneMap,
-    dequantize_zone,
     dequantize_zone_batch,
-    log_density,
     nll_tensors,
     quantize_zone,
     soft_labels,
-    zone_nll,
-    zone_sample,
     zone_sample_batch,
 )
 
@@ -40,8 +39,7 @@ class FixedU:
 def build_model(seed=0, k=2, perturb=0.0, widths=(8,)):
     store = ParameterStore()
     rng = np.random.default_rng(seed)
-    model = ZoneFlowModel(store, "zone", D, COND, rng, k=k, widths=widths,
-                          n=N, m=M)
+    model = ZoneFlowModel(store, "zone", D, COND, rng, k=k, widths=widths)
     if perturb:
         for name, t in store.items():
             t.data = t.data + rng.normal(0.0, perturb, size=t.shape)
@@ -49,20 +47,18 @@ def build_model(seed=0, k=2, perturb=0.0, widths=(8,)):
 
 
 def test_dequantize_values_and_range(rng):
-    zm = ZoneMap(np.zeros((N, N), dtype=int))
-    v = dequantize_zone(zm, M, FixedU(0.0))
+    v = dequantize_zone_batch(np.zeros((1, N, N), dtype=int), M, FixedU(0.0))
+    assert v.shape == (1, D)
     assert np.all(v == -0.5)                       # label 0, u=0
-    zm1 = ZoneMap(np.ones((N, N), dtype=int))
-    v1 = dequantize_zone(zm1, M, FixedU(0.0))
+    v1 = dequantize_zone_batch(np.ones((1, N, N), dtype=int), M, FixedU(0.0))
     assert np.all(v1 == 1.0 / M - 0.5)
-    v_rand = dequantize_zone(ZoneMap(rng.integers(0, M, (N, N))), M, rng)
+    v_rand = dequantize_zone_batch(rng.integers(0, M, (1, N, N)), M, rng)
     assert v_rand.min() >= -0.5 and v_rand.max() < 0.5
 
 
 def test_dequantize_mean_monte_carlo(rng):
     # label 1 of M=4: mean over u is (1 + 1/2)/4 - 1/2 = -0.125
-    zm = ZoneMap(np.ones((N, N), dtype=int))
-    draws = np.concatenate([dequantize_zone(zm, M, rng) for _ in range(2000)])
+    draws = dequantize_zone_batch(np.ones((2000, N, N), dtype=int), M, rng)
     assert abs(draws.mean() + 0.125) < 0.002
 
 
@@ -70,7 +66,7 @@ def test_quantize_inverts_dequantize(rng):
     labels = rng.integers(0, M, (N, N))
     zm = ZoneMap(labels)
     for _ in range(20):
-        v = dequantize_zone(zm, M, rng)
+        v = dequantize_zone_batch(labels[None], M, rng)[0]
         assert quantize_zone(v, M, N) == zm
     # clamping at the edges
     assert quantize_zone(np.full(D, 10.0), M, N).labels.max() == M - 1
@@ -134,29 +130,37 @@ def test_forward_logdet_matches_density_change(rng):
 
 
 def test_zone_nll_raises_training_fault_on_poisoned_params(rng):
-    model, store = build_model(perturb=0.1)
-    store["zone.block0.coupling.out.w"].data[0, 0] = np.nan
-    batch = [(ZoneMap(rng.integers(0, M, (N, N))), rng.normal(size=COND))
-             for _ in range(4)]
+    bundle = ModelBundle(mini_runconfig())
+    bundle.store["zone.block0.coupling.out.w"].data[0, 0] = np.nan
+    data = make_dataset(8, 4, 2, 2, seed=0)
     with pytest.raises(TrainingFault) as info:
-        zone_nll(model, batch, rng)
+        train_zone_stage(bundle, data, rng, steps=1)
     assert info.value.sample_index is not None
 
 
 def test_sampling_and_trace(rng):
     model, _ = build_model(perturb=0.2, k=3)
-    e = rng.normal(size=COND)
-    zm, trace = zone_sample(model, e, np.random.default_rng(5), trace=True)
+    e = rng.normal(size=(1, COND))
+    states = []
+    xs, zs = zone_sample_batch(model, e, np.random.default_rng(5),
+                               collect=lambda i, s: states.append((i, s)))
+    zm = quantize_zone(xs[0], M, N)
     assert isinstance(zm, ZoneMap) and zm.labels.shape == (N, N)
-    assert len(trace) == model.k + 1
-    assert trace[0].layer_type == "latent"
+    assert [i for i, _ in states] == list(range(model.k - 1, -1, -1))
+    np.testing.assert_array_equal(zs, np.random.default_rng(5).standard_normal((1, D)))
     # deterministic under the seed
-    zm2, _ = zone_sample(model, e, np.random.default_rng(5), trace=False)
-    assert zm == zm2
-    # last trace state quantizes to the emitted map
-    assert quantize_zone(trace[-1].state, M, N) == zm
-    for step in trace.steps:
-        assert step.histogram.sum() == D
+    xs2, _ = zone_sample_batch(model, e, np.random.default_rng(5))
+    assert quantize_zone(xs2[0], M, N) == zm
+    # the last collected state, in data coordinates, is the emitted sample
+    assert quantize_zone(states[-1][1][0], M, N) == zm
+
+
+def eval_logp(model, x, e):
+    """Per-sample eval-mode log p(x | e)."""
+    with no_grad():
+        _, nll = nll_tensors(model, Tensor(x), Tensor(e), mode="eval",
+                             update_stats=False)
+    return -nll
 
 
 def test_sample_batch_scores_match_single_path(rng):
@@ -164,7 +168,7 @@ def test_sample_batch_scores_match_single_path(rng):
     e = rng.normal(size=(8, COND))
     xs, zs = zone_sample_batch(model, e, np.random.default_rng(3))
     # scoring the continuous samples recovers the latent density exactly
-    logp = log_density(model, Tensor(xs), Tensor(e))
+    logp = eval_logp(model, xs, e)
     with no_grad():
         z2, ld = model.forward(Tensor(xs), Tensor(e), mode="eval",
                                update_stats=False)
@@ -192,9 +196,9 @@ def test_trained_model_scores_own_samples_like_heldout(rng):
         mean.backward()
         opt.step()
     held = dequantize_zone_batch(labels[250:], M, data_rng)
-    held_logp = log_density(model, Tensor(held), Tensor(es[250:]))
+    held_logp = eval_logp(model, held, es[250:])
     xs, _ = zone_sample_batch(model, es[:100], np.random.default_rng(9))
-    own_logp = log_density(model, Tensor(xs), Tensor(es[:100]))
+    own_logp = eval_logp(model, xs, es[:100])
     assert np.all(np.isfinite(own_logp))
     se = np.sqrt(held_logp.var() / held_logp.size + own_logp.var() / own_logp.size)
     assert abs(own_logp.mean() - held_logp.mean()) < 3 * se, (
