@@ -76,7 +76,13 @@ def _bundle_from_checkpoint(path, overrides=None):
     return bundle, header
 
 
+def _check_count(count, least):
+    if count < least:
+        raise ConfigurationError(f"--count must be >= {least}, got {count}")
+
+
 def cmd_synth(args):
+    _check_count(args.count, 0)
     rc = _load_run_config(args)
     samples = make_dataset(args.count, rc.n, rc.m, rc.p, rc.seed)
     write_dataset(args.out, samples, rc.n, rc.m, rc.p)
@@ -161,11 +167,11 @@ def _write_trace(path, trace, rc, gen_index, green_level):
             "kind": "config-trace",
             "generation": gen_index,
             "green_level": green_level,
-            "steps": len(trace.steps),
+            "steps": len(trace),
             "config": rc.as_dict(),
         }
         fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for step_no, st in enumerate(trace.steps):
+        for step_no, st in enumerate(trace):
             rec = {
                 "step": step_no,
                 "layer_index": st.layer_index,
@@ -177,6 +183,7 @@ def _write_trace(path, trace, rc, gen_index, green_level):
 
 
 def cmd_generate(args, trace_flag=None):
+    _check_count(args.count, 1)
     overrides = _overrides(getattr(args, "set", None))
     bundle, _ = _bundle_from_checkpoint(args.ckpt, overrides)
     rc = bundle.cfg
@@ -212,7 +219,7 @@ def cmd_generate(args, trace_flag=None):
             if traced:
                 _write_trace(os.path.join(args.out_dir, f"gen{i:03d}.trace.jsonl"),
                              trace, rc, i, args.green_level)
-                for step_no, st in enumerate(trace.steps):
+                for step_no, st in enumerate(trace):
                     step_ct = quantize_config(st.state, rc.n, rc.p)
                     render_config_ppm(
                         os.path.join(args.out_dir,

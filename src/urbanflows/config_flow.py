@@ -1,8 +1,8 @@
 """Stage 2: the configuration-level flow p(X | c).
 
 Configurations are N x N x P count tensors flattened in C order (cell-major,
-category-minor) to d = N^2 * P.  The stack is K' blocks of masked
-autoregressive -> unconditional autoregressive -> batch-norm with a
+category-minor) to d = N^2 * P.  The stack is a ``FlowStack`` of K' blocks of
+masked autoregressive -> unconditional autoregressive -> batch-norm with a
 variable-order reversal between consecutive blocks.  The masked layers are
 conditioned on the flattened attention matrix A computed from the fused
 embedding c.
@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, SamplingFault, TrainingFault
-from .flow_layers import BatchNormFlow, MaskedARLayer, UncondARLayer, reversal_perm
-from .numerics import Tensor, as_tensor, no_grad, permute_columns
+from .errors import ConfigurationError, DataError, TrainingFault
+from .flow_layers import (
+    BatchNormFlow,
+    FlowStack,
+    MaskedARLayer,
+    Permutation,
+    UncondARLayer,
+    reversal_perm,
+)
+from .numerics import Tensor, as_tensor, no_grad
 from .zone_flow import dequantize_zone_batch, nll_tensors, soft_labels
 
 # guards against overflow when quantizing unbounded latents from an
@@ -64,8 +71,12 @@ def category_histogram_of(vec, n, p):
     return quantize_config(vec, n, p).category_histogram()
 
 
-class ConfigFlowModel:
-    """K' blocks of [masked AR, unconditional AR, batch-norm].
+class ConfigFlowModel(FlowStack):
+    """K' blocks of [masked AR, unconditional AR, batch-norm] with a
+    reversal between blocks; ``forward``, ``inverse`` and the per-layer
+    ``collect`` hook are the ``FlowStack``'s, conditioned on the flattened
+    attention matrix from ``condition_of``.  Each AR layer is inverted by a
+    fixed-point solve of at most d + 1 conditioner passes.
 
     ``attend`` is the attention submodel: a callable mapping the fused
     embedding batch (B, M, D) to the conditioning matrix batch, or None to
@@ -78,35 +89,19 @@ class ConfigFlowModel:
             raise ConfigurationError("need at least one block")
         if d < 2:
             raise ConfigurationError("config flow needs d >= 2")
-        self.d = d
-        self.cond_dim = cond_dim
-        self.k = k
         self.attend = attend
-        self.blocks = []
-        for i in range(k):
-            mask_seed = 9001 + i
-            block = {
+        blocks = [
+            {
                 "mar": MaskedARLayer(store, f"{prefix}.block{i}.mar", d, cond_dim,
-                                     rng, widths, mask_seed=mask_seed),
+                                     rng, widths, mask_seed=9001 + i),
                 "uar": UncondARLayer(store, f"{prefix}.block{i}.uar", d, rng,
-                                     widths, mask_seed=mask_seed + 500)
+                                     widths, mask_seed=9001 + i + 500)
                 if use_uncond_ar else None,
                 "bn": BatchNormFlow(store, f"{prefix}.block{i}.bn", d),
             }
-            self.blocks.append(block)
-        self.rev = reversal_perm(d)
-        # flat forward layer list with the coordinate layout at each input
-        self.layers = []
-        layout = np.arange(d)
-        for i, block in enumerate(self.blocks):
-            if i > 0:
-                layout = layout[self.rev]
-            self.layers.append(("masked_ar", i, block["mar"], layout))
-            if block["uar"] is not None:
-                self.layers.append(("uncond_ar", i, block["uar"], layout))
-            self.layers.append(("batchnorm", i, block["bn"], layout))
-        self.final_layout = layout
-        self.final_inv = np.argsort(layout)
+            for i in range(k)
+        ]
+        super().__init__(blocks, Permutation(reversal_perm(d)))
 
     def condition_of(self, cs):
         """(B, M, D) fused embeddings -> flattened conditioning (B, M*D)."""
@@ -115,48 +110,6 @@ class ConfigFlowModel:
         b = cs.shape[0]
         a = self.attend(cs) if self.attend is not None else cs
         return a.reshape(b, -1)
-
-    def forward(self, x, a_flat, mode="train", update_stats=True, collect=None):
-        """Data -> latent; returns (z in canonical coords, per-sample logdet).
-
-        ``collect`` receives (flat_index, kind, canonical state ndarray)
-        after each layer when provided.
-        """
-        h = x
-        logdet = Tensor(np.zeros(x.shape[0]))
-        prev_block = 0
-        for flat_idx, (kind, block_idx, layer, layout) in enumerate(self.layers):
-            if block_idx != prev_block:
-                h = permute_columns(h, self.rev)
-                prev_block = block_idx
-            if kind == "batchnorm":
-                h, ld = layer.forward(h, mode, update_stats)
-            else:  # the unconditional AR layer ignores a_flat
-                h, ld = layer.forward(h, a_flat, mode)
-            logdet = logdet + ld
-            if collect is not None:
-                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
-        h = permute_columns(h, self.final_inv)
-        return h, logdet
-
-    def inverse(self, z, a_flat, mode="eval", collect=None):
-        """Latent -> data; each AR layer is inverted by a fixed-point solve
-        of at most d + 1 conditioner passes.  Not differentiable."""
-        h = permute_columns(z, self.final_layout)
-        for flat_idx in range(len(self.layers) - 1, -1, -1):
-            kind, block_idx, layer, layout = self.layers[flat_idx]
-            if kind == "batchnorm":
-                h = layer.inverse(h, mode)
-            else:  # the unconditional AR layer ignores a_flat
-                h = layer.inverse(h, a_flat, mode)
-            if not np.all(np.isfinite(h.data)):
-                raise SamplingFault(f"non-finite state after inverting layer {flat_idx}",
-                                    layer_index=flat_idx)
-            if collect is not None:
-                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
-            if flat_idx > 0 and self.layers[flat_idx - 1][1] != block_idx:
-                h = permute_columns(h, self.rev)  # reversal is an involution
-        return h
 
 
 def config_sample_batch(model, cs, rng, collect=None):

@@ -1,5 +1,6 @@
 """Invertible layers: coupling, condition projection, batch-norm flow, and
-the two masked autoregressive layer types, plus the MADE mask builder.
+the two masked autoregressive layer types, plus the MADE mask builder and
+``FlowStack``, the block-and-permutation stack both stages are built from.
 
 Conventions used throughout:
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, ModeError
+from .errors import ConfigurationError, ModeError, SamplingFault
 from .numerics import Tensor, concat, exp, gelu, log, no_grad, permute_columns, tanh
 
 CLAMP = 5.0
@@ -48,19 +49,6 @@ class TraceStep:
         self.layer_type = str(layer_type)
         self.state = np.asarray(state, dtype=np.float64)
         self.histogram = np.asarray(histogram, dtype=np.int64)
-
-
-class GenerationTrace:
-    """Ordered steps from latent draw to final quantized output."""
-
-    def __init__(self, steps):
-        self.steps = list(steps)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __getitem__(self, i):
-        return self.steps[i]
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +220,22 @@ class MaskedConditioner:
 
 
 class CouplingLayer:
-    """Affine coupling: h2' = exp(s(h1; e)) * h2 + b(h1; e)."""
+    """Affine coupling: h2' = exp(s) * h2 + b, where the conditioner reads
+    (h1 ‖ e), or e alone when ``reads_h1`` is off."""
 
     kind = "coupling"
+    reads_h1 = True
 
     def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64)):
         if d % 2:
-            raise ConfigurationError("coupling layer needs even d")
+            raise ConfigurationError(f"{self.kind.replace('_', ' ')} layer needs even d")
         self.d = d
         self.half = d // 2
-        self.net = ConditionerNet(
-            store, prefix, self.half + cond_dim, d - self.half, rng, widths
-        )
+        in_dim = self.half + cond_dim if self.reads_h1 else cond_dim
+        self.net = ConditionerNet(store, prefix, in_dim, d - self.half, rng, widths)
 
     def _sb(self, h1, cond):
-        return self.net(concat([h1, cond], axis=1))
+        return self.net(concat([h1, cond], axis=1) if self.reads_h1 else cond)
 
     def forward(self, x, cond, mode="train"):
         h1 = x[:, : self.half]
@@ -263,31 +252,11 @@ class CouplingLayer:
         return concat([h1, h2], axis=1)
 
 
-class ConditionProjectionLayer:
+class ConditionProjectionLayer(CouplingLayer):
     """Coupling variant whose scale and bias depend only on the condition."""
 
     kind = "condition_projection"
-
-    def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64)):
-        if d % 2:
-            raise ConfigurationError("condition projection layer needs even d")
-        self.d = d
-        self.half = d // 2
-        self.net = ConditionerNet(store, prefix, cond_dim, d - self.half, rng, widths)
-
-    def forward(self, x, cond, mode="train"):
-        h1 = x[:, : self.half]
-        h2 = x[:, self.half :]
-        s, b = self.net(cond)
-        y2 = h2 * exp(s) + b
-        return concat([h1, y2], axis=1), s.sum(axis=1)
-
-    def inverse(self, y, cond, mode="eval"):
-        h1 = y[:, : self.half]
-        y2 = y[:, self.half :]
-        s, b = self.net(cond)
-        h2 = (y2 - b) * exp(-s)
-        return concat([h1, h2], axis=1)
+    reads_h1 = False
 
 
 class BatchNormFlow:
@@ -392,19 +361,13 @@ class MaskedARLayer:
 
 
 class UncondARLayer(MaskedARLayer):
-    """Autoregressive projection with no conditioning input at all."""
+    """Autoregressive projection with no conditioning input at all: its
+    conditioner has ``cond_dim == 0`` and ignores any ``cond`` passed in."""
 
     kind = "uncond_ar"
 
     def __init__(self, store, prefix, d, rng, widths=(64, 64), mask_seed=0):
         super().__init__(store, prefix, d, 0, rng, widths, mask_seed)
-
-    def forward(self, x, cond=None, mode="train"):
-        s, b = self.net(x, None)
-        return x * exp(s) + b, s.sum(axis=1)
-
-    def inverse(self, y, cond=None, mode="eval"):
-        return super().inverse(y, None, mode)
 
 
 class Permutation:
@@ -430,3 +393,85 @@ def half_swap_perm(d):
 
 def reversal_perm(d):
     return np.arange(d)[::-1].copy()
+
+
+# ---------------------------------------------------------------------------
+# Layer stack
+# ---------------------------------------------------------------------------
+
+
+class FlowStack:
+    """Blocks of invertible layers with a fixed ``Permutation`` between
+    consecutive blocks (the RealNVP/MAF layout).
+
+    ``blocks`` is a list of dicts of layers, applied in dict order; an
+    ablated layer is None and is skipped.  ``layers`` is the flat forward
+    list of (kind, block_index, layer, layout) with no permutation entries;
+    ``layout`` names the canonical coordinate each position holds at the
+    layer's input, so the ``collect`` hooks report states in data
+    coordinates.  ``cond`` goes to every layer but batch-norm; a layer with
+    no conditioning input ignores it.
+    """
+
+    def __init__(self, blocks, perm):
+        self.blocks = blocks
+        self.perm = perm
+        self.d = len(perm.perm)
+        self.layers = []
+        layout = np.arange(self.d)
+        for block_idx, block in enumerate(blocks):
+            if block_idx > 0:
+                layout = layout[perm.perm]
+            for layer in block.values():
+                if layer is not None:
+                    self.layers.append((layer.kind, block_idx, layer, layout))
+        self.final_layout = layout
+        self.final_inv = np.argsort(layout)
+
+    def forward(self, x, cond, mode="train", update_stats=True, collect=None):
+        """Data -> latent; returns (z in canonical coords, per-sample logdet).
+
+        ``collect`` receives (flat_index, kind, canonical state ndarray)
+        after each layer when provided.
+        """
+        h = x
+        logdet = Tensor(np.zeros(x.shape[0]))
+        prev_block = 0
+        for flat_idx, (kind, block_idx, layer, layout) in enumerate(self.layers):
+            if block_idx != prev_block:
+                h, _ = self.perm.forward(h)
+                prev_block = block_idx
+            if kind == "batchnorm":
+                h, ld = layer.forward(h, mode, update_stats)
+            else:
+                h, ld = layer.forward(h, cond, mode)
+            logdet = logdet + ld
+            if collect is not None:
+                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
+        return permute_columns(h, self.final_inv), logdet
+
+    def inverse(self, z, cond, mode="eval", collect=None):
+        """Latent -> data.  Differentiable through coupling, condition
+        projection and eval-mode batch-norm; AR layers are inverted by a
+        fixed-point solve that is not.
+
+        Raises ``SamplingFault`` naming the first layer whose output is
+        non-finite.  ``collect`` receives (flat_index, kind, canonical state
+        ndarray) after each inverted layer when provided.
+        """
+        h = permute_columns(z, self.final_layout)
+        for flat_idx in range(len(self.layers) - 1, -1, -1):
+            kind, block_idx, layer, layout = self.layers[flat_idx]
+            if kind == "batchnorm":
+                h = layer.inverse(h, mode)
+            else:
+                h = layer.inverse(h, cond, mode)
+            if not np.all(np.isfinite(h.data)):
+                raise SamplingFault(
+                    f"non-finite state after inverting layer {flat_idx} "
+                    f"({kind} of block {block_idx})", layer_index=flat_idx)
+            if collect is not None:
+                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
+            if flat_idx > 0 and self.layers[flat_idx - 1][1] != block_idx:
+                h = self.perm.inverse(h)
+        return h

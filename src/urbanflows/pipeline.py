@@ -22,7 +22,7 @@ from .config_flow import (
     quantize_config,
 )
 from .errors import ConfigurationError, DataError, TrainingFault
-from .flow_layers import GenerationTrace, TraceStep
+from .flow_layers import TraceStep
 from .fusion import FusionModule
 from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
 from .numerics import Adam, ParameterStore, Tensor, no_grad
@@ -194,7 +194,7 @@ def eval_config_nll(bundle, samples, seed=0, chunk=256):
 def generate_one(bundle, e_vec, rng, trace=False):
     """Two-stage generation for one info vector: ``generate_batch`` at B=1.
 
-    Returns (ZoneMap, ConfigTensor, config-stage GenerationTrace or None).
+    Returns (ZoneMap, ConfigTensor, config-stage trace or None).
     """
     zone_maps, configs, traces = generate_batch(bundle, np.reshape(e_vec, (1, -1)),
                                                 rng, trace=trace)
@@ -205,8 +205,9 @@ def generate_batch(bundle, es, rng, trace=False):
     """Vectorized two-stage generation.
 
     Returns (ZoneMaps, ConfigTensors, traces): with ``trace`` set, one
-    config-stage GenerationTrace per sample (the latent draw, then the state
-    after each inverted layer, in data coordinates); otherwise None.
+    config-stage trace per sample, a list of ``TraceStep`` (the latent draw,
+    then the state after each inverted layer, in data coordinates);
+    otherwise None.
     """
     rc = bundle.cfg
     es = np.asarray(es, dtype=np.float64)
@@ -222,10 +223,9 @@ def generate_batch(bundle, es, rng, trace=False):
     if not trace:
         return zone_maps, configs, None
     traces = [
-        GenerationTrace(
-            [TraceStep(-1, "latent", z[b], category_histogram_of(z[b], rc.n, rc.p))]
-            + [TraceStep(i, kind, s[b], category_histogram_of(s[b], rc.n, rc.p))
-               for i, kind, s in states])
+        [TraceStep(-1, "latent", z[b], category_histogram_of(z[b], rc.n, rc.p))]
+        + [TraceStep(i, kind, s[b], category_histogram_of(s[b], rc.n, rc.p))
+           for i, kind, s in states]
         for b in range(len(es))
     ]
     return zone_maps, configs, traces

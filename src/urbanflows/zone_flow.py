@@ -1,24 +1,26 @@
 """Stage 1: the zone-level flow p(U | e).
 
 Zone maps are N x N integer grids quantized from a continuous flow over
-d = N^2 dimensions.  The stack is K blocks of coupling -> condition
-projection -> batch-norm with a half-swap permutation between consecutive
-blocks, so both index halves get transformed as depth grows.
+d = N^2 dimensions.  The stack is a ``FlowStack`` of K blocks of coupling ->
+condition projection -> batch-norm with a half-swap permutation between
+consecutive blocks, so both index halves get transformed as depth grows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, SamplingFault
+from .errors import ConfigurationError, DataError
 from .flow_layers import (
     BatchNormFlow,
     ConditionProjectionLayer,
     CouplingLayer,
+    FlowStack,
+    Permutation,
     gaussian_logp,
     half_swap_perm,
 )
-from .numerics import Tensor, no_grad, permute_columns
+from .numerics import Tensor, no_grad
 
 
 class ZoneMap:
@@ -63,12 +65,13 @@ def soft_labels(vec, m):
     return clip((vec + 0.5) * m - 0.5, 0.0, float(m - 1))
 
 
-class ZoneFlowModel:
-    """K blocks of [coupling, condition projection, batch-norm].
+class ZoneFlowModel(FlowStack):
+    """K blocks of [coupling, condition projection, batch-norm] with a
+    half-swap between blocks; ``forward``, ``inverse`` and the per-layer
+    ``collect`` hook are the ``FlowStack``'s, conditioned on the info
+    vectors e.
 
-    The model works on any even d; the zone pipeline uses d = N^2.  Layouts track
-    which canonical coordinate each position holds after the inter-block
-    half-swaps, letting traces report states in data coordinates.
+    The model works on any even d; the zone pipeline uses d = N^2.
     """
 
     def __init__(self, store, prefix, d, cond_dim, rng, k=6, widths=(64, 64),
@@ -77,12 +80,8 @@ class ZoneFlowModel:
             raise ConfigurationError("need at least one block")
         if d % 2:
             raise ConfigurationError("zone flow needs even d")
-        self.d = d
-        self.cond_dim = cond_dim
-        self.k = k
-        self.blocks = []
-        for i in range(k):
-            block = {
+        blocks = [
+            {
                 "coupling": CouplingLayer(store, f"{prefix}.block{i}.coupling",
                                           d, cond_dim, rng, widths),
                 "proj": ConditionProjectionLayer(store, f"{prefix}.block{i}.proj",
@@ -90,54 +89,9 @@ class ZoneFlowModel:
                 if use_condition_projection else None,
                 "bn": BatchNormFlow(store, f"{prefix}.block{i}.bn", d),
             }
-            self.blocks.append(block)
-        self.swap = half_swap_perm(d)
-        layouts = [np.arange(d)]
-        for _ in range(1, k):
-            layouts.append(layouts[-1][self.swap])
-        self.layouts = layouts
-        self.inv_layouts = [np.argsort(l) for l in layouts]
-        self.final_layout = layouts[-1]
-        self.final_inv = np.argsort(self.final_layout)
-
-    def forward(self, x, e, mode="train", update_stats=True):
-        """Data -> latent; returns (z in canonical coords, per-sample logdet)."""
-        h = x
-        logdet = Tensor(np.zeros(x.shape[0]))
-        for i, block in enumerate(self.blocks):
-            if i > 0:
-                h = permute_columns(h, self.swap)
-            h, ld = block["coupling"].forward(h, e, mode)
-            logdet = logdet + ld
-            if block["proj"] is not None:
-                h, ld = block["proj"].forward(h, e, mode)
-                logdet = logdet + ld
-            h, ld = block["bn"].forward(h, mode, update_stats)
-            logdet = logdet + ld
-        h = permute_columns(h, self.final_inv)
-        return h, logdet
-
-    def inverse(self, z, e, mode="eval", collect=None):
-        """Latent -> data.  Differentiable (eval-mode batch-norm only).
-
-        ``collect`` receives (block_index, canonical state ndarray) after
-        each inverted block when provided.
-        """
-        h = permute_columns(z, self.final_layout)
-        for i in range(self.k - 1, -1, -1):
-            block = self.blocks[i]
-            h = block["bn"].inverse(h, mode)
-            if block["proj"] is not None:
-                h = block["proj"].inverse(h, e, mode)
-            h = block["coupling"].inverse(h, e, mode)
-            if not np.all(np.isfinite(h.data)):
-                raise SamplingFault(f"non-finite state after inverting block {i}",
-                                    layer_index=i)
-            if collect is not None:
-                collect(i, h.data[:, self.inv_layouts[i]])
-            if i > 0:
-                h = permute_columns(h, self.swap)  # half-swap is an involution
-        return h
+            for i in range(k)
+        ]
+        super().__init__(blocks, Permutation(half_swap_perm(d)))
 
 
 def nll_tensors(model, x, cond, mode="train", update_stats=True):

@@ -457,8 +457,8 @@ def test_criterion_9_traceability(trained_session):
                                             trace=True)
             ct, trace = cts[0], traces[0]
 
-            assert len(trace.steps) == depth + 1
-            first, last = trace.steps[0], trace.steps[-1]
+            assert len(trace) == depth + 1
+            first, last = trace[0], trace[-1]
             assert first.layer_type == "latent"
             replay = np.random.default_rng(7000 + g)
             replay.standard_normal((1, rc.d_zone))     # the zone latent comes first

@@ -205,7 +205,7 @@ def test_sampling_trace_structure():
         assert len(trace) == 3 * rc.k_config + 1     # mar + uar + bn per block
         assert trace[0].layer_type == "latent"
         assert np.array_equal(trace[0].state, z[b])
-        kinds = [s.layer_type for s in trace.steps[1:]]
+        kinds = [s.layer_type for s in trace[1:]]
         assert kinds.count("masked_ar") == rc.k_config
         assert kinds.count("uncond_ar") == rc.k_config
         assert kinds.count("batchnorm") == rc.k_config

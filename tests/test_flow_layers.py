@@ -6,6 +6,7 @@ import pytest
 
 from ar_reference import sequential_inverse
 from composed_reference import unbound_bind
+from urbanflows.config_flow import ConfigFlowModel
 from urbanflows.errors import ConfigurationError, ModeError
 from urbanflows.flow_layers import (
     CLAMP,
@@ -13,6 +14,7 @@ from urbanflows.flow_layers import (
     ConditionerNet,
     CouplingLayer,
     ConditionProjectionLayer,
+    FlowStack,
     MaskedARLayer,
     MaskedConditioner,
     Permutation,
@@ -24,6 +26,7 @@ from urbanflows.flow_layers import (
     reversal_perm,
 )
 from urbanflows.numerics import ParameterStore, Tensor, no_grad, numerical_jacobian
+from urbanflows.zone_flow import ZoneFlowModel
 
 D = 6
 COND = 3
@@ -326,6 +329,67 @@ def test_permutations_are_involutions_and_volume_free(rng):
             back = layer.inverse(y)
         assert ld is None
         assert np.array_equal(back.data, x)
+
+
+def test_flow_stack_with_general_permutation(rng):
+    # a cyclic shift is not an involution, so the inverse must undo it
+    # with the inverse permutation; the ablated layer is skipped
+    store = ParameterStore()
+    blocks = [
+        {"coupling": CouplingLayer(store, f"s.block{i}.coupling", D, COND, rng, (8,)),
+         "proj": None,
+         "bn": BatchNormFlow(store, f"s.block{i}.bn", D)}
+        for i in range(3)
+    ]
+    perm = np.roll(np.arange(D), 1)
+    stack = FlowStack(blocks, Permutation(perm))
+    for _, t in store.trainable_items():
+        t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+    assert [(kind, block) for kind, block, _, _ in stack.layers] == [
+        ("coupling", 0), ("batchnorm", 0), ("coupling", 1), ("batchnorm", 1),
+        ("coupling", 2), ("batchnorm", 2)]
+    assert np.array_equal(stack.layers[2][3], perm)
+    assert np.array_equal(stack.final_layout, perm[perm])
+    x = rng.normal(size=(4, D))
+    cond = Tensor(rng.normal(size=(4, COND)))
+    with no_grad():
+        z, _ = stack.forward(Tensor(x), cond, mode="eval", update_stats=False)
+        back = stack.inverse(z, cond, mode="eval")
+    assert np.max(np.abs(back.data - x)) < 1e-10
+
+
+def stage_model(stage, rng):
+    store = ParameterStore()
+    if stage == "zone":
+        model = ZoneFlowModel(store, "zone", 16, COND, rng, k=3, widths=(8,))
+    else:
+        model = ConfigFlowModel(store, "config", 12, COND, rng, k=2, widths=(8,))
+    for _, t in store.items():
+        t.data = t.data + rng.normal(0.0, 0.08, size=t.shape)
+    return model
+
+
+@pytest.mark.parametrize("stage", ["zone", "config"])
+def test_flow_stack_inverse_hook_is_forward_hook_shifted(stage, rng):
+    # after inverting layer j the state is layer j's input, which is the
+    # forward state after layer j - 1 (or the data itself for j = 0)
+    model = stage_model(stage, rng)
+    cond = Tensor(rng.normal(size=(5, COND)))
+    inv, fwd = {}, {}
+    with no_grad():
+        x = model.inverse(Tensor(rng.normal(size=(5, model.d))), cond, mode="eval",
+                          collect=lambda i, kind, s: inv.setdefault(i, (kind, s)))
+        z, _ = model.forward(x, cond, mode="eval", update_stats=False,
+                             collect=lambda i, kind, s: fwd.setdefault(i, (kind, s)))
+    n = len(model.layers)
+    assert list(inv) == list(range(n - 1, -1, -1))
+    assert list(fwd) == list(range(n))
+    for j, (kind, _, _, _) in enumerate(model.layers):
+        assert inv[j][0] == fwd[j][0] == kind
+    assert np.max(np.abs(inv[0][1] - x.data)) < 1e-8
+    for j in range(1, n):
+        assert np.max(np.abs(inv[j][1] - fwd[j - 1][1])) < 1e-8
+    assert np.array_equal(fwd[n - 1][1], z.data)
 
 
 def test_gaussian_logp_reference():

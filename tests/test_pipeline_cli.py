@@ -103,9 +103,9 @@ def test_generation_shapes_and_determinism():
     assert ct1.counts.shape == (rc.n, rc.n, rc.p)
     np.testing.assert_array_equal(zm1.labels, zm2.labels)
     np.testing.assert_array_equal(ct1.counts, ct2.counts)
-    assert len(tr.steps) == 3 * rc.k_config + 1
-    assert tr.steps[0].layer_type == "latent"
-    np.testing.assert_array_equal(tr.steps[-1].histogram, ct1.category_histogram())
+    assert len(tr) == 3 * rc.k_config + 1
+    assert tr[0].layer_type == "latent"
+    np.testing.assert_array_equal(tr[-1].histogram, ct1.category_histogram())
 
     es = np.stack([e] * 6)
     zms, cts, traces = generate_batch(bundle, es, np.random.default_rng(4))
@@ -131,7 +131,7 @@ def test_generate_one_is_generate_batch_at_b1(trace):
     assert np.array_equal(ct.counts, cts[0].counts)
     if trace:
         assert len(tr) == len(trs[0])
-        for a, b in zip(tr.steps, trs[0].steps):
+        for a, b in zip(tr, trs[0]):
             assert (a.layer_index, a.layer_type) == (b.layer_index, b.layer_type)
             assert np.array_equal(a.state, b.state)
             assert np.array_equal(a.histogram, b.histogram)
@@ -391,6 +391,29 @@ def test_cli_rejects_nan_lr_before_training(tmp_path, capsys):
     assert rc == 1 and "error:" in err and "finite" in err
     assert not ckpt.exists()
     assert not os.path.exists(str(ckpt) + ".log")
+
+
+@pytest.mark.parametrize("command,count", [
+    ("synth", -2), ("generate", 0), ("generate", -3), ("trace", 0),
+])
+def test_cli_rejects_bad_count_before_writing(tmp_path, capsys, command, count):
+    cfg = write_mini_config(tmp_path, steps_zone=0)
+    data = str(tmp_path / "data.jsonl")
+    ckpt = str(tmp_path / "z.ckpt")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    assert main(["train-zone", "--config", cfg, "--dataset", data,
+                 "--out-ckpt", ckpt]) == 0
+    before = sorted(os.listdir(tmp_path))
+    out = str(tmp_path / "out")
+    if command == "synth":
+        argv = ["synth", "--config", cfg, "--out", out]
+    else:
+        argv = [command, "--ckpt", ckpt, "--green-level", "1", "--out-dir", out]
+    capsys.readouterr()
+    rc = main([*argv, "--count", str(count)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "error:" in err and "--count" in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_cli_rejects_dataset_header_that_is_not_an_object(tmp_path, capsys):

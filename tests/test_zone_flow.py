@@ -1,11 +1,11 @@
 """Stage-1 contracts: dequantization algebra, stack invertibility, exact
-identity-initialization NLL, sampling, and the per-block collect hook."""
+identity-initialization NLL, sampling, and the per-layer collect hook."""
 
 import numpy as np
 import pytest
 
 from conftest import mini_runconfig
-from urbanflows.errors import ConfigurationError, DataError, TrainingFault
+from urbanflows.errors import ConfigurationError, DataError, SamplingFault, TrainingFault
 from urbanflows.flow_layers import LN_2PI
 from urbanflows.numerics import Adam, ParameterStore, Tensor, no_grad
 from urbanflows.pipeline import ModelBundle, train_zone_stage
@@ -143,16 +143,30 @@ def test_sampling_and_trace(rng):
     e = rng.normal(size=(1, COND))
     states = []
     xs, zs = zone_sample_batch(model, e, np.random.default_rng(5),
-                               collect=lambda i, s: states.append((i, s)))
+                               collect=lambda i, kind, s: states.append((i, s)))
     zm = quantize_zone(xs[0], M, N)
     assert isinstance(zm, ZoneMap) and zm.labels.shape == (N, N)
-    assert [i for i, _ in states] == list(range(model.k - 1, -1, -1))
+    assert [i for i, _ in states] == list(range(len(model.layers) - 1, -1, -1))
     np.testing.assert_array_equal(zs, np.random.default_rng(5).standard_normal((1, D)))
     # deterministic under the seed
     xs2, _ = zone_sample_batch(model, e, np.random.default_rng(5))
     assert quantize_zone(xs2[0], M, N) == zm
     # the last collected state, in data coordinates, is the emitted sample
     assert quantize_zone(states[-1][1][0], M, N) == zm
+
+
+def test_poisoned_layer_raises_sampling_fault_naming_layer(rng):
+    model, store = build_model(perturb=0.1, k=2)
+    # flat layers: coupling0 proj0 bn0 coupling1 proj1 bn1
+    flat = [(kind, block) for kind, block, _, _ in model.layers]
+    layer_index = flat.index(("condition_projection", 1))
+    assert layer_index == 4
+    store["zone.block1.proj.out.b"].data[D // 2] = np.inf   # a shift entry
+    with pytest.raises(SamplingFault) as info:
+        zone_sample_batch(model, rng.normal(size=(3, COND)), np.random.default_rng(1))
+    assert info.value.layer_index == layer_index
+    assert "layer 4" in str(info.value)
+    assert "condition_projection of block 1" in str(info.value)
 
 
 def eval_logp(model, x, e):
