@@ -24,7 +24,7 @@ from .pipeline import (
     check_dataset_dims,
     evaluate_model,
     format_report,
-    generate_one,
+    generate_batch,
     train_config_stage,
     train_zone_stage,
 )
@@ -74,6 +74,10 @@ def _bundle_from_checkpoint(path, overrides=None):
     bundle = ModelBundle(rc)
     bundle.store.load_payload(header["manifest"], payload)
     return bundle, header
+
+
+# largest batch one generate_batch call samples; bounds the memory of a call
+_GENERATE_CHUNK = 256
 
 
 def _check_count(count, least):
@@ -191,7 +195,7 @@ def cmd_generate(args, trace_flag=None):
         raise DataError(f"green level {args.green_level} out of range [0, 4]")
     traced = args.trace if trace_flag is None else trace_flag
     context = _context_for_generation(args, rc)
-    e = build_info_vector(context, args.green_level)[0]
+    e = build_info_vector(context, args.green_level)
     seed = rc.seed if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -205,26 +209,30 @@ def cmd_generate(args, trace_flag=None):
             "config": rc.as_dict(),
         }
         fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for i in range(args.count):
-            zm, ct, trace = generate_one(bundle, e, rng, trace=traced)
-            rec = {
-                "id": i,
-                "green_level": args.green_level,
-                "zones": zm.labels.ravel().tolist(),
-                "config": ct.counts.ravel().tolist(),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            render_config_ppm(os.path.join(args.out_dir, f"gen{i:03d}.ppm"),
-                              ct.counts)
-            if traced:
-                _write_trace(os.path.join(args.out_dir, f"gen{i:03d}.trace.jsonl"),
-                             trace, rc, i, args.green_level)
-                for step_no, st in enumerate(trace):
-                    step_ct = quantize_config(st.state, rc.n, rc.p)
-                    render_config_ppm(
-                        os.path.join(args.out_dir,
-                                     f"gen{i:03d}.step{step_no:02d}.ppm"),
-                        step_ct.counts)
+        for lo in range(0, args.count, _GENERATE_CHUNK):
+            size = min(_GENERATE_CHUNK, args.count - lo)
+            zone_maps, configs, traces = generate_batch(
+                bundle, np.repeat(e, size, axis=0), rng, trace=traced)
+            for j, (zm, ct) in enumerate(zip(zone_maps, configs)):
+                i = lo + j
+                rec = {
+                    "id": i,
+                    "green_level": args.green_level,
+                    "zones": zm.labels.ravel().tolist(),
+                    "config": ct.counts.ravel().tolist(),
+                }
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                render_config_ppm(os.path.join(args.out_dir, f"gen{i:03d}.ppm"),
+                                  ct.counts)
+                if traced:
+                    _write_trace(os.path.join(args.out_dir, f"gen{i:03d}.trace.jsonl"),
+                                 traces[j], rc, i, args.green_level)
+                    for step_no, st in enumerate(traces[j]):
+                        step_ct = quantize_config(st.state, rc.n, rc.p)
+                        render_config_ppm(
+                            os.path.join(args.out_dir,
+                                         f"gen{i:03d}.step{step_no:02d}.ppm"),
+                            step_ct.counts)
     print(f"wrote {args.count} generations to {args.out_dir}")
     return 0
 

@@ -72,3 +72,8 @@ class CheckpointManifestError(CheckpointError):
 
 class CheckpointTruncatedError(CheckpointError):
     """Checkpoint file ends before the declared payload does."""
+
+
+class CheckpointValueError(CheckpointError):
+    """A checkpoint parameter holds a value no trained model has: a
+    non-finite entry, or a batch-norm running variance <= 0."""

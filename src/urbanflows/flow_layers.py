@@ -10,6 +10,8 @@ Conventions used throughout:
   (B,) tensors; one sample is a batch of one.
 * Scale outputs are clamped to [-CLAMP, CLAMP] through a smooth tanh squash
   so exp(s) stays within [e^-5, e^5] no matter what the conditioner emits.
+* Every conditioner pass, dense or MADE-masked, is one ``conditioner_mlp``
+  tape node, clamp included.
 """
 
 from __future__ import annotations
@@ -17,15 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, ModeError, SamplingFault
-from .numerics import Tensor, concat, exp, gelu, log, no_grad, permute_columns, tanh
+from .numerics import Tensor, concat, conditioner_mlp, exp, log, no_grad, permute_columns
 
 CLAMP = 5.0
 LN_2PI = float(np.log(2.0 * np.pi))
-
-
-def clamp_scale(s):
-    """Smoothly squash raw scale outputs into [-CLAMP, CLAMP]."""
-    return CLAMP * tanh(s * (1.0 / CLAMP))
 
 
 def gaussian_logp(z):
@@ -106,6 +103,12 @@ def build_made_masks(d, hidden_widths, seed):
 # ---------------------------------------------------------------------------
 
 
+def _mlp_pass(x, hidden, final, d):
+    """One conditioner pass as one tape node, split into (s, b)."""
+    out = conditioner_mlp(x, hidden, *final, d, CLAMP)
+    return out[:, :d], out[:, d:]
+
+
 def _init_dense(store, name, fan_in, fan_out, rng, zero=False):
     if zero:
         w = np.zeros((fan_in, fan_out))
@@ -126,22 +129,15 @@ class ConditionerNet:
     def __init__(self, store, prefix, in_dim, out_dim, rng, widths=(64, 64)):
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.layers = []
+        self.hidden = []
         fan = in_dim
         for i, width in enumerate(widths):
-            self.layers.append(_init_dense(store, f"{prefix}.h{i}", fan, width, rng))
+            self.hidden.append((*_init_dense(store, f"{prefix}.h{i}", fan, width, rng), None))
             fan = width
         self.final = _init_dense(store, f"{prefix}.out", fan, 2 * out_dim, rng, zero=True)
 
     def __call__(self, x):
-        h = x
-        for w, b in self.layers:
-            h = gelu(h @ w + b)
-        w, b = self.final
-        out = h @ w + b
-        s = clamp_scale(out[:, : self.out_dim])
-        shift = out[:, self.out_dim :]
-        return s, shift
+        return _mlp_pass(x, self.hidden, self.final, self.out_dim)
 
 
 class MaskedConditioner:
@@ -190,7 +186,7 @@ class MaskedConditioner:
         hidden = [(w * mask, b, None if v is None else cond @ v)
                   for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
         w, b_out = self.final
-        w_out = w * self._out_mask
+        final = (w * self._out_mask, b_out)
         d = self.d
 
         def conditioner_pass(x):
@@ -199,14 +195,7 @@ class MaskedConditioner:
                     f"masked conditioner built for d={d}, got {x.shape[-1]}"
                 )
             self.calls += 1
-            h = x
-            for w_masked, b, cv in hidden:
-                pre = h @ w_masked + b
-                if cv is not None:
-                    pre = pre + cv
-                h = gelu(pre)
-            out = h @ w_out + b_out
-            return clamp_scale(out[:, :d]), out[:, d:]
+            return _mlp_pass(x, hidden, final, d)
 
         return conditioner_pass
 

@@ -20,6 +20,7 @@ from .kernels import (
     depthwise_conv2d,
     layer_norm,
     gelu,
+    conditioner_mlp,
     softmax_rows,
     global_avg_pool,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "depthwise_conv2d",
     "layer_norm",
     "gelu",
+    "conditioner_mlp",
     "softmax_rows",
     "global_avg_pool",
     "ParameterStore",

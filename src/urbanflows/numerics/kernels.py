@@ -17,6 +17,13 @@ both gradients.
 order, as their compositions from tape ops, so their outputs are bit for
 bit the composed ones; the primitive saves the tape nodes (five per GELU,
 nine per layer-norm) and the intermediates each one would keep.
+
+``conditioner_mlp`` is one whole pass of a flow layer's conditioner MLP
+(dense layers with an optional condition term, GELU, the output layer and
+the tanh scale clamp) as one tape node; it too runs the composed pass's
+numpy operations in their order, so its outputs are bit for bit the
+composed ones.  It keeps the intermediates its backward needs only when
+the node goes on the tape.
 """
 
 from __future__ import annotations
@@ -26,13 +33,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf as _erf
 
 from ..errors import DimensionError
-from .tape import Tensor, as_tensor, exp, _accumulate, _node, _unbroadcast
+from .tape import Tensor, as_tensor, exp, grad_enabled, _accumulate, _node, _unbroadcast
 
 __all__ = [
     "conv2d",
     "depthwise_conv2d",
     "layer_norm",
     "gelu",
+    "conditioner_mlp",
     "softmax_rows",
     "global_avg_pool",
 ]
@@ -195,6 +203,64 @@ def gelu(x):
         _accumulate(x, g * (0.5 * one_plus_erf + x.data * phi))
 
     return _node(out_data, (x,), backward)
+
+
+def conditioner_mlp(x, hidden, w_out, b_out, d, clamp):
+    """One conditioner-MLP pass: ``(B, 2d)`` rows ``[s | shift]``.
+
+    ``hidden`` lists each hidden layer as ``(w, b, cv)``: the layer computes
+    ``gelu((h @ w + b) + cv)``, with ``cv`` a condition term added after the
+    bias, or None for no term.  The output layer ``h @ w_out + b_out`` gives
+    ``2d`` columns; the first ``d`` are squashed into ``[-clamp, clamp]`` by
+    ``clamp * tanh(. / clamp)``.  The backward gives the gradient of ``x``
+    and of every weight, bias and condition term that requires one.
+    """
+    parents = [x]
+    for w, b, cv in hidden:
+        parents += (w, b) if cv is None else (w, b, cv)
+    parents += (w_out, b_out)
+    taped = grad_enabled() and any(p.requires_grad for p in parents)
+    h = x.data
+    saved = []  # (layer input, pre-activation, 1 + erf) per hidden layer
+    for w, b, cv in hidden:
+        pre = h @ w.data
+        pre += b.data
+        if cv is not None:
+            pre += cv.data
+        one_plus_erf = pre * _INV_SQRT2
+        _erf(one_plus_erf, out=one_plus_erf)
+        one_plus_erf += 1.0
+        if taped:
+            saved.append((h, pre, one_plus_erf))
+        h = pre * 0.5
+        h *= one_plus_erf
+    out = h @ w_out.data
+    out += b_out.data
+    t = np.tanh(out[:, :d] * (1.0 / clamp))
+    np.multiply(t, clamp, out=out[:, :d])
+    h_last = h
+
+    def backward(g):
+        g_pre = g.copy()
+        g_pre[:, :d] *= 1.0 - t * t
+        _accumulate(b_out, g_pre.sum(axis=0))
+        if w_out.requires_grad:
+            _accumulate(w_out, h_last.T @ g_pre)
+        w_above = w_out
+        for (w, b, cv), (h_in, pre, one_plus_erf) in zip(reversed(hidden), reversed(saved)):
+            g_h = g_pre @ w_above.data.T
+            phi = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+            g_pre = g_h * (0.5 * one_plus_erf + pre * phi)
+            if cv is not None and cv.requires_grad:
+                _accumulate(cv, _unbroadcast(g_pre, cv.shape))
+            _accumulate(b, g_pre.sum(axis=0))
+            if w.requires_grad:
+                _accumulate(w, h_in.T @ g_pre)
+            w_above = w
+        if x.requires_grad:
+            _accumulate(x, g_pre @ w_above.data.T)
+
+    return _node(out, parents, backward)
 
 
 def softmax_rows(x):

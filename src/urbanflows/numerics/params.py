@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CheckpointManifestError, ConfigurationError
+from ..errors import CheckpointManifestError, CheckpointValueError, ConfigurationError
 from .tape import Tensor
 
 
@@ -73,7 +73,9 @@ class ParameterStore:
         """Fill parameter values from a manifest + raw float64 payload.
 
         The manifest must list exactly this store's names with matching
-        shapes, in lexicographic order.
+        shapes, in lexicographic order.  A non-finite value, or a
+        ``*.running_var`` entry <= 0, raises ``CheckpointValueError`` naming
+        the parameter, and then no parameter is changed.
         """
         expected = self.manifest()
         got = [[str(n), [int(v) for v in s]] for n, s in manifest]
@@ -81,17 +83,26 @@ class ParameterStore:
             raise CheckpointManifestError(
                 "parameter manifest does not match model structure"
             )
+        values = []
         offset = 0
         for name in self.names():
             t = self._params[name]
-            nbytes = 8 * t.size
-            chunk = payload[offset : offset + nbytes]
-            arr = np.frombuffer(chunk, dtype="<f8").reshape(t.shape)
-            t.data = arr.astype(np.float64).copy()
-            offset += nbytes
+            arr = np.frombuffer(payload, dtype="<f8", count=t.size, offset=offset)
+            arr = arr.reshape(t.shape).astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise CheckpointValueError(f"parameter {name} holds a non-finite value")
+            if name.endswith(".running_var") and (arr <= 0.0).any():
+                raise CheckpointValueError(f"parameter {name} holds a variance <= 0")
+            values.append((t, arr))
+            offset += 8 * t.size
+        for t, arr in values:
+            t.data = arr
 
-    def snapshot(self):
-        return {name: t.data.copy() for name, t in self._params.items()}
+    def snapshot(self, prefix=""):
+        """Copies of the values of every parameter whose name starts with
+        ``prefix`` (all of them by default), for ``restore``."""
+        return {name: t.data.copy() for name, t in self._params.items()
+                if name.startswith(prefix)}
 
     def restore(self, snap):
         for name, arr in snap.items():

@@ -26,7 +26,7 @@ from .flow_layers import TraceStep
 from .fusion import FusionModule
 from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
 from .numerics import Adam, ParameterStore, Tensor, no_grad
-from .synthdata import build_info_vector
+from .synthdata import GUIDANCE_LEVELS
 from .zone_flow import (
     ZoneFlowModel,
     ZoneMap,
@@ -70,14 +70,22 @@ class ModelBundle:
 
 
 def dataset_arrays(samples):
-    """Stack a dataset into (es, zone_labels, config_counts, levels)."""
+    """Stack a dataset into (es, zone_labels, config_counts, levels).
+
+    Row i of ``es`` is ``build_info_vector(samples[i].context,
+    samples[i].green_level)``, built for all samples at once.
+    """
     if not samples:
         raise DataError("empty dataset")
-    es = np.concatenate([build_info_vector(s.context, s.green_level)
-                         for s in samples], axis=0)
+    levels = np.array([s.green_level for s in samples], dtype=np.int64)
+    if levels.min() < 0 or levels.max() >= GUIDANCE_LEVELS:
+        raise DataError(f"guidance level must be an integer in [0, {GUIDANCE_LEVELS - 1}]")
+    feats = np.stack([s.context.node_features for s in samples])
+    onehot = np.zeros((len(samples), GUIDANCE_LEVELS))
+    onehot[np.arange(len(samples)), levels] = 1.0
+    es = np.concatenate([feats.mean(axis=1), feats.max(axis=1), onehot], axis=1)
     zones = np.stack([s.zones.labels for s in samples])
     counts = np.stack([s.config.counts for s in samples])
-    levels = np.array([s.green_level for s in samples], dtype=np.int64)
     return es, zones, counts, levels
 
 
@@ -102,7 +110,7 @@ def train_zone_stage(bundle, samples, rng, steps=None, log=None):
     for step in range(steps):
         idx = rng.integers(0, total, size=rc.batch_size)
         x = dequantize_zone_batch(zones[idx], rc.m, rng)
-        snap = bundle.store.snapshot()
+        snap = bundle.store.snapshot("zone.")  # running stats included
         opt.zero_grad()
         mean, per = nll_tensors(bundle.zone, Tensor(x), Tensor(es[idx]),
                                 mode="train", update_stats=True)

@@ -1,19 +1,22 @@
-"""Reference implementations the fused GELU, layer-norm and the bound
-masked conditioner are tested against.
+"""Reference implementations the fused GELU, layer-norm and the
+conditioner-MLP primitive are tested against.
 
-``gelu`` and ``layer_norm`` are composed from tape ops, so their gradients
-follow from the tape's elementary rules.  ``unbound_call`` is the masked
-conditioner pass that rebuilds every masked weight and condition product on
-each call, built from the composed ``gelu``.  ``unbound_bind`` has the
-signature of ``MaskedConditioner.bind``, so a test can monkeypatch it onto
-the class and run a whole stack, forward or inverse, through the reference.
+``gelu``, ``layer_norm`` and ``clamp_scale`` are composed from tape ops, so
+their gradients follow from the tape's elementary rules.  The two
+conditioner passes are built from them, one tape op at a time:
+``composed_call`` is a ``ConditionerNet`` pass and has the signature of
+``ConditionerNet.__call__``; ``unbound_call`` is the masked conditioner
+pass that rebuilds every masked weight and condition product on each call,
+and ``unbound_bind`` has the signature of ``MaskedConditioner.bind``.  A
+test can monkeypatch either onto its class and run a layer or a whole
+stack, forward or inverse, through the reference.
 """
 
 import numpy as np
 
 from urbanflows.errors import ConfigurationError
-from urbanflows.flow_layers import clamp_scale
-from urbanflows.numerics import erf, sqrt
+from urbanflows.flow_layers import CLAMP
+from urbanflows.numerics import erf, sqrt, tanh
 
 
 def layer_norm(x, gamma, beta, axis=-1, eps=1e-5):
@@ -31,6 +34,23 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 def gelu(x):
     """Exact Gaussian error linear unit: 0.5 x (1 + erf(x/sqrt(2)))."""
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def clamp_scale(s):
+    """Smoothly squash raw scale outputs into [-CLAMP, CLAMP]."""
+    return CLAMP * tanh(s * (1.0 / CLAMP))
+
+
+def composed_call(net, x):
+    """One pass of the ConditionerNet ``net``."""
+    h = x
+    for w, b, _ in net.hidden:
+        h = gelu(h @ w + b)
+    w, b = net.final
+    out = h @ w + b
+    s = clamp_scale(out[:, : net.out_dim])
+    shift = out[:, net.out_dim :]
+    return s, shift
 
 
 def unbound_call(net, x, cond=None):

@@ -19,7 +19,14 @@ from urbanflows.errors import ConfigurationError, DataError, SamplingFault, Trai
 from urbanflows.flow_layers import LN_2PI
 from urbanflows.fusion import FusionModule
 from urbanflows.numerics import Adam, ParameterStore, Tensor, no_grad
-from urbanflows.pipeline import ModelBundle, generate_batch, train_config_stage
+from urbanflows.numerics.tape import _topo_order
+from urbanflows.pipeline import (
+    ModelBundle,
+    dataset_arrays,
+    generate_batch,
+    train_config_stage,
+)
+from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import build_info_vector, generate_sample, make_dataset
 from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch, nll_tensors
 
@@ -285,3 +292,28 @@ def test_joint_finetune_step_updates_all_namespaces():
     moved = {name.split(".")[0] for name, t in store.trainable_items()
              if not np.array_equal(t.data, before[name])}
     assert {"zone", "fusion", "config"} <= moved
+
+def test_tape_node_counts_of_default_losses():
+    """Each conditioner-MLP pass is one tape node plus the two slices that
+    split it into s and b, so on the default config at B=32 the stage-2
+    joint loss stays within 650 nodes and the stage-1 NLL within 240.
+    Passes composed from tape ops (13 to 15 nodes each) give 951 and 346."""
+    rc = RunConfig().validate()
+    bundle = ModelBundle(rc)
+    samples = make_dataset(rc.batch_size, rc.n, rc.m, rc.p, seed=1)
+    es, zones, counts, _ = dataset_arrays(samples)
+    rng = np.random.default_rng(0)
+    zone_x = dequantize_zone_batch(zones, rc.m, rng)
+    config_x = dequantize_config_batch(counts, rng)
+    z = rng.standard_normal((rc.batch_size, rc.d_zone))
+    total, _ = joint_loss(bundle.zone, bundle.fusion, bundle.config, es, zone_x,
+                          config_x, z, rc.lambda_zone, zone_labels=zones,
+                          update_stats=False, rng=rng)
+    zone_mean, _ = nll_tensors(bundle.zone, Tensor(zone_x), Tensor(es),
+                               mode="train", update_stats=False)
+
+    def nodes(loss):
+        return sum(1 for n in _topo_order(loss) if n._parents)
+
+    assert nodes(total) <= 650
+    assert nodes(zone_mean) <= 240

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ar_reference import sequential_inverse
-from composed_reference import unbound_bind
+from composed_reference import composed_call, unbound_bind
 from urbanflows.config_flow import ConfigFlowModel
 from urbanflows.errors import ConfigurationError, ModeError
 from urbanflows.flow_layers import (
@@ -20,12 +20,17 @@ from urbanflows.flow_layers import (
     Permutation,
     UncondARLayer,
     build_made_masks,
-    clamp_scale,
     gaussian_logp,
     half_swap_perm,
     reversal_perm,
 )
-from urbanflows.numerics import ParameterStore, Tensor, no_grad, numerical_jacobian
+from urbanflows.numerics import (
+    ParameterStore,
+    Tensor,
+    conditioner_mlp,
+    no_grad,
+    numerical_jacobian,
+)
 from urbanflows.zone_flow import ZoneFlowModel
 
 D = 6
@@ -165,19 +170,30 @@ def test_ar_fixed_point_inverse_matches_sequential(cls, batch, rng):
     np.testing.assert_allclose(y_back.data, y.data, rtol=0.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("cls", [MaskedARLayer, UncondARLayer])
+@pytest.mark.parametrize("cls", [CouplingLayer, ConditionProjectionLayer,
+                                 MaskedARLayer, UncondARLayer])
 @pytest.mark.parametrize("batch", [1, 37])
 def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatch):
-    """Binding the condition once gives bit-identical (s, b), forwards and
-    inverses to the per-pass reference, the same pass counts, and
-    gradients within atol 1e-12."""
+    """The one-node conditioner pass (bound once per condition, for the AR
+    layers) gives bit-identical (s, b), forwards, log-dets and inverses to
+    the reference composed from tape ops one pass at a time, the same pass
+    counts, and gradients within atol 1e-12."""
     d = 24
-    kwargs = {"cond_dim": COND} if cls is MaskedARLayer else {}
-    layer, store = perturbed_layer(cls, rng, d=d, widths=(16, 16), mask_seed=5,
-                                   **kwargs)
+    if cls in (CouplingLayer, ConditionProjectionLayer):
+        kwargs, reference = {"cond_dim": COND}, ("__call__", composed_call)
+        owner = ConditionerNet
+    else:
+        kwargs = {"mask_seed": 5, **({"cond_dim": COND} if cls is MaskedARLayer else {})}
+        owner, reference = MaskedConditioner, ("bind", unbound_bind)
+    layer, store = perturbed_layer(cls, rng, d=d, widths=(16, 16), **kwargs)
     x_data = rng.normal(size=(batch, d))
-    cond_data = rng.normal(size=(batch, COND)) if layer.cond_dim else None
+    cond_data = rng.normal(size=(batch, COND)) if "cond_dim" in kwargs else None
     g = rng.normal(size=(batch, d))
+
+    def conditioner_out(x, cond):
+        if owner is ConditionerNet:
+            return layer._sb(x[:, : layer.half], cond)
+        return layer.net(x, cond)
 
     def run():
         for _, t in store.items():
@@ -186,7 +202,7 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
         cond = None if cond_data is None else Tensor(cond_data, requires_grad=True)
         layer.net.calls = 0
         with no_grad():
-            s, b = layer.net(Tensor(x_data), cond)
+            s, b = conditioner_out(Tensor(x_data), cond)
             back = layer.inverse(Tensor(x_data), cond)
         calls = layer.net.calls
         y, ld = layer.forward(x, cond)
@@ -197,7 +213,7 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
         return [s.data, b.data, back.data, y.data, ld.data], calls, grads
 
     got, got_calls, got_grads = run()
-    monkeypatch.setattr(MaskedConditioner, "bind", unbound_bind)
+    monkeypatch.setattr(owner, *reference)
     want, want_calls, want_grads = run()
     for part, a, r in zip(("s", "b", "inverse", "y", "logdet"), got, want):
         assert np.array_equal(a, r), part
@@ -222,8 +238,12 @@ def test_identity_initialization(rng):
 
 
 def test_scale_clamp_bounds():
-    raw = Tensor(np.array([[-1e6, -1.0, 0.0, 1.0, 1e6]]))
-    s = clamp_scale(raw).data[0]
+    # no hidden layer and a zero output weight: the raw scales are the bias
+    raw = Tensor(np.array([-1e6, -1.0, 0.0, 1.0, 1e6, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    out = conditioner_mlp(Tensor(np.zeros((1, 1))), [], Tensor(np.zeros((1, 10))),
+                          raw, 5, CLAMP)
+    s = out.data[0, :5]
+    assert np.array_equal(out.data[0, 5:], np.zeros(5))
     assert s[0] > -CLAMP - 1e-12 and s[-1] < CLAMP + 1e-12
     assert abs(s[0] + CLAMP) < 1e-9 and abs(s[-1] - CLAMP) < 1e-9
     assert s[2] == 0.0

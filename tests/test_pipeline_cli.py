@@ -12,11 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from urbanflows import checkpoint, cli
+from urbanflows import checkpoint, cli, pipeline
 from urbanflows.checkpoint import read_header
 from urbanflows.cli import main
 from urbanflows.config_flow import dequantize_config_batch
-from urbanflows.errors import ConfigurationError, DataError, TrainingFault
+from urbanflows.errors import (
+    CheckpointValueError,
+    ConfigurationError,
+    DataError,
+    TrainingFault,
+)
 from urbanflows.pipeline import (
     ModelBundle,
     check_dataset_dims,
@@ -89,6 +94,54 @@ def test_training_fault_restores_parameters():
     assert sorted(before) == sorted(after)
     for key in before:
         np.testing.assert_array_equal(before[key], after[key])
+
+
+def test_stage1_fault_restores_zone_namespace_only(monkeypatch):
+    """The stage-1 rollback covers every ``zone.*`` value (the batch-norm
+    running stats too) and leaves ``fusion.*`` and ``config.*`` alone."""
+    bundle = mini_bundle()
+    rc = bundle.cfg
+    samples = make_dataset(16, rc.n, rc.m, rc.p, seed=2)
+    store = bundle.store
+    others = [n for n in store.names() if not n.startswith("zone.")]
+    assert any(n.startswith("fusion.") for n in others)
+    assert any(n.startswith("config.") for n in others)
+    real_nll = pipeline.nll_tensors
+    good = []  # the whole store after each good step
+    moved = []
+
+    def faulty_nll(model, x, cond, **kw):
+        mean, per = real_nll(model, x, cond, **kw)
+        if len(good) == 2:  # step 2 fails after its forward has run
+            moved.extend(n for n, arr in good[-1].items()
+                         if not np.array_equal(store[n].data, arr))
+            for n in others:
+                store[n].data = store[n].data + 1.0
+            per = per.copy()
+            per[1] = np.nan
+        return mean, per
+
+    monkeypatch.setattr(pipeline, "nll_tensors", faulty_nll)
+    with pytest.raises(TrainingFault, match="step 2"):
+        train_zone_stage(bundle, samples, np.random.default_rng(0), steps=5,
+                         log=lambda step, loss: good.append(store.snapshot()))
+    assert any(n.endswith(".running_mean") for n in moved)
+    for name, arr in good[-1].items():
+        want = arr + 1.0 if name in others else arr
+        assert np.array_equal(store[name].data, want), name
+
+
+def test_dataset_arrays_matches_per_sample_info_vectors():
+    for seed in (1, 7, 1101):
+        samples = make_dataset(23, 4, 2, 3, seed=seed)
+        es, zones, counts, levels = dataset_arrays(samples)
+        want = np.concatenate([build_info_vector(s.context, s.green_level)
+                               for s in samples])
+        assert np.array_equal(es, want)
+        assert np.array_equal(levels, [s.green_level for s in samples])
+    samples[4].green_level = 5
+    with pytest.raises(DataError, match="guidance level"):
+        dataset_arrays(samples)
 
 
 def test_generation_shapes_and_determinism():
@@ -473,3 +526,59 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote 2 samples" in proc.stdout
+
+def test_cli_generate_twice_writes_identical_files(tmp_path, monkeypatch):
+    """Batched generation, here in chunks of two, writes the same bytes to
+    every file on every run under a fixed seed."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    monkeypatch.setattr(cli, "_GENERATE_CHUNK", 2)
+    runs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["trace", "--ckpt", ckpt, "--green-level", "3", "--count", "5",
+                     "--seed", "4", "--out-dir", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    a, b = runs
+    steps = 3 * MINI["k_config"] + 1
+    assert len(a) == 1 + 5 * (2 + steps)
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name] == b[name], name
+    records = [json.loads(line) for line in a["configs.jsonl"].splitlines()[1:]]
+    assert [r["id"] for r in records] == list(range(5))
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("config.block0.mar.h0.w", np.nan, "non-finite"),
+    ("fusion.attn.wq", np.inf, "non-finite"),
+    ("zone.block1.bn.running_var", 0.0, "variance <= 0"),
+])
+def test_cli_generate_rejects_bad_parameter_value(tmp_path, capsys, name, value,
+                                                  message):
+    ckpt = zero_budget_checkpoint(tmp_path)
+    header, payload = read_header(ckpt)
+    offset = 0
+    for entry, shape in header["manifest"]:
+        if entry == name:
+            break
+        offset += 8 * int(np.prod(shape))
+    else:
+        raise AssertionError(f"{name} not in the manifest")
+    with open(ckpt, "rb") as fh:
+        blob = fh.read()
+    start = len(blob) - len(payload) + offset
+    with open(ckpt, "wb") as fh:
+        fh.write(blob[:start] + np.array([value], "<f8").tobytes() + blob[start + 8:])
+    capsys.readouterr()
+    rc = main(["generate", "--ckpt", ckpt, "--green-level", "1",
+               "--out-dir", str(tmp_path / "g")])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"parameter {name} " in err and message in err
+    assert not (tmp_path / "g").exists()
+
+    header, payload = read_header(ckpt)
+    bundle = ModelBundle(RunConfig.from_sources(None, header["config"]))
+    before = bundle.store.to_payload()
+    with pytest.raises(CheckpointValueError):
+        bundle.store.load_payload(header["manifest"], payload)
+    assert bundle.store.to_payload() == before
