@@ -112,12 +112,13 @@ class ConfigFlowModel(FlowStack):
         return a.reshape(b, -1)
 
 
-def config_sample_batch(model, cs, rng, collect=None):
-    """Sample (B, d) continuous config vectors given fused embeddings."""
+def config_sample_batch(model, cs, rng, collect=None, z=None):
+    """Sample (B, d) continuous config vectors given fused embeddings; the
+    latent ``z`` is drawn from ``rng`` unless given."""
     if not isinstance(cs, Tensor):
         cs = Tensor(np.asarray(cs, dtype=np.float64))
-    b = cs.shape[0]
-    z = rng.standard_normal((b, model.d))
+    if z is None:
+        z = rng.standard_normal((cs.shape[0], model.d))
     with no_grad():
         a_flat = model.condition_of(cs)
         x = model.inverse(Tensor(z), a_flat, mode="eval", collect=collect)

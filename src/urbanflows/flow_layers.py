@@ -16,6 +16,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ConfigurationError, ModeError, SamplingFault
@@ -23,6 +25,8 @@ from .numerics import Tensor, concat, conditioner_mlp, exp, log, no_grad, permut
 
 CLAMP = 5.0
 LN_2PI = float(np.log(2.0 * np.pi))
+# row blocks of one batch run their passes on several threads
+_CALLS_LOCK = threading.Lock()
 
 
 def gaussian_logp(z):
@@ -152,7 +156,8 @@ class MaskedConditioner:
     ``cond @ v``) and returns the pass ``x -> (s, b)``; a call
     ``net(x, cond)`` is ``net.bind(cond)(x)``, so the density forward (on
     the tape) and the fixed-point inverse run the same code.  ``calls``
-    counts passes, which the sampling-complexity audit reads.
+    counts passes, which the sampling-complexity audit reads; it stays
+    exact when passes run on several threads at once.
     """
 
     def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64), mask_seed=0):
@@ -194,7 +199,8 @@ class MaskedConditioner:
                 raise ConfigurationError(
                     f"masked conditioner built for d={d}, got {x.shape[-1]}"
                 )
-            self.calls += 1
+            with _CALLS_LOCK:
+                self.calls += 1
             return _mlp_pass(x, hidden, final, d)
 
         return conditioner_pass

@@ -9,7 +9,11 @@ and can be resumed directly by stage-2 training.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .errors import ConfigurationError, DataError, TrainingFault
 from .flow_layers import TraceStep
 from .fusion import FusionModule
 from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
-from .numerics import Adam, ParameterStore, Tensor, no_grad
+from .numerics import Adam, ParameterStore, Tensor, grad_enabled, no_grad
 from .synthdata import GUIDANCE_LEVELS
 from .zone_flow import (
     ZoneFlowModel,
@@ -162,35 +166,141 @@ def train_config_stage(bundle, samples, rng, steps=None, log=None):
     return history
 
 
-def eval_zone_nll(bundle, samples, seed=0, chunk=256):
+# ---------------------------------------------------------------------------
+# Row-parallel inference
+# ---------------------------------------------------------------------------
+
+# rows per block; the cut depends on the row count only, so every output is
+# the same for any number of workers
+_BLOCK_ROWS = 128
+# worker count, or None for ``_worker_rule``; tests force it
+_WORKERS = None
+_POOL = None
+_POOL_THREADS = 0
+_POOL_LOCK = threading.Lock()
+
+
+def _worker_rule(cpus, env):
+    """Row workers that leave each BLAS thread a core of its own.
+
+    The BLAS thread count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS,
+    else ``cpus``: OpenBLAS's own order, where an unset, zero or
+    unparsable value falls through to the next.
+    """
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(env.get(var, "").split(",")[0])
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, cpus // blas_threads)
+
+
+def _forget_pool():
+    global _POOL, _POOL_THREADS, _POOL_LOCK
+    _POOL, _POOL_THREADS, _POOL_LOCK = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool(threads):
+    """The shared pool, built lazily with at least ``threads`` threads.  A
+    pool that is too small is dropped, not shut down: a caller may still
+    hold it, and its idle threads exit once it is collected."""
+    global _POOL, _POOL_THREADS
+    with _POOL_LOCK:
+        if _POOL_THREADS < threads:
+            _POOL = ThreadPoolExecutor(threads, thread_name_prefix="urbanflows-rows")
+            _POOL_THREADS = threads
+        return _POOL
+
+
+def _row_blocks(n, fn):
+    """``[fn(lo, hi) for each block]`` over ``n`` rows cut into blocks of at
+    most ``_BLOCK_ROWS``, in block order.
+
+    The blocks run on the calling thread plus ``workers - 1`` pool threads,
+    each in a copy of the caller's context (numpy's error state lives
+    there); one block, or one worker, runs inline.  Whatever the worker
+    count, the exception raised is the first failing block's, and a pool
+    run raises it only once every block has finished.  The tape's
+    grad flag is global to the process, so the caller must hold
+    ``no_grad``.
+    """
+    if grad_enabled():
+        raise RuntimeError("row blocks run only under no_grad")
+    bounds = [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+    workers = _WORKERS or _worker_rule(len(os.sched_getaffinity(0)), os.environ)
+    workers = min(len(bounds), workers)
+    if workers <= 1:
+        return [fn(lo, hi) for lo, hi in bounds]
+    contexts = [contextvars.copy_context() for _ in bounds]
+    results = [None] * len(bounds)
+    errors = [None] * len(bounds)
+    todo = iter(range(len(bounds)))
+    todo_lock = threading.Lock()
+
+    def drain():
+        while True:
+            with todo_lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = contexts[i].run(fn, *bounds[i])
+            except BaseException as exc:  # raised below, in block order
+                errors[i] = exc
+
+    pool = _pool(workers - 1)
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    drain()
+    for helper in helpers:
+        if not helper.cancel():  # one that has not started would find no block
+            helper.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Evaluation NLLs
+# ---------------------------------------------------------------------------
+
+
+def eval_zone_nll(bundle, samples, seed=0):
     """Eval-mode dataset NLL with seeded dequantization noise."""
     rc = bundle.cfg
     es, zones, _, _ = dataset_arrays(samples)
     rng = np.random.default_rng(seed)
     x = dequantize_zone_batch(zones, rc.m, rng)
-    vals = []
+
+    def block_nll(lo, hi):
+        return nll_tensors(bundle.zone, Tensor(x[lo:hi]), Tensor(es[lo:hi]),
+                           mode="eval", update_stats=False)[1]
+
     with no_grad():
-        for lo in range(0, len(samples), chunk):
-            _, per = nll_tensors(bundle.zone, Tensor(x[lo:lo + chunk]),
-                                 Tensor(es[lo:lo + chunk]),
-                                 mode="eval", update_stats=False)
-            vals.append(per)
+        vals = _row_blocks(len(samples), block_nll)
     return float(np.concatenate(vals).mean())
 
 
-def eval_config_nll(bundle, samples, seed=0, chunk=256):
+def eval_config_nll(bundle, samples, seed=0):
     """Eval-mode stage-2 NLL conditioned on the ground-truth zone maps."""
     es, zones, counts, _ = dataset_arrays(samples)
     rng = np.random.default_rng(seed)
     x = dequantize_config_batch(counts, rng)
-    vals = []
+
+    def block_nll(lo, hi):
+        c = bundle.fusion.embed(zones[lo:hi], es[lo:hi])
+        return nll_tensors(bundle.config, Tensor(x[lo:hi]), bundle.config.condition_of(c),
+                           mode="eval", update_stats=False)[1]
+
     with no_grad():
-        for lo in range(0, len(samples), chunk):
-            c = bundle.fusion.embed(zones[lo:lo + chunk], es[lo:lo + chunk])
-            _, per = nll_tensors(bundle.config, Tensor(x[lo:lo + chunk]),
-                                 bundle.config.condition_of(c),
-                                 mode="eval", update_stats=False)
-            vals.append(per)
+        vals = _row_blocks(len(samples), block_nll)
     return float(np.concatenate(vals).mean())
 
 
@@ -212,6 +322,10 @@ def generate_one(bundle, e_vec, rng, trace=False):
 def generate_batch(bundle, es, rng, trace=False):
     """Vectorized two-stage generation.
 
+    Both latents are drawn for the whole batch first (zone, then config);
+    each row block then runs zone inverse -> quantize -> fusion -> config
+    inverse (see ``_row_blocks``).
+
     Returns (ZoneMaps, ConfigTensors, traces): with ``trace`` set, one
     config-stage trace per sample, a list of ``TraceStep`` (the latent draw,
     then the state after each inverted layer, in data coordinates);
@@ -219,17 +333,27 @@ def generate_batch(bundle, es, rng, trace=False):
     """
     rc = bundle.cfg
     es = np.asarray(es, dtype=np.float64)
-    xz, _ = zone_sample_batch(bundle.zone, es, rng)
-    hard = np.stack([quantize_zone(v, rc.m, rc.n).labels for v in xz])
+    z_zone = rng.standard_normal((len(es), bundle.zone.d))
+    z = rng.standard_normal((len(es), bundle.config.d))
+
+    def sample_block(lo, hi):
+        xz, _ = zone_sample_batch(bundle.zone, es[lo:hi], None, z=z_zone[lo:hi])
+        hard = np.stack([quantize_zone(v, rc.m, rc.n).labels for v in xz])
+        c = bundle.fusion.embed(hard, es[lo:hi])
+        states = []
+        collect = (lambda i, kind, s: states.append((i, kind, s))) if trace else None
+        xc, _ = config_sample_batch(bundle.config, c.data, None, collect=collect,
+                                    z=z[lo:hi])
+        return hard, xc, states
+
     with no_grad():
-        c = bundle.fusion.embed(hard, es)
-    states = []
-    collect = (lambda i, kind, s: states.append((i, kind, s))) if trace else None
-    xc, z = config_sample_batch(bundle.config, c.data, rng, collect=collect)
-    zone_maps = [ZoneMap(h) for h in hard]
-    configs = [quantize_config(v, rc.n, rc.p) for v in xc]
+        hards, xcs, block_states = zip(*_row_blocks(len(es), sample_block))
+    zone_maps = [ZoneMap(h) for h in np.concatenate(hards)]
+    configs = [quantize_config(v, rc.n, rc.p) for v in np.concatenate(xcs)]
     if not trace:
         return zone_maps, configs, None
+    states = [(i, kind, np.concatenate([blk[k][2] for blk in block_states]))
+              for k, (i, kind, _) in enumerate(block_states[0])]
     traces = [
         [TraceStep(-1, "latent", z[b], category_histogram_of(z[b], rc.n, rc.p))]
         + [TraceStep(i, kind, s[b], category_histogram_of(s[b], rc.n, rc.p))

@@ -112,29 +112,37 @@ class SynthSample:
 
 
 def _grow_zones(rng, n, m):
-    """Multi-source stochastic region growing; covers every cell."""
-    labels = np.full((n, n), -1, dtype=np.int64)
+    """Multi-source stochastic region growing; covers every cell.
+
+    The labels live in a flat list indexed i * n + j; plain Python indexing
+    is several times cheaper than numpy scalar indexing in this loop."""
+    labels = [-1] * (n * n)
     cells = rng.choice(n * n, size=m, replace=False)
     frontier = []
     for lab, c in enumerate(cells):
-        i, j = divmod(int(c), n)
-        labels[i, j] = lab
-        frontier.append((i, j))
+        labels[int(c)] = lab
+        frontier.append(divmod(int(c), n))
     remaining = n * n - m
     while remaining:
         idx = int(rng.integers(len(frontier)))
         i, j = frontier[idx]
-        nbrs = [(a, b)
-                for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-                if 0 <= a < n and 0 <= b < n and labels[a, b] < 0]
+        nbrs = []
+        if i > 0 and labels[(i - 1) * n + j] < 0:
+            nbrs.append((i - 1, j))
+        if i < n - 1 and labels[(i + 1) * n + j] < 0:
+            nbrs.append((i + 1, j))
+        if j > 0 and labels[i * n + j - 1] < 0:
+            nbrs.append((i, j - 1))
+        if j < n - 1 and labels[i * n + j + 1] < 0:
+            nbrs.append((i, j + 1))
         if not nbrs:
             frontier.pop(idx)
             continue
         a, b = nbrs[int(rng.integers(len(nbrs)))]
-        labels[a, b] = labels[i, j]
+        labels[a * n + b] = labels[i * n + j]
         frontier.append((a, b))
         remaining -= 1
-    return labels
+    return np.array(labels, dtype=np.int64).reshape(n, n)
 
 
 def _make_context(rng, labels, m, p, green_level):
@@ -255,6 +263,8 @@ def read_dataset(path):
         try:
             rec = json.loads(line)
             context = ContextGraph(np.array(rec["context"], dtype=np.float64))
+            if context.p != p:
+                raise DataError(f"context rows must have P + 2 = {p + 2} entries")
             zones = np.array(rec["zones"], dtype=np.int64).reshape(n, n)
             config = np.array(rec["config"], dtype=np.int64).reshape(n, n, p)
             sample = SynthSample(rec["id"], rec["green_level"], context,

@@ -103,14 +103,15 @@ def nll_tensors(model, x, cond, mode="train", update_stats=True):
     return nll.mean(), nll.data
 
 
-def zone_sample_batch(model, e, rng, collect=None):
+def zone_sample_batch(model, e, rng, collect=None, z=None):
     """Draw a batch of continuous zone vectors by inverting the stack.
 
     e is (B, cond_dim); returns the (B, d) pre-quantization array.  The
-    latent draw is returned too so callers can trace or reuse it.
+    latent ``z`` is drawn from ``rng`` unless given, and is returned too so
+    callers can trace or reuse it.
     """
-    b = e.shape[0]
-    z = rng.standard_normal((b, model.d))
+    if z is None:
+        z = rng.standard_normal((e.shape[0], model.d))
     with no_grad():
         x = model.inverse(Tensor(z), Tensor(np.asarray(e, dtype=np.float64)),
                           mode="eval", collect=collect)

@@ -516,6 +516,28 @@ def test_cli_evaluate_failed_rename_keeps_old_report(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_cli_train_zone_rejects_context_rows_of_the_wrong_width(tmp_path):
+    """A record whose context rows are not P + 2 wide is a parse error with
+    exit 1, not a numpy traceback from stacking the info vectors."""
+    cfg = write_mini_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", cfg, "--count", "4", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["context"] = [row + [0.0] for row in rec["context"]]
+    lines[3] = json.dumps(rec, sort_keys=True)
+    data.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "urbanflows", "train-zone", "--config", cfg,
+         "--dataset", str(data), "--out-ckpt", str(tmp_path / "z.ckpt")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "P + 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "z.ckpt").exists()
+
+
 def test_cli_module_entry_point(tmp_path):
     out = str(tmp_path / "d.jsonl")
     proc = subprocess.run(

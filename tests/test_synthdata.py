@@ -1,6 +1,8 @@
 """Synthetic-corpus properties: guidance-controlled sparsity, archetype
 rates, context features, info-vector layout, and dataset file round trips."""
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -121,6 +123,27 @@ def test_make_dataset_round_robin_levels():
     assert samples == again
 
 
+def _dataset_digest(samples):
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(np.array([s.id, s.green_level], dtype="<i8").tobytes())
+        h.update(s.zones.labels.astype("<i8").tobytes())
+        h.update(s.config.counts.astype("<i8").tobytes())
+        h.update(s.context.node_features.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("args,digest", [
+    ((60, 8, 4, 5, 0), "920181d6b1e280e8a16c1d266ac8872763a7ecd4dd70729d8df999aa0e2b3d4c"),
+    ((60, 8, 4, 5, 1101), "ffcb01b3df8d36c7b98ef7233073396dac1cda0df4b94950e44e9ad92966d334"),
+    ((40, 5, 3, 4, 7), "30c5e3105066c7798618345a0eca95583908e5da95fca94d41170cb67420d8ba"),
+])
+def test_make_dataset_output_is_pinned(args, digest):
+    """Every sample, byte for byte, as synthesized before the zone growing
+    moved from numpy scalar indexing to a flat list: same draws, same order."""
+    assert _dataset_digest(make_dataset(*args)) == digest
+
+
 def test_dataset_file_roundtrip(tmp_path):
     samples = make_dataset(7, N, M, P, seed=9)
     path = tmp_path / "data.jsonl"
@@ -167,6 +190,20 @@ def test_dataset_parse_errors_carry_line_numbers(tmp_path):
     lines[2] = lines[2][: len(lines[2]) // 2]   # truncate a record mid-JSON
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as info:
+        read_dataset(path)
+    assert info.value.line_number == 3
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_dataset_context_rows_must_have_p_plus_2_entries(tmp_path, extra):
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, make_dataset(3, N, M, P, seed=1), N, M, P)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["context"] = [row + [0.5] if extra > 0 else row[:-1] for row in rec["context"]]
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="P \\+ 2 = 7") as info:
         read_dataset(path)
     assert info.value.line_number == 3
 
