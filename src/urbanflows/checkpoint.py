@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -87,52 +88,62 @@ def _manifest_bytes(manifest):
 
 
 def read_header(path):
-    """Parse and validate the header without touching any parameter store."""
+    """Parse and validate the header, then read the payload.
+
+    The payload is read straight into one fresh float64 buffer, sized from
+    the file (never from the header alone, so a header that declares more
+    than the file holds raises before anything is allocated), and returned
+    as a writable byte view of that buffer: ``len(payload)`` is its size
+    in bytes, and ``ParameterStore.load_payload`` installs it without a
+    copy.  Returns (header, payload).
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    nl1 = blob.find(b"\n")
-    if nl1 < 0:
-        raise CheckpointTruncatedError("checkpoint ends inside the magic line")
-    magic_line = blob[:nl1]
-    if not magic_line.startswith(MAGIC + b" v"):
-        raise CheckpointVersionError(f"bad magic line: {magic_line[:40]!r}")
-    try:
-        version = int(magic_line[len(MAGIC) + 2:])
-    except ValueError:
-        raise CheckpointVersionError(f"unreadable version in {magic_line!r}")
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"format version {version} not supported (expected {FORMAT_VERSION})"
-        )
-    nl2 = blob.find(b"\n", nl1 + 1)
-    if nl2 < 0:
-        raise CheckpointTruncatedError("checkpoint ends inside the header line")
-    try:
-        header = json.loads(blob[nl1 + 1:nl2].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointManifestError(f"header is not valid JSON: {exc}")
-    if not isinstance(header, dict):
-        raise CheckpointManifestError("header is not a JSON object")
-    for key in ("format_version", "config", "manifest", "payload_bytes"):
-        if key not in header:
-            raise CheckpointManifestError(f"header missing key {key!r}")
-    if not isinstance(header["config"], dict):
-        raise CheckpointManifestError("header config is not a JSON object")
-    payload = blob[nl2 + 1:]
-    declared = header["payload_bytes"]
-    expected = _manifest_bytes(header["manifest"])
-    if declared != expected:
-        raise CheckpointManifestError(
-            f"manifest describes {expected} payload bytes but header declares {declared}"
-        )
-    if len(payload) < declared:
-        raise CheckpointTruncatedError(
-            f"payload has {len(payload)} bytes, header declares {declared}"
-        )
-    if len(payload) > declared:
-        raise CheckpointManifestError(
-            f"payload has {len(payload)} trailing bytes beyond the declared {declared}"
-        )
+        magic_line = fh.readline()
+        if not magic_line.endswith(b"\n"):
+            raise CheckpointTruncatedError("checkpoint ends inside the magic line")
+        magic_line = magic_line[:-1]
+        if not magic_line.startswith(MAGIC + b" v"):
+            raise CheckpointVersionError(f"bad magic line: {magic_line[:40]!r}")
+        try:
+            version = int(magic_line[len(MAGIC) + 2:])
+        except ValueError:
+            raise CheckpointVersionError(f"unreadable version in {magic_line!r}")
+        if version != FORMAT_VERSION:
+            raise CheckpointVersionError(
+                f"format version {version} not supported (expected {FORMAT_VERSION})"
+            )
+        header_line = fh.readline()
+        if not header_line.endswith(b"\n"):
+            raise CheckpointTruncatedError("checkpoint ends inside the header line")
+        try:
+            header = json.loads(header_line[:-1].decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise CheckpointManifestError(f"header is not valid JSON: {exc}")
+        if not isinstance(header, dict):
+            raise CheckpointManifestError("header is not a JSON object")
+        for key in ("format_version", "config", "manifest", "payload_bytes"):
+            if key not in header:
+                raise CheckpointManifestError(f"header missing key {key!r}")
+        if not isinstance(header["config"], dict):
+            raise CheckpointManifestError("header config is not a JSON object")
+        declared = header["payload_bytes"]
+        expected = _manifest_bytes(header["manifest"])
+        if declared != expected:
+            raise CheckpointManifestError(
+                f"manifest describes {expected} payload bytes but header declares {declared}"
+            )
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held < declared:
+            raise CheckpointTruncatedError(
+                f"payload has {held} bytes, header declares {declared}"
+            )
+        if held > declared:
+            raise CheckpointManifestError(
+                f"payload has {held - declared} trailing bytes beyond the declared {declared}"
+            )
+        payload = memoryview(np.empty(expected // 8)).cast("B")
+        if fh.readinto(payload) != expected:
+            raise CheckpointTruncatedError("checkpoint shrank while it was read")
     return header, payload
 
 

@@ -17,8 +17,16 @@ import numpy as np
 
 from .checkpoint import read_header, rng_state_of, save_checkpoint
 from .config_flow import quantize_config
-from .errors import ConfigurationError, DataError, PipelineError, UrbanFlowsError
+from .errors import (
+    CheckpointManifestError,
+    ConfigurationError,
+    DataError,
+    ParseError,
+    PipelineError,
+    UrbanFlowsError,
+)
 from .fileio import atomic_write
+from .numerics import ParameterStore
 from .pipeline import (
     ModelBundle,
     check_dataset_dims,
@@ -62,18 +70,35 @@ def _write_loss_log(path, rc, history):
             fh.write(f"{step}\t{loss:.12f}\n")
 
 
-def _bundle_from_checkpoint(path, overrides=None):
+def _bundle_from_checkpoint(path, run_config_of, what="checkpoint", mismatch=None):
+    """The bundle a checkpoint holds, built on a store opened on its
+    payload: no parameter is drawn, and the payload is read once into the
+    buffer the parameters live in.
+
+    ``run_config_of(header)`` gives the bundle's run config.  A manifest
+    that does not fit it raises ``CheckpointManifestError``, or
+    ``ConfigurationError(mismatch)`` when a message is given.
+    """
     try:
         header, payload = read_header(path)
     except FileNotFoundError:
-        raise PipelineError(f"checkpoint not found: {path}")
-    cfg_dict = dict(header["config"])
-    for key, val in (overrides or {}).items():
-        cfg_dict[key] = val
-    rc = RunConfig.from_sources(None, cfg_dict)
-    bundle = ModelBundle(rc)
-    bundle.store.load_payload(header["manifest"], payload)
-    return bundle, header
+        raise PipelineError(f"{what} not found: {path}")
+    rc = run_config_of(header)
+    try:
+        bundle = ModelBundle(rc, ParameterStore.opened(header["manifest"], payload))
+    except CheckpointManifestError:
+        if mismatch is None:
+            raise
+        raise ConfigurationError(mismatch)
+    return bundle
+
+
+def _checkpoint_bundle(args):
+    """The bundle of ``--ckpt``, with its saved config and ``--set`` on top."""
+    overrides = _overrides(getattr(args, "set", None))
+    return _bundle_from_checkpoint(
+        args.ckpt,
+        lambda header: RunConfig.from_sources(None, {**header["config"], **overrides}))
 
 
 # largest batch one generate_batch call samples; bounds the memory of a call
@@ -121,16 +146,9 @@ def cmd_train_config(args):
     rc = _load_run_config(args)
     samples, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
-    bundle = ModelBundle(rc)
-    try:
-        header, payload = read_header(args.zone_ckpt)
-    except FileNotFoundError:
-        raise PipelineError(f"zone checkpoint not found: {args.zone_ckpt}")
-    if header["manifest"] != bundle.store.manifest():
-        raise ConfigurationError(
-            "zone checkpoint was built with different model dimensions"
-        )
-    bundle.store.load_payload(header["manifest"], payload)
+    bundle = _bundle_from_checkpoint(
+        args.zone_ckpt, lambda header: rc, what="zone checkpoint",
+        mismatch="zone checkpoint was built with different model dimensions")
     rng = np.random.default_rng(rc.seed + 1)
     history = []
     fault = None
@@ -188,8 +206,7 @@ def _write_trace(path, trace, rc, gen_index, green_level):
 
 def cmd_generate(args, trace_flag=None):
     _check_count(args.count, 1)
-    overrides = _overrides(getattr(args, "set", None))
-    bundle, _ = _bundle_from_checkpoint(args.ckpt, overrides)
+    bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
     if not 0 <= args.green_level < 5:
         raise DataError(f"green level {args.green_level} out of range [0, 4]")
@@ -238,8 +255,7 @@ def cmd_generate(args, trace_flag=None):
 
 
 def cmd_evaluate(args):
-    overrides = _overrides(getattr(args, "set", None))
-    bundle, _ = _bundle_from_checkpoint(args.ckpt, overrides)
+    bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
     samples, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
@@ -323,7 +339,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except UrbanFlowsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = ""
+        if isinstance(exc, ParseError) and exc.path is not None:
+            where = f"{os.fspath(exc.path)}:{exc.line_number}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

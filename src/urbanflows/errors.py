@@ -47,11 +47,13 @@ class OracleError(UrbanFlowsError):
 
 
 class ParseError(UrbanFlowsError):
-    """A dataset or config file line could not be parsed."""
+    """A dataset or config file line could not be parsed; ``path`` and
+    ``line_number`` (1-based) say where."""
 
-    def __init__(self, message, line_number=None):
+    def __init__(self, message, line_number=None, path=None):
         super().__init__(message)
         self.line_number = line_number
+        self.path = path
 
 
 class FormatError(UrbanFlowsError):

@@ -37,4 +37,4 @@ def read_text_lines(path):
         return blob.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError("file is not UTF-8 text",
-                         line_number=blob[:exc.start].count(b"\n") + 1) from exc
+                         line_number=blob[:exc.start].count(b"\n") + 1, path=path) from exc

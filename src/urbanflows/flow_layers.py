@@ -11,17 +11,30 @@ Conventions used throughout:
 * Scale outputs are clamped to [-CLAMP, CLAMP] through a smooth tanh squash
   so exp(s) stays within [e^-5, e^5] no matter what the conditioner emits.
 * Every conditioner pass, dense or MADE-masked, is one ``conditioner_mlp``
-  tape node, clamp included.
+  tape node, clamp included; the Jacobi sweeps of an AR inverse run its
+  numpy body, ``conditioner_mlp_arrays``, on ndarrays.
+* Layers register their parameters as (name, shape, init recipe), so a
+  store opened on a checkpoint builds them without drawing anything.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
 
 from .errors import ConfigurationError, ModeError, SamplingFault
-from .numerics import Tensor, concat, conditioner_mlp, exp, log, no_grad, permute_columns
+from .numerics import (
+    Tensor,
+    concat,
+    conditioner_mlp,
+    conditioner_mlp_arrays,
+    exp,
+    log,
+    normal,
+    permute_columns,
+)
 
 CLAMP = 5.0
 LN_2PI = float(np.log(2.0 * np.pi))
@@ -61,27 +74,36 @@ class MadeMaskSet:
     """Binary masks enforcing strict autoregression through an MLP.
 
     hidden_masks[l] has shape (fan_in, fan_out) and multiplies the l-th
-    weight matrix elementwise; out_mask has shape (last_width, d) and is
-    tiled across the (s, b) output panels.  Input coordinate j carries degree
-    j (1-based); output i connects only to hidden units of degree < i, so
-    output 1 sees nothing at all.
+    weight matrix elementwise; out_mask has shape (last_width, d), and
+    sb_out_mask is out_mask tiled across the (s, b) output panels.  Input
+    coordinate j carries degree j (1-based); output i connects only to
+    hidden units of degree < i, so output 1 sees nothing at all.  One set
+    is shared by every conditioner built with the same (d, widths, seed),
+    so its arrays are read-only.
     """
 
-    __slots__ = ("d", "hidden_masks", "out_mask", "hidden_degrees")
+    __slots__ = ("d", "hidden_masks", "out_mask", "sb_out_mask", "hidden_degrees")
 
     def __init__(self, d, hidden_masks, out_mask, hidden_degrees):
         self.d = d
         self.hidden_masks = hidden_masks
         self.out_mask = out_mask
+        self.sb_out_mask = np.tile(out_mask, (1, 2))
         self.hidden_degrees = hidden_degrees
 
 
 def build_made_masks(d, hidden_widths, seed):
-    """Construct masks for input dimension d and the given hidden widths.
+    """Masks for input dimension d and the given hidden widths.
 
     Hidden degrees are drawn uniformly from [1, d-1] using the seed, so the
-    same (d, widths, seed) triple always yields identical masks.
+    same (d, widths, seed) triple always yields identical masks; each triple
+    is built once and the set shared.
     """
+    return _made_masks(int(d), tuple(int(w) for w in hidden_widths), int(seed))
+
+
+@functools.lru_cache(maxsize=None)
+def _made_masks(d, hidden_widths, seed):
     if d < 2:
         raise ConfigurationError("autoregressive masks need d >= 2")
     if any(w < 1 for w in hidden_widths):
@@ -99,7 +121,10 @@ def build_made_masks(d, hidden_widths, seed):
         prev = deg
     # output i keeps hidden h iff i > deg(h): strictly lower inputs only
     out_mask = (prev[:, None] < in_degrees[None, :]).astype(np.float64)
-    return MadeMaskSet(d, hidden_masks, out_mask, hidden_degrees)
+    masks = MadeMaskSet(d, tuple(hidden_masks), out_mask, tuple(hidden_degrees))
+    for arr in (*hidden_masks, out_mask, masks.sb_out_mask, *hidden_degrees):
+        arr.flags.writeable = False
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +139,9 @@ def _mlp_pass(x, hidden, final, d):
 
 
 def _init_dense(store, name, fan_in, fan_out, rng, zero=False):
-    if zero:
-        w = np.zeros((fan_in, fan_out))
-    else:
-        w = rng.normal(0.0, 1.0 / np.sqrt(max(fan_in, 1)), size=(fan_in, fan_out))
-    weight = store.add(name + ".w", w)
-    bias = store.add(name + ".b", np.zeros(fan_out))
+    init = 0.0 if zero else normal(rng, 1.0 / np.sqrt(max(fan_in, 1)))
+    weight = store.param(name + ".w", (fan_in, fan_out), init)
+    bias = store.param(name + ".b", (fan_out,))
     return weight, bias
 
 
@@ -154,10 +176,12 @@ class MaskedConditioner:
     ``bind(cond)`` builds what one condition fixes for any number of passes
     (the masked weights ``w * mask`` and each hidden layer's condition term
     ``cond @ v``) and returns the pass ``x -> (s, b)``; a call
-    ``net(x, cond)`` is ``net.bind(cond)(x)``, so the density forward (on
-    the tape) and the fixed-point inverse run the same code.  ``calls``
-    counts passes, which the sampling-complexity audit reads; it stays
-    exact when passes run on several threads at once.
+    ``net(x, cond)`` is ``net.bind(cond)(x)``, the density forward on the
+    tape.  ``bind_arrays`` is the same pass on ndarrays, off the tape, for
+    the fixed-point inverse; both run the one ``conditioner_mlp_arrays``
+    body.  ``calls`` counts passes of either kind, which the
+    sampling-complexity audit reads; it stays exact when passes run on
+    several threads at once.
     """
 
     def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64), mask_seed=0):
@@ -170,28 +194,23 @@ class MaskedConditioner:
         for i, width in enumerate(widths):
             w, b = _init_dense(store, f"{prefix}.h{i}", fan, width, rng)
             if cond_dim:
-                v = store.add(
-                    f"{prefix}.h{i}.v",
-                    rng.normal(0.0, 1.0 / np.sqrt(cond_dim), size=(cond_dim, width)),
-                )
+                v = store.param(f"{prefix}.h{i}.v", (cond_dim, width),
+                                normal(rng, 1.0 / np.sqrt(cond_dim)))
             else:
                 v = None
             self.hidden.append((w, v, b))
             fan = width
-        w = store.add(f"{prefix}.out.w", np.zeros((fan, 2 * d)))
-        b = store.add(f"{prefix}.out.b", np.zeros(2 * d))
-        self.final = (w, b)
+        self.final = (store.param(f"{prefix}.out.w", (fan, 2 * d)),
+                      store.param(f"{prefix}.out.b", (2 * d,)))
         self._mask_tensors = [Tensor(m) for m in self.masks.hidden_masks]
-        self._out_mask = Tensor(np.tile(self.masks.out_mask, (1, 2)))
+        self._out_mask = Tensor(self.masks.sb_out_mask)
 
-    def bind(self, cond=None):
-        """Fix the condition and return the pass ``x -> (s, b)``."""
+    def _check_cond(self, cond):
         if self.cond_dim and (cond is None or cond.shape[-1] != self.cond_dim):
             raise ConfigurationError("condition vector missing or mis-sized")
-        hidden = [(w * mask, b, None if v is None else cond @ v)
-                  for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
-        w, b_out = self.final
-        final = (w * self._out_mask, b_out)
+
+    def _counted(self, run):
+        """``run`` as a pass that checks its input width and counts itself."""
         d = self.d
 
         def conditioner_pass(x):
@@ -201,9 +220,34 @@ class MaskedConditioner:
                 )
             with _CALLS_LOCK:
                 self.calls += 1
-            return _mlp_pass(x, hidden, final, d)
+            return run(x)
 
         return conditioner_pass
+
+    def bind(self, cond=None):
+        """Fix the condition and return the pass ``x -> (s, b)``."""
+        self._check_cond(cond)
+        hidden = [(w * mask, b, None if v is None else cond @ v)
+                  for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
+        w, b_out = self.final
+        final = (w * self._out_mask, b_out)
+        return self._counted(lambda x: _mlp_pass(x, hidden, final, self.d))
+
+    def bind_arrays(self, cond=None):
+        """``bind`` on ndarrays: fix the condition (an ndarray or None) and
+        return the pass ``x -> (s, b)`` on ndarrays, with no tape."""
+        self._check_cond(cond)
+        hidden = [(w.data * mask.data, b.data, None if v is None else cond @ v.data)
+                  for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
+        w, b_out = self.final
+        w_out = w.data * self._out_mask.data
+        d = self.d
+
+        def run(x):
+            out = conditioner_mlp_arrays(x, hidden, w_out, b_out.data, d, CLAMP)[0]
+            return out[:, :d], out[:, d:]
+
+        return self._counted(run)
 
     def __call__(self, x, cond=None):
         return self.bind(cond)(x)
@@ -269,10 +313,9 @@ class BatchNormFlow:
         self.d = d
         self.momentum = momentum
         self.eps = eps
-        self.running_mean = store.add(f"{prefix}.running_mean", np.zeros(d), trainable=False)
-        self.running_var = store.add(
-            f"{prefix}.running_var", np.full(d, 1.0 - eps), trainable=False
-        )
+        self.running_mean = store.param(f"{prefix}.running_mean", (d,), trainable=False)
+        self.running_var = store.param(f"{prefix}.running_var", (d,), 1.0 - eps,
+                                       trainable=False)
 
     def forward(self, x, mode="train", update_stats=True):
         if mode == "train":
@@ -334,21 +377,21 @@ class MaskedARLayer:
         unchanged.  A non-finite state never compares equal, runs to the cap
         and is reported by the caller.  The conditioner is bound to ``cond``
         once, so the sweeps share its masked weights and condition terms.
-        Runs under no_grad: the generation direction of AR layers is never
-        differentiated in this package.
+        The sweeps run on ndarrays, off the tape: the generation direction
+        of AR layers is never differentiated in this package.
         """
         y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-        if cond is not None and not isinstance(cond, Tensor):
-            cond = Tensor(cond)
+        if cond is not None:
+            cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=np.float64)
         x = np.zeros_like(y_data)
         # a non-finite state meets the zero masked weights (inf * 0) and may
         # overflow exp; the caller turns it into a SamplingFault, so numpy
         # need not warn on the way
-        with no_grad(), np.errstate(invalid="ignore", over="ignore"):
-            conditioner_pass = self.net.bind(cond)
+        with np.errstate(invalid="ignore", over="ignore"):
+            conditioner_pass = self.net.bind_arrays(cond)
             for _ in range(self.d + 1):
-                s, b = conditioner_pass(Tensor(x))
-                x_next = (y_data - b.data) * np.exp(-s.data)
+                s, b = conditioner_pass(x)
+                x_next = (y_data - b) * np.exp(-s)
                 if np.array_equal(x_next, x):
                     break
                 x = x_next

@@ -19,6 +19,7 @@ from .numerics import (
     gelu,
     global_avg_pool,
     layer_norm,
+    normal,
     softmax_rows,
 )
 
@@ -47,10 +48,8 @@ class GeoExtractor:
         self.n_cx = n_cx
         self.drop_path = float(drop_path)
         c = stem_channels
-        self.stem_w = store.add(
-            f"{prefix}.stem.w", rng.normal(0.0, 1.0 / 3.0, size=(c, 1, 3, 3))
-        )
-        self.stem_b = store.add(f"{prefix}.stem.b", np.zeros(c))
+        self.stem_w = store.param(f"{prefix}.stem.w", (c, 1, 3, 3), normal(rng, 1.0 / 3.0))
+        self.stem_b = store.param(f"{prefix}.stem.b", (c,))
         self.stem_ln = self._add_ln(store, f"{prefix}.stem.ln", c)
         self.blocks = []
         self.downs = []
@@ -60,36 +59,35 @@ class GeoExtractor:
                 self.downs.append(self._add_down(store, f"{prefix}.down{i}", c, rng))
                 c *= 2
         self.head_ln = self._add_ln(store, f"{prefix}.head.ln", c)
-        self.head_w = store.add(
-            f"{prefix}.head.w", rng.normal(0.0, 1.0 / np.sqrt(c), size=(c, out_dim))
-        )
-        self.head_b = store.add(f"{prefix}.head.b", np.zeros(out_dim))
+        self.head_w = store.param(f"{prefix}.head.w", (c, out_dim),
+                                  normal(rng, 1.0 / np.sqrt(c)))
+        self.head_b = store.param(f"{prefix}.head.b", (out_dim,))
         self.final_channels = c
 
     @staticmethod
     def _add_ln(store, prefix, c):
-        return (store.add(f"{prefix}.gamma", np.ones(c)),
-                store.add(f"{prefix}.beta", np.zeros(c)))
+        return (store.param(f"{prefix}.gamma", (c,), 1.0),
+                store.param(f"{prefix}.beta", (c,)))
 
     @staticmethod
     def _add_convnext(store, prefix, c, rng):
         return {
-            "dw_w": store.add(f"{prefix}.dw.w", rng.normal(0.0, 1.0 / 3.0, size=(c, 3, 3))),
-            "dw_b": store.add(f"{prefix}.dw.b", np.zeros(c)),
+            "dw_w": store.param(f"{prefix}.dw.w", (c, 3, 3), normal(rng, 1.0 / 3.0)),
+            "dw_b": store.param(f"{prefix}.dw.b", (c,)),
             "ln": GeoExtractor._add_ln(store, f"{prefix}.ln", c),
-            "up_w": store.add(f"{prefix}.up.w", rng.normal(0.0, 1.0 / np.sqrt(c), size=(c, 4 * c))),
-            "up_b": store.add(f"{prefix}.up.b", np.zeros(4 * c)),
-            "down_w": store.add(f"{prefix}.pw.w", rng.normal(0.0, 0.5 / np.sqrt(c), size=(4 * c, c))),
-            "down_b": store.add(f"{prefix}.pw.b", np.zeros(c)),
-            "ls": store.add(f"{prefix}.ls", np.full(c, 1e-6)),
+            "up_w": store.param(f"{prefix}.up.w", (c, 4 * c), normal(rng, 1.0 / np.sqrt(c))),
+            "up_b": store.param(f"{prefix}.up.b", (4 * c,)),
+            "down_w": store.param(f"{prefix}.pw.w", (4 * c, c), normal(rng, 0.5 / np.sqrt(c))),
+            "down_b": store.param(f"{prefix}.pw.b", (c,)),
+            "ls": store.param(f"{prefix}.ls", (c,), 1e-6),
         }
 
     @staticmethod
     def _add_down(store, prefix, c, rng):
         return {
             "ln": GeoExtractor._add_ln(store, f"{prefix}.ln", c),
-            "w": store.add(f"{prefix}.w", rng.normal(0.0, 0.5 / c, size=(2 * c, c, 2, 2))),
-            "b": store.add(f"{prefix}.b", np.zeros(2 * c)),
+            "w": store.param(f"{prefix}.w", (2 * c, c, 2, 2), normal(rng, 0.5 / c)),
+            "b": store.param(f"{prefix}.b", (2 * c,)),
         }
 
     @staticmethod
@@ -194,14 +192,13 @@ class FusionModule:
         self.geo = GeoExtractor(store, f"{prefix}.geo", out_dim, rng,
                                 stem_channels=stem_channels, n_cx=n_cx,
                                 drop_path=drop_path)
-        self.w_z = store.add(f"{prefix}.wz",
-                             rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, 1)))
-        self.w_s = store.add(f"{prefix}.ws", np.array(1.0))
-        self.w_g = store.add(f"{prefix}.wg", np.array(1.0))
+        self.w_z = store.param(f"{prefix}.wz", (n, 1), normal(rng, 1.0 / np.sqrt(n)))
+        self.w_s = store.param(f"{prefix}.ws", (), 1.0)
+        self.w_g = store.param(f"{prefix}.wg", (), 1.0)
         scale = 1.0 / np.sqrt(out_dim)
         self.attn = {
-            name: store.add(f"{prefix}.attn.{name}",
-                            rng.normal(0.0, scale, size=(out_dim, out_dim)))
+            name: store.param(f"{prefix}.attn.{name}", (out_dim, out_dim),
+                              normal(rng, scale))
             for name in ("wq", "wk", "wv", "wo")
         }
 

@@ -21,10 +21,11 @@ from .kernels import (
     layer_norm,
     gelu,
     conditioner_mlp,
+    conditioner_mlp_arrays,
     softmax_rows,
     global_avg_pool,
 )
-from .params import ParameterStore
+from .params import ParameterStore, normal
 from .optim import Adam
 from .oracle import numerical_jacobian, numerical_gradient, max_relative_error
 
@@ -47,9 +48,11 @@ __all__ = [
     "layer_norm",
     "gelu",
     "conditioner_mlp",
+    "conditioner_mlp_arrays",
     "softmax_rows",
     "global_avg_pool",
     "ParameterStore",
+    "normal",
     "Adam",
     "numerical_jacobian",
     "numerical_gradient",

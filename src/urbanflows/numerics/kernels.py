@@ -23,7 +23,8 @@ nine per layer-norm) and the intermediates each one would keep.
 the tanh scale clamp) as one tape node; it too runs the composed pass's
 numpy operations in their order, so its outputs are bit for bit the
 composed ones.  It keeps the intermediates its backward needs only when
-the node goes on the tape.
+the node goes on the tape.  Its numpy body, ``conditioner_mlp_arrays``,
+is also what the fixed-point inverse of an AR layer calls on ndarrays.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "layer_norm",
     "gelu",
     "conditioner_mlp",
+    "conditioner_mlp_arrays",
     "softmax_rows",
     "global_avg_pool",
 ]
@@ -205,6 +207,34 @@ def gelu(x):
     return _node(out_data, (x,), backward)
 
 
+def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
+    """The numpy body of ``conditioner_mlp`` on ndarrays, off the tape.
+
+    ``hidden`` lists ``(w, b, cv)`` arrays (``cv`` None for no term).
+    Returns ``(out, t, h)``: the ``(B, 2d)`` output, the tanh of the scale
+    columns and the last hidden activation.  When ``saved`` is a list, each
+    hidden layer appends ``(input, pre-activation, 1 + erf)`` to it.
+    """
+    h = x
+    for w, b, cv in hidden:
+        pre = h @ w
+        pre += b
+        if cv is not None:
+            pre += cv
+        one_plus_erf = pre * _INV_SQRT2
+        _erf(one_plus_erf, out=one_plus_erf)
+        one_plus_erf += 1.0
+        if saved is not None:
+            saved.append((h, pre, one_plus_erf))
+        h = pre * 0.5
+        h *= one_plus_erf
+    out = h @ w_out
+    out += b_out
+    t = np.tanh(out[:, :d] * (1.0 / clamp))
+    np.multiply(t, clamp, out=out[:, :d])
+    return out, t, h
+
+
 def conditioner_mlp(x, hidden, w_out, b_out, d, clamp):
     """One conditioner-MLP pass: ``(B, 2d)`` rows ``[s | shift]``.
 
@@ -220,25 +250,10 @@ def conditioner_mlp(x, hidden, w_out, b_out, d, clamp):
         parents += (w, b) if cv is None else (w, b, cv)
     parents += (w_out, b_out)
     taped = grad_enabled() and any(p.requires_grad for p in parents)
-    h = x.data
-    saved = []  # (layer input, pre-activation, 1 + erf) per hidden layer
-    for w, b, cv in hidden:
-        pre = h @ w.data
-        pre += b.data
-        if cv is not None:
-            pre += cv.data
-        one_plus_erf = pre * _INV_SQRT2
-        _erf(one_plus_erf, out=one_plus_erf)
-        one_plus_erf += 1.0
-        if taped:
-            saved.append((h, pre, one_plus_erf))
-        h = pre * 0.5
-        h *= one_plus_erf
-    out = h @ w_out.data
-    out += b_out.data
-    t = np.tanh(out[:, :d] * (1.0 / clamp))
-    np.multiply(t, clamp, out=out[:, :d])
-    h_last = h
+    saved = [] if taped else None  # (layer input, pre-activation, 1 + erf) per hidden layer
+    out, t, h_last = conditioner_mlp_arrays(
+        x.data, [(w.data, b.data, None if cv is None else cv.data) for w, b, cv in hidden],
+        w_out.data, b_out.data, d, clamp, saved)
 
     def backward(g):
         g_pre = g.copy()

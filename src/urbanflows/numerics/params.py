@@ -1,11 +1,72 @@
-"""Named parameter registry with a deterministic serialization order."""
+"""Named parameter registry with a deterministic serialization order.
+
+Layers register each parameter as (name, shape, init recipe) through
+``ParameterStore.param``.  A fresh store runs every recipe as it is
+registered, so a model built on it draws its initial values from the
+layers' rng in registration order.  A store opened on a checkpoint payload
+(``ParameterStore.opened``) runs no recipe: it hands out writable views of
+the one float64 buffer the payload lives in, so a model built on it draws
+nothing and copies no value.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from ..errors import CheckpointManifestError, CheckpointValueError, ConfigurationError
 from .tape import Tensor
+
+_MISMATCH = "parameter manifest does not match model structure"
+
+
+def normal(rng, std):
+    """Init recipe: independent N(0, std^2) entries, drawn from ``rng`` when
+    a fresh store registers the parameter."""
+    return lambda shape: rng.normal(0.0, std, size=shape)
+
+
+def _entries(manifest):
+    """A manifest's (name, shape tuple) pairs."""
+    return [(str(name), tuple(int(v) for v in shape)) for name, shape in manifest]
+
+
+def _buffer_views(entries, payload):
+    """Lay the payload out as ``entries`` (name, shape) in order.
+
+    Returns ``(flat, layout, views)``: the payload as one writable float64
+    array (its own memory when it already is one, else one copy), each
+    entry's (name, start, stop) slice, and {name: writable C-contiguous
+    view of its slice}.
+    """
+    layout = []
+    offset = 0
+    for name, shape in entries:
+        layout.append((name, offset, offset + math.prod(shape)))
+        offset += math.prod(shape)
+    if memoryview(payload).nbytes != 8 * offset:
+        raise CheckpointManifestError(
+            f"payload has {memoryview(payload).nbytes} bytes, manifest describes {8 * offset}"
+        )
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not (flat.flags.writeable and flat.flags.aligned and flat.dtype.isnative):
+        flat = flat.astype(np.float64)
+    views = {name: flat[start:stop].reshape(shape)
+             for (name, start, stop), (_, shape) in zip(layout, entries)}
+    return flat, layout, views
+
+
+def _check_values(flat, layout):
+    """Raise ``CheckpointValueError`` naming the first parameter, in manifest
+    order, that holds a non-finite value or a ``*.running_var`` <= 0."""
+    all_finite = np.isfinite(flat).all()
+    for name, start, stop in layout:
+        arr = flat[start:stop]
+        if not all_finite and not np.isfinite(arr).all():
+            raise CheckpointValueError(f"parameter {name} holds a non-finite value")
+        if name.endswith(".running_var") and (arr <= 0.0).any():
+            raise CheckpointValueError(f"parameter {name} holds a variance <= 0")
 
 
 class ParameterStore:
@@ -19,17 +80,68 @@ class ParameterStore:
     def __init__(self):
         self._params = {}
         self._trainable = {}
+        # an opened store: (payload buffer, layout, {name: view} of the
+        # entries not yet registered)
+        self._opened = None
 
-    def add(self, name, data, trainable=True):
-        """Register a tensor.  Non-trainable entries (running statistics)
-        still appear in manifests and payloads but are skipped by
-        ``trainable_items``."""
+    @classmethod
+    def opened(cls, manifest, payload):
+        """A store whose parameters are a checkpoint payload's values.
+
+        ``manifest`` lists (name, shape) in lexicographic name order, as a
+        checkpoint header does.  The payload becomes one float64 buffer
+        (itself, when it already is a writable one), and ``param`` hands
+        out views of it.  Building a model on the store checks the manifest
+        against the model; ``check_complete`` then checks that nothing was
+        left over and that every value is one a trained model holds.
+        """
+        entries = _entries(manifest)
+        if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
+            raise CheckpointManifestError(_MISMATCH)
+        store = cls()
+        store._opened = _buffer_views(entries, payload)
+        return store
+
+    def param(self, name, shape, init=0.0, trainable=True):
+        """Register a parameter of ``shape`` and return its tensor.
+
+        ``init`` is a constant fill value or a recipe ``shape -> array``
+        such as ``normal(rng, std)``; only a fresh store runs it.
+        Non-trainable entries (running statistics) still appear in
+        manifests and payloads but are skipped by ``trainable_items``.
+        """
         if name in self._params:
             raise ConfigurationError(f"duplicate parameter name: {name}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable)
+        shape = tuple(shape)
+        if self._opened is None:
+            data = init(shape) if callable(init) else np.full(shape, init, dtype=np.float64)
+        else:
+            data = self._opened[2].pop(name, None)
+            if data is None or data.shape != shape:
+                raise CheckpointManifestError(_MISMATCH)
+        t = Tensor(data, requires_grad=trainable)
         self._params[name] = t
         self._trainable[name] = bool(trainable)
         return t
+
+    def add(self, name, data, trainable=True):
+        """Register a tensor with the given values (an opened store keeps
+        its payload's values instead)."""
+        return self.param(name, np.shape(data),
+                          lambda shape: np.array(data, dtype=np.float64), trainable)
+
+    def check_complete(self):
+        """For an opened store, once the model is built on it: raise
+        ``CheckpointManifestError`` if the payload holds a parameter the
+        model did not register, and ``CheckpointValueError`` naming the
+        first non-finite value or running variance <= 0.  A fresh store
+        passes."""
+        if self._opened is None:
+            return
+        flat, layout, unclaimed = self._opened
+        if unclaimed:
+            raise CheckpointManifestError(_MISMATCH)
+        _check_values(flat, layout)
 
     def __getitem__(self, name):
         return self._params[name]
@@ -73,30 +185,20 @@ class ParameterStore:
         """Fill parameter values from a manifest + raw float64 payload.
 
         The manifest must list exactly this store's names with matching
-        shapes, in lexicographic order.  A non-finite value, or a
-        ``*.running_var`` entry <= 0, raises ``CheckpointValueError`` naming
-        the parameter, and then no parameter is changed.
+        shapes, in lexicographic order.  Each parameter becomes a writable
+        view of one float64 buffer holding the payload: the payload itself
+        when it already is one (as ``read_header`` returns it), else one
+        copy.  A non-finite value, or a ``*.running_var`` entry <= 0,
+        raises ``CheckpointValueError`` naming the parameter, and then no
+        parameter is changed.
         """
-        expected = self.manifest()
-        got = [[str(n), [int(v) for v in s]] for n, s in manifest]
-        if got != expected:
-            raise CheckpointManifestError(
-                "parameter manifest does not match model structure"
-            )
-        values = []
-        offset = 0
-        for name in self.names():
-            t = self._params[name]
-            arr = np.frombuffer(payload, dtype="<f8", count=t.size, offset=offset)
-            arr = arr.reshape(t.shape).astype(np.float64)
-            if not np.isfinite(arr).all():
-                raise CheckpointValueError(f"parameter {name} holds a non-finite value")
-            if name.endswith(".running_var") and (arr <= 0.0).any():
-                raise CheckpointValueError(f"parameter {name} holds a variance <= 0")
-            values.append((t, arr))
-            offset += 8 * t.size
-        for t, arr in values:
-            t.data = arr
+        entries = _entries(manifest)
+        if entries != [(name, t.shape) for name, t in self.items()]:
+            raise CheckpointManifestError(_MISMATCH)
+        flat, layout, views = _buffer_views(entries, payload)
+        _check_values(flat, layout)
+        for name, view in views.items():
+            self._params[name].data = view
 
     def snapshot(self, prefix=""):
         """Copies of the values of every parameter whose name starts with

@@ -42,12 +42,19 @@ from .zone_flow import (
 
 
 class ModelBundle:
-    """All three model parts over one parameter store."""
+    """All three model parts over one parameter store.
 
-    def __init__(self, run_config):
+    ``store`` defaults to a fresh store, whose parameters are drawn from
+    ``rc.seed``.  A store opened on a checkpoint payload
+    (``ParameterStore.opened``) lends the parts its values instead, so
+    nothing is drawn; a payload that does not fit the parts raises a
+    ``CheckpointError``.
+    """
+
+    def __init__(self, run_config, store=None):
         rc = run_config.validate()
         self.cfg = rc
-        self.store = ParameterStore()
+        self.store = ParameterStore() if store is None else store
         rng = np.random.default_rng(rc.seed)
         self.zone = ZoneFlowModel(
             self.store, "zone", rc.d_zone, rc.info_dim, rng,
@@ -65,6 +72,7 @@ class ModelBundle:
             k=rc.k_config, widths=rc.config_hidden,
             use_uncond_ar=rc.use_uncond_ar, attend=self.fusion.attend,
         )
+        self.store.check_complete()
 
     def named_trainable(self, prefixes=None):
         items = list(self.store.trainable_items())

@@ -185,7 +185,7 @@ def parse_config_file(path):
             continue
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value': {stripped!r}",
-                             line_number=lineno)
+                             line_number=lineno, path=path)
         key, _, val = stripped.partition("=")
         values[key.strip()] = val.strip()
     return values

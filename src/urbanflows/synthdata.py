@@ -240,13 +240,13 @@ def read_dataset(path):
     """Returns (samples, meta dict with N/M/P)."""
     lines = read_text_lines(path)
     if not lines:
-        raise ParseError("dataset file has no header line", line_number=1)
+        raise ParseError("dataset file has no header line", line_number=1, path=path)
     try:
         header = json.loads(lines[0])
     except ValueError as exc:  # JSONDecodeError, or an int literal past the digit limit
-        raise ParseError(f"bad header: {exc}", line_number=1) from exc
+        raise ParseError(f"bad header: {exc}", line_number=1, path=path) from exc
     if not isinstance(header, dict):
-        raise ParseError("header is not a JSON object", line_number=1)
+        raise ParseError("header is not a JSON object", line_number=1, path=path)
     if header.get("format_version") != DATASET_VERSION:
         raise FormatError(
             f"unsupported dataset version {header.get('format_version')!r}"
@@ -254,7 +254,7 @@ def read_dataset(path):
     dims = [header.get(key) for key in ("N", "M", "P")]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
         raise ParseError(f"header dimensions N, M, P must be integers, got {dims!r:.60}",
-                         line_number=1)
+                         line_number=1, path=path)
     n, m, p = dims
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -270,6 +270,6 @@ def read_dataset(path):
             sample = SynthSample(rec["id"], rec["green_level"], context,
                                  ZoneMap(zones), ConfigTensor(config))
         except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:
-            raise ParseError(f"bad record: {exc}", line_number=lineno) from exc
+            raise ParseError(f"bad record: {exc}", line_number=lineno, path=path) from exc
         samples.append(sample)
     return samples, {"N": n, "M": m, "P": p}

@@ -12,6 +12,7 @@ from urbanflows.checkpoint import (
     save_checkpoint,
 )
 from urbanflows.errors import (
+    CheckpointError,
     CheckpointManifestError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -65,14 +66,96 @@ def test_rng_state_continues_the_stream(tmp_path):
     np.testing.assert_array_equal(resumed2.normal(size=4), expected)
 
 
-def test_truncated_payload(tmp_path):
+def _declare_huge(header):
+    # 10^15 bytes: reading into a buffer of that size would fail untyped
+    header["manifest"] = [["a.b", [125_000_000_000_000]]]
+    header["payload_bytes"] = 10 ** 15
+
+
+def test_truncated_payload(tmp_path, rewrite_header):
+    """A file that holds less payload than its header declares raises a
+    typed error, and no buffer of the declared size is allocated."""
+    cases = [
+        (5, None, CheckpointTruncatedError),
+        (0, _declare_huge, CheckpointTruncatedError),
+        (0, lambda header: header.update(payload_bytes=10 ** 15), CheckpointManifestError),
+    ]
+    for cut, declare, error in cases:
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, small_store(), {})
+        if declare is not None:
+            rewrite_header(path, declare)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) - cut])
+        with pytest.raises(error):
+            read_header(path)
+        with pytest.raises(error):
+            load_checkpoint(path, store=small_store())
+
+
+def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
+    """``load_checkpoint`` reads the payload into one float64 buffer and
+    ``load_payload`` makes every parameter a writable, C-contiguous view
+    of it, in manifest order; immutable payload bytes are copied once."""
     store = small_store()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, store, {})
     blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(CheckpointTruncatedError):
-        read_header(path)
+    file_values = np.frombuffer(blob, dtype="<f8", offset=len(blob) - store.payload_size())
+
+    target = small_store(seed=99)
+    _, payload = load_checkpoint(path, store=target)
+    assert isinstance(payload, memoryview) and len(payload) == store.payload_size()
+    buffer = np.frombuffer(payload, dtype=np.float64)
+    offset = 0
+    for name in target.names():
+        arr = target[name].data
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert np.array_equal(arr.ravel(), file_values[offset:offset + arr.size])
+        assert np.shares_memory(arr, buffer[offset:offset + arr.size])
+        offset += arr.size
+    tensors = target.tensors()
+    for a, b in zip(tensors, tensors[1:]):
+        assert not np.shares_memory(a.data, b.data)
+
+    # bytes cannot be written through, so they are copied, once
+    caller = bytes(payload)
+    other = small_store(seed=5)
+    other.load_payload(other.manifest(), caller)
+    caller_values = np.frombuffer(caller, dtype="<f8")
+    bases = {id(t.data.base) for t in other.tensors()}
+    assert len(bases) == 1
+    for name in other.names():
+        arr = other[name].data
+        assert arr.flags.writeable and not np.shares_memory(arr, caller_values)
+        assert np.array_equal(arr, target[name].data)
+
+
+@pytest.mark.parametrize("bad", ["nan", "variance", "manifest", "short"])
+def test_failed_load_payload_changes_no_parameter(tmp_path, bad):
+    store = small_store()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, store, {})
+    header, payload = read_header(path)
+    manifest = header["manifest"]
+    values = np.frombuffer(payload, dtype=np.float64)
+    if bad == "nan":
+        values[3] = np.nan
+    elif bad == "variance":
+        values[-1] = -1.0
+    elif bad == "manifest":
+        manifest = [entry for entry in manifest if entry[0] != "a.b"]
+    else:
+        payload = bytes(payload)[:-8]
+
+    target = small_store(seed=99)
+    before = {name: t.data for name, t in target.items()}
+    snap = target.snapshot()
+    with pytest.raises(CheckpointError):
+        target.load_payload(manifest, payload)
+    for name, t in target.items():
+        assert t.data is before[name]
+        assert np.array_equal(t.data, snap[name])
 
 
 def test_missing_header_line(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from ar_reference import sequential_inverse
 from composed_reference import composed_call, unbound_bind
+from urbanflows import flow_layers
 from urbanflows.config_flow import ConfigFlowModel
 from urbanflows.errors import ConfigurationError, ModeError
 from urbanflows.flow_layers import (
@@ -125,6 +126,46 @@ def test_made_masks_deterministic_and_validated():
                for x, y in zip(a.hidden_masks, c.hidden_masks))
     with pytest.raises(ConfigurationError):
         build_made_masks(1, (4,), seed=0)
+
+
+def test_made_masks_are_shared_and_read_only(rng):
+    masks = build_made_masks(5, (7, 7), seed=3)
+    assert build_made_masks(5, [7, 7], seed=3) is masks
+    arrays = (*masks.hidden_masks, masks.out_mask, masks.sb_out_mask,
+              *masks.hidden_degrees)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert np.array_equal(masks.sb_out_mask, np.tile(masks.out_mask, (1, 2)))
+    a = MaskedConditioner(ParameterStore(), "a", 5, 0, rng, widths=(7, 7), mask_seed=3)
+    b = MaskedConditioner(ParameterStore(), "b", 5, 0, rng, widths=(7, 7), mask_seed=3)
+    assert a.masks is b.masks is masks
+
+
+@pytest.mark.parametrize("cls", [MaskedARLayer, UncondARLayer])
+def test_ar_inverse_sweeps_run_off_the_tape(cls, rng, monkeypatch):
+    """The Jacobi sweeps run the conditioner's numpy body on ndarrays, with
+    the tape primitive never called, and give the taped pass's bits."""
+    kwargs = {"cond_dim": COND} if cls is MaskedARLayer else {}
+    layer, _ = perturbed_layer(cls, rng, d=D, widths=(8,), mask_seed=4, **kwargs)
+    cond = Tensor(rng.normal(size=(5, COND))) if layer.cond_dim else None
+    y = Tensor(rng.normal(size=(5, D)))
+    x = rng.normal(size=(5, D))
+    with no_grad():
+        s_tape, b_tape = layer.net(Tensor(x), cond)
+    s_arr, b_arr = layer.net.bind_arrays(None if cond is None else cond.data)(x)
+    assert np.array_equal(s_arr, s_tape.data) and np.array_equal(b_arr, b_tape.data)
+    want = sequential_inverse(layer, y, cond).data
+
+    def refuse(*args):
+        raise AssertionError("tape primitive called in an AR inverse")
+
+    monkeypatch.setattr(flow_layers, "conditioner_mlp", refuse)
+    layer.net.calls = 0
+    got = layer.inverse(y, cond)
+    assert 2 <= layer.net.calls <= D + 1
+    np.testing.assert_allclose(got.data, want, rtol=0.0, atol=1e-12)
 
 
 def test_conditioner_call_counter(rng):

@@ -10,7 +10,7 @@ import pytest
 
 import composed_reference
 import conv_reference
-from urbanflows.errors import OracleError
+from urbanflows.errors import CheckpointManifestError, CheckpointValueError, OracleError
 from urbanflows.numerics import (
     Adam,
     ParameterStore,
@@ -26,6 +26,7 @@ from urbanflows.numerics import (
     log,
     max_relative_error,
     no_grad,
+    normal,
     numerical_gradient,
     permute_columns,
     softmax_rows,
@@ -310,6 +311,60 @@ def test_parameter_store_payload_roundtrip(rng):
         assert np.array_equal(store[name].data, snap[name])
     trainables = [n for n, _ in store.trainable_items()]
     assert trainables == ["a.vec", "b.mat"]
+
+
+def test_fresh_store_draws_recipes_in_registration_order():
+    store = ParameterStore()
+    w = store.param("w", (3, 2), normal(np.random.default_rng(4), 0.5))
+    b = store.param("b", (2,), 1.5, trainable=False)
+    want = np.random.default_rng(4).normal(0.0, 0.5, size=(3, 2))
+    assert np.array_equal(w.data, want) and w.requires_grad
+    assert np.array_equal(b.data, [1.5, 1.5]) and not b.requires_grad
+    assert [n for n, _ in store.trainable_items()] == ["w"]
+
+
+def _never(shape):
+    raise AssertionError("an opened store ran an init recipe")
+
+
+def test_opened_store_hands_out_views_and_draws_nothing(rng):
+    src = ParameterStore()
+    src.add("a.w", rng.normal(size=(2, 3)))
+    src.add("b.running_var", np.ones(2), trainable=False)
+    src.add("c", np.array(4.0))
+    manifest, payload = src.manifest(), src.to_payload()
+
+    store = ParameterStore.opened(manifest, bytearray(payload))
+    c = store.param("c", (), _never)
+    w = store.param("a.w", (2, 3), _never)
+    var = store.param("b.running_var", (2,), _never, trainable=False)
+    store.check_complete()
+    assert store.manifest() == manifest and store.to_payload() == payload
+    assert float(c.data) == 4.0 and not var.requires_grad
+    assert w.data.base is var.data.base  # one buffer, no copy of the bytearray
+    w.data[0, 0] = 9.0  # writable
+
+    def build(entries):
+        opened = ParameterStore.opened(manifest, payload)
+        for name, shape in entries:
+            opened.param(name, shape, _never)
+        opened.check_complete()
+
+    with pytest.raises(CheckpointManifestError):
+        build([("a.w", (3, 2))])  # wrong shape
+    with pytest.raises(CheckpointManifestError):
+        build([("d", (1,))])  # not in the payload
+    with pytest.raises(CheckpointManifestError):
+        build([("a.w", (2, 3)), ("c", ())])  # b.running_var left over
+    with pytest.raises(CheckpointManifestError):
+        ParameterStore.opened(manifest[::-1], payload)  # not in name order
+    bad = np.frombuffer(bytearray(payload), dtype=np.float64)
+    bad[6] = 0.0  # a running variance
+    opened = ParameterStore.opened(manifest, bad)
+    for name, shape in [("a.w", (2, 3)), ("b.running_var", (2,)), ("c", ())]:
+        opened.param(name, shape, _never)
+    with pytest.raises(CheckpointValueError, match="b.running_var"):
+        opened.check_complete()
 
 
 def test_adam_descends_quadratic():

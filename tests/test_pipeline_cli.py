@@ -4,6 +4,7 @@ CLI tests call cli.main(argv) in-process; one smoke test goes through
 ``python3 -m urbanflows`` to cover the real entry point.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -536,6 +537,78 @@ def test_cli_train_zone_rejects_context_rows_of_the_wrong_width(tmp_path):
     assert proc.stderr.startswith("error: ") and "P + 2" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "z.ckpt").exists()
+
+
+def test_cli_parse_errors_name_the_path_and_line(tmp_path, capsys):
+    """A malformed dataset record or config line is reported as
+    ``path:line: message``."""
+    cfg = write_mini_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", cfg, "--count", "4", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[3])  # the third record
+    rec["context"] = [row + [0.0] for row in rec["context"]]
+    lines[3] = json.dumps(rec, sort_keys=True)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train-zone", "--config", cfg, "--dataset", str(data),
+                 "--out-ckpt", str(tmp_path / "z.ckpt")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {data}:4: bad record: ")
+
+    bad_cfg = tmp_path / "bad.cfg"
+    text = (tmp_path / "mini.cfg").read_text()
+    bad_cfg.write_text(text + "steps_zone 3\n")
+    assert main(["synth", "--config", str(bad_cfg), "--count", "1",
+                 "--out", str(tmp_path / "x.jsonl")]) == 1
+    line = len(text.splitlines()) + 1
+    assert capsys.readouterr().err.startswith(f"error: {bad_cfg}:{line}: expected ")
+
+
+def test_fresh_bundle_init_is_pinned():
+    """The initial values of a fresh bundle, pinned by sha256 of its
+    payload: layers register (name, shape, init recipe), and a fresh store
+    draws the recipes in registration order."""
+    pins = {
+        "default": (RunConfig(),
+                    "b82917d7b62d1a6150a5be51c2b8a72981a9adf7150d7f30524b0e31058bc6b0"),
+        "mini": (RunConfig(**MINI),
+                 "352953c0856d1812e85799596287e5c6f629dbaa0296b4abeb4521bfa893766e"),
+    }
+    for name, (rc, digest) in pins.items():
+        payload = ModelBundle(rc).store.to_payload()
+        assert hashlib.sha256(payload).hexdigest() == digest, name
+
+
+def test_bundle_from_checkpoint_lives_in_one_buffer(tmp_path):
+    """The CLI builds a loaded bundle on a store opened on the payload:
+    each parameter is a writable, C-contiguous view of one buffer, equal to
+    the file's bytes, and no two parameters share memory."""
+    cfg = write_mini_config(tmp_path, steps_zone=3)
+    data = str(tmp_path / "data.jsonl")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    ckpt = str(tmp_path / "z.ckpt")
+    assert main(["train-zone", "--config", cfg, "--dataset", data,
+                 "--out-ckpt", ckpt]) == 0
+    blob = open(ckpt, "rb").read()
+    header, _ = read_header(ckpt)
+    file_values = np.frombuffer(blob, dtype="<f8", offset=len(blob) - header["payload_bytes"])
+
+    bundle = cli._bundle_from_checkpoint(
+        ckpt, lambda h: RunConfig.from_sources(None, h["config"]))
+    items = list(bundle.store.items())
+    assert [[n, list(t.shape)] for n, t in items] == header["manifest"]
+    base = items[0][1].data.base
+    offset = 0
+    for name, t in items:
+        arr = t.data
+        assert arr.flags.writeable and arr.flags.c_contiguous, name
+        assert arr.base is base, name
+        assert np.array_equal(arr.ravel(), file_values[offset:offset + arr.size]), name
+        offset += arr.size
+    assert offset == file_values.size
+    for (na, a), (nb, b) in zip(items, items[1:]):
+        assert not np.may_share_memory(a.data, b.data), (na, nb)
+    assert bundle.store.to_payload() == blob[len(blob) - header["payload_bytes"]:]
 
 
 def test_cli_module_entry_point(tmp_path):
