@@ -9,10 +9,11 @@ import numpy as np
 
 from urbanflows.fusion import FusionModule, partition_zones_batch
 from urbanflows.numerics import ParameterStore, Tensor
-from urbanflows.synthdata import build_info_vector, generate_sample, info_dim
+from urbanflows.runconfig import RunConfig
+from urbanflows.synthdata import build_info_vector, generate_sample
 
 N, M, P, LEVEL = 4, 3, 4, 2
-D = info_dim(P)
+D = RunConfig(n=N, m=M, p=P).info_dim
 
 sample = generate_sample(seed=5, n=N, m=M, p=P, green_level=LEVEL)
 print("zone map:")

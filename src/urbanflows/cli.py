@@ -9,6 +9,7 @@ deterministic under a fixed seed and exit nonzero on any pipeline error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .pipeline import (
     train_config_stage,
     train_zone_stage,
 )
-from .runconfig import RunConfig
+from .runconfig import RunConfig, check_guidance_levels
 from .render import render_config_ppm
 from .synthdata import (
     build_info_vector,
@@ -119,53 +120,40 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_train_zone(args):
+def _train(args, make_bundle, train_stage, stage, stage_no):
+    """Train ``make_bundle(rc)`` from seed + stage_no - 1, then write the
+    checkpoint and loss log, also after a fault (rolled back to the last good step)."""
     rc = _load_run_config(args)
     samples, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
-    bundle = ModelBundle(rc)
-    rng = np.random.default_rng(rc.seed)
+    bundle = make_bundle(rc)
+    rng = np.random.default_rng(rc.seed + stage_no - 1)
     history = []
     fault = None
     try:
-        history = train_zone_stage(bundle, samples, rng,
-                                   log=lambda step, loss: history.append((step, loss)))
-    except UrbanFlowsError as exc:
-        fault = exc  # parameters were rolled back to the last good step
-    save_checkpoint(args.out_ckpt, bundle.store, rc.as_dict(),
-                    rng_state=rng_state_of(rng), extra={"stage": "zone"})
-    _write_loss_log(args.out_ckpt + ".log", rc, history)
-    if fault is not None:
-        print(f"error: {fault} (last-good checkpoint written)", file=sys.stderr)
-        return 1
-    print(f"trained stage 1 for {len(history)} steps; wrote {args.out_ckpt}")
-    return 0
-
-
-def cmd_train_config(args):
-    rc = _load_run_config(args)
-    samples, meta = read_dataset(args.dataset)
-    check_dataset_dims(meta, rc)
-    bundle = _bundle_from_checkpoint(
-        args.zone_ckpt, lambda header: rc, what="zone checkpoint",
-        mismatch="zone checkpoint was built with different model dimensions")
-    rng = np.random.default_rng(rc.seed + 1)
-    history = []
-    fault = None
-    try:
-        history = train_config_stage(
-            bundle, samples, rng,
-            log=lambda step, loss, parts: history.append((step, loss)))
+        train_stage(bundle, samples, rng,
+                    log=lambda step, loss, *parts: history.append((step, loss)))
     except UrbanFlowsError as exc:
         fault = exc
     save_checkpoint(args.out_ckpt, bundle.store, rc.as_dict(),
-                    rng_state=rng_state_of(rng), extra={"stage": "config"})
+                    rng_state=rng_state_of(rng), extra={"stage": stage})
     _write_loss_log(args.out_ckpt + ".log", rc, history)
     if fault is not None:
         print(f"error: {fault} (last-good checkpoint written)", file=sys.stderr)
         return 1
-    print(f"trained stage 2 for {len(history)} steps; wrote {args.out_ckpt}")
+    print(f"trained stage {stage_no} for {len(history)} steps; wrote {args.out_ckpt}")
     return 0
+
+
+def cmd_train_zone(args):
+    return _train(args, ModelBundle, train_zone_stage, "zone", 1)
+
+
+def cmd_train_config(args):
+    return _train(args, lambda rc: _bundle_from_checkpoint(
+        args.zone_ckpt, lambda header: rc, what="zone checkpoint",
+        mismatch="zone checkpoint was built with different model dimensions"),
+        train_config_stage, "config", 2)
 
 
 def _context_for_generation(args, rc):
@@ -208,8 +196,7 @@ def cmd_generate(args, trace_flag=None):
     _check_count(args.count, 1)
     bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
-    if not 0 <= args.green_level < 5:
-        raise DataError(f"green level {args.green_level} out of range [0, 4]")
+    check_guidance_levels(args.green_level)
     traced = args.trace if trace_flag is None else trace_flag
     context = _context_for_generation(args, rc)
     e = build_info_vector(context, args.green_level)
@@ -269,7 +256,9 @@ def cmd_evaluate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="urbanflows",
         description="Dual-stage conditional normalizing flows for grid "

@@ -22,7 +22,7 @@ from .flow_layers import (
     reversal_perm,
 )
 from .numerics import Tensor, as_tensor, no_grad
-from .zone_flow import dequantize_zone_batch, nll_tensors, soft_labels
+from .zone_flow import dequantize_zone_batch, nll_tensors, quantize_zone_batch, soft_labels
 
 # guards against overflow when quantizing unbounded latents from an
 # untrained model; ordinary data lives far below this
@@ -59,16 +59,17 @@ def dequantize_config_batch(counts, rng):
     return np.log1p(counts + u).reshape(counts.shape[0], -1)
 
 
+def quantize_config_batch(vecs, n, p):
+    """(B, N^2 P) values -> (B, N, N, P) counts max(0, floor(exp(v) - 1));
+    exactly undoes the dequantization noise."""
+    vecs = np.minimum(np.asarray(vecs, dtype=np.float64), _MAX_LOG_COUNT)
+    counts = np.maximum(0, np.floor(np.expm1(vecs) + 1e-12)).astype(np.int64)
+    return counts.reshape(-1, n, n, p)
+
+
 def quantize_config(vec, n, p):
-    """max(0, floor(exp(v) - 1)); exactly undoes the dequantization noise."""
-    vec = np.minimum(np.asarray(vec, dtype=np.float64), _MAX_LOG_COUNT)
-    counts = np.maximum(0, np.floor(np.expm1(vec) + 1e-12)).astype(np.int64)
-    return ConfigTensor(counts.reshape(n, n, p))
-
-
-def category_histogram_of(vec, n, p):
-    """Per-category totals of the quantized version of a state vector."""
-    return quantize_config(vec, n, p).category_histogram()
+    """The ``ConfigTensor`` of one vector: ``quantize_config_batch`` at B=1."""
+    return ConfigTensor(quantize_config_batch(vec, n, p)[0])
 
 
 class ConfigFlowModel(FlowStack):
@@ -151,8 +152,7 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
     zx = as_tensor(zone_x)
     if use_sampled_u:
         u_cont = zone_model.inverse(Tensor(z_fixed), es_t, mode="eval")
-        hard = np.clip(np.floor((u_cont.data + 0.5) * m), 0, m - 1)
-        hard = hard.astype(np.int64).reshape(b, n, n)
+        hard = quantize_zone_batch(u_cont.data, m, n)
     else:
         if zone_labels is None:
             raise ConfigurationError("ground-truth conditioning needs zone labels")

@@ -175,8 +175,8 @@ class ParameterStore:
         return [[name, list(self._params[name].shape)] for name in self.names()]
 
     def to_payload(self):
-        chunks = [self._params[name].data.astype("<f8").tobytes() for name in self.names()]
-        return b"".join(chunks)
+        return b"".join(np.ascontiguousarray(self._params[name].data, dtype="<f8")
+                        for name in self.names())
 
     def payload_size(self):
         return 8 * sum(t.size for t in self._params.values())

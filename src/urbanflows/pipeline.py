@@ -19,24 +19,24 @@ import numpy as np
 
 from .config_flow import (
     ConfigFlowModel,
-    category_histogram_of,
+    ConfigTensor,
     config_sample_batch,
     dequantize_config_batch,
     joint_finetune_step,
-    quantize_config,
+    quantize_config_batch,
 )
 from .errors import ConfigurationError, DataError, TrainingFault
 from .flow_layers import TraceStep
 from .fusion import FusionModule
 from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
 from .numerics import Adam, ParameterStore, Tensor, grad_enabled, no_grad
-from .synthdata import GUIDANCE_LEVELS
+from .synthdata import info_vectors
 from .zone_flow import (
     ZoneFlowModel,
     ZoneMap,
     dequantize_zone_batch,
     nll_tensors,
-    quantize_zone,
+    quantize_zone_batch,
     zone_sample_batch,
 )
 
@@ -84,18 +84,12 @@ class ModelBundle:
 def dataset_arrays(samples):
     """Stack a dataset into (es, zone_labels, config_counts, levels).
 
-    Row i of ``es`` is ``build_info_vector(samples[i].context,
-    samples[i].green_level)``, built for all samples at once.
+    ``es`` is the ``info_vectors`` of the samples' contexts and levels.
     """
     if not samples:
         raise DataError("empty dataset")
     levels = np.array([s.green_level for s in samples], dtype=np.int64)
-    if levels.min() < 0 or levels.max() >= GUIDANCE_LEVELS:
-        raise DataError(f"guidance level must be an integer in [0, {GUIDANCE_LEVELS - 1}]")
-    feats = np.stack([s.context.node_features for s in samples])
-    onehot = np.zeros((len(samples), GUIDANCE_LEVELS))
-    onehot[np.arange(len(samples)), levels] = 1.0
-    es = np.concatenate([feats.mean(axis=1), feats.max(axis=1), onehot], axis=1)
+    es = info_vectors(np.stack([s.context.node_features for s in samples]), levels)
     zones = np.stack([s.zones.labels for s in samples])
     counts = np.stack([s.config.counts for s in samples])
     return es, zones, counts, levels
@@ -346,7 +340,7 @@ def generate_batch(bundle, es, rng, trace=False):
 
     def sample_block(lo, hi):
         xz, _ = zone_sample_batch(bundle.zone, es[lo:hi], None, z=z_zone[lo:hi])
-        hard = np.stack([quantize_zone(v, rc.m, rc.n).labels for v in xz])
+        hard = quantize_zone_batch(xz, rc.m, rc.n)
         c = bundle.fusion.embed(hard, es[lo:hi])
         states = []
         collect = (lambda i, kind, s: states.append((i, kind, s))) if trace else None
@@ -357,17 +351,15 @@ def generate_batch(bundle, es, rng, trace=False):
     with no_grad():
         hards, xcs, block_states = zip(*_row_blocks(len(es), sample_block))
     zone_maps = [ZoneMap(h) for h in np.concatenate(hards)]
-    configs = [quantize_config(v, rc.n, rc.p) for v in np.concatenate(xcs)]
+    configs = [ConfigTensor(c) for c in quantize_config_batch(np.concatenate(xcs), rc.n, rc.p)]
     if not trace:
         return zone_maps, configs, None
-    states = [(i, kind, np.concatenate([blk[k][2] for blk in block_states]))
-              for k, (i, kind, _) in enumerate(block_states[0])]
-    traces = [
-        [TraceStep(-1, "latent", z[b], category_histogram_of(z[b], rc.n, rc.p))]
-        + [TraceStep(i, kind, s[b], category_histogram_of(s[b], rc.n, rc.p))
-           for i, kind, s in states]
-        for b in range(len(es))
-    ]
+    states = [(-1, "latent", z)] + [
+        (i, kind, np.concatenate([blk[k][2] for blk in block_states]))
+        for k, (i, kind, _) in enumerate(block_states[0])]
+    hists = [quantize_config_batch(s, rc.n, rc.p).sum(axis=(1, 2)) for _, _, s in states]
+    traces = [[TraceStep(i, kind, s[b], h[b]) for (i, kind, s), h in zip(states, hists)]
+              for b in range(len(es))]
     return zone_maps, configs, traces
 
 

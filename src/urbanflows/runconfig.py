@@ -11,10 +11,24 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .errors import ConfigurationError, ParseError
+import numpy as np
+
+from .errors import ConfigurationError, DataError, ParseError
 from .fileio import read_text_lines
 
-GUIDANCE_DIM = 5
+# green-guidance levels 0 .. GUIDANCE_LEVELS - 1, one-hot in the info vector
+GUIDANCE_LEVELS = 5
+
+
+def check_guidance_levels(levels, error=DataError):
+    """``levels``, one level or an array of them, as an integer array; raises
+    ``error`` unless each is an integer (not a bool, float or string) in
+    [0, GUIDANCE_LEVELS)."""
+    arr = np.asarray(levels)
+    if arr.dtype.kind not in "iu" or ((arr < 0) | (arr >= GUIDANCE_LEVELS)).any():
+        raise error(f"guidance level out of range: each must be an integer in "
+                    f"[0, {GUIDANCE_LEVELS - 1}], got {levels!r:.60}")
+    return arr
 
 
 @dataclasses.dataclass
@@ -49,7 +63,7 @@ class RunConfig:
 
     @property
     def d2(self):
-        return GUIDANCE_DIM
+        return GUIDANCE_LEVELS
 
     @property
     def info_dim(self):

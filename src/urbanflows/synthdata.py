@@ -17,9 +17,8 @@ import numpy as np
 from .config_flow import ConfigTensor
 from .errors import ConfigurationError, DataError, FormatError, ParseError
 from .fileio import atomic_write, read_text_lines
+from .runconfig import GUIDANCE_LEVELS, check_guidance_levels
 from .zone_flow import ZoneMap
-
-GUIDANCE_LEVELS = 5
 
 CATEGORY_NAMES = (
     "road", "car service", "car repair", "motorbike service", "food service",
@@ -166,8 +165,7 @@ def _make_context(rng, labels, m, p, green_level):
 
 def generate_sample(seed, n, m, p, green_level):
     """Deterministically generate one sample from its seed."""
-    if not 0 <= green_level < GUIDANCE_LEVELS:
-        raise ConfigurationError(f"green level must be in [0, {GUIDANCE_LEVELS - 1}]")
+    check_guidance_levels(green_level, error=ConfigurationError)
     if n < 4:
         raise ConfigurationError("N must be >= 4")
     if m < 2:
@@ -191,27 +189,21 @@ def make_dataset(count, n, m, p, seed):
             for i in range(count)]
 
 
-def embed_context(graph):
-    """Order-invariant context embedding: [mean ‖ max] over the 8 nodes."""
-    feats = graph.node_features
-    return np.concatenate([feats.mean(axis=0), feats.max(axis=0)]).reshape(1, -1)
+def info_vectors(node_features, levels):
+    """The Urban Information Vectors e = [context embedding | guidance] of a
+    batch: (B, 8, P + 2) node features and B guidance levels -> (B, D).
 
-
-def encode_guidance(level):
-    if not isinstance(level, (int, np.integer)) or not 0 <= level < GUIDANCE_LEVELS:
-        raise DataError(f"guidance level must be an integer in [0, {GUIDANCE_LEVELS - 1}]")
-    onehot = np.zeros((1, GUIDANCE_LEVELS))
-    onehot[0, level] = 1.0
-    return onehot
+    The context embedding is the order-invariant [mean | max] over the 8
+    nodes; the guidance is the level's one-hot."""
+    feats = np.asarray(node_features, dtype=np.float64)
+    onehot = np.zeros((len(feats), GUIDANCE_LEVELS))
+    onehot[np.arange(len(feats)), check_guidance_levels(levels)] = 1.0
+    return np.concatenate([feats.mean(axis=1), feats.max(axis=1), onehot], axis=1)
 
 
 def build_info_vector(context, level):
-    """The Urban Information Vector e = [context embedding | guidance]."""
-    return np.concatenate([embed_context(context), encode_guidance(level)], axis=1)
-
-
-def info_dim(p):
-    return 2 * (p + 2) + GUIDANCE_LEVELS
+    """The (1, D) info vector of one context graph: ``info_vectors`` at B=1."""
+    return info_vectors(context.node_features[None], [level])
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +254,9 @@ def read_dataset(path):
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec["id"], int) or isinstance(rec["id"], bool):
+                raise DataError(f"id must be an integer, got {rec['id']!r:.40}")
+            check_guidance_levels(rec["green_level"])
             context = ContextGraph(np.array(rec["context"], dtype=np.float64))
             if context.p != p:
                 raise DataError(f"context rows must have P + 2 = {p + 2} entries")

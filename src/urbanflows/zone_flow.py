@@ -51,11 +51,17 @@ def dequantize_zone_batch(labels, m, rng):
     return ((labels + u) / m - 0.5).reshape(labels.shape[0], -1)
 
 
+def quantize_zone_batch(vecs, m, n):
+    """(B, N^2) continuous values -> (B, N, N) labels clamp(floor((v + 0.5)
+    M), 0, M-1): the exact inverse of dequantization."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    labels = np.clip(np.floor((vecs + 0.5) * m), 0, m - 1).astype(np.int64)
+    return labels.reshape(-1, n, n)
+
+
 def quantize_zone(vec, m, n):
-    """Exact inverse of dequantization: clamp(floor((v + 0.5) M), 0, M-1)."""
-    vec = np.asarray(vec, dtype=np.float64)
-    labels = np.clip(np.floor((vec + 0.5) * m), 0, m - 1).astype(np.int64)
-    return ZoneMap(labels.reshape(n, n))
+    """The ``ZoneMap`` of one continuous vector: ``quantize_zone_batch`` at B=1."""
+    return ZoneMap(quantize_zone_batch(vec, m, n)[0])
 
 
 def soft_labels(vec, m):

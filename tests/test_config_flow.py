@@ -8,12 +8,12 @@ from conftest import mini_runconfig
 from urbanflows.config_flow import (
     ConfigFlowModel,
     ConfigTensor,
-    category_histogram_of,
     config_sample_batch,
     dequantize_config_batch,
     joint_finetune_step,
     joint_loss,
     quantize_config,
+    quantize_config_batch,
 )
 from urbanflows.errors import ConfigurationError, DataError, SamplingFault, TrainingFault
 from urbanflows.flow_layers import LN_2PI
@@ -89,7 +89,8 @@ def test_config_tensor_validation():
     assert np.array_equal(ct.category_histogram(),
                           ct.counts.sum(axis=(0, 1)))
     v = dequantize_config_batch(ct.counts[None], FixedU(0.0))[0]
-    assert np.array_equal(category_histogram_of(v, N, P), ct.category_histogram())
+    assert np.array_equal(quantize_config_batch(v[None], N, P).sum(axis=(1, 2))[0],
+                          ct.category_histogram())
 
 
 def test_identity_init_nll_is_exact(rng):

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import encoding_reference
 from urbanflows import checkpoint, cli, pipeline
 from urbanflows.checkpoint import read_header
 from urbanflows.cli import main
@@ -136,7 +137,7 @@ def test_dataset_arrays_matches_per_sample_info_vectors():
     for seed in (1, 7, 1101):
         samples = make_dataset(23, 4, 2, 3, seed=seed)
         es, zones, counts, levels = dataset_arrays(samples)
-        want = np.concatenate([build_info_vector(s.context, s.green_level)
+        want = np.concatenate([encoding_reference.build_info_vector(s.context, s.green_level)
                                for s in samples])
         assert np.array_equal(es, want)
         assert np.array_equal(levels, [s.green_level for s in samples])
@@ -562,6 +563,73 @@ def test_cli_parse_errors_name_the_path_and_line(tmp_path, capsys):
                  "--out", str(tmp_path / "x.jsonl")]) == 1
     line = len(text.splitlines()) + 1
     assert capsys.readouterr().err.startswith(f"error: {bad_cfg}:{line}: expected ")
+
+
+def test_cli_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "train-zone" in capsys.readouterr().out
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("command,stage_fn,stage", [
+    ("train-zone", "train_zone_stage", "zone"),
+    ("train-config", "train_config_stage", "config"),
+])
+def test_train_commands_write_the_last_good_state_on_a_fault(tmp_path, capsys, monkeypatch,
+                                                              command, stage_fn, stage):
+    """Both training commands write the checkpoint and the loss log of the
+    steps that ran, then report the fault and exit 1."""
+    cfg = write_mini_config(tmp_path, steps_zone=0)
+    data = str(tmp_path / "data.jsonl")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    zone_ckpt = str(tmp_path / "zone.ckpt")
+    assert main(["train-zone", "--config", cfg, "--dataset", data,
+                 "--out-ckpt", zone_ckpt]) == 0
+    capsys.readouterr()
+
+    def faulty_stage(bundle, samples, rng, log):
+        log(0, 1.5, {})
+        log(1, 0.25, {})
+        raise TrainingFault("non-finite zone NLL at step 2")
+
+    monkeypatch.setattr(cli, stage_fn, faulty_stage)
+    out = str(tmp_path / "out.ckpt")
+    extra = ["--zone-ckpt", zone_ckpt] if command == "train-config" else []
+    assert main([command, "--config", cfg, "--dataset", data, "--out-ckpt", out,
+                 *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: non-finite zone NLL at step 2 "
+                            "(last-good checkpoint written)\n")
+    assert read_header(out)[0]["extra"] == {"stage": stage}
+    log_lines = open(out + ".log").read().splitlines()
+    assert log_lines[2:] == ["0\t1.500000000000", "1\t0.250000000000"]
+
+
+@pytest.mark.parametrize("key,value", [("green_level", 2.7), ("green_level", True),
+                                       ("green_level", 5), ("id", 1.5)])
+def test_cli_rejects_a_non_integer_id_or_level(tmp_path, capsys, key, value):
+    """``train-zone`` on a dataset whose second record has a float, bool or
+    out-of-range level (or a float id) exits 1 with ``path:line:``; before,
+    2.7 trained as level 2 and true as level 1."""
+    cfg = write_mini_config(tmp_path)
+    data = tmp_path / "data.jsonl"
+    assert main(["synth", "--config", cfg, "--count", "4", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[key] = value
+    lines[2] = json.dumps(rec, sort_keys=True)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out_ckpt = tmp_path / "z.ckpt"
+    assert main(["train-zone", "--config", cfg, "--dataset", str(data),
+                 "--out-ckpt", str(out_ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:3: bad record: ")
+    assert ("guidance level" if key == "green_level" else "id must be an integer") in err
+    assert not out_ckpt.exists()
 
 
 def test_fresh_bundle_init_is_pinned():

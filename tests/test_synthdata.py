@@ -14,17 +14,14 @@ from urbanflows.errors import (
     FormatError,
     ParseError,
 )
+from urbanflows.runconfig import GUIDANCE_LEVELS, RunConfig
 from urbanflows.synthdata import (
     ARCHETYPE_NAMES,
     CATEGORY_NAMES,
-    GUIDANCE_LEVELS,
     TOTAL_POI_RATE,
     build_info_vector,
-    embed_context,
     empty_probability,
-    encode_guidance,
     generate_sample,
-    info_dim,
     make_dataset,
     poisson_rates,
     read_dataset,
@@ -98,21 +95,21 @@ def test_generate_sample_validation():
 
 def test_context_embedding_and_info_vector():
     s = generate_sample(5, N, M, P, 3)
-    emb = embed_context(s.context)
+    e = build_info_vector(s.context, 3)
+    emb = e[:, : 2 * (P + 2)]
     assert emb.shape == (1, 2 * (P + 2))
     feats = s.context.node_features
     assert np.allclose(emb[0, : P + 2], feats.mean(axis=0))
     assert np.allclose(emb[0, P + 2 :], feats.max(axis=0))
-    one = encode_guidance(3)
+    one = e[:, 2 * (P + 2):]
     assert one.shape == (1, GUIDANCE_LEVELS)
     assert one[0, 3] == 1.0 and one.sum() == 1.0
-    e = build_info_vector(s.context, 3)
-    assert e.shape == (1, info_dim(P))
-    assert info_dim(P) == 19
+    assert e.shape == (1, RunConfig(p=P).info_dim)
+    assert RunConfig(p=P).info_dim == 19
     with pytest.raises(DataError):
-        encode_guidance(7)
+        build_info_vector(s.context, 7)
     with pytest.raises(DataError):
-        encode_guidance(1.5)
+        build_info_vector(s.context, 1.5)
 
 
 def test_make_dataset_round_robin_levels():
@@ -225,3 +222,26 @@ def test_dataset_version_check(tmp_path):
     path.write_text(text)
     with pytest.raises(FormatError):
         read_dataset(path)
+
+@pytest.mark.parametrize("key,value", [
+    ("green_level", 2.7), ("green_level", True), ("green_level", "2"),
+    ("green_level", 5), ("green_level", -1), ("green_level", [2]),
+    ("green_level", 10 ** 30), ("id", 2.5), ("id", True), ("id", "3"),
+])
+def test_dataset_id_and_level_must_be_json_integers(tmp_path, key, value):
+    """A non-integer id or level used to be truncated by ``int()`` (2.7
+    trained as level 2, true as level 1); a level past 4 failed only later."""
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, make_dataset(3, N, M, P, seed=1), N, M, P)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[key] = value
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="bad record: ") as info:
+        read_dataset(path)
+    assert info.value.line_number == 3
+    if key == "id":
+        assert "id must be an integer" in str(info.value)
+    elif value != [2]:   # a list passes the level check and fails int()
+        assert "guidance level" in str(info.value) and "out of range" in str(info.value)
