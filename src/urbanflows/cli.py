@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .checkpoint import read_header, rng_state_of, save_checkpoint
-from .config_flow import quantize_config
 from .errors import (
     CheckpointManifestError,
     ConfigurationError,
@@ -157,9 +156,13 @@ def cmd_train_config(args):
 
 
 def _context_for_generation(args, rc):
+    if args.dataset is None and args.sample_id is not None:
+        raise ConfigurationError("--sample-id requires --dataset")
     if args.dataset is not None:
         if args.sample_id is None:
             raise ConfigurationError("--dataset requires --sample-id")
+        if args.context_seed is not None:
+            raise ConfigurationError("--context-seed cannot be used with --dataset")
         samples, meta = read_dataset(args.dataset)
         check_dataset_dims(meta, rc)
         for s in samples:
@@ -232,11 +235,10 @@ def cmd_generate(args, trace_flag=None):
                     _write_trace(os.path.join(args.out_dir, f"gen{i:03d}.trace.jsonl"),
                                  traces[j], rc, i, args.green_level)
                     for step_no, st in enumerate(traces[j]):
-                        step_ct = quantize_config(st.state, rc.n, rc.p)
                         render_config_ppm(
                             os.path.join(args.out_dir,
                                          f"gen{i:03d}.step{step_no:02d}.ppm"),
-                            step_ct.counts)
+                            st.counts)
     print(f"wrote {args.count} generations to {args.out_dir}")
     return 0
 

@@ -47,9 +47,6 @@ class ConfigTensor:
     def __eq__(self, other):
         return isinstance(other, ConfigTensor) and np.array_equal(self.counts, other.counts)
 
-    def category_histogram(self):
-        return self.counts.sum(axis=(0, 1))
-
 
 def dequantize_config_batch(counts, rng):
     """(B, N, N, P) counts -> (B, N^2 P) values ln(1 + count + u), with

@@ -1,6 +1,7 @@
 """Invertible layers: coupling, condition projection, batch-norm flow, and
-the two masked autoregressive layer types, plus the MADE mask builder and
-``FlowStack``, the block-and-permutation stack both stages are built from.
+the two masked autoregressive layer types, plus their one conditioner
+class, the MADE mask builder and ``FlowStack``, the block-and-permutation
+stack both stages are built from.
 
 Conventions used throughout:
 
@@ -10,9 +11,11 @@ Conventions used throughout:
   (B,) tensors; one sample is a batch of one.
 * Scale outputs are clamped to [-CLAMP, CLAMP] through a smooth tanh squash
   so exp(s) stays within [e^-5, e^5] no matter what the conditioner emits.
-* Every conditioner pass, dense or MADE-masked, is one ``conditioner_mlp``
-  tape node, clamp included; the Jacobi sweeps of an AR inverse run its
-  numpy body, ``conditioner_mlp_arrays``, on ndarrays.
+* Every affine layer takes its (s, b) from a ``Conditioner``: dense for
+  coupling and condition projection, MADE-masked for the two AR layers.
+  Each pass is one ``conditioner_mlp`` tape node, masks and clamp
+  included; the Jacobi sweeps of an AR inverse run its numpy body,
+  ``conditioner_mlp_arrays``, on ndarrays.
 * Layers register their parameters as (name, shape, init recipe), so a
   store opened on a checkpoint builds them without drawing anything.
 """
@@ -52,21 +55,22 @@ class TraceStep:
     """One recorded step of a generation trace.
 
     ``state`` is expressed in canonical data coordinates except for the very
-    first step, which is the latent draw itself.  ``histogram`` is the
-    per-category count histogram of the quantized state.
+    first step, which is the latent draw itself.  ``counts`` is the quantized
+    state, (N, N, P), and ``histogram`` its per-category sum.
     """
 
-    __slots__ = ("layer_index", "layer_type", "state", "histogram")
+    __slots__ = ("layer_index", "layer_type", "state", "counts", "histogram")
 
-    def __init__(self, layer_index, layer_type, state, histogram):
+    def __init__(self, layer_index, layer_type, state, counts):
         self.layer_index = int(layer_index)
         self.layer_type = str(layer_type)
         self.state = np.asarray(state, dtype=np.float64)
-        self.histogram = np.asarray(histogram, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.histogram = self.counts.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
-# MADE masks
+# MADE masks and the conditioner network
 # ---------------------------------------------------------------------------
 
 
@@ -75,20 +79,24 @@ class MadeMaskSet:
 
     hidden_masks[l] has shape (fan_in, fan_out) and multiplies the l-th
     weight matrix elementwise; out_mask has shape (last_width, d), and
-    sb_out_mask is out_mask tiled across the (s, b) output panels.  Input
-    coordinate j carries degree j (1-based); output i connects only to
-    hidden units of degree < i, so output 1 sees nothing at all.  One set
-    is shared by every conditioner built with the same (d, widths, seed),
-    so its arrays are read-only.
+    sb_out_mask is out_mask tiled across the (s, b) output panels.
+    weight_masks lists the mask of each conditioner weight matrix, hidden
+    then output, as ``conditioner_mlp`` takes them.  Input coordinate j
+    carries degree j (1-based); output i connects only to hidden units of
+    degree < i, so output 1 sees nothing at all.  One set is shared by
+    every conditioner built with the same (d, widths, seed), so its arrays
+    are read-only.
     """
 
-    __slots__ = ("d", "hidden_masks", "out_mask", "sb_out_mask", "hidden_degrees")
+    __slots__ = ("d", "hidden_masks", "out_mask", "sb_out_mask", "weight_masks",
+                 "hidden_degrees")
 
     def __init__(self, d, hidden_masks, out_mask, hidden_degrees):
         self.d = d
         self.hidden_masks = hidden_masks
         self.out_mask = out_mask
         self.sb_out_mask = np.tile(out_mask, (1, 2))
+        self.weight_masks = (*hidden_masks, self.sb_out_mask)
         self.hidden_degrees = hidden_degrees
 
 
@@ -127,127 +135,87 @@ def _made_masks(d, hidden_widths, seed):
     return masks
 
 
-# ---------------------------------------------------------------------------
-# Conditioner networks
-# ---------------------------------------------------------------------------
+class Conditioner:
+    """GELU MLP (two hidden layers by default) mapping an affine flow
+    layer's input to per-coordinate ``(s, b)``, ``d`` of each.
 
+    Dense when ``mask_seed`` is None, as for coupling, which feeds it
+    (h1 ‖ e).  With a seed it is a MADE network over ``in_dim == d``
+    coordinates (``masks``, a shared ``MadeMaskSet``): output i sees only
+    inputs j < i.  A ``cond_dim``-wide condition enters each hidden layer
+    as an unmasked term ``cond @ v``, so it never breaks that ordering.
+    The zero-initialized output layer makes fresh flows the identity.
 
-def _mlp_pass(x, hidden, final, d):
-    """One conditioner pass as one tape node, split into (s, b)."""
-    out = conditioner_mlp(x, hidden, *final, d, CLAMP)
-    return out[:, :d], out[:, d:]
-
-
-def _init_dense(store, name, fan_in, fan_out, rng, zero=False):
-    init = 0.0 if zero else normal(rng, 1.0 / np.sqrt(max(fan_in, 1)))
-    weight = store.param(name + ".w", (fan_in, fan_out), init)
-    bias = store.param(name + ".b", (fan_out,))
-    return weight, bias
-
-
-class ConditionerNet:
-    """Dense MLP mapping (input slice ‖ condition) -> (s, b).
-
-    Two GELU hidden layers by default; the final layer is zero-initialized
-    so any flow built from fresh conditioners starts as the identity.
+    ``bind(cond)`` builds the condition terms once and returns the pass
+    ``x -> (s, b)``: one ``conditioner_mlp`` tape node, which applies the
+    masks itself; a call ``net(x, cond)`` is ``net.bind(cond)(x)``.
+    ``bind_arrays`` is the same pass on ndarrays, off the tape, for the
+    fixed-point inverse: it builds the masked weights once per bind, and
+    its passes run ``conditioner_mlp_arrays``, the primitive's numpy body.
+    ``calls`` counts passes of either kind, which the sampling-complexity
+    audit reads; it stays exact when passes run on several threads at once.
     """
 
-    def __init__(self, store, prefix, in_dim, out_dim, rng, widths=(64, 64)):
+    def __init__(self, store, prefix, in_dim, d, rng, widths=(64, 64), cond_dim=0,
+                 mask_seed=None):
         self.in_dim = in_dim
-        self.out_dim = out_dim
+        self.d = d
+        self.cond_dim = cond_dim
+        self.masks = None if mask_seed is None else build_made_masks(d, widths, mask_seed)
+        self.calls = 0
         self.hidden = []
         fan = in_dim
         for i, width in enumerate(widths):
-            self.hidden.append((*_init_dense(store, f"{prefix}.h{i}", fan, width, rng), None))
-            fan = width
-        self.final = _init_dense(store, f"{prefix}.out", fan, 2 * out_dim, rng, zero=True)
-
-    def __call__(self, x):
-        return _mlp_pass(x, self.hidden, self.final, self.out_dim)
-
-
-class MaskedConditioner:
-    """MADE-masked MLP producing per-coordinate (s_i, b_i).
-
-    The optional condition vector bypasses every mask: it is injected,
-    unmasked, into each hidden layer, so conditioning never violates the
-    autoregressive ordering over the data coordinates.
-
-    ``bind(cond)`` builds what one condition fixes for any number of passes
-    (the masked weights ``w * mask`` and each hidden layer's condition term
-    ``cond @ v``) and returns the pass ``x -> (s, b)``; a call
-    ``net(x, cond)`` is ``net.bind(cond)(x)``, the density forward on the
-    tape.  ``bind_arrays`` is the same pass on ndarrays, off the tape, for
-    the fixed-point inverse; both run the one ``conditioner_mlp_arrays``
-    body.  ``calls`` counts passes of either kind, which the
-    sampling-complexity audit reads; it stays exact when passes run on
-    several threads at once.
-    """
-
-    def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64), mask_seed=0):
-        self.d = d
-        self.cond_dim = cond_dim
-        self.masks = build_made_masks(d, widths, mask_seed)
-        self.calls = 0
-        self.hidden = []
-        fan = d
-        for i, width in enumerate(widths):
-            w, b = _init_dense(store, f"{prefix}.h{i}", fan, width, rng)
-            if cond_dim:
-                v = store.param(f"{prefix}.h{i}.v", (cond_dim, width),
-                                normal(rng, 1.0 / np.sqrt(cond_dim)))
-            else:
-                v = None
-            self.hidden.append((w, v, b))
+            w = store.param(f"{prefix}.h{i}.w", (fan, width),
+                            normal(rng, 1.0 / np.sqrt(max(fan, 1))))
+            b = store.param(f"{prefix}.h{i}.b", (width,))
+            v = (store.param(f"{prefix}.h{i}.v", (cond_dim, width),
+                             normal(rng, 1.0 / np.sqrt(cond_dim))) if cond_dim else None)
+            self.hidden.append((w, b, v))
             fan = width
         self.final = (store.param(f"{prefix}.out.w", (fan, 2 * d)),
                       store.param(f"{prefix}.out.b", (2 * d,)))
-        self._mask_tensors = [Tensor(m) for m in self.masks.hidden_masks]
-        self._out_mask = Tensor(self.masks.sb_out_mask)
 
     def _check_cond(self, cond):
         if self.cond_dim and (cond is None or cond.shape[-1] != self.cond_dim):
             raise ConfigurationError("condition vector missing or mis-sized")
 
     def _counted(self, run):
-        """``run`` as a pass that checks its input width and counts itself."""
-        d = self.d
+        """``run`` as a pass that checks its input width, counts itself and
+        splits its ``[s | b]`` output."""
+        in_dim, d = self.in_dim, self.d
 
         def conditioner_pass(x):
-            if x.shape[-1] != d:
+            if x.shape[-1] != in_dim:
                 raise ConfigurationError(
-                    f"masked conditioner built for d={d}, got {x.shape[-1]}"
-                )
+                    f"conditioner built for input width {in_dim}, got {x.shape[-1]}")
             with _CALLS_LOCK:
                 self.calls += 1
-            return run(x)
+            out = run(x)
+            return out[:, :d], out[:, d:]
 
         return conditioner_pass
 
     def bind(self, cond=None):
-        """Fix the condition and return the pass ``x -> (s, b)``."""
+        """Fix the condition and return the taped pass ``x -> (s, b)``."""
         self._check_cond(cond)
-        hidden = [(w * mask, b, None if v is None else cond @ v)
-                  for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
-        w, b_out = self.final
-        final = (w * self._out_mask, b_out)
-        return self._counted(lambda x: _mlp_pass(x, hidden, final, self.d))
+        hidden = [(w, b, None if v is None else cond @ v) for w, b, v in self.hidden]
+        masks = None if self.masks is None else self.masks.weight_masks
+        return self._counted(
+            lambda x: conditioner_mlp(x, hidden, *self.final, self.d, CLAMP, masks))
 
     def bind_arrays(self, cond=None):
         """``bind`` on ndarrays: fix the condition (an ndarray or None) and
         return the pass ``x -> (s, b)`` on ndarrays, with no tape."""
         self._check_cond(cond)
-        hidden = [(w.data * mask.data, b.data, None if v is None else cond @ v.data)
-                  for (w, v, b), mask in zip(self.hidden, self._mask_tensors)]
-        w, b_out = self.final
-        w_out = w.data * self._out_mask.data
-        d = self.d
-
-        def run(x):
-            out = conditioner_mlp_arrays(x, hidden, w_out, b_out.data, d, CLAMP)[0]
-            return out[:, :d], out[:, d:]
-
-        return self._counted(run)
+        weights = [w.data for w, _, _ in self.hidden] + [self.final[0].data]
+        if self.masks is not None:
+            weights = [w * mask for w, mask in zip(weights, self.masks.weight_masks)]
+        hidden = [(wd, b.data, None if v is None else cond @ v.data)
+                  for wd, (_, b, v) in zip(weights, self.hidden)]
+        b_out = self.final[1].data
+        return self._counted(
+            lambda x: conditioner_mlp_arrays(x, hidden, weights[-1], b_out, self.d, CLAMP)[0])
 
     def __call__(self, x, cond=None):
         return self.bind(cond)(x)
@@ -271,7 +239,7 @@ class CouplingLayer:
         self.d = d
         self.half = d // 2
         in_dim = self.half + cond_dim if self.reads_h1 else cond_dim
-        self.net = ConditionerNet(store, prefix, in_dim, d - self.half, rng, widths)
+        self.net = Conditioner(store, prefix, in_dim, d - self.half, rng, widths)
 
     def _sb(self, h1, cond):
         return self.net(concat([h1, cond], axis=1) if self.reads_h1 else cond)
@@ -360,7 +328,7 @@ class MaskedARLayer:
     def __init__(self, store, prefix, d, cond_dim, rng, widths=(64, 64), mask_seed=0):
         self.d = d
         self.cond_dim = cond_dim
-        self.net = MaskedConditioner(store, prefix, d, cond_dim, rng, widths, mask_seed)
+        self.net = Conditioner(store, prefix, d, d, rng, widths, cond_dim, mask_seed)
 
     def forward(self, x, cond=None, mode="train"):
         s, b = self.net(x, cond)

@@ -22,9 +22,11 @@ nine per layer-norm) and the intermediates each one would keep.
 (dense layers with an optional condition term, GELU, the output layer and
 the tanh scale clamp) as one tape node; it too runs the composed pass's
 numpy operations in their order, so its outputs are bit for bit the
-composed ones.  It keeps the intermediates its backward needs only when
-the node goes on the tape.  Its numpy body, ``conditioner_mlp_arrays``,
-is also what the fixed-point inverse of an AR layer calls on ndarrays.
+composed ones.  MADE masks are constants of the node, applied to the
+weights in the forward and to their gradients in the backward.  It keeps
+the intermediates its backward needs only when the node goes on the tape.
+Its numpy body, ``conditioner_mlp_arrays``, is also what the fixed-point
+inverse of an AR layer calls on ndarrays, with weights masked once per bind.
 """
 
 from __future__ import annotations
@@ -235,15 +237,19 @@ def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
     return out, t, h
 
 
-def conditioner_mlp(x, hidden, w_out, b_out, d, clamp):
+def conditioner_mlp(x, hidden, w_out, b_out, d, clamp, masks=None):
     """One conditioner-MLP pass: ``(B, 2d)`` rows ``[s | shift]``.
 
     ``hidden`` lists each hidden layer as ``(w, b, cv)``: the layer computes
     ``gelu((h @ w + b) + cv)``, with ``cv`` a condition term added after the
     bias, or None for no term.  The output layer ``h @ w_out + b_out`` gives
     ``2d`` columns; the first ``d`` are squashed into ``[-clamp, clamp]`` by
-    ``clamp * tanh(. / clamp)``.  The backward gives the gradient of ``x``
-    and of every weight, bias and condition term that requires one.
+    ``clamp * tanh(. / clamp)``.  ``masks``, when given, lists one constant
+    array per weight matrix (the hidden ones in order, then ``w_out``): the
+    pass uses each weight times its mask, and each weight gradient is
+    multiplied by the same mask, as the tape op ``w * mask`` would give.
+    The backward gives the gradient of ``x`` and of every weight, bias and
+    condition term that requires one.
     """
     parents = [x]
     for w, b, cv in hidden:
@@ -251,29 +257,34 @@ def conditioner_mlp(x, hidden, w_out, b_out, d, clamp):
     parents += (w_out, b_out)
     taped = grad_enabled() and any(p.requires_grad for p in parents)
     saved = [] if taped else None  # (layer input, pre-activation, 1 + erf) per hidden layer
+    weights = [w.data for w, _, _ in hidden] + [w_out.data]
+    if masks is not None:
+        weights = [w * mask for w, mask in zip(weights, masks)]
     out, t, h_last = conditioner_mlp_arrays(
-        x.data, [(w.data, b.data, None if cv is None else cv.data) for w, b, cv in hidden],
-        w_out.data, b_out.data, d, clamp, saved)
+        x.data, [(wd, b.data, None if cv is None else cv.data)
+                 for wd, (_, b, cv) in zip(weights, hidden)],
+        weights[-1], b_out.data, d, clamp, saved)
 
     def backward(g):
         g_pre = g.copy()
         g_pre[:, :d] *= 1.0 - t * t
-        _accumulate(b_out, g_pre.sum(axis=0))
-        if w_out.requires_grad:
-            _accumulate(w_out, h_last.T @ g_pre)
-        w_above = w_out
-        for (w, b, cv), (h_in, pre, one_plus_erf) in zip(reversed(hidden), reversed(saved)):
-            g_h = g_pre @ w_above.data.T
-            phi = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
-            g_pre = g_h * (0.5 * one_plus_erf + pre * phi)
+        layers = [*hidden, (w_out, b_out, None)]
+        inputs = [*saved, (h_last, None, None)]
+        for i in range(len(hidden), -1, -1):
+            (w, b, cv), (h_in, pre, one_plus_erf) = layers[i], inputs[i]
+            if pre is not None:  # a hidden layer: back through the GELU
+                phi = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+                g_pre = (g_pre @ weights[i + 1].T) * (0.5 * one_plus_erf + pre * phi)
             if cv is not None and cv.requires_grad:
                 _accumulate(cv, _unbroadcast(g_pre, cv.shape))
             _accumulate(b, g_pre.sum(axis=0))
             if w.requires_grad:
-                _accumulate(w, h_in.T @ g_pre)
-            w_above = w
+                grad = h_in.T @ g_pre
+                if masks is not None:
+                    grad *= masks[i]
+                _accumulate(w, grad)
         if x.requires_grad:
-            _accumulate(x, g_pre @ w_above.data.T)
+            _accumulate(x, g_pre @ weights[0].T)
 
     return _node(out, parents, backward)
 

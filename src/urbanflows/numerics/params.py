@@ -164,9 +164,6 @@ class ParameterStore:
             if self._trainable[name]:
                 yield name, self._params[name]
 
-    def tensors(self):
-        return [self._params[name] for name in self.names()]
-
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
@@ -177,9 +174,6 @@ class ParameterStore:
     def to_payload(self):
         return b"".join(np.ascontiguousarray(self._params[name].data, dtype="<f8")
                         for name in self.names())
-
-    def payload_size(self):
-        return 8 * sum(t.size for t in self._params.values())
 
     def load_payload(self, manifest, payload):
         """Fill parameter values from a manifest + raw float64 payload.

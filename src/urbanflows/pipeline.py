@@ -357,8 +357,8 @@ def generate_batch(bundle, es, rng, trace=False):
     states = [(-1, "latent", z)] + [
         (i, kind, np.concatenate([blk[k][2] for blk in block_states]))
         for k, (i, kind, _) in enumerate(block_states[0])]
-    hists = [quantize_config_batch(s, rc.n, rc.p).sum(axis=(1, 2)) for _, _, s in states]
-    traces = [[TraceStep(i, kind, s[b], h[b]) for (i, kind, s), h in zip(states, hists)]
+    step_counts = [quantize_config_batch(s, rc.n, rc.p) for _, _, s in states]
+    traces = [[TraceStep(i, kind, s[b], c[b]) for (i, kind, s), c in zip(states, step_counts)]
               for b in range(len(es))]
     return zone_maps, configs, traces
 

@@ -92,11 +92,16 @@ class ContextGraph:
 
 
 class SynthSample:
+    """One sample.  Raises ``DataError`` unless the id is an integer and the
+    level one integer in [0, 4] (NumPy integers pass; bools do not)."""
+
     __slots__ = ("id", "green_level", "context", "zones", "config")
 
     def __init__(self, sample_id, green_level, context, zones, config):
+        if not isinstance(sample_id, (int, np.integer)) or isinstance(sample_id, bool):
+            raise DataError(f"id must be an integer, got {sample_id!r:.40}")
         self.id = int(sample_id)
-        self.green_level = int(green_level)
+        self.green_level = int(check_guidance_levels(green_level, shape=()))
         self.context = context
         self.zones = zones
         self.config = config
@@ -165,7 +170,7 @@ def _make_context(rng, labels, m, p, green_level):
 
 def generate_sample(seed, n, m, p, green_level):
     """Deterministically generate one sample from its seed."""
-    check_guidance_levels(green_level, error=ConfigurationError)
+    check_guidance_levels(green_level, error=ConfigurationError, shape=())
     if n < 4:
         raise ConfigurationError("N must be >= 4")
     if m < 2:
@@ -191,13 +196,13 @@ def make_dataset(count, n, m, p, seed):
 
 def info_vectors(node_features, levels):
     """The Urban Information Vectors e = [context embedding | guidance] of a
-    batch: (B, 8, P + 2) node features and B guidance levels -> (B, D).
+    batch: (B, 8, P + 2) node features and (B,) guidance levels -> (B, D).
 
     The context embedding is the order-invariant [mean | max] over the 8
     nodes; the guidance is the level's one-hot."""
     feats = np.asarray(node_features, dtype=np.float64)
     onehot = np.zeros((len(feats), GUIDANCE_LEVELS))
-    onehot[np.arange(len(feats)), check_guidance_levels(levels)] = 1.0
+    onehot[np.arange(len(feats)), check_guidance_levels(levels, shape=(len(feats),))] = 1.0
     return np.concatenate([feats.mean(axis=1), feats.max(axis=1), onehot], axis=1)
 
 
@@ -254,9 +259,6 @@ def read_dataset(path):
             continue
         try:
             rec = json.loads(line)
-            if not isinstance(rec["id"], int) or isinstance(rec["id"], bool):
-                raise DataError(f"id must be an integer, got {rec['id']!r:.40}")
-            check_guidance_levels(rec["green_level"])
             context = ContextGraph(np.array(rec["context"], dtype=np.float64))
             if context.p != p:
                 raise DataError(f"context rows must have P + 2 = {p + 2} entries")

@@ -3,20 +3,21 @@ conditioner-MLP primitive are tested against.
 
 ``gelu``, ``layer_norm`` and ``clamp_scale`` are composed from tape ops, so
 their gradients follow from the tape's elementary rules.  The two
-conditioner passes are built from them, one tape op at a time:
-``composed_call`` is a ``ConditionerNet`` pass and has the signature of
-``ConditionerNet.__call__``; ``unbound_call`` is the masked conditioner
-pass that rebuilds every masked weight and condition product on each call,
-and ``unbound_bind`` has the signature of ``MaskedConditioner.bind``.  A
-test can monkeypatch either onto its class and run a layer or a whole
-stack, forward or inverse, through the reference.
+conditioner passes are built from them, one tape op at a time, and count
+themselves in ``net.calls`` as the ``Conditioner`` does: ``composed_call``
+is a dense pass and has the signature of ``Conditioner.__call__``;
+``unbound_call`` is the MADE-masked pass, which multiplies each weight by
+its mask from ``net.masks`` as a tape op and rebuilds every masked weight
+and condition product on each call, and ``unbound_bind`` has the signature
+of ``Conditioner.bind``.  A test can monkeypatch either onto the class and
+run a layer or a whole stack, forward or inverse, through the reference.
 """
 
 import numpy as np
 
 from urbanflows.errors import ConfigurationError
 from urbanflows.flow_layers import CLAMP
-from urbanflows.numerics import erf, sqrt, tanh
+from urbanflows.numerics import Tensor, erf, sqrt, tanh
 
 
 def layer_norm(x, gamma, beta, axis=-1, eps=1e-5):
@@ -41,41 +42,45 @@ def clamp_scale(s):
     return CLAMP * tanh(s * (1.0 / CLAMP))
 
 
-def composed_call(net, x):
-    """One pass of the ConditionerNet ``net``."""
+def composed_call(net, x, cond=None):
+    """One pass of the dense ``Conditioner`` ``net``; counts it in
+    ``net.calls`` as the conditioner itself does."""
+    net.calls += 1
     h = x
     for w, b, _ in net.hidden:
         h = gelu(h @ w + b)
     w, b = net.final
     out = h @ w + b
-    s = clamp_scale(out[:, : net.out_dim])
-    shift = out[:, net.out_dim :]
+    s = clamp_scale(out[:, : net.d])
+    shift = out[:, net.d :]
     return s, shift
 
 
 def unbound_call(net, x, cond=None):
-    """One pass of the MaskedConditioner ``net``, binding nothing."""
-    if x.shape[-1] != net.d:
+    """One pass of the MADE-masked ``Conditioner`` ``net``, binding
+    nothing: each masked weight ``w * mask`` (the mask read from
+    ``net.masks``) and each condition term is a tape op of this pass."""
+    if x.shape[-1] != net.in_dim:
         raise ConfigurationError(
-            f"masked conditioner built for d={net.d}, got {x.shape[-1]}"
+            f"conditioner built for input width {net.in_dim}, got {x.shape[-1]}"
         )
     if net.cond_dim and (cond is None or cond.shape[-1] != net.cond_dim):
         raise ConfigurationError("condition vector missing or mis-sized")
     net.calls += 1
     h = x
-    for (w, v, b), mask in zip(net.hidden, net._mask_tensors):
-        pre = h @ (w * mask) + b
+    for (w, b, v), mask in zip(net.hidden, net.masks.hidden_masks):
+        pre = h @ (w * Tensor(mask)) + b
         if v is not None:
             pre = pre + cond @ v
         h = gelu(pre)
     w, b = net.final
-    out = h @ (w * net._out_mask) + b
+    out = h @ (w * Tensor(net.masks.sb_out_mask)) + b
     s = clamp_scale(out[:, : net.d])
     shift = out[:, net.d :]
     return s, shift
 
 
 def unbound_bind(net, cond=None):
-    """Drop-in for ``MaskedConditioner.bind`` that defers all work to the
-    per-pass ``unbound_call``."""
+    """Drop-in for ``Conditioner.bind`` on a masked conditioner that defers
+    all work to the per-pass ``unbound_call``."""
     return lambda x: unbound_call(net, x, cond)

@@ -32,10 +32,10 @@ from urbanflows.errors import (
 )
 from urbanflows.flow_layers import (
     BatchNormFlow,
+    Conditioner,
     ConditionProjectionLayer,
     CouplingLayer,
     MaskedARLayer,
-    MaskedConditioner,
     Permutation,
     UncondARLayer,
     half_swap_perm,
@@ -465,10 +465,11 @@ def test_criterion_9_traceability(trained_session):
             want_z = replay.standard_normal((1, rc.d_config))
             np.testing.assert_array_equal(first.state, want_z[0])
             assert quantize_config(last.state, rc.n, rc.p) == ct
-            np.testing.assert_array_equal(last.histogram, ct.category_histogram())
+            hist = ct.counts.sum(axis=(0, 1))
+            np.testing.assert_array_equal(last.histogram, hist)
 
-            assert ct.category_histogram().sum() > 0
-            final = norm(ct.category_histogram())
+            assert hist.sum() > 0
+            final = norm(hist)
             d_first = np.abs(norm(first.histogram) - final).sum()
             d_last = np.abs(norm(last.histogram) - final).sum()
             assert d_last == 0.0
@@ -516,7 +517,7 @@ def test_trained_stack_bound_conditioner_matches_unbound(trained_session, monkey
                 for cs in (c.data[:1], c.data)]
 
     got = sample()
-    monkeypatch.setattr(MaskedConditioner, "bind", unbound_bind)
+    monkeypatch.setattr(Conditioner, "bind", unbound_bind)
     want = sample()
     for a, r in zip(got, want):
         assert np.array_equal(a, r)

@@ -101,11 +101,12 @@ def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, store, {})
     blob = path.read_bytes()
-    file_values = np.frombuffer(blob, dtype="<f8", offset=len(blob) - store.payload_size())
+    payload_size = 8 * sum(t.size for _, t in store.items())
+    file_values = np.frombuffer(blob, dtype="<f8", offset=len(blob) - payload_size)
 
     target = small_store(seed=99)
     _, payload = load_checkpoint(path, store=target)
-    assert isinstance(payload, memoryview) and len(payload) == store.payload_size()
+    assert isinstance(payload, memoryview) and len(payload) == payload_size
     buffer = np.frombuffer(payload, dtype=np.float64)
     offset = 0
     for name in target.names():
@@ -114,7 +115,7 @@ def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
         assert np.array_equal(arr.ravel(), file_values[offset:offset + arr.size])
         assert np.shares_memory(arr, buffer[offset:offset + arr.size])
         offset += arr.size
-    tensors = target.tensors()
+    tensors = [t for _, t in target.items()]
     for a, b in zip(tensors, tensors[1:]):
         assert not np.shares_memory(a.data, b.data)
 
@@ -123,7 +124,7 @@ def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
     other = small_store(seed=5)
     other.load_payload(other.manifest(), caller)
     caller_values = np.frombuffer(caller, dtype="<f8")
-    bases = {id(t.data.base) for t in other.tensors()}
+    bases = {id(t.data.base) for _, t in other.items()}
     assert len(bases) == 1
     for name in other.names():
         arr = other[name].data

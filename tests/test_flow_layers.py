@@ -12,12 +12,11 @@ from urbanflows.errors import ConfigurationError, ModeError
 from urbanflows.flow_layers import (
     CLAMP,
     BatchNormFlow,
-    ConditionerNet,
+    Conditioner,
     CouplingLayer,
     ConditionProjectionLayer,
     FlowStack,
     MaskedARLayer,
-    MaskedConditioner,
     Permutation,
     UncondARLayer,
     build_made_masks,
@@ -138,8 +137,8 @@ def test_made_masks_are_shared_and_read_only(rng):
         with pytest.raises(ValueError):
             arr[...] = 0
     assert np.array_equal(masks.sb_out_mask, np.tile(masks.out_mask, (1, 2)))
-    a = MaskedConditioner(ParameterStore(), "a", 5, 0, rng, widths=(7, 7), mask_seed=3)
-    b = MaskedConditioner(ParameterStore(), "b", 5, 0, rng, widths=(7, 7), mask_seed=3)
+    a = Conditioner(ParameterStore(), "a", 5, 5, rng, widths=(7, 7), mask_seed=3)
+    b = Conditioner(ParameterStore(), "b", 5, 5, rng, widths=(7, 7), mask_seed=3)
     assert a.masks is b.masks is masks
 
 
@@ -220,19 +219,19 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
     the reference composed from tape ops one pass at a time, the same pass
     counts, and gradients within atol 1e-12."""
     d = 24
-    if cls in (CouplingLayer, ConditionProjectionLayer):
+    dense = cls in (CouplingLayer, ConditionProjectionLayer)
+    if dense:
         kwargs, reference = {"cond_dim": COND}, ("__call__", composed_call)
-        owner = ConditionerNet
     else:
         kwargs = {"mask_seed": 5, **({"cond_dim": COND} if cls is MaskedARLayer else {})}
-        owner, reference = MaskedConditioner, ("bind", unbound_bind)
+        reference = ("bind", unbound_bind)
     layer, store = perturbed_layer(cls, rng, d=d, widths=(16, 16), **kwargs)
     x_data = rng.normal(size=(batch, d))
     cond_data = rng.normal(size=(batch, COND)) if "cond_dim" in kwargs else None
     g = rng.normal(size=(batch, d))
 
     def conditioner_out(x, cond):
-        if owner is ConditionerNet:
+        if dense:
             return layer._sb(x[:, : layer.half], cond)
         return layer.net(x, cond)
 
@@ -254,7 +253,7 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
         return [s.data, b.data, back.data, y.data, ld.data], calls, grads
 
     got, got_calls, got_grads = run()
-    monkeypatch.setattr(owner, *reference)
+    monkeypatch.setattr(Conditioner, *reference)
     want, want_calls, want_grads = run()
     for part, a, r in zip(("s", "b", "inverse", "y", "logdet"), got, want):
         assert np.array_equal(a, r), part
@@ -464,7 +463,7 @@ def test_gaussian_logp_reference():
 
 def test_conditioner_net_shapes(rng):
     store = ParameterStore()
-    net = ConditionerNet(store, "n", in_dim=5, out_dim=4, rng=rng, widths=(8, 8))
+    net = Conditioner(store, "n", in_dim=5, d=4, rng=rng, widths=(8, 8))
     s, b = net(Tensor(rng.normal(size=(3, 5))))
     assert s.shape == (3, 4) and b.shape == (3, 4)
     # zero-initialized head

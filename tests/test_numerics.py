@@ -302,7 +302,7 @@ def test_parameter_store_payload_roundtrip(rng):
     manifest = store.manifest()
     assert [m[0] for m in manifest] == ["a.vec", "b.mat", "c.stat"]
     payload = store.to_payload()
-    assert len(payload) == store.payload_size()
+    assert len(payload) == 8 * sum(t.size for _, t in store.items())
     snap = store.snapshot()
     for _, t in store.items():
         t.data = t.data * 0.0 + 7.0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import encoding_reference
-from urbanflows import checkpoint, cli, pipeline
+from urbanflows import checkpoint, cli, config_flow, pipeline
 from urbanflows.checkpoint import read_header
 from urbanflows.cli import main
 from urbanflows.config_flow import dequantize_config_batch
@@ -37,6 +37,7 @@ from urbanflows.pipeline import (
     generate_one,
     train_zone_stage,
 )
+from urbanflows.render import render_config_ppm
 from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import build_info_vector, make_dataset, read_dataset
 from urbanflows.zone_flow import dequantize_zone_batch
@@ -160,7 +161,7 @@ def test_generation_shapes_and_determinism():
     np.testing.assert_array_equal(ct1.counts, ct2.counts)
     assert len(tr) == 3 * rc.k_config + 1
     assert tr[0].layer_type == "latent"
-    np.testing.assert_array_equal(tr[-1].histogram, ct1.category_histogram())
+    np.testing.assert_array_equal(tr[-1].histogram, ct1.counts.sum(axis=(0, 1)))
 
     es = np.stack([e] * 6)
     zms, cts, traces = generate_batch(bundle, es, np.random.default_rng(4))
@@ -709,6 +710,60 @@ def test_cli_generate_twice_writes_identical_files(tmp_path, monkeypatch):
         assert a[name] == b[name], name
     records = [json.loads(line) for line in a["configs.jsonl"].splitlines()[1:]]
     assert [r["id"] for r in records] == list(range(5))
+
+
+@pytest.mark.parametrize("command", ["generate", "trace"])
+@pytest.mark.parametrize("flags,message", [
+    (["--sample-id", "0"], "--sample-id requires --dataset"),
+    (["--dataset", "{data}", "--sample-id", "{sid}", "--context-seed", "1"],
+     "--context-seed cannot be used with --dataset"),
+])
+def test_cli_rejects_contradictory_context_flags(tmp_path, capsys, command, flags, message):
+    """A sample id with no dataset, or a context seed beside a dataset,
+    exits 1 before writing anything; before, the first silently used the
+    synthesized context and the second ignored the seed."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    data = str(tmp_path / "data.jsonl")
+    sid = str(read_dataset(data)[0][0].id)
+    out = tmp_path / "g"
+    capsys.readouterr()
+    argv = [command, "--ckpt", ckpt, "--green-level", "1", "--out-dir", str(out),
+            *(f.format(data=data, sid=sid) for f in flags)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_trace_quantizes_each_step_once_per_batch(tmp_path, monkeypatch):
+    """`trace` renders every step frame from the counts ``generate_batch``
+    quantized: one ``quantize_config_batch`` call for the configurations and
+    one per trace step, per batch, and none per sample.  Each frame is the
+    rendering of its step's quantized state."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    monkeypatch.setattr(cli, "_GENERATE_CHUNK", 2)
+    calls = []
+    for module in (pipeline, config_flow):
+        def counted(vecs, *args, real=module.quantize_config_batch):
+            calls.append(len(vecs))
+            return real(vecs, *args)
+        monkeypatch.setattr(module, "quantize_config_batch", counted)
+    out = tmp_path / "t"
+    assert main(["trace", "--ckpt", ckpt, "--green-level", "3", "--count", "3",
+                 "--seed", "4", "--out-dir", str(out)]) == 0
+    steps = 3 * MINI["k_config"] + 1
+    assert calls == [2] * (1 + steps) + [1] * (1 + steps)
+    want = tmp_path / "want.ppm"
+    for i in range(3):
+        lines = (out / f"gen{i:03d}.trace.jsonl").read_text().splitlines()[1:]
+        assert len(lines) == steps
+        for rec in map(json.loads, lines):
+            counts = encoding_reference.quantize_config(np.array(rec["state"]),
+                                                        MINI["n"], MINI["p"])
+            render_config_ppm(str(want), counts)
+            frame = out / f"gen{i:03d}.step{rec['step']:02d}.ppm"
+            assert frame.read_bytes() == want.read_bytes(), frame.name
 
 
 @pytest.mark.parametrize("name,value,message", [

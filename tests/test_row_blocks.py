@@ -17,7 +17,7 @@ from conftest import mini_runconfig
 from urbanflows import pipeline
 from urbanflows.config_flow import dequantize_config_batch
 from urbanflows.errors import SamplingFault
-from urbanflows.flow_layers import MaskedConditioner
+from urbanflows.flow_layers import Conditioner
 from urbanflows.numerics import ParameterStore, Tensor, no_grad
 from urbanflows.pipeline import (
     ModelBundle,
@@ -156,7 +156,8 @@ def test_blocks_need_no_grad_and_see_the_callers_errstate(monkeypatch):
 
 def test_conditioner_calls_exact_under_two_threads():
     store = ParameterStore()
-    net = MaskedConditioner(store, "net", 4, 3, np.random.default_rng(0), widths=(5,))
+    net = Conditioner(store, "net", 4, 4, np.random.default_rng(0), widths=(5,), cond_dim=3,
+                      mask_seed=0)
     passes = 3000
     start = threading.Barrier(2)
 

@@ -21,7 +21,9 @@ from urbanflows.synthdata import (
     TOTAL_POI_RATE,
     build_info_vector,
     empty_probability,
+    SynthSample,
     generate_sample,
+    info_vectors,
     make_dataset,
     poisson_rates,
     read_dataset,
@@ -243,5 +245,40 @@ def test_dataset_id_and_level_must_be_json_integers(tmp_path, key, value):
     assert info.value.line_number == 3
     if key == "id":
         assert "id must be an integer" in str(info.value)
-    elif value != [2]:   # a list passes the level check and fails int()
-        assert "guidance level" in str(info.value) and "out of range" in str(info.value)
+    else:
+        assert "guidance level" in str(info.value)
+        if value != [2]:   # a one-level list has the wrong shape, not a wrong value
+            assert "out of range" in str(info.value)
+
+
+@pytest.mark.parametrize("sample_id,level", [
+    (0, 2.7), (0.9, True), (0, True), (0, [2]), (0, 5), (0, "2"), (0, None),
+    (True, 1), ("3", 1), (2.0, 1),
+])
+def test_synth_sample_rejects_a_non_integer_id_or_level(sample_id, level):
+    """``SynthSample`` itself checks its id and level with the one level
+    check; ``int()`` used to turn (0, 2.7) into level 2 and (0.9, True)
+    into id 0 and level 1."""
+    s = generate_sample(1, N, M, P, 2)
+    with pytest.raises(DataError):
+        SynthSample(sample_id, level, s.context, s.zones, s.config)
+
+
+def test_synth_sample_takes_numpy_integers():
+    s = generate_sample(1, N, M, P, 2)
+    t = SynthSample(np.int64(7), np.int32(3), s.context, s.zones, s.config)
+    assert (t.id, t.green_level) == (7, 3)
+    assert type(t.id) is int and type(t.green_level) is int
+
+
+def test_info_vectors_reject_levels_not_shaped_b():
+    """Nested levels used to index the one-hot twice per row, giving rows
+    with two ones in the guidance block."""
+    feats = np.stack([generate_sample(i, N, M, P, 1).context.node_features
+                      for i in range(2)])
+    assert info_vectors(feats, np.array([1, 2])).shape == (2, RunConfig(n=N, m=M, p=P).info_dim)
+    for bad in ([[1], [2]], [1], [1, 2, 3], 1):
+        with pytest.raises(DataError, match="guidance level"):
+            info_vectors(feats, bad)
+    with pytest.raises(DataError, match="guidance level"):
+        build_info_vector(generate_sample(0, N, M, P, 1).context, [1])
