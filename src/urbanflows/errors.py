@@ -21,6 +21,12 @@ class ModeError(UrbanFlowsError):
     """An operation was requested in an unsupported train/eval mode."""
 
 
+def check_mode(mode):
+    """Raise ``ModeError`` naming ``mode`` unless it is "train" or "eval"."""
+    if mode not in ("train", "eval"):
+        raise ModeError(f"unknown mode {mode!r}: expected 'train' or 'eval'")
+
+
 class TrainingFault(UrbanFlowsError):
     """Non-finite loss during training; carries the offending sample index."""
 

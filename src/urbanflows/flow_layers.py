@@ -13,9 +13,10 @@ Conventions used throughout:
   so exp(s) stays within [e^-5, e^5] no matter what the conditioner emits.
 * Every affine layer takes its (s, b) from a ``Conditioner``: dense for
   coupling and condition projection, MADE-masked for the two AR layers.
-  Each pass is one ``conditioner_mlp`` tape node, masks and clamp
-  included; the Jacobi sweeps of an AR inverse run its numpy body,
-  ``conditioner_mlp_arrays``, on ndarrays.
+  A taped layer forward is one ``affine_step`` or ``batchnorm_flow`` node,
+  whose [y | log-det] output ``forward`` slices into (y, ld); a coupling or
+  batch-norm inverse is one node too.  Under ``no_grad`` the layers run the
+  nodes' numpy bodies, and the Jacobi sweeps ``conditioner_mlp_arrays``.
 * Layers register their parameters as (name, shape, init recipe), so a
   store opened on a checkpoint builds them without drawing anything.
 """
@@ -27,15 +28,18 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigurationError, ModeError, SamplingFault
+from .errors import ConfigurationError, ModeError, SamplingFault, check_mode
 from .numerics import (
     Tensor,
-    concat,
+    affine_step,
+    affine_step_arrays,
+    batchnorm_flow,
+    batchnorm_flow_arrays,
     conditioner_mlp,
     conditioner_mlp_arrays,
-    exp,
-    log,
+    grad_enabled,
     normal,
+    pass_arrays,
     permute_columns,
 )
 
@@ -152,8 +156,9 @@ class Conditioner:
     ``bind_arrays`` is the same pass on ndarrays, off the tape, for the
     fixed-point inverse: it builds the masked weights once per bind, and
     its passes run ``conditioner_mlp_arrays``, the primitive's numpy body.
-    ``calls`` counts passes of either kind, which the sampling-complexity
-    audit reads; it stays exact when passes run on several threads at once.
+    ``step`` is a whole affine layer step around one pass.  ``calls`` counts
+    every pass, which the sampling-complexity audit reads; it stays exact
+    when passes run on several threads at once.
     """
 
     def __init__(self, store, prefix, in_dim, d, rng, widths=(64, 64), cond_dim=0,
@@ -162,6 +167,7 @@ class Conditioner:
         self.d = d
         self.cond_dim = cond_dim
         self.masks = None if mask_seed is None else build_made_masks(d, widths, mask_seed)
+        self.weight_masks = None if self.masks is None else self.masks.weight_masks
         self.calls = 0
         self.hidden = []
         fan = in_dim
@@ -180,17 +186,20 @@ class Conditioner:
         if self.cond_dim and (cond is None or cond.shape[-1] != self.cond_dim):
             raise ConfigurationError("condition vector missing or mis-sized")
 
+    def _count(self, width):
+        if width != self.in_dim:
+            raise ConfigurationError(
+                f"conditioner built for input width {self.in_dim}, got {width}")
+        with _CALLS_LOCK:
+            self.calls += 1
+
     def _counted(self, run):
         """``run`` as a pass that checks its input width, counts itself and
         splits its ``[s | b]`` output."""
-        in_dim, d = self.in_dim, self.d
+        d = self.d
 
         def conditioner_pass(x):
-            if x.shape[-1] != in_dim:
-                raise ConfigurationError(
-                    f"conditioner built for input width {in_dim}, got {x.shape[-1]}")
-            with _CALLS_LOCK:
-                self.calls += 1
+            self._count(x.shape[-1])
             out = run(x)
             return out[:, :d], out[:, d:]
 
@@ -200,25 +209,39 @@ class Conditioner:
         """Fix the condition and return the taped pass ``x -> (s, b)``."""
         self._check_cond(cond)
         hidden = [(w, b, None if v is None else cond @ v) for w, b, v in self.hidden]
-        masks = None if self.masks is None else self.masks.weight_masks
         return self._counted(
-            lambda x: conditioner_mlp(x, hidden, *self.final, self.d, CLAMP, masks))
+            lambda x: conditioner_mlp(x, hidden, *self.final, self.d, CLAMP, self.weight_masks))
 
     def bind_arrays(self, cond=None):
         """``bind`` on ndarrays: fix the condition (an ndarray or None) and
         return the pass ``x -> (s, b)`` on ndarrays, with no tape."""
         self._check_cond(cond)
-        weights = [w.data for w, _, _ in self.hidden] + [self.final[0].data]
-        if self.masks is not None:
-            weights = [w * mask for w, mask in zip(weights, self.masks.weight_masks)]
-        hidden = [(wd, b.data, None if v is None else cond @ v.data)
-                  for wd, (_, b, v) in zip(weights, self.hidden)]
+        weights, hidden = pass_arrays(self.hidden, self.final[0], self.weight_masks)
+        hidden = [(w, b, None if v is None else cond @ v) for w, b, v in hidden]
         b_out = self.final[1].data
         return self._counted(
             lambda x: conditioner_mlp_arrays(x, hidden, weights[-1], b_out, self.d, CLAMP)[0])
 
     def __call__(self, x, cond=None):
         return self.bind(cond)(x)
+
+    def step(self, x, cond, lo, reads, inverse=False):
+        """An affine layer step around one pass, which reads x's first
+        ``reads`` columns (then ``cond``, when there are no condition
+        terms) and transforms its columns from ``lo`` on: (y, log-det)
+        forward, x inverse.  Taped, one ``affine_step`` node whose [y |
+        log-det] is sliced; under ``no_grad``, its numpy body."""
+        self._check_cond(cond)
+        self._count(reads if self.cond_dim or cond is None else reads + cond.shape[-1])
+        if grad_enabled():
+            out = affine_step(x, cond, self.hidden, *self.final, CLAMP, lo, reads,
+                              self.weight_masks, inverse)
+            return out if inverse else (out[:, : x.shape[1]], out[:, x.shape[1]])
+        weights, hidden = pass_arrays(self.hidden, self.final[0], self.weight_masks)
+        res, ld, *_ = affine_step_arrays(x.data, None if cond is None else cond.data, hidden,
+                                         weights[-1], self.final[1].data, CLAMP, lo, reads,
+                                         inverse)
+        return Tensor(res) if inverse else (Tensor(res), Tensor(ld))
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +261,17 @@ class CouplingLayer:
             raise ConfigurationError(f"{self.kind.replace('_', ' ')} layer needs even d")
         self.d = d
         self.half = d // 2
-        in_dim = self.half + cond_dim if self.reads_h1 else cond_dim
-        self.net = Conditioner(store, prefix, in_dim, d - self.half, rng, widths)
-
-    def _sb(self, h1, cond):
-        return self.net(concat([h1, cond], axis=1) if self.reads_h1 else cond)
+        self.reads = self.half if self.reads_h1 else 0
+        self.net = Conditioner(store, prefix, self.reads + cond_dim, d - self.half, rng,
+                               widths)
 
     def forward(self, x, cond, mode="train"):
-        h1 = x[:, : self.half]
-        h2 = x[:, self.half :]
-        s, b = self._sb(h1, cond)
-        y2 = h2 * exp(s) + b
-        return concat([h1, y2], axis=1), s.sum(axis=1)
+        check_mode(mode)
+        return self.net.step(x, cond, self.half, self.reads)
 
     def inverse(self, y, cond, mode="eval"):
-        h1 = y[:, : self.half]
-        y2 = y[:, self.half :]
-        s, b = self._sb(h1, cond)
-        h2 = (y2 - b) * exp(-s)
-        return concat([h1, h2], axis=1)
+        check_mode(mode)
+        return self.net.step(y, cond, self.half, self.reads, inverse=True)
 
 
 class ConditionProjectionLayer(CouplingLayer):
@@ -285,32 +300,38 @@ class BatchNormFlow:
         self.running_var = store.param(f"{prefix}.running_var", (d,), 1.0 - eps,
                                        trainable=False)
 
+    def _running(self):
+        return (self.running_mean.data.reshape(1, self.d),
+                self.running_var.data.reshape(1, self.d))
+
     def forward(self, x, mode="train", update_stats=True):
+        check_mode(mode)
         if mode == "train":
             if x.shape[0] < 2:
                 raise ConfigurationError("train-mode batchnorm needs batch size >= 2")
-            mu = x.mean(axis=0, keepdims=True)
-            centered = x - mu
+            mu = x.data.mean(axis=0, keepdims=True)
+            centered = x.data - mu
             var = (centered * centered).mean(axis=0, keepdims=True)
             if update_stats:
                 m = self.momentum
-                self.running_mean.data = m * self.running_mean.data + (1 - m) * mu.data[0]
-                self.running_var.data = m * self.running_var.data + (1 - m) * var.data[0]
+                self.running_mean.data = m * self.running_mean.data + (1 - m) * mu[0]
+                self.running_var.data = m * self.running_var.data + (1 - m) * var[0]
         else:
-            mu = self.running_mean.detach().reshape(1, self.d)
-            centered = x - mu
-            var = self.running_var.detach().reshape(1, self.d)
-        y = centered / (var + self.eps) ** 0.5
-        # identical for every sample in the batch, broadcast to (B,)
-        ld = log(var + self.eps).sum() * (-0.5)
-        return y, ld * Tensor(np.ones(x.shape[0]))
+            mu, var = self._running()
+        if grad_enabled():
+            out = batchnorm_flow(x, mu, var, self.eps, batch_stats=mode == "train")
+            return out[:, : self.d], out[:, self.d]
+        y, ld, _ = batchnorm_flow_arrays(x.data, mu, var, self.eps)
+        return Tensor(y), Tensor(ld)
 
     def inverse(self, y, mode="eval"):
+        check_mode(mode)
         if mode == "train":
             raise ModeError("batchnorm flow cannot invert with batch statistics")
-        mu = self.running_mean.detach().reshape(1, self.d)
-        var = self.running_var.detach().reshape(1, self.d)
-        return y * (var + self.eps) ** 0.5 + mu
+        mu, var = self._running()
+        if grad_enabled():
+            return batchnorm_flow(y, mu, var, self.eps, inverse=True)
+        return Tensor(batchnorm_flow_arrays(y.data, mu, var, self.eps, inverse=True)[0])
 
 
 class MaskedARLayer:
@@ -331,8 +352,8 @@ class MaskedARLayer:
         self.net = Conditioner(store, prefix, d, d, rng, widths, cond_dim, mask_seed)
 
     def forward(self, x, cond=None, mode="train"):
-        s, b = self.net(x, cond)
-        return x * exp(s) + b, s.sum(axis=1)
+        check_mode(mode)
+        return self.net.step(x, cond if self.cond_dim else None, 0, self.d)
 
     def inverse(self, y, cond=None, mode="eval"):
         """Jacobi fixed-point inversion: x <- (y - b(x)) * exp(-s(x)) from
@@ -348,6 +369,7 @@ class MaskedARLayer:
         The sweeps run on ndarrays, off the tape: the generation direction
         of AR layers is never differentiated in this package.
         """
+        check_mode(mode)
         y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
         if cond is not None:
             cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=np.float64)
@@ -440,6 +462,7 @@ class FlowStack:
         ``collect`` receives (flat_index, kind, canonical state ndarray)
         after each layer when provided.
         """
+        check_mode(mode)
         h = x
         logdet = Tensor(np.zeros(x.shape[0]))
         prev_block = 0
@@ -465,6 +488,7 @@ class FlowStack:
         non-finite.  ``collect`` receives (flat_index, kind, canonical state
         ndarray) after each inverted layer when provided.
         """
+        check_mode(mode)
         h = permute_columns(z, self.final_layout)
         for flat_idx in range(len(self.layers) - 1, -1, -1):
             kind, block_idx, layer, layout = self.layers[flat_idx]

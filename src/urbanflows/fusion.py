@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionError
+from .errors import ConfigurationError, DataError, DimensionError, check_mode
 from .numerics import (
     Tensor,
     as_tensor,
@@ -115,6 +115,7 @@ class GeoExtractor:
 
     def forward(self, x, mode="eval", rng=None):
         """x is (B, 1, N, N) with values already rescaled to [0, 1]."""
+        check_mode(mode)
         if x.ndim != 4:
             raise DimensionError("geo extractor expects (B,1,N,N)")
         size = x.shape[2]

@@ -5,13 +5,8 @@ from .tape import (
     as_tensor,
     no_grad,
     grad_enabled,
-    concat,
     matmul,
     exp,
-    log,
-    sqrt,
-    tanh,
-    erf,
     clip,
     permute_columns,
 )
@@ -22,6 +17,11 @@ from .kernels import (
     gelu,
     conditioner_mlp,
     conditioner_mlp_arrays,
+    affine_step,
+    affine_step_arrays,
+    batchnorm_flow,
+    batchnorm_flow_arrays,
+    pass_arrays,
     softmax_rows,
     global_avg_pool,
 )
@@ -34,13 +34,8 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "grad_enabled",
-    "concat",
     "matmul",
     "exp",
-    "log",
-    "sqrt",
-    "tanh",
-    "erf",
     "clip",
     "permute_columns",
     "conv2d",
@@ -49,6 +44,11 @@ __all__ = [
     "gelu",
     "conditioner_mlp",
     "conditioner_mlp_arrays",
+    "affine_step",
+    "affine_step_arrays",
+    "batchnorm_flow",
+    "batchnorm_flow_arrays",
+    "pass_arrays",
     "softmax_rows",
     "global_avg_pool",
     "ParameterStore",

@@ -27,6 +27,13 @@ weights in the forward and to their gradients in the backward.  It keeps
 the intermediates its backward needs only when the node goes on the tape.
 Its numpy body, ``conditioner_mlp_arrays``, is also what the fixed-point
 inverse of an AR layer calls on ndarrays, with weights masked once per bind.
+
+``affine_step`` (the conditioner pass, ``y = x * exp(s) + b`` and the
+log-det, or the inverse) and ``batchnorm_flow`` are whole flow-layer steps
+as one node each, bit for bit the composed layers; a forward returns
+``[y | log-det]`` as one (B, d + 1) array, since a node has one output.
+``_mlp_backward`` is the conditioner backward both conditioner nodes share,
+and the ``*_arrays`` bodies are what the layers run under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ __all__ = [
     "gelu",
     "conditioner_mlp",
     "conditioner_mlp_arrays",
+    "affine_step",
+    "affine_step_arrays",
+    "batchnorm_flow",
+    "batchnorm_flow_arrays",
+    "pass_arrays",
     "softmax_rows",
     "global_avg_pool",
 ]
@@ -237,6 +249,43 @@ def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
     return out, t, h
 
 
+def _mlp_backward(g_pre, t, saved, h_last, weights, masks, d, need_input):
+    """The backward of ``conditioner_mlp_arrays``, from the gradient of its
+    output (overwritten).  Returns the input gradient (None unless
+    ``need_input``) and, per weight matrix, (masked weight gradient, bias
+    gradient, pre-activation gradient)."""
+    g_pre[:, :d] *= 1.0 - t * t
+    inputs = [*saved, (h_last, None, None)]
+    grads = [None] * len(inputs)
+    for i in range(len(inputs) - 1, -1, -1):
+        h_in, pre, one_plus_erf = inputs[i]
+        if pre is not None:  # a hidden layer: back through the GELU
+            phi = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+            g_pre = (g_pre @ weights[i + 1].T) * (0.5 * one_plus_erf + pre * phi)
+        g_w = h_in.T @ g_pre
+        if masks is not None:
+            g_w *= masks[i]
+        grads[i] = (g_w, g_pre.sum(axis=0), g_pre)
+    return (g_pre @ weights[0].T if need_input else None), grads
+
+
+def pass_arrays(hidden, w_out, masks):
+    """Masked weight arrays (hidden, output) and hidden (w, b, _) arrays."""
+    weights = [w.data for w, _, _ in hidden] + [w_out.data]
+    if masks is not None:
+        weights = [w * mask for w, mask in zip(weights, masks)]
+    return weights, [(wd, b.data, None if c is None else c.data)
+                     for wd, (_, b, c) in zip(weights, hidden)]
+
+
+def _pass_inputs(inputs, hidden, w_out, b_out, masks):
+    """Parents, ``saved`` (None off the tape) and ``pass_arrays`` of a node."""
+    parents = [p for p in (*inputs, *(p for layer in hidden for p in layer), w_out, b_out)
+               if p is not None]
+    taped = grad_enabled() and any(p.requires_grad for p in parents)
+    return (parents, [] if taped else None, *pass_arrays(hidden, w_out, masks))
+
+
 def conditioner_mlp(x, hidden, w_out, b_out, d, clamp, masks=None):
     """One conditioner-MLP pass: ``(B, 2d)`` rows ``[s | shift]``.
 
@@ -251,42 +300,138 @@ def conditioner_mlp(x, hidden, w_out, b_out, d, clamp, masks=None):
     The backward gives the gradient of ``x`` and of every weight, bias and
     condition term that requires one.
     """
-    parents = [x]
-    for w, b, cv in hidden:
-        parents += (w, b) if cv is None else (w, b, cv)
-    parents += (w_out, b_out)
-    taped = grad_enabled() and any(p.requires_grad for p in parents)
-    saved = [] if taped else None  # (layer input, pre-activation, 1 + erf) per hidden layer
-    weights = [w.data for w, _, _ in hidden] + [w_out.data]
-    if masks is not None:
-        weights = [w * mask for w, mask in zip(weights, masks)]
-    out, t, h_last = conditioner_mlp_arrays(
-        x.data, [(wd, b.data, None if cv is None else cv.data)
-                 for wd, (_, b, cv) in zip(weights, hidden)],
-        weights[-1], b_out.data, d, clamp, saved)
+    parents, saved, weights, arrays = _pass_inputs((x,), hidden, w_out, b_out, masks)
+    out, t, h_last = conditioner_mlp_arrays(x.data, arrays, weights[-1], b_out.data, d,
+                                            clamp, saved)
 
     def backward(g):
-        g_pre = g.copy()
-        g_pre[:, :d] *= 1.0 - t * t
-        layers = [*hidden, (w_out, b_out, None)]
-        inputs = [*saved, (h_last, None, None)]
-        for i in range(len(hidden), -1, -1):
-            (w, b, cv), (h_in, pre, one_plus_erf) = layers[i], inputs[i]
-            if pre is not None:  # a hidden layer: back through the GELU
-                phi = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
-                g_pre = (g_pre @ weights[i + 1].T) * (0.5 * one_plus_erf + pre * phi)
-            if cv is not None and cv.requires_grad:
+        g_x, grads = _mlp_backward(g.copy(), t, saved, h_last, weights, masks, d,
+                                   x.requires_grad)
+        for (w, b, cv), (g_w, g_b, g_pre) in zip([*hidden, (w_out, b_out, None)], grads):
+            if cv is not None:
                 _accumulate(cv, _unbroadcast(g_pre, cv.shape))
-            _accumulate(b, g_pre.sum(axis=0))
-            if w.requires_grad:
-                grad = h_in.T @ g_pre
-                if masks is not None:
-                    grad *= masks[i]
-                _accumulate(w, grad)
-        if x.requires_grad:
-            _accumulate(x, g_pre @ weights[0].T)
+            _accumulate(b, g_b)
+            _accumulate(w, g_w)
+        if g_x is not None:
+            _accumulate(x, g_x)
 
     return _node(out, parents, backward)
+
+
+def affine_step_arrays(x, cond, hidden, w_out, b_out, clamp, lo, reads, inverse=False,
+                       ld_column=False, saved=None):
+    """The numpy body of ``affine_step``; ``hidden`` holds ``(w, b, v)``
+    arrays, the weights masked.  Returns ``(res, ld, t, h_last, e)``: y (x
+    for the inverse), with the log-det as one more column when
+    ``ld_column``; the (B,) log-det (None for the inverse); the pass's ``t``
+    and ``h_last``; and exp(s) (exp(-s) for the inverse)."""
+    n = x.shape[1]
+    if cond is None or any(v is not None for _, _, v in hidden):
+        u = x[:, :reads]
+    else:
+        u = cond if reads == 0 else np.concatenate([x[:, :reads], cond], axis=1)
+    out, t, h_last = conditioner_mlp_arrays(
+        u, [(w, b, None if v is None else cond @ v) for w, b, v in hidden], w_out, b_out,
+        n - lo, clamp, saved)
+    s, shift = out[:, : n - lo], out[:, n - lo :]
+    res = np.empty((x.shape[0], n + ld_column))
+    res[:, :lo] = x[:, :lo]
+    e = np.exp(-s if inverse else s)
+    if inverse:
+        np.multiply(x[:, lo:] - shift, e, out=res[:, lo:])
+        return res, None, t, h_last, e
+    np.multiply(x[:, lo:], e, out=res[:, lo:n])
+    res[:, lo:n] += shift
+    ld = s.sum(axis=1)
+    if ld_column:
+        res[:, n] = ld
+    return res, ld, t, h_last, e
+
+
+def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
+                inverse=False):
+    """One affine flow step, conditioner pass included, as one tape node.
+
+    The pass reads the first ``reads`` columns of ``x`` (B, D), then
+    ``cond``; but when the hidden layers ``(w, b, v)`` have condition
+    weights ``v``, ``cond`` enters each as ``cond @ v`` instead.  Its (s, b)
+    transform the columns from ``lo`` on: the forward gives ``[y | log-det]``
+    as one (B, D + 1) array, ``y = x * exp(s) + b`` there and x elsewhere,
+    the log-det ``s.sum(1)``; the inverse gives x = (y - b) * exp(-s).
+    ``masks`` act as in ``conditioner_mlp``.
+    """
+    parents, saved, weights, arrays = _pass_inputs((x, cond), hidden, w_out, b_out, masks)
+    res, _, t, h_last, e = affine_step_arrays(
+        x.data, None if cond is None else cond.data, arrays, weights[-1], b_out.data, clamp,
+        lo, reads, inverse, not inverse, saved)
+    n, d = x.shape[1], x.shape[1] - lo
+    cond_in = cond is not None and all(v is None for _, _, v in hidden)
+
+    def backward(g):
+        g2 = g[:, lo:n]
+        g_y2 = g2 * e
+        if inverse:  # x2 = (y2 - b) e: dx2/ds = -x2, dx2/db = -e
+            g_out = np.concatenate([g2 * res[:, lo:], g_y2], axis=1)
+            np.negative(g_out, out=g_out)
+        else:  # y2 = x2 e + b and ld = sum(s)
+            g_out = np.concatenate([g2 * x.data[:, lo:] * e + g[:, n:], g2], axis=1)
+        need_u = (x.requires_grad and reads > 0) or (cond_in and cond.requires_grad)
+        g_u, grads = _mlp_backward(g_out, t, saved, h_last, weights, masks, d, need_u)
+        for (w, b, v), (g_w, g_b, g_pre) in zip([*hidden, (w_out, b_out, None)], grads):
+            _accumulate(w, g_w)
+            _accumulate(b, g_b)
+            if v is not None:
+                _accumulate(v, cond.data.T @ g_pre)
+                if cond.requires_grad:
+                    _accumulate(cond, g_pre @ v.data.T)
+        if x.requires_grad:
+            g_x = np.concatenate([g[:, :lo], g_y2], axis=1)
+            if reads:
+                g_x[:, :reads] += g_u[:, :reads]
+            _accumulate(x, g_x)
+        if cond_in and cond.requires_grad:
+            _accumulate(cond, g_u[:, reads:])
+
+    return _node(res, parents, backward)
+
+
+def batchnorm_flow_arrays(x, mu, var, eps, inverse=False, ld_column=False):
+    """The numpy body of ``batchnorm_flow``.  Returns ``(res, ld, std)``: y
+    (x for the inverse), with the log-det as one more column when
+    ``ld_column``; the (B,) log-det (None for the inverse); sqrt(var + eps)."""
+    std = np.power(var + eps, 0.5)
+    if inverse:
+        return x * std + mu, None, std
+    ld = np.full(x.shape[0], np.log(var + eps).sum() * (-0.5))
+    if not ld_column:
+        return (x - mu) / std, ld, std
+    res = np.empty((x.shape[0], x.shape[1] + 1))
+    np.divide(x - mu, std, out=res[:, :-1])
+    res[:, -1] = ld
+    return res, ld, std
+
+
+def batchnorm_flow(x, mu, var, eps, batch_stats=False, inverse=False):
+    """Batch-norm flow y = (x - mu) / sqrt(var + eps), (1, d) ``mu`` and
+    ``var``, as one tape node: the forward gives ``[y | log-det]`` as one
+    (B, d + 1) array, the inverse x = y sqrt(var + eps) + mu.  With
+    ``batch_stats`` they are x's own biased batch statistics, and the
+    backward runs through them, the log-det's included."""
+    res, _, std = batchnorm_flow_arrays(x.data, mu, var, eps, inverse, not inverse)
+    if inverse:
+        return _node(res, (x,), lambda g: _accumulate(x, g * std))
+    d = x.shape[1]
+
+    def backward(g):
+        g_y = g[:, :d]
+        if not batch_stats:
+            return _accumulate(x, g_y / std)
+        # y is x_hat, and d ld / d x = -x_hat / (B std) in every row
+        x_hat = res[:, :d]
+        coupled = (g_y * x_hat).mean(axis=0) + g[:, d].sum() / g.shape[0]
+        _accumulate(x, (g_y - g_y.mean(axis=0) - x_hat * coupled) / std)
+
+    return _node(res, (x,), backward)
 
 
 def softmax_rows(x):

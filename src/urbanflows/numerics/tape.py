@@ -12,20 +12,14 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "no_grad",
     "grad_enabled",
-    "concat",
     "matmul",
     "exp",
-    "log",
-    "sqrt",
-    "tanh",
-    "erf",
     "clip",
     "permute_columns",
     "sum_",
@@ -304,47 +298,6 @@ def exp(a):
     return _node(out_data, (a,), backward)
 
 
-def log(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        _accumulate(a, g * 0.5 / out_data)
-
-    return _node(out_data, (a,), backward)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
-
-
-def erf(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        _accumulate(a, g * _TWO_OVER_SQRT_PI * np.exp(-a.data * a.data))
-
-    return _node(_erf(a.data), (a,), backward)
-
-
 def clip(a, lo, hi):
     """Clamp with pass-through gradient strictly inside (lo, hi)."""
     a = as_tensor(a)
@@ -378,20 +331,6 @@ def transpose(a, axes=None):
         _accumulate(a, g.transpose(inverse))
 
     return _node(a.data.transpose(axes), (a,), backward)
-
-
-def concat(parts, axis):
-    parts = [as_tensor(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(start, stop)
-            _accumulate(part, g[tuple(idx)])
-
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
 
 
 def _is_basic_index(idx):

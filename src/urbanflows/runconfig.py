@@ -25,8 +25,12 @@ def check_guidance_levels(levels, error=DataError, shape=None):
     ``error`` unless each is an integer (not a bool, float or string) in
     [0, GUIDANCE_LEVELS) and, when ``shape`` is given, the array has that
     shape (``()`` for a single level)."""
-    arr = np.asarray(levels)
-    if arr.dtype.kind not in "iu" or ((arr < 0) | (arr >= GUIDANCE_LEVELS)).any():
+    try:
+        arr = np.asarray(levels)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.dtype.kind not in "iu"
+            or ((arr < 0) | (arr >= GUIDANCE_LEVELS)).any()):
         raise error(f"guidance level out of range: each must be an integer in "
                     f"[0, {GUIDANCE_LEVELS - 1}], got {levels!r:.60}")
     if shape is not None and arr.shape != shape:

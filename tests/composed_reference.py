@@ -1,5 +1,7 @@
-"""Reference implementations the fused GELU, layer-norm and the
-conditioner-MLP primitive are tested against.
+"""Reference implementations the fused GELU, layer-norm, the
+conditioner-MLP primitive and the fused flow layers are tested against,
+and the tape ops ``log``, ``sqrt``, ``tanh``, ``erf`` and ``concat``, which
+only these compositions use.
 
 ``gelu``, ``layer_norm`` and ``clamp_scale`` are composed from tape ops, so
 their gradients follow from the tape's elementary rules.  The two
@@ -11,13 +13,90 @@ its mask from ``net.masks`` as a tape op and rebuilds every masked weight
 and condition product on each call, and ``unbound_bind`` has the signature
 of ``Conditioner.bind``.  A test can monkeypatch either onto the class and
 run a layer or a whole stack, forward or inverse, through the reference.
+
+The layer bodies below are the flow layers composed from tape ops, about
+ten nodes a layer around the conditioner pass, as they were before each
+layer became one ``affine_step`` or ``batchnorm_flow`` node.  They call
+the layer's conditioner as ``layer.net(...)``, so they run through either
+conditioner reference when that is patched in too.  ``COMPOSED_LAYERS``
+lists (class, method name, body); ``use_composed_layers(monkeypatch)``
+patches them all in, and a layer, a ``FlowStack`` or ``joint_loss`` then
+runs through the composed bodies.
 """
 
 import numpy as np
+from scipy.special import erf as scipy_erf
 
-from urbanflows.errors import ConfigurationError
-from urbanflows.flow_layers import CLAMP
-from urbanflows.numerics import Tensor, erf, sqrt, tanh
+from urbanflows.errors import ConfigurationError, ModeError
+from urbanflows.flow_layers import (
+    CLAMP,
+    BatchNormFlow,
+    CouplingLayer,
+    MaskedARLayer,
+)
+from urbanflows.numerics import Tensor, as_tensor, exp
+from urbanflows.numerics.tape import _accumulate, _node
+
+
+# Tape ops the package itself no longer calls, kept for the compositions
+# below.  test_numerics checks log, sqrt, tanh and concat against finite
+# differences, and erf through the composed GELU against the fused one.
+
+
+def log(a):
+    a = as_tensor(a)
+
+    def backward(g):
+        _accumulate(a, g / a.data)
+
+    return _node(np.log(a.data), (a,), backward)
+
+
+def sqrt(a):
+    a = as_tensor(a)
+    out_data = np.sqrt(a.data)
+
+    def backward(g):
+        _accumulate(a, g * 0.5 / out_data)
+
+    return _node(out_data, (a,), backward)
+
+
+def tanh(a):
+    a = as_tensor(a)
+    out_data = np.tanh(a.data)
+
+    def backward(g):
+        _accumulate(a, g * (1.0 - out_data * out_data))
+
+    return _node(out_data, (a,), backward)
+
+
+_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
+
+
+def erf(a):
+    a = as_tensor(a)
+
+    def backward(g):
+        _accumulate(a, g * _TWO_OVER_SQRT_PI * np.exp(-a.data * a.data))
+
+    return _node(scipy_erf(a.data), (a,), backward)
+
+
+def concat(parts, axis):
+    parts = [as_tensor(p) for p in parts]
+    sizes = [p.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(start, stop)
+            _accumulate(part, g[tuple(idx)])
+
+    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
+
 
 
 def layer_norm(x, gamma, beta, axis=-1, eps=1e-5):
@@ -84,3 +163,70 @@ def unbound_bind(net, cond=None):
     """Drop-in for ``Conditioner.bind`` on a masked conditioner that defers
     all work to the per-pass ``unbound_call``."""
     return lambda x: unbound_call(net, x, cond)
+
+
+def coupling_forward(layer, x, cond, mode="train"):
+    """Coupling and condition projection, data -> latent."""
+    h1 = x[:, : layer.half]
+    h2 = x[:, layer.half :]
+    s, b = layer.net(concat([h1, cond], axis=1) if layer.reads_h1 else cond)
+    y2 = h2 * exp(s) + b
+    return concat([h1, y2], axis=1), s.sum(axis=1)
+
+
+def coupling_inverse(layer, y, cond, mode="eval"):
+    h1 = y[:, : layer.half]
+    y2 = y[:, layer.half :]
+    s, b = layer.net(concat([h1, cond], axis=1) if layer.reads_h1 else cond)
+    h2 = (y2 - b) * exp(-s)
+    return concat([h1, h2], axis=1)
+
+
+def ar_forward(layer, x, cond=None, mode="train"):
+    """Masked and unconditional AR, data -> latent."""
+    s, b = layer.net(x, cond)
+    return x * exp(s) + b, s.sum(axis=1)
+
+
+def batchnorm_forward(layer, x, mode="train", update_stats=True):
+    if mode == "train":
+        if x.shape[0] < 2:
+            raise ConfigurationError("train-mode batchnorm needs batch size >= 2")
+        mu = x.mean(axis=0, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=0, keepdims=True)
+        if update_stats:
+            m = layer.momentum
+            layer.running_mean.data = m * layer.running_mean.data + (1 - m) * mu.data[0]
+            layer.running_var.data = m * layer.running_var.data + (1 - m) * var.data[0]
+    else:
+        mu = layer.running_mean.detach().reshape(1, layer.d)
+        centered = x - mu
+        var = layer.running_var.detach().reshape(1, layer.d)
+    y = centered / (var + layer.eps) ** 0.5
+    # identical for every sample in the batch, broadcast to (B,)
+    ld = log(var + layer.eps).sum() * (-0.5)
+    return y, ld * Tensor(np.ones(x.shape[0]))
+
+
+def batchnorm_inverse(layer, y, mode="eval"):
+    if mode == "train":
+        raise ModeError("batchnorm flow cannot invert with batch statistics")
+    mu = layer.running_mean.detach().reshape(1, layer.d)
+    var = layer.running_var.detach().reshape(1, layer.d)
+    return y * (var + layer.eps) ** 0.5 + mu
+
+
+# ConditionProjectionLayer and UncondARLayer inherit these methods
+COMPOSED_LAYERS = (
+    (CouplingLayer, "forward", coupling_forward),
+    (CouplingLayer, "inverse", coupling_inverse),
+    (MaskedARLayer, "forward", ar_forward),
+    (BatchNormFlow, "forward", batchnorm_forward),
+    (BatchNormFlow, "inverse", batchnorm_inverse),
+)
+
+
+def use_composed_layers(monkeypatch):
+    for cls, name, body in COMPOSED_LAYERS:
+        monkeypatch.setattr(cls, name, body)

@@ -4,6 +4,7 @@ conditioning through attention, and the joint fine-tuning objective."""
 import numpy as np
 import pytest
 
+from composed_reference import use_composed_layers
 from conftest import mini_runconfig
 from urbanflows.config_flow import (
     ConfigFlowModel,
@@ -273,6 +274,50 @@ def test_joint_loss_parts_and_determinism():
     assert parts2 == parts
 
 
+@pytest.mark.parametrize("use_sampled_u", [True, False])
+def test_joint_loss_matches_composed_layers(use_sampled_u, monkeypatch):
+    """The joint loss of both stages' one-node layers (and the one-node
+    zone inverse of the sampled U) is bit for bit the composed layers',
+    running statistics included, with every gradient within atol 1e-12."""
+    bundle = perturbed_bundle(k_zone=2, k_config=2)
+    rc = bundle.cfg
+    store = bundle.store
+    for name, t in store.items():
+        if name.endswith("running_var"):
+            t.data = np.random.default_rng(5).uniform(0.5, 2.0, size=t.shape)
+    samples = make_dataset(37, rc.n, rc.m, rc.p, seed=6)
+    es, zones, counts, _ = dataset_arrays(samples)
+    rng = np.random.default_rng(7)
+    zone_x = dequantize_zone_batch(zones, rc.m, rng)
+    config_x = dequantize_config_batch(counts, rng)
+    z = rng.standard_normal((37, rc.d_zone))
+    start = store.snapshot()
+
+    def run():
+        store.restore(start)
+        store.zero_grad()
+        total, parts = joint_loss(bundle.zone, bundle.fusion, bundle.config, es, zone_x,
+                                  config_x, z, rc.lambda_zone, zone_labels=zones,
+                                  update_stats=True, use_sampled_u=use_sampled_u,
+                                  rng=np.random.default_rng(8))
+        total.backward()
+        grads = {name: t.grad for name, t in store.items()}
+        return total.data, parts, store.snapshot(), grads
+
+    got = run()
+    use_composed_layers(monkeypatch)
+    want = run()
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    for name, value in got[2].items():
+        assert np.array_equal(value, want[2][name]), name
+    for name, a in got[3].items():
+        r = want[3][name]
+        assert (a is None) == (r is None), name
+        if a is not None:
+            np.testing.assert_allclose(a, r, rtol=0.0, atol=1e-12, err_msg=name)
+
+
 def test_joint_finetune_step_updates_all_namespaces():
     store, zone, fusion, config, (n, m, p, info) = mini_pipeline()
     rng = np.random.default_rng(8)
@@ -294,12 +339,14 @@ def test_joint_finetune_step_updates_all_namespaces():
     assert {"zone", "fusion", "config"} <= moved
 
 def test_tape_node_counts_of_default_losses():
-    """Each conditioner-MLP pass is one tape node, MADE masks included,
-    plus the two slices that split it into s and b, so on the default
-    config at B=32 the stage-2 joint loss makes 599 nodes (within 600) and
-    the stage-1 NLL 226 (within 240).  Masked weights built as tape ops
-    (``w * mask``, 24 nodes) gave 623; passes composed from tape ops (13 to
-    15 nodes each) gave 951 and 346."""
+    """Each affine layer forward is one ``affine_step`` node and each
+    batch-norm one ``batchnorm_flow`` node, plus the two slices that split
+    [y | log-det] and one log-det add; the coupling-family and batch-norm
+    inverses of the sampled U are one node each.  On the default config at
+    B=32 the stage-2 joint loss makes 265 nodes (within 330) and the
+    stage-1 NLL 85 (within 90).  Layers composed from tape ops around a
+    one-node conditioner pass gave 599 and 226; passes composed from tape
+    ops too (13 to 15 nodes each) gave 951 and 346."""
     rc = RunConfig().validate()
     bundle = ModelBundle(rc)
     samples = make_dataset(rc.batch_size, rc.n, rc.m, rc.p, seed=1)
@@ -317,5 +364,5 @@ def test_tape_node_counts_of_default_losses():
     def nodes(loss):
         return sum(1 for n in _topo_order(loss) if n._parents)
 
-    assert nodes(total) <= 600
-    assert nodes(zone_mean) <= 240
+    assert nodes(total) <= 330
+    assert nodes(zone_mean) <= 90

@@ -72,6 +72,20 @@ def test_level_check_accepts_integer_levels_of_any_width():
         check_guidance_levels(np.array([0, 1, 5]))
 
 
+@pytest.mark.parametrize("ragged", [[[1], [2, 3]], [1, [2]], [[0, 1], 2]])
+def test_level_check_rejects_ragged_levels_with_its_own_error(ragged):
+    """Ragged nesting used to escape as NumPy's "inhomogeneous shape"
+    ValueError instead of the caller's error type."""
+    with pytest.raises(DataError, match="guidance level.*out of range"):
+        check_guidance_levels(ragged)
+    with pytest.raises(ConfigurationError, match="guidance level.*out of range"):
+        check_guidance_levels(ragged, error=ConfigurationError)
+    feats = np.stack([generate_sample(i, 4, 2, 2, 1).context.node_features
+                      for i in range(2)])
+    with pytest.raises(DataError, match="guidance level.*out of range"):
+        info_vectors(feats, ragged)
+
+
 def _dequantized_dataset(seed, n, m, p):
     samples = make_dataset(30, n, m, p, seed=seed)
     rng = np.random.default_rng(seed)

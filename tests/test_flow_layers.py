@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ar_reference import sequential_inverse
-from composed_reference import composed_call, unbound_bind
+from composed_reference import composed_call, concat, unbound_bind, use_composed_layers
 from urbanflows import flow_layers
 from urbanflows.config_flow import ConfigFlowModel
 from urbanflows.errors import ConfigurationError, ModeError
@@ -215,9 +215,10 @@ def test_ar_fixed_point_inverse_matches_sequential(cls, batch, rng):
 @pytest.mark.parametrize("batch", [1, 37])
 def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatch):
     """The one-node conditioner pass (bound once per condition, for the AR
-    layers) gives bit-identical (s, b), forwards, log-dets and inverses to
-    the reference composed from tape ops one pass at a time, the same pass
-    counts, and gradients within atol 1e-12."""
+    layers) and the one-node layer step give bit-identical (s, b),
+    forwards, log-dets and inverses to the layers and passes composed from
+    tape ops one pass at a time, the same pass counts, and gradients within
+    atol 1e-12."""
     d = 24
     dense = cls in (CouplingLayer, ConditionProjectionLayer)
     if dense:
@@ -232,7 +233,8 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
 
     def conditioner_out(x, cond):
         if dense:
-            return layer._sb(x[:, : layer.half], cond)
+            return layer.net(concat([x[:, : layer.half], cond], axis=1)
+                             if layer.reads_h1 else cond)
         return layer.net(x, cond)
 
     def run():
@@ -254,6 +256,7 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
 
     got, got_calls, got_grads = run()
     monkeypatch.setattr(Conditioner, *reference)
+    use_composed_layers(monkeypatch)
     want, want_calls, want_grads = run()
     for part, a, r in zip(("s", "b", "inverse", "y", "logdet"), got, want):
         assert np.array_equal(a, r), part
@@ -264,6 +267,173 @@ def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatc
         assert (a is None) == (r is None), name
         if a is not None:
             np.testing.assert_allclose(a, r, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def _grads(store, **inputs):
+    grads = {name: t.grad for name, t in store.items()}
+    grads.update({name: None if t is None else t.grad for name, t in inputs.items()})
+    return grads
+
+
+def _assert_grads_close(got, want):
+    assert got.keys() == want.keys()
+    for name, a in got.items():
+        r = want[name]
+        assert (a is None) == (r is None), name
+        if a is not None:
+            np.testing.assert_allclose(a, r, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+FUSED_CASES = [(case, batch) for case in ("coupling", "condition_projection", "masked_ar",
+                                          "uncond_ar", "batchnorm_eval")
+               for batch in (1, 37)] + [("batchnorm_train", 2), ("batchnorm_train", 37)]
+
+
+@pytest.mark.parametrize("case,batch", FUSED_CASES)
+def test_fused_layers_match_composed_reference(case, batch, rng, monkeypatch):
+    """Each layer's one-node forward (and inverse) gives bit-identical
+    outputs, log-dets, inverses and running statistics to the layer
+    composed from tape ops, taped and under no_grad, and gradients of x,
+    the condition and every parameter within atol 1e-12."""
+    d = 24
+    if case.startswith("batchnorm"):
+        store = ParameterStore()
+        layer = BatchNormFlow(store, "bn", d)
+        layer.running_mean.data = rng.normal(size=d)
+        layer.running_var.data = rng.uniform(0.5, 2.0, size=d)
+        mode = case.split("_")[1]
+        forward = lambda x, cond: layer.forward(x, mode)
+        inverse = lambda y, cond: layer.inverse(y, "eval")
+        cond_data = None
+    else:
+        cls = {"coupling": CouplingLayer, "condition_projection": ConditionProjectionLayer,
+               "masked_ar": MaskedARLayer, "uncond_ar": UncondARLayer}[case]
+        kwargs = {} if case == "uncond_ar" else {"cond_dim": COND}
+        if case.endswith("_ar"):
+            kwargs["mask_seed"] = 5
+        layer, store = perturbed_layer(cls, rng, d=d, widths=(16, 16), **kwargs)
+        forward = lambda x, cond: layer.forward(x, cond)
+        inverse = lambda y, cond: layer.inverse(y, cond)
+        cond_data = None if case == "uncond_ar" else rng.normal(size=(batch, COND))
+    # the AR inverse is a fixed-point solve off the tape: no gradient
+    inverse_taped = not case.endswith("_ar")
+    x_data = rng.normal(size=(batch, d))
+    g, g_ld = rng.normal(size=(batch, d)), rng.normal(size=batch)
+    start = store.snapshot()
+
+    def inputs():
+        return (Tensor(x_data, requires_grad=True),
+                None if cond_data is None else Tensor(cond_data, requires_grad=True))
+
+    def run():
+        store.restore(start)
+        store.zero_grad()
+        x, cond = inputs()
+        y, ld = forward(x, cond)
+        ((y * Tensor(g)).sum() + (ld * Tensor(g_ld)).sum()).backward()
+        forward_grads = _grads(store, x=x, cond=cond)
+        stats = [t.data.copy() for name, t in store.items() if "running" in name]
+        store.restore(start)
+        store.zero_grad()
+        y_in, cond = inputs()
+        back = inverse(y_in, cond)
+        inverse_grads = None
+        if inverse_taped:
+            (back * Tensor(g)).sum().backward()
+            inverse_grads = _grads(store, y=y_in, cond=cond)
+        store.restore(start)
+        with no_grad():
+            y_ng, ld_ng = forward(Tensor(x_data), None if cond is None else Tensor(cond_data))
+            back_ng = inverse(Tensor(x_data), None if cond is None else Tensor(cond_data))
+        values = [y.data, ld.data, back.data, y_ng.data, ld_ng.data, back_ng.data, *stats]
+        return values, forward_grads, inverse_grads
+
+    got, got_fwd, got_inv = run()
+    use_composed_layers(monkeypatch)
+    want, want_fwd, want_inv = run()
+    names = ("y", "logdet", "inverse", "y no_grad", "logdet no_grad", "inverse no_grad",
+             "running_mean", "running_var")
+    assert len(got) == len(want)
+    for part, a, r in zip(names, got, want):
+        assert a.shape == r.shape and np.array_equal(a, r), part
+    _assert_grads_close(got_fwd, want_fwd)
+    if inverse_taped:
+        _assert_grads_close(got_inv, want_inv)
+
+
+@pytest.mark.parametrize("stage", ["zone", "config"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_fused_stacks_match_composed_reference(stage, mode, rng, monkeypatch):
+    """Both stages' stacks, forward (NLL parts and running statistics) and
+    inverse, are bit for bit the composed layers', with gradients within
+    atol 1e-12."""
+    store = ParameterStore()
+    model = stage_model(stage, rng, store)
+    start = store.snapshot()
+    x_data = rng.normal(size=(37, model.d))
+    z_data = rng.normal(size=(37, model.d))
+    cond_data = rng.normal(size=(37, COND))
+
+    def run():
+        store.restore(start)
+        store.zero_grad()
+        x = Tensor(x_data, requires_grad=True)
+        cond = Tensor(cond_data, requires_grad=True)
+        z, logdet = model.forward(x, cond, mode)
+        nll = gaussian_logp(z) * (-1.0) - logdet
+        nll.mean().backward()
+        grads = _grads(store, x=x, cond=cond)
+        stats = [t.data.copy() for name, t in store.items() if "running" in name]
+        with no_grad():
+            z_ng, logdet_ng = model.forward(Tensor(x_data), Tensor(cond_data), mode,
+                                            update_stats=False)
+            back = model.inverse(Tensor(z_data), Tensor(cond_data))
+        return [z.data, logdet.data, nll.data, z_ng.data, logdet_ng.data, back.data,
+                *stats], grads
+
+    got, got_grads = run()
+    use_composed_layers(monkeypatch)
+    want, want_grads = run()
+    for i, (a, r) in enumerate(zip(got, want)):
+        assert np.array_equal(a, r), i
+    _assert_grads_close(got_grads, want_grads)
+
+
+@pytest.mark.parametrize("call", [
+    lambda layer, x, cond: layer.forward(x, cond, "nonsense"),
+    lambda layer, x, cond: layer.inverse(x, cond, "Eval"),
+], ids=["forward", "inverse"])
+@pytest.mark.parametrize("cls", [CouplingLayer, MaskedARLayer])
+def test_affine_layers_reject_unknown_modes(cls, call, rng):
+    layer, _ = perturbed_layer(cls, rng, d=D, cond_dim=COND, widths=(8,))
+    x = Tensor(rng.normal(size=(3, D)))
+    cond = Tensor(rng.normal(size=(3, COND)))
+    with pytest.raises(ModeError, match="nonsense|'Eval'"):
+        with no_grad():
+            call(layer, x, cond)
+
+
+def test_batchnorm_rejects_unknown_modes(rng):
+    bn = BatchNormFlow(ParameterStore(), "bn", d=D)
+    x = Tensor(rng.normal(size=(4, D)))
+    before = bn.running_mean.data.copy()
+    with pytest.raises(ModeError, match="'Train'"):
+        bn.forward(x, mode="Train")
+    with pytest.raises(ModeError, match="'trian'"):
+        bn.inverse(x, mode="trian")
+    assert np.array_equal(bn.running_mean.data, before)
+
+
+@pytest.mark.parametrize("stage", ["zone", "config"])
+def test_flow_stacks_reject_unknown_modes(stage, rng):
+    model = stage_model(stage, rng)
+    x = Tensor(rng.normal(size=(4, model.d)))
+    cond = Tensor(rng.normal(size=(4, COND)))
+    with pytest.raises(ModeError, match="'Train'"):
+        model.forward(x, cond, mode="Train")
+    with pytest.raises(ModeError, match="'evaluate'"):
+        with no_grad():
+            model.inverse(x, cond, mode="evaluate")
 
 
 def test_identity_initialization(rng):
@@ -418,8 +588,8 @@ def test_flow_stack_with_general_permutation(rng):
     assert np.max(np.abs(back.data - x)) < 1e-10
 
 
-def stage_model(stage, rng):
-    store = ParameterStore()
+def stage_model(stage, rng, store=None):
+    store = ParameterStore() if store is None else store
     if stage == "zone":
         model = ZoneFlowModel(store, "zone", 16, COND, rng, k=3, widths=(8,))
     else:

@@ -5,7 +5,7 @@ path."""
 import numpy as np
 import pytest
 
-from urbanflows.errors import ConfigurationError, DataError, DimensionError
+from urbanflows.errors import ConfigurationError, DataError, DimensionError, ModeError
 from urbanflows.fusion import (
     FusionModule,
     GeoExtractor,
@@ -74,6 +74,16 @@ def test_extractor_rejects_bad_grids(rng):
     with pytest.raises(DimensionError):
         with no_grad():
             ext.forward(Tensor(rng.random((1, N, N))))
+
+
+def test_extractor_rejects_unknown_modes(rng):
+    """A misspelt mode used to run the eval path, drop-path off."""
+    ext, _ = make_extractor(rng, drop_path=0.5)
+    x = Tensor(rng.random((2, 1, N, N)))
+    for mode in ("Train", "inference"):
+        with pytest.raises(ModeError, match=repr(mode)):
+            with no_grad():
+                ext.forward(x, mode=mode, rng=np.random.default_rng(1))
 
 
 def test_extractor_drop_path_is_stochastic_in_train_mode(rng):

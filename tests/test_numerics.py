@@ -10,28 +10,28 @@ import pytest
 
 import composed_reference
 import conv_reference
+from composed_reference import concat, log, sqrt, tanh
 from urbanflows.errors import CheckpointManifestError, CheckpointValueError, OracleError
+from urbanflows.flow_layers import build_made_masks
 from urbanflows.numerics import (
     Adam,
     ParameterStore,
     Tensor,
+    affine_step,
+    batchnorm_flow,
     clip,
-    concat,
     conv2d,
     depthwise_conv2d,
     exp,
     gelu,
     global_avg_pool,
     layer_norm,
-    log,
     max_relative_error,
     no_grad,
     normal,
     numerical_gradient,
     permute_columns,
     softmax_rows,
-    sqrt,
-    tanh,
 )
 
 TOL = 1e-6
@@ -218,6 +218,78 @@ def test_gelu_layer_norm_match_composed_reference(rng, case, batch):
     for part, a, r in zip(("x", "gamma", "beta"), got[1:], want[1:]):
         assert a.shape == r.shape, part
         assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
+
+
+def _affine_case(rng, kind, batch=3, n=6, widths=(5, 4), cond_dim=2):
+    """(arrays, fn) for a gradient check of one ``affine_step`` kind: the
+    scalar is a random weighting of every output column, the log-det
+    column of a forward step included."""
+    lo, reads = {"coupling": (3, 3), "projection": (3, 0), "masked": (0, n)}[kind]
+    masked = kind == "masked"
+    d = n - lo
+    in_dim = reads if masked else reads + cond_dim
+    arrays = [rng.normal(size=(batch, n)), rng.normal(size=(batch, cond_dim))]
+    fan = in_dim
+    for width in widths:
+        arrays += [rng.normal(size=(fan, width)), rng.normal(size=(width,))]
+        if masked:
+            arrays.append(rng.normal(size=(cond_dim, width)))
+        fan = width
+    arrays += [rng.normal(scale=0.5, size=(fan, 2 * d)), rng.normal(size=(2 * d,))]
+    masks = build_made_masks(n, widths, 3).weight_masks if masked else None
+    per = 3 if masked else 2
+
+    def step(x, cond, *params, inverse=False):
+        hidden = [(params[i], params[i + 1], params[i + 2] if masked else None)
+                  for i in range(0, per * len(widths), per)]
+        return affine_step(x, cond, hidden, params[-2], params[-1], 5.0, lo, reads, masks,
+                           inverse)
+
+    return arrays, step, masks
+
+
+@pytest.mark.parametrize("kind", ["coupling", "projection", "masked"])
+def test_affine_step_gradients(rng, kind):
+    """Forward step: gradients of x, the condition and every conditioner
+    parameter, through y and the log-det column."""
+    arrays, step, _ = _affine_case(rng, kind)
+    weight = rng.normal(size=(arrays[0].shape[0], arrays[0].shape[1] + 1))
+    check_scalar_grad(lambda *t: (step(*t) * weight).sum(), *arrays)
+
+
+def test_affine_step_masked_weight_gradients_are_masked(rng):
+    arrays, step, masks = _affine_case(rng, "masked")
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    (step(*tensors) * rng.normal(size=(3, 7))).sum().backward()
+    weights = [tensors[2], tensors[5], tensors[-2]]
+    for w, mask in zip(weights, masks):
+        assert np.all(w.grad[mask == 0] == 0.0)
+        assert np.any(w.grad[mask == 1] != 0.0)
+
+
+@pytest.mark.parametrize("kind", ["coupling", "projection"])
+def test_affine_step_inverse_gradients(rng, kind):
+    arrays, step, _ = _affine_case(rng, kind)
+    weight = rng.normal(size=arrays[0].shape)
+    check_scalar_grad(lambda *t: (step(*t, inverse=True) * weight).sum(), *arrays)
+
+
+def test_batchnorm_flow_gradients(rng):
+    """Train mode through the batch mean and variance, log-det column
+    included; eval mode and the eval inverse with constant statistics."""
+    x = rng.normal(1.0, 2.0, size=(5, 4))
+    weight = rng.normal(size=(5, 5))
+
+    def train(t):
+        mu = t.data.mean(axis=0, keepdims=True)
+        var = ((t.data - mu) ** 2).mean(axis=0, keepdims=True)
+        return (batchnorm_flow(t, mu, var, 1e-5, batch_stats=True) * weight).sum()
+
+    check_scalar_grad(train, x)
+    mu, var = rng.normal(size=(1, 4)), rng.uniform(0.5, 2.0, size=(1, 4))
+    check_scalar_grad(lambda t: (batchnorm_flow(t, mu, var, 1e-5) * weight).sum(), x)
+    check_scalar_grad(
+        lambda t: (batchnorm_flow(t, mu, var, 1e-5, inverse=True) * weight[:, :4]).sum(), x)
 
 
 def test_backward_skips_constant_operands(rng):
