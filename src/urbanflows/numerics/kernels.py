@@ -340,8 +340,9 @@ def affine_step_arrays(x, cond, hidden, w_out, b_out, clamp, lo, reads, inverse=
     if inverse:
         np.multiply(x[:, lo:] - shift, e, out=res[:, lo:])
         return res, None, t, h_last, e
-    np.multiply(x[:, lo:], e, out=res[:, lo:n])
-    res[:, lo:n] += shift
+    y2 = x[:, lo:] * e  # contiguous, then copied: faster than strided writes
+    y2 += shift
+    res[:, lo:n] = y2
     ld = s.sum(axis=1)
     if ld_column:
         res[:, n] = ld
