@@ -80,11 +80,10 @@ for name, layer in layers.items():
 # conditioner ignores inputs 3..d-1 entirely
 mar = layers["masked AR"]
 probe = x[0].copy()
-with no_grad():
-    s_ref, _ = mar.net(Tensor(probe[None]), Tensor(e.data[:1]))
+conditioner_pass = mar.net.bind(e.data[:1])
+s_ref, _ = conditioner_pass(probe[None])
 probe[5] += 100.0
-with no_grad():
-    s_poke, _ = mar.net(Tensor(probe[None]), Tensor(e.data[:1]))
+s_poke, _ = conditioner_pass(probe[None])
 print("\nmasked AR: shifting input 5 by +100 changes s_0..s_5 by",
-      np.abs(s_poke.data[0, :6] - s_ref.data[0, :6]).max(),
-      "and s_6.. by", np.abs(s_poke.data[0, 6:] - s_ref.data[0, 6:]).max())
+      np.abs(s_poke[0, :6] - s_ref[0, :6]).max(),
+      "and s_6.. by", np.abs(s_poke[0, 6:] - s_ref[0, 6:]).max())

@@ -16,7 +16,7 @@ Conventions used throughout:
   A taped layer forward is one ``affine_step`` or ``batchnorm_flow`` node,
   whose [y | log-det] output ``forward`` slices into (y, ld); a coupling or
   batch-norm inverse is one node too.  Under ``no_grad`` the layers run the
-  nodes' numpy bodies, and the Jacobi sweeps ``conditioner_mlp_arrays``.
+  nodes' numpy bodies, and the Jacobi sweeps run ``Conditioner.bind``.
 * Layers register their parameters as (name, shape, init recipe), so a
   store opened on a checkpoint builds them without drawing anything.
 """
@@ -35,7 +35,6 @@ from .numerics import (
     affine_step_arrays,
     batchnorm_flow,
     batchnorm_flow_arrays,
-    conditioner_mlp,
     conditioner_mlp_arrays,
     grad_enabled,
     normal,
@@ -47,6 +46,11 @@ CLAMP = 5.0
 LN_2PI = float(np.log(2.0 * np.pi))
 # row blocks of one batch run their passes on several threads
 _CALLS_LOCK = threading.Lock()
+
+
+def _check_width(width, got, what="flow layer"):
+    if got != width:
+        raise ConfigurationError(f"{what} built for width {width}, got {got}")
 
 
 def gaussian_logp(z):
@@ -85,7 +89,7 @@ class MadeMaskSet:
     weight matrix elementwise; out_mask has shape (last_width, d), and
     sb_out_mask is out_mask tiled across the (s, b) output panels.
     weight_masks lists the mask of each conditioner weight matrix, hidden
-    then output, as ``conditioner_mlp`` takes them.  Input coordinate j
+    then output, as ``affine_step`` takes them.  Input coordinate j
     carries degree j (1-based); output i connects only to hidden units of
     degree < i, so output 1 sees nothing at all.  One set is shared by
     every conditioner built with the same (d, widths, seed), so its arrays
@@ -150,13 +154,11 @@ class Conditioner:
     as an unmasked term ``cond @ v``, so it never breaks that ordering.
     The zero-initialized output layer makes fresh flows the identity.
 
-    ``bind(cond)`` builds the condition terms once and returns the pass
-    ``x -> (s, b)``: one ``conditioner_mlp`` tape node, which applies the
-    masks itself; a call ``net(x, cond)`` is ``net.bind(cond)(x)``.
-    ``bind_arrays`` is the same pass on ndarrays, off the tape, for the
-    fixed-point inverse: it builds the masked weights once per bind, and
-    its passes run ``conditioner_mlp_arrays``, the primitive's numpy body.
-    ``step`` is a whole affine layer step around one pass.  ``calls`` counts
+    ``bind(cond)`` fixes the condition (an ndarray or None) and returns the
+    pass ``x -> (s, b)`` on ndarrays, off the tape, which the fixed-point
+    inverse sweeps: it builds the masked weights and condition terms once
+    per bind, and each pass runs ``conditioner_mlp_arrays``.  ``step`` is a
+    whole affine layer step around one pass, taped or not.  ``calls`` counts
     every pass, which the sampling-complexity audit reads; it stays exact
     when passes run on several threads at once.
     """
@@ -187,43 +189,24 @@ class Conditioner:
             raise ConfigurationError("condition vector missing or mis-sized")
 
     def _count(self, width):
-        if width != self.in_dim:
-            raise ConfigurationError(
-                f"conditioner built for input width {self.in_dim}, got {width}")
+        _check_width(self.in_dim, width, "conditioner")
         with _CALLS_LOCK:
             self.calls += 1
 
-    def _counted(self, run):
-        """``run`` as a pass that checks its input width, counts itself and
-        splits its ``[s | b]`` output."""
-        d = self.d
-
-        def conditioner_pass(x):
-            self._count(x.shape[-1])
-            out = run(x)
-            return out[:, :d], out[:, d:]
-
-        return conditioner_pass
-
     def bind(self, cond=None):
-        """Fix the condition and return the taped pass ``x -> (s, b)``."""
-        self._check_cond(cond)
-        hidden = [(w, b, None if v is None else cond @ v) for w, b, v in self.hidden]
-        return self._counted(
-            lambda x: conditioner_mlp(x, hidden, *self.final, self.d, CLAMP, self.weight_masks))
-
-    def bind_arrays(self, cond=None):
-        """``bind`` on ndarrays: fix the condition (an ndarray or None) and
-        return the pass ``x -> (s, b)`` on ndarrays, with no tape."""
+        """Fix the condition (an ndarray or None) and return the pass
+        ``x -> (s, b)`` on ndarrays, with no tape."""
         self._check_cond(cond)
         weights, hidden = pass_arrays(self.hidden, self.final[0], self.weight_masks)
         hidden = [(w, b, None if v is None else cond @ v) for w, b, v in hidden]
-        b_out = self.final[1].data
-        return self._counted(
-            lambda x: conditioner_mlp_arrays(x, hidden, weights[-1], b_out, self.d, CLAMP)[0])
+        b_out, d = self.final[1].data, self.d
 
-    def __call__(self, x, cond=None):
-        return self.bind(cond)(x)
+        def conditioner_pass(x):
+            self._count(x.shape[-1])
+            out = conditioner_mlp_arrays(x, hidden, weights[-1], b_out, d, CLAMP)[0]
+            return out[:, :d], out[:, d:]
+
+        return conditioner_pass
 
     def step(self, x, cond, lo, reads, inverse=False):
         """An affine layer step around one pass, which reads x's first
@@ -231,6 +214,7 @@ class Conditioner:
         terms) and transforms its columns from ``lo`` on: (y, log-det)
         forward, x inverse.  Taped, one ``affine_step`` node whose [y |
         log-det] is sliced; under ``no_grad``, its numpy body."""
+        _check_width(lo + self.d, x.shape[-1])
         self._check_cond(cond)
         self._count(reads if self.cond_dim or cond is None else reads + cond.shape[-1])
         if grad_enabled():
@@ -306,6 +290,7 @@ class BatchNormFlow:
 
     def forward(self, x, mode="train", update_stats=True):
         check_mode(mode)
+        _check_width(self.d, x.shape[-1])
         if mode == "train":
             if x.shape[0] < 2:
                 raise ConfigurationError("train-mode batchnorm needs batch size >= 2")
@@ -328,6 +313,7 @@ class BatchNormFlow:
         check_mode(mode)
         if mode == "train":
             raise ModeError("batchnorm flow cannot invert with batch statistics")
+        _check_width(self.d, y.shape[-1])
         mu, var = self._running()
         if grad_enabled():
             return batchnorm_flow(y, mu, var, self.eps, inverse=True)
@@ -370,15 +356,13 @@ class MaskedARLayer:
         of AR layers is never differentiated in this package.
         """
         check_mode(mode)
-        y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-        if cond is not None:
-            cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=np.float64)
+        y_data = y.data
         x = np.zeros_like(y_data)
         # a non-finite state meets the zero masked weights (inf * 0) and may
         # overflow exp; the caller turns it into a SamplingFault, so numpy
         # need not warn on the way
         with np.errstate(invalid="ignore", over="ignore"):
-            conditioner_pass = self.net.bind_arrays(cond)
+            conditioner_pass = self.net.bind(None if cond is None else cond.data)
             for _ in range(self.d + 1):
                 s, b = conditioner_pass(x)
                 x_next = (y_data - b) * np.exp(-s)

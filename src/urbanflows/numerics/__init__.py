@@ -15,7 +15,6 @@ from .kernels import (
     depthwise_conv2d,
     layer_norm,
     gelu,
-    conditioner_mlp,
     conditioner_mlp_arrays,
     affine_step,
     affine_step_arrays,
@@ -42,7 +41,6 @@ __all__ = [
     "depthwise_conv2d",
     "layer_norm",
     "gelu",
-    "conditioner_mlp",
     "conditioner_mlp_arrays",
     "affine_step",
     "affine_step_arrays",

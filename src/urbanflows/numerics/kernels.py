@@ -18,22 +18,19 @@ order, as their compositions from tape ops, so their outputs are bit for
 bit the composed ones; the primitive saves the tape nodes (five per GELU,
 nine per layer-norm) and the intermediates each one would keep.
 
-``conditioner_mlp`` is one whole pass of a flow layer's conditioner MLP
-(dense layers with an optional condition term, GELU, the output layer and
-the tanh scale clamp) as one tape node; it too runs the composed pass's
-numpy operations in their order, so its outputs are bit for bit the
-composed ones.  MADE masks are constants of the node, applied to the
-weights in the forward and to their gradients in the backward.  It keeps
-the intermediates its backward needs only when the node goes on the tape.
-Its numpy body, ``conditioner_mlp_arrays``, is also what the fixed-point
-inverse of an AR layer calls on ndarrays, with weights masked once per bind.
-
 ``affine_step`` (the conditioner pass, ``y = x * exp(s) + b`` and the
 log-det, or the inverse) and ``batchnorm_flow`` are whole flow-layer steps
-as one node each, bit for bit the composed layers; a forward returns
-``[y | log-det]`` as one (B, d + 1) array, since a node has one output.
-``_mlp_backward`` is the conditioner backward both conditioner nodes share,
-and the ``*_arrays`` bodies are what the layers run under ``no_grad``.
+as one node each, bit for bit the flow layers composed from tape ops; a
+forward returns ``[y | log-det]`` as one (B, d + 1) array, since a node has
+one output.  The conditioner pass inside ``affine_step`` (dense layers with
+an optional condition term, GELU, the output layer and the tanh scale
+clamp) is ``conditioner_mlp_arrays``, and ``_mlp_backward`` its backward.
+MADE masks are constants of the node, applied to the weights in the
+forward and to their gradients in the backward.  A node keeps the
+intermediates its backward needs only when it goes on the tape.  The
+``*_arrays`` bodies are what the layers run under ``no_grad``, and
+``conditioner_mlp_arrays`` is also each pass of an AR layer's fixed-point
+inverse, with the weights masked once per bind.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ __all__ = [
     "depthwise_conv2d",
     "layer_norm",
     "gelu",
-    "conditioner_mlp",
     "conditioner_mlp_arrays",
     "affine_step",
     "affine_step_arrays",
@@ -222,12 +218,13 @@ def gelu(x):
 
 
 def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
-    """The numpy body of ``conditioner_mlp`` on ndarrays, off the tape.
-
-    ``hidden`` lists ``(w, b, cv)`` arrays (``cv`` None for no term).
-    Returns ``(out, t, h)``: the ``(B, 2d)`` output, the tanh of the scale
-    columns and the last hidden activation.  When ``saved`` is a list, each
-    hidden layer appends ``(input, pre-activation, 1 + erf)`` to it.
+    """One conditioner-MLP pass on ndarrays.  Each hidden layer ``(w, b,
+    cv)`` computes ``gelu((h @ w + b) + cv)``, ``cv`` a condition term or
+    None; the output layer gives rows ``[s | shift]``, ``s`` squashed into
+    ``[-clamp, clamp]`` by ``clamp * tanh(. / clamp)``.  Returns ``(out,
+    t, h)``: the ``(B, 2d)`` output, the tanh of the scale columns and the
+    last hidden activation.  When ``saved`` is a list, each hidden layer
+    appends ``(input, pre-activation, 1 + erf)`` to it.
     """
     h = x
     for w, b, cv in hidden:
@@ -278,46 +275,6 @@ def pass_arrays(hidden, w_out, masks):
                      for wd, (_, b, c) in zip(weights, hidden)]
 
 
-def _pass_inputs(inputs, hidden, w_out, b_out, masks):
-    """Parents, ``saved`` (None off the tape) and ``pass_arrays`` of a node."""
-    parents = [p for p in (*inputs, *(p for layer in hidden for p in layer), w_out, b_out)
-               if p is not None]
-    taped = grad_enabled() and any(p.requires_grad for p in parents)
-    return (parents, [] if taped else None, *pass_arrays(hidden, w_out, masks))
-
-
-def conditioner_mlp(x, hidden, w_out, b_out, d, clamp, masks=None):
-    """One conditioner-MLP pass: ``(B, 2d)`` rows ``[s | shift]``.
-
-    ``hidden`` lists each hidden layer as ``(w, b, cv)``: the layer computes
-    ``gelu((h @ w + b) + cv)``, with ``cv`` a condition term added after the
-    bias, or None for no term.  The output layer ``h @ w_out + b_out`` gives
-    ``2d`` columns; the first ``d`` are squashed into ``[-clamp, clamp]`` by
-    ``clamp * tanh(. / clamp)``.  ``masks``, when given, lists one constant
-    array per weight matrix (the hidden ones in order, then ``w_out``): the
-    pass uses each weight times its mask, and each weight gradient is
-    multiplied by the same mask, as the tape op ``w * mask`` would give.
-    The backward gives the gradient of ``x`` and of every weight, bias and
-    condition term that requires one.
-    """
-    parents, saved, weights, arrays = _pass_inputs((x,), hidden, w_out, b_out, masks)
-    out, t, h_last = conditioner_mlp_arrays(x.data, arrays, weights[-1], b_out.data, d,
-                                            clamp, saved)
-
-    def backward(g):
-        g_x, grads = _mlp_backward(g.copy(), t, saved, h_last, weights, masks, d,
-                                   x.requires_grad)
-        for (w, b, cv), (g_w, g_b, g_pre) in zip([*hidden, (w_out, b_out, None)], grads):
-            if cv is not None:
-                _accumulate(cv, _unbroadcast(g_pre, cv.shape))
-            _accumulate(b, g_b)
-            _accumulate(w, g_w)
-        if g_x is not None:
-            _accumulate(x, g_x)
-
-    return _node(out, parents, backward)
-
-
 def affine_step_arrays(x, cond, hidden, w_out, b_out, clamp, lo, reads, inverse=False,
                        ld_column=False, saved=None):
     """The numpy body of ``affine_step``; ``hidden`` holds ``(w, b, v)``
@@ -359,9 +316,15 @@ def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
     transform the columns from ``lo`` on: the forward gives ``[y | log-det]``
     as one (B, D + 1) array, ``y = x * exp(s) + b`` there and x elsewhere,
     the log-det ``s.sum(1)``; the inverse gives x = (y - b) * exp(-s).
-    ``masks`` act as in ``conditioner_mlp``.
+    ``masks``, when given, lists one constant array per weight matrix (the
+    hidden ones in order, then ``w_out``): the pass uses each weight times
+    its mask, and each weight gradient is multiplied by the same mask, as
+    the tape op ``w * mask`` would give.
     """
-    parents, saved, weights, arrays = _pass_inputs((x, cond), hidden, w_out, b_out, masks)
+    parents = [p for p in (x, cond, *(p for layer in hidden for p in layer), w_out, b_out)
+               if p is not None]
+    saved = [] if grad_enabled() and any(p.requires_grad for p in parents) else None
+    weights, arrays = pass_arrays(hidden, w_out, masks)
     res, _, t, h_last, e = affine_step_arrays(
         x.data, None if cond is None else cond.data, arrays, weights[-1], b_out.data, clamp,
         lo, reads, inverse, not inverse, saved)

@@ -85,36 +85,33 @@ class RunConfig:
         return self.n * self.n * self.p
 
     def validate(self):
-        if self.n < 4:
-            raise ConfigurationError("n must be >= 4")
+        # lower bounds first, so the checks below never divide by zero
+        for name, least in (("n", 4), ("m", 2), ("k_zone", 1), ("k_config", 1), ("heads", 1),
+                            ("stem_channels", 1), ("n_cx", 1), ("batch_size", 2),
+                            ("steps_zone", 0), ("steps_config", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be >= {least}")
+        for name in ("zone_hidden", "config_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ConfigurationError(f"{name}: hidden widths must be >= 1")
         if self.n % 2:
             raise ConfigurationError("n must be even (coupling splits N^2 in half)")
-        if self.m < 2:
-            raise ConfigurationError("m must be >= 2")
         if not 2 <= self.p <= 20:
             raise ConfigurationError("p must be in [2, 20]")
-        if self.k_zone < 1 or self.k_config < 1:
-            raise ConfigurationError("block counts must be >= 1")
-        if self.heads < 1 or self.info_dim % self.heads:
+        if self.info_dim % self.heads:
             raise ConfigurationError(
                 f"D={self.info_dim} must be divisible by heads={self.heads}"
             )
-        if self.n_cx < 1:
-            raise ConfigurationError("n_cx must be >= 1")
         # test n >> k first: 1 << k for a huge k would build a huge int
         if self.n >> (self.n_cx - 1) < 1 or self.n % (1 << (self.n_cx - 1)):
             raise ConfigurationError(
                 f"n={self.n} incompatible with {self.n_cx - 1} stride-2 down-samples"
             )
-        if self.batch_size < 2:
-            raise ConfigurationError("batch size must be >= 2 (batch-norm)")
         # written so that NaN fails every comparison and is rejected
         if not 0.0 < self.lr < math.inf:
             raise ConfigurationError("lr must be positive and finite")
         if not (0.0 <= self.lambda_zone < math.inf and 0.0 <= self.zone_lr_scale < math.inf):
             raise ConfigurationError("stage-2 weights must be nonnegative and finite")
-        if self.steps_zone < 0 or self.steps_config < 0:
-            raise ConfigurationError("step budgets must be nonnegative")
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigurationError("drop_path must be in [0, 1)")
         return self

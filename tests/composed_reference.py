@@ -1,27 +1,23 @@
-"""Reference implementations the fused GELU, layer-norm, the
-conditioner-MLP primitive and the fused flow layers are tested against,
-and the tape ops ``log``, ``sqrt``, ``tanh``, ``erf`` and ``concat``, which
-only these compositions use.
+"""Reference implementations the fused GELU, layer-norm, the conditioner
+pass and the fused flow layers are tested against, and the tape ops
+``log``, ``sqrt``, ``tanh``, ``erf`` and ``concat``, which only these
+compositions use.
 
 ``gelu``, ``layer_norm`` and ``clamp_scale`` are composed from tape ops, so
 their gradients follow from the tape's elementary rules.  The two
-conditioner passes are built from them, one tape op at a time, and count
-themselves in ``net.calls`` as the ``Conditioner`` does: ``composed_call``
-is a dense pass and has the signature of ``Conditioner.__call__``;
-``unbound_call`` is the MADE-masked pass, which multiplies each weight by
-its mask from ``net.masks`` as a tape op and rebuilds every masked weight
-and condition product on each call, and ``unbound_bind`` has the signature
-of ``Conditioner.bind``.  A test can monkeypatch either onto the class and
-run a layer or a whole stack, forward or inverse, through the reference.
+conditioner passes are built from them, read only a ``Conditioner``'s
+parameters and masks, and count themselves in ``net.calls`` as it does:
+``composed_call`` is a dense pass; ``unbound_call`` a MADE-masked one,
+which multiplies each weight by its mask as a tape op and rebuilds every
+masked weight and condition product on each call.  ``composed_pass``
+picks one of them by ``net.masks``.
 
-The layer bodies below are the flow layers composed from tape ops, about
-ten nodes a layer around the conditioner pass, as they were before each
-layer became one ``affine_step`` or ``batchnorm_flow`` node.  They call
-the layer's conditioner as ``layer.net(...)``, so they run through either
-conditioner reference when that is patched in too.  ``COMPOSED_LAYERS``
-lists (class, method name, body); ``use_composed_layers(monkeypatch)``
-patches them all in, and a layer, a ``FlowStack`` or ``joint_loss`` then
-runs through the composed bodies.
+The layer bodies below are the flow layers composed from tape ops, as they
+were before each layer became one ``affine_step`` or ``batchnorm_flow``
+node, and the AR layers' Jacobi inverse, one composed pass a sweep.
+``COMPOSED_LAYERS`` lists (class, method name, body);
+``use_composed_layers(monkeypatch)`` patches them all in, and a layer, a
+``FlowStack``, a sampler or ``joint_loss`` then runs through them.
 """
 
 import numpy as np
@@ -123,28 +119,21 @@ def clamp_scale(s):
 
 def composed_call(net, x, cond=None):
     """One pass of the dense ``Conditioner`` ``net``; counts it in
-    ``net.calls`` as the conditioner itself does."""
+    ``net.calls`` as the conditioner itself does.  ``cond`` is unused: a
+    dense conditioner reads the condition as part of ``x``."""
     net.calls += 1
     h = x
     for w, b, _ in net.hidden:
         h = gelu(h @ w + b)
     w, b = net.final
     out = h @ w + b
-    s = clamp_scale(out[:, : net.d])
-    shift = out[:, net.d :]
-    return s, shift
+    return clamp_scale(out[:, : net.d]), out[:, net.d :]
 
 
 def unbound_call(net, x, cond=None):
     """One pass of the MADE-masked ``Conditioner`` ``net``, binding
     nothing: each masked weight ``w * mask`` (the mask read from
     ``net.masks``) and each condition term is a tape op of this pass."""
-    if x.shape[-1] != net.in_dim:
-        raise ConfigurationError(
-            f"conditioner built for input width {net.in_dim}, got {x.shape[-1]}"
-        )
-    if net.cond_dim and (cond is None or cond.shape[-1] != net.cond_dim):
-        raise ConfigurationError("condition vector missing or mis-sized")
     net.calls += 1
     h = x
     for (w, b, v), mask in zip(net.hidden, net.masks.hidden_masks):
@@ -154,22 +143,20 @@ def unbound_call(net, x, cond=None):
         h = gelu(pre)
     w, b = net.final
     out = h @ (w * Tensor(net.masks.sb_out_mask)) + b
-    s = clamp_scale(out[:, : net.d])
-    shift = out[:, net.d :]
-    return s, shift
+    return clamp_scale(out[:, : net.d]), out[:, net.d :]
 
 
-def unbound_bind(net, cond=None):
-    """Drop-in for ``Conditioner.bind`` on a masked conditioner that defers
-    all work to the per-pass ``unbound_call``."""
-    return lambda x: unbound_call(net, x, cond)
+def composed_pass(net, x, cond=None):
+    """One composed pass of ``net``: ``unbound_call`` when it is masked,
+    ``composed_call`` when it is dense."""
+    return (composed_call if net.masks is None else unbound_call)(net, x, cond)
 
 
 def coupling_forward(layer, x, cond, mode="train"):
     """Coupling and condition projection, data -> latent."""
     h1 = x[:, : layer.half]
     h2 = x[:, layer.half :]
-    s, b = layer.net(concat([h1, cond], axis=1) if layer.reads_h1 else cond)
+    s, b = composed_pass(layer.net, concat([h1, cond], axis=1) if layer.reads_h1 else cond)
     y2 = h2 * exp(s) + b
     return concat([h1, y2], axis=1), s.sum(axis=1)
 
@@ -177,15 +164,28 @@ def coupling_forward(layer, x, cond, mode="train"):
 def coupling_inverse(layer, y, cond, mode="eval"):
     h1 = y[:, : layer.half]
     y2 = y[:, layer.half :]
-    s, b = layer.net(concat([h1, cond], axis=1) if layer.reads_h1 else cond)
+    s, b = composed_pass(layer.net, concat([h1, cond], axis=1) if layer.reads_h1 else cond)
     h2 = (y2 - b) * exp(-s)
     return concat([h1, h2], axis=1)
 
 
 def ar_forward(layer, x, cond=None, mode="train"):
     """Masked and unconditional AR, data -> latent."""
-    s, b = layer.net(x, cond)
+    s, b = composed_pass(layer.net, x, cond)
     return x * exp(s) + b, s.sum(axis=1)
+
+
+def ar_inverse(layer, y, cond=None, mode="eval"):
+    """The Jacobi fixed-point inverse from x = 0, one composed pass a
+    sweep, stopping at the first sweep that leaves x unchanged."""
+    x = Tensor(np.zeros(y.shape))
+    for _ in range(layer.d + 1):
+        s, b = composed_pass(layer.net, x, cond)
+        x_next = (y - b) * exp(-s)
+        if np.array_equal(x_next.data, x.data):
+            break
+        x = x_next
+    return x_next
 
 
 def batchnorm_forward(layer, x, mode="train", update_stats=True):
@@ -222,6 +222,7 @@ COMPOSED_LAYERS = (
     (CouplingLayer, "forward", coupling_forward),
     (CouplingLayer, "inverse", coupling_inverse),
     (MaskedARLayer, "forward", ar_forward),
+    (MaskedARLayer, "inverse", ar_inverse),
     (BatchNormFlow, "forward", batchnorm_forward),
     (BatchNormFlow, "inverse", batchnorm_inverse),
 )

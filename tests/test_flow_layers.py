@@ -1,11 +1,13 @@
 """Layer-level contracts: round trips, log-dets vs numerical Jacobians,
 autoregressive masking, and batch-norm mode semantics."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from ar_reference import sequential_inverse
-from composed_reference import composed_call, concat, unbound_bind, use_composed_layers
+from composed_reference import composed_pass, concat, use_composed_layers
 from urbanflows import flow_layers
 from urbanflows.config_flow import ConfigFlowModel
 from urbanflows.errors import ConfigurationError, ModeError
@@ -27,7 +29,7 @@ from urbanflows.flow_layers import (
 from urbanflows.numerics import (
     ParameterStore,
     Tensor,
-    conditioner_mlp,
+    conditioner_mlp_arrays,
     no_grad,
     numerical_jacobian,
 )
@@ -54,12 +56,6 @@ def np_forward(layer, cond):
         return y.data[0]
 
     return fn
-
-
-def analytic_logdet(layer, x, cond):
-    with no_grad():
-        _, ld = layer.forward(Tensor(x[None]), cond)
-    return float(ld.data[0])
 
 
 @pytest.mark.parametrize("cls,needs_cond", [
@@ -107,11 +103,9 @@ def test_autoregression_strictness_first_output(rng):
     # output 0 may depend on nothing: its scale and shift are constants
     layer, _ = perturbed_layer(MaskedARLayer, rng, d=D, cond_dim=0,
                                widths=(12,), mask_seed=1)
-    xs = rng.normal(size=(50, D))
-    with no_grad():
-        s, b = layer.net(Tensor(xs), None)
-    assert np.ptp(s.data[:, 0]) == 0.0
-    assert np.ptp(b.data[:, 0]) == 0.0
+    s, b = layer.net.bind()(rng.normal(size=(50, D)))
+    assert np.ptp(s[:, 0]) == 0.0
+    assert np.ptp(b[:, 0]) == 0.0
 
 
 def test_made_masks_deterministic_and_validated():
@@ -145,22 +139,23 @@ def test_made_masks_are_shared_and_read_only(rng):
 @pytest.mark.parametrize("cls", [MaskedARLayer, UncondARLayer])
 def test_ar_inverse_sweeps_run_off_the_tape(cls, rng, monkeypatch):
     """The Jacobi sweeps run the conditioner's numpy body on ndarrays, with
-    the tape primitive never called, and give the taped pass's bits."""
+    the tape primitive never called; its pass gives the composed pass's
+    bits."""
     kwargs = {"cond_dim": COND} if cls is MaskedARLayer else {}
     layer, _ = perturbed_layer(cls, rng, d=D, widths=(8,), mask_seed=4, **kwargs)
     cond = Tensor(rng.normal(size=(5, COND))) if layer.cond_dim else None
     y = Tensor(rng.normal(size=(5, D)))
     x = rng.normal(size=(5, D))
     with no_grad():
-        s_tape, b_tape = layer.net(Tensor(x), cond)
-    s_arr, b_arr = layer.net.bind_arrays(None if cond is None else cond.data)(x)
-    assert np.array_equal(s_arr, s_tape.data) and np.array_equal(b_arr, b_tape.data)
+        s_ref, b_ref = composed_pass(layer.net, Tensor(x), cond)
+    s_arr, b_arr = layer.net.bind(None if cond is None else cond.data)(x)
+    assert np.array_equal(s_arr, s_ref.data) and np.array_equal(b_arr, b_ref.data)
     want = sequential_inverse(layer, y, cond).data
 
     def refuse(*args):
         raise AssertionError("tape primitive called in an AR inverse")
 
-    monkeypatch.setattr(flow_layers, "conditioner_mlp", refuse)
+    monkeypatch.setattr(flow_layers, "affine_step", refuse)
     layer.net.calls = 0
     got = layer.inverse(y, cond)
     assert 2 <= layer.net.calls <= D + 1
@@ -214,59 +209,49 @@ def test_ar_fixed_point_inverse_matches_sequential(cls, batch, rng):
                                  MaskedARLayer, UncondARLayer])
 @pytest.mark.parametrize("batch", [1, 37])
 def test_bound_conditioner_matches_unbound_reference(cls, batch, rng, monkeypatch):
-    """The one-node conditioner pass (bound once per condition, for the AR
-    layers) and the one-node layer step give bit-identical (s, b),
-    forwards, log-dets and inverses to the layers and passes composed from
-    tape ops one pass at a time, the same pass counts, and gradients within
-    atol 1e-12."""
+    """The conditioner pass ``bind`` (bound once per condition) gives
+    bit-identical (s, b) to the pass composed from tape ops, and the
+    one-node layer step and the AR inverse give bit-identical forwards,
+    log-dets and inverses to the composed layers, with the same pass
+    counts and gradients within atol 1e-12."""
     d = 24
     dense = cls in (CouplingLayer, ConditionProjectionLayer)
-    if dense:
-        kwargs, reference = {"cond_dim": COND}, ("__call__", composed_call)
-    else:
-        kwargs = {"mask_seed": 5, **({"cond_dim": COND} if cls is MaskedARLayer else {})}
-        reference = ("bind", unbound_bind)
+    kwargs = {} if cls is UncondARLayer else {"cond_dim": COND}
+    if not dense:
+        kwargs["mask_seed"] = 5
     layer, store = perturbed_layer(cls, rng, d=d, widths=(16, 16), **kwargs)
     x_data = rng.normal(size=(batch, d))
     cond_data = rng.normal(size=(batch, COND)) if "cond_dim" in kwargs else None
     g = rng.normal(size=(batch, d))
 
-    def conditioner_out(x, cond):
-        if dense:
-            return layer.net(concat([x[:, : layer.half], cond], axis=1)
-                             if layer.reads_h1 else cond)
-        return layer.net(x, cond)
+    def conditioner_out(x, cond, composed):
+        if dense:  # the condition is part of the conditioner's input
+            x, cond = (concat([x[:, : layer.half], cond], axis=1)
+                       if layer.reads_h1 else cond), None
+        if composed:
+            return [t.data for t in composed_pass(layer.net, x, cond)]
+        return layer.net.bind(None if cond is None else cond.data)(x.data)
 
-    def run():
-        for _, t in store.items():
-            t.zero_grad()
+    def run(composed):
+        store.zero_grad()
         x = Tensor(x_data, requires_grad=True)
         cond = None if cond_data is None else Tensor(cond_data, requires_grad=True)
         layer.net.calls = 0
         with no_grad():
-            s, b = conditioner_out(Tensor(x_data), cond)
+            s, b = conditioner_out(Tensor(x_data), cond, composed)
             back = layer.inverse(Tensor(x_data), cond)
         calls = layer.net.calls
         y, ld = layer.forward(x, cond)
         ((y * Tensor(g)).sum() + ld.sum()).backward()
-        grads = {name: t.grad for name, t in store.items()}
-        grads["x"] = x.grad
-        grads["cond"] = None if cond is None else cond.grad
-        return [s.data, b.data, back.data, y.data, ld.data], calls, grads
+        return [s, b, back.data, y.data, ld.data], calls, _grads(store, x=x, cond=cond)
 
-    got, got_calls, got_grads = run()
-    monkeypatch.setattr(Conditioner, *reference)
+    got, got_calls, got_grads = run(False)
     use_composed_layers(monkeypatch)
-    want, want_calls, want_grads = run()
+    want, want_calls, want_grads = run(True)
     for part, a, r in zip(("s", "b", "inverse", "y", "logdet"), got, want):
         assert np.array_equal(a, r), part
     assert got_calls == want_calls
-    assert got_grads.keys() == want_grads.keys()
-    for name, a in got_grads.items():
-        r = want_grads[name]
-        assert (a is None) == (r is None), name
-        if a is not None:
-            np.testing.assert_allclose(a, r, rtol=0.0, atol=1e-12, err_msg=name)
+    _assert_grads_close(got_grads, want_grads)
 
 
 def _grads(store, **inputs):
@@ -436,6 +421,30 @@ def test_flow_stacks_reject_unknown_modes(stage, rng):
             model.inverse(x, cond, mode="evaluate")
 
 
+@pytest.mark.parametrize("width", [1, D - 1, D + 2, 2 * D])
+@pytest.mark.parametrize("cls", [CouplingLayer, ConditionProjectionLayer, BatchNormFlow,
+                                 MaskedARLayer, UncondARLayer])
+def test_layers_reject_inputs_of_the_wrong_width(cls, width, rng):
+    """Forward and inverse, taped and under no_grad, an input whose width
+    is not the layer's raises ConfigurationError naming both widths."""
+    if cls is BatchNormFlow:
+        layer = BatchNormFlow(ParameterStore(), "bn", D)
+        calls = (lambda x, cond: layer.forward(x, "train"),
+                 lambda x, cond: layer.forward(x, "eval"),
+                 lambda x, cond: layer.inverse(x, "eval"))
+    else:
+        kwargs = {} if cls is UncondARLayer else {"cond_dim": COND}
+        layer, _ = perturbed_layer(cls, rng, d=D, widths=(8,), **kwargs)
+        calls = (layer.forward, layer.inverse)
+    x = Tensor(rng.normal(size=(4, width)))
+    cond = Tensor(rng.normal(size=(4, COND)))
+    for call in calls:
+        for context in (contextlib.nullcontext, no_grad):
+            with context(), pytest.raises(ConfigurationError,
+                                          match=f"width {D}, got {width}$"):
+                call(x, cond)
+
+
 def test_identity_initialization(rng):
     store = ParameterStore()
     layer = CouplingLayer(store, "c", d=D, cond_dim=COND, rng=rng, widths=(8,))
@@ -449,11 +458,11 @@ def test_identity_initialization(rng):
 
 def test_scale_clamp_bounds():
     # no hidden layer and a zero output weight: the raw scales are the bias
-    raw = Tensor(np.array([-1e6, -1.0, 0.0, 1.0, 1e6, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    out = conditioner_mlp(Tensor(np.zeros((1, 1))), [], Tensor(np.zeros((1, 10))),
-                          raw, 5, CLAMP)
-    s = out.data[0, :5]
-    assert np.array_equal(out.data[0, 5:], np.zeros(5))
+    raw = np.array([-1e6, -1.0, 0.0, 1.0, 1e6, 0.0, 0.0, 0.0, 0.0, 0.0])
+    out, _, _ = conditioner_mlp_arrays(np.zeros((1, 1)), [], np.zeros((1, 10)), raw, 5,
+                                       CLAMP)
+    s = out[0, :5]
+    assert np.array_equal(out[0, 5:], np.zeros(5))
     assert s[0] > -CLAMP - 1e-12 and s[-1] < CLAMP + 1e-12
     assert abs(s[0] + CLAMP) < 1e-9 and abs(s[-1] - CLAMP) < 1e-9
     assert s[2] == 0.0
@@ -634,8 +643,8 @@ def test_gaussian_logp_reference():
 def test_conditioner_net_shapes(rng):
     store = ParameterStore()
     net = Conditioner(store, "n", in_dim=5, d=4, rng=rng, widths=(8, 8))
-    s, b = net(Tensor(rng.normal(size=(3, 5))))
+    s, b = net.bind()(rng.normal(size=(3, 5)))
     assert s.shape == (3, 4) and b.shape == (3, 4)
     # zero-initialized head
-    assert np.array_equal(s.data, np.zeros((3, 4)))
-    assert np.array_equal(b.data, np.zeros((3, 4)))
+    assert np.array_equal(s, np.zeros((3, 4)))
+    assert np.array_equal(b, np.zeros((3, 4)))

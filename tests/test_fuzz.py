@@ -1,5 +1,6 @@
 """Property fuzz of every file reader: checkpoint headers, dataset header
-and record lines, and config files.
+and record lines, and config files; and of the model build from a parsed
+config.
 
 Each input, however malformed, must either parse or raise an
 ``UrbanFlowsError``; anything else would leave the CLI as a Python
@@ -7,6 +8,7 @@ traceback.  Inputs start from a valid file and replace one part with
 arbitrary JSON or bytes, so the fuzz reaches past the first check.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from urbanflows.checkpoint import MAGIC, read_header, save_checkpoint
 from urbanflows.errors import UrbanFlowsError
 from urbanflows.numerics import ParameterStore
+from urbanflows.pipeline import ModelBundle
 from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import make_dataset, read_dataset, write_dataset
 
@@ -153,3 +156,21 @@ def test_fuzz_config_file(workdir, text, junk):
     path = workdir / "f.cfg"
     path.write_bytes("\n".join(text).encode() + b"\n" + junk)
     parses_or_raises_typed(RunConfig.from_sources, path)
+
+
+int_fields = sorted(f.name for f in dataclasses.fields(RunConfig) if type(f.default) is int)
+model_config_edits = st.one_of(
+    st.tuples(st.sampled_from(int_fields), st.integers(-3, 9)),
+    st.tuples(st.sampled_from(["zone_hidden", "config_hidden"]),
+              st.lists(st.integers(-3, 9), max_size=2).map(tuple)),
+)
+
+
+@FUZZ
+@given(edit=model_config_edits)
+def test_fuzz_model_config_values(edit):
+    """A well-typed config value that parsing lets through either builds a
+    model or is rejected by ``validate``."""
+    key, value = edit
+    rc = dataclasses.replace(mini_runconfig(), **{key: value})
+    parses_or_raises_typed(lambda: ModelBundle(rc.validate()))

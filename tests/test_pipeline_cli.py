@@ -497,6 +497,28 @@ def test_cli_rejects_mistyped_checkpoint_config(tmp_path, capsys, rewrite_header
     assert rc == 1 and "error:" in err and message in err
 
 
+@pytest.mark.parametrize("where", ["synth", "train-zone", "checkpoint"])
+@pytest.mark.parametrize("key,value", [("stem_channels", 0), ("seed", -1), ("zone_hidden", [-3]),
+                                       ("zone_hidden", [0]), ("config_hidden", [8, 0])])
+def test_cli_rejects_bad_model_values(tmp_path, capsys, rewrite_header, where, key, value):
+    ckpt = zero_budget_checkpoint(tmp_path)
+    out = str(tmp_path / "out")
+    if where == "checkpoint":
+        rewrite_header(ckpt, lambda header: header["config"].update({key: value}))
+        argv = ["generate", "--ckpt", ckpt, "--green-level", "1", "--out-dir", out]
+    else:
+        setting = ",".join(map(str, value)) if isinstance(value, list) else value
+        argv = {"synth": ["synth", "--count", "4", "--out", out],
+                "train-zone": ["train-zone", "--dataset", str(tmp_path / "data.jsonl"),
+                               "--out-ckpt", out]}[where]
+        argv += ["--config", str(tmp_path / "mini.cfg"), "--set", f"{key}={setting}"]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and key in err
+    assert not os.path.exists(out)
+
+
 def test_cli_evaluate_failed_rename_keeps_old_report(tmp_path, monkeypatch,
                                                     capsys):
     ckpt = zero_budget_checkpoint(tmp_path)

@@ -162,8 +162,8 @@ def test_conditioner_calls_exact_under_two_threads():
     start = threading.Barrier(2)
 
     def run():
-        conditioner_pass = net.bind(Tensor(np.ones((2, 3))))
-        x = Tensor(np.zeros((2, 4)))
+        conditioner_pass = net.bind(np.ones((2, 3)))
+        x = np.zeros((2, 4))
         start.wait()
         for _ in range(passes):
             conditioner_pass(x)
