@@ -195,8 +195,15 @@ def _write_trace(path, trace, rc, gen_index, green_level):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _check_seed(flag, seed):
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"{flag} must be >= 0, got {seed}")
+
+
 def cmd_generate(args, trace_flag=None):
     _check_count(args.count, 1)
+    _check_seed("--seed", args.seed)
+    _check_seed("--context-seed", args.context_seed)
     bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
     check_guidance_levels(args.green_level)

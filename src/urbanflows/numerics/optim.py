@@ -1,16 +1,33 @@
-"""Adam with global gradient-norm clipping."""
+"""Adam with global gradient-norm clipping, computed before it is written."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ..errors import TrainingFault
 
 
 class Adam:
     """Adam over (name, tensor) pairs with optional per-name lr scaling.
 
-    Gradients are clipped jointly: if the global L2 norm across every
-    parameter exceeds ``clip_norm``, all gradients are scaled down by the
-    same factor before the moment updates.
+    Gradients are clipped jointly (Pascanu et al. 2013): if the global L2
+    norm across every parameter exceeds ``clip_norm``, all gradients are
+    scaled down by the same factor before the moment updates.  The update
+    is the efficient form Kingma & Ba give after their Algorithm 1,
+    ``theta -= alpha_t * m / (sqrt(v) + eps_hat)`` with
+    ``alpha_t = lr * scale * sqrt(1 - b2^t) / (1 - b1^t)`` and
+    ``eps_hat = eps * sqrt(1 - b2^t)``: the bias-corrected update
+    ``m_hat / (sqrt(v_hat) + eps)`` rearranged, so only rounding differs.
+
+    The moments and one scratch buffer of new values are each one flat
+    array over every parameter, allocated here; ``step`` makes one pass of
+    each array operation over them.  It writes the parameters only once
+    every new value is known to be finite.  Otherwise it raises
+    ``TrainingFault("non-finite parameters after step N")``, N counting
+    from 0 as the training loops do, and no parameter has changed.  The
+    moments may have advanced, so an Adam whose step raised is spent.
     """
 
     def __init__(self, named_params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
@@ -22,37 +39,72 @@ class Adam:
         self.clip_norm = clip_norm
         self.lr_scales = dict(lr_scales or {})
         self.t = 0
-        self._m = {name: np.zeros(t.shape) for name, t in self.params}
-        self._v = {name: np.zeros(t.shape) for name, t in self.params}
+        size = sum(t.size for _, t in self.params)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        # each parameter's gradient, then its new value, as a view of one buffer
+        self._new = np.empty(size)
+        self._views = []
+        start = 0
+        for _, t in self.params:
+            self._views.append(self._new[start:start + t.size].reshape(t.shape))
+            start += t.size
 
     def zero_grad(self):
         for _, t in self.params:
             t.grad = None
 
     def _clip_factor(self, grads):
-        total = 0.0
-        for g in grads.values():
-            total += float(np.sum(g * g))
-        norm = np.sqrt(total)
-        if self.clip_norm is not None and norm > self.clip_norm:
-            return self.clip_norm / norm
+        """clip_norm / |grads| when the global norm exceeds ``clip_norm``,
+        else 1.  A square that overflows is taken again on grads / max|g|;
+        a non-finite gradient is not clipped, and its values fail the
+        check of the step."""
+        if self.clip_norm is None:
+            return 1.0
+        big = 1.0
+        total = float(np.dot(grads, grads))
+        if not math.isfinite(total):
+            if not np.isfinite(grads).all():
+                return 1.0
+            big = max(float(grads.max()), -float(grads.min()))
+            scaled = grads / big
+            total = float(np.dot(scaled, scaled))
+        norm = math.sqrt(total)  # of grads / big
+        if norm * big > self.clip_norm:
+            return self.clip_norm / big / norm
         return 1.0
 
     def step(self):
-        grads = {}
-        for name, t in self.params:
-            grads[name] = t.grad if t.grad is not None else np.zeros(t.shape)
-        factor = self._clip_factor(grads)
+        new = self._new
+        for (_, t), view in zip(self.params, self._views):
+            if t.grad is None:
+                view.fill(0.0)
+            else:
+                np.copyto(view, t.grad)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name, t in self.params:
-            g = grads[name] * factor
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            scale = self.lr * self.lr_scales.get(name, 1.0)
-            t.data -= scale * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        b1, b2 = self.beta1, self.beta2
+        root = math.sqrt(1.0 - b2 ** self.t)
+        alpha = self.lr * root / (1.0 - b1 ** self.t)
+        # an overflow, or a non-finite gradient, ends in values that the
+        # finite check below rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            new *= (1.0 - b1) * self._clip_factor(new)  # (1 - b1) g
+            self._m *= b1
+            self._m += new
+            new *= new
+            new *= (1.0 - b2) / (1.0 - b1) ** 2  # (1 - b2) g^2
+            self._v *= b2
+            self._v += new
+            np.sqrt(self._v, out=new)
+            new += self.eps * root
+            np.divide(self._m, new, out=new)
+            new *= -alpha
+            for (name, t), view in zip(self.params, self._views):
+                scale = self.lr_scales.get(name)
+                if scale is not None:
+                    view *= scale
+                view += t.data
+        if not np.isfinite(new).all():
+            raise TrainingFault(f"non-finite parameters after step {self.t - 1}")
+        for (_, t), view in zip(self.params, self._views):
+            np.copyto(t.data, view)

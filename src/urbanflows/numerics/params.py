@@ -194,12 +194,19 @@ class ParameterStore:
         for name, view in views.items():
             self._params[name].data = view
 
-    def snapshot(self, prefix=""):
+    def snapshot(self, prefix="", trainable=True):
         """Copies of the values of every parameter whose name starts with
-        ``prefix`` (all of them by default), for ``restore``."""
+        ``prefix`` (all of them by default), for ``restore``.
+
+        ``trainable=False`` leaves the trainable entries out: what is left
+        are the running statistics, the only values a train-mode forward
+        changes."""
         return {name: t.data.copy() for name, t in self._params.items()
-                if name.startswith(prefix)}
+                if name.startswith(prefix) and (trainable or not self._trainable[name])}
 
     def restore(self, snap):
+        """Write a ``snapshot``'s values back into the parameters' arrays,
+        so a parameter that is a view of an opened store's buffer stays
+        one."""
         for name, arr in snap.items():
-            self._params[name].data = arr.copy()
+            np.copyto(self._params[name].data, arr)

@@ -277,6 +277,14 @@ def matmul(a, b):
         raise ValueError("matmul expects tensors with ndim >= 2")
 
     def backward(g):
+        if b.ndim == 2:
+            # a's leading axes fold into the rows of one 2-D GEMM each way
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accumulate(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g2)
+            return
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:

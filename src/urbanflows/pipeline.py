@@ -103,9 +103,11 @@ def dataset_arrays(samples):
 def train_zone_stage(bundle, samples, rng, steps=None, log=None):
     """Stage-1 maximum-likelihood training.
 
-    Returns the per-step loss history.  On a non-finite loss the parameters
-    are rolled back to the last good step before the fault propagates, so
-    whatever checkpoint the caller writes is the last good state.
+    Returns the per-step loss history.  On a non-finite loss or parameter
+    update the ``zone.*`` values are those of the last good step when the
+    fault propagates, so whatever checkpoint the caller writes is the last
+    good state.  ``Adam`` writes no parameter on a fault, so only the
+    running statistics the forward updates are copied and put back.
     """
     rc = bundle.cfg
     steps = rc.steps_zone if steps is None else steps
@@ -116,21 +118,22 @@ def train_zone_stage(bundle, samples, rng, steps=None, log=None):
     for step in range(steps):
         idx = rng.integers(0, total, size=rc.batch_size)
         x = dequantize_zone_batch(zones[idx], rc.m, rng)
-        snap = bundle.store.snapshot("zone.")  # running stats included
+        stats = bundle.store.snapshot("zone.", trainable=False)
         opt.zero_grad()
         mean, per = nll_tensors(bundle.zone, Tensor(x), Tensor(es[idx]),
                                 mode="train", update_stats=True)
         loss = float(mean.item())
         if not np.isfinite(per).all():
-            bundle.store.restore(snap)
+            bundle.store.restore(stats)
             bad = int(np.flatnonzero(~np.isfinite(per))[0])
             raise TrainingFault(f"non-finite zone NLL at step {step}",
                                 sample_index=bad)
         mean.backward()
-        opt.step()
-        if not all(np.isfinite(t.data).all() for _, t in opt.params):
-            bundle.store.restore(snap)
-            raise TrainingFault(f"non-finite zone parameters after step {step}")
+        try:
+            opt.step()
+        except TrainingFault:
+            bundle.store.restore(stats)
+            raise TrainingFault(f"non-finite zone parameters after step {step}") from None
         history.append((step, loss))
         if log is not None:
             log(step, loss)
@@ -138,7 +141,12 @@ def train_zone_stage(bundle, samples, rng, steps=None, log=None):
 
 
 def train_config_stage(bundle, samples, rng, steps=None, log=None):
-    """Stage-2 joint fine-tuning (config flow + fusion, zone at reduced lr)."""
+    """Stage-2 joint fine-tuning (config flow + fusion, zone at reduced lr).
+
+    On a fault the store holds the last good step's values, as in
+    ``train_zone_stage``; the running statistics of every namespace are
+    the values put back.
+    """
     rc = bundle.cfg
     steps = rc.steps_config if steps is None else steps
     es, zones, counts, _ = dataset_arrays(samples)
@@ -149,19 +157,16 @@ def train_config_stage(bundle, samples, rng, steps=None, log=None):
     history = []
     for step in range(steps):
         idx = rng.integers(0, total, size=rc.batch_size)
-        snap = bundle.store.snapshot()
+        stats = bundle.store.snapshot(trainable=False)
         try:
             parts = joint_finetune_step(
                 bundle.zone, bundle.fusion, bundle.config,
                 (es[idx], zones[idx], counts[idx]),
                 rc.lambda_zone, rng, opt, use_sampled_u=rc.use_sampled_u,
             )
-        except TrainingFault:
-            bundle.store.restore(snap)
+        except TrainingFault:  # a non-finite NLL, or Adam's "after step {step}"
+            bundle.store.restore(stats)
             raise
-        if not all(np.isfinite(t.data).all() for _, t in opt.params):
-            bundle.store.restore(snap)
-            raise TrainingFault(f"non-finite parameters after step {step}")
         history.append((step, parts["total"]))
         if log is not None:
             log(step, parts["total"], parts)

@@ -193,7 +193,7 @@ def perturbed_bundle(**overrides):
     bundle = ModelBundle(mini_runconfig(**overrides))
     rng = np.random.default_rng(21)
     for _, t in bundle.store.trainable_items():
-        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+        t.data += rng.normal(0.0, 0.1, size=t.shape)  # in place: 0-d ones stay arrays
     return bundle
 
 

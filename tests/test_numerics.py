@@ -10,8 +10,14 @@ import pytest
 
 import composed_reference
 import conv_reference
+from adam_reference import ReferenceAdam
 from composed_reference import concat, log, sqrt, tanh
-from urbanflows.errors import CheckpointManifestError, CheckpointValueError, OracleError
+from urbanflows.errors import (
+    CheckpointManifestError,
+    CheckpointValueError,
+    OracleError,
+    TrainingFault,
+)
 from urbanflows.flow_layers import build_made_masks
 from urbanflows.numerics import (
     Adam,
@@ -78,6 +84,30 @@ def test_matmul_gradients(rng):
     a3 = rng.normal(size=(2, 3, 4))
     b3 = rng.normal(size=(2, 4, 2))
     check_scalar_grad(lambda x, y: ((x @ y) * (x @ y)).sum(), a3, b3)
+    # a stack of rows against a 2-D b, as the pointwise convolutions run
+    check_scalar_grad(lambda x, y: ((x @ y) * (x @ y)).sum(), a3, b)
+    check_scalar_grad(lambda x, y: ((x @ y) * (x @ y)).sum(), rng.normal(size=(2, 3, 2, 4)), b)
+
+
+@pytest.mark.parametrize("shape,contiguous", [((5, 7, 6), True), ((3, 4, 5, 6), True),
+                                              ((3, 4, 5, 6), False), ((7, 6), True)])
+def test_matmul_backward_with_2d_b_matches_batched_products(rng, shape, contiguous):
+    """With a 2-D ``b`` the backward folds a's leading axes into one 2-D
+    GEMM each way.  Both gradients agree within atol 1e-12 with the batched
+    products, b's summed over the stack by ``_unbroadcast``."""
+    if contiguous:
+        data = rng.normal(size=shape)
+    else:  # a channels-last view of a channels-first array
+        data = np.moveaxis(rng.normal(size=(shape[0], shape[-1], *shape[1:-1])), 1, -1)
+    a = Tensor(data, requires_grad=True)
+    b = Tensor(rng.normal(size=(shape[-1], 3)), requires_grad=True)
+    g = rng.normal(size=shape[:-1] + (3,))
+    (a @ b).backward(g)
+    want_b = np.swapaxes(a.data, -1, -2) @ g
+    while want_b.ndim > 2:
+        want_b = want_b.sum(axis=0)
+    np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b.grad, want_b, rtol=0, atol=1e-12)
 
 
 def test_elementwise_unary_gradients(rng):
@@ -463,3 +493,86 @@ def test_adam_lr_scales_slow_named_params():
     da = 1.0 - float(a.data[0])
     db = 1.0 - float(b.data[0])
     assert abs(db - 0.1 * da) < 1e-12
+
+def _toy_problem(rng):
+    """Parameters of four shapes, a 0-d one among them, and their targets."""
+    shapes = {"a": (4, 5), "b": (3,), "c": (), "d": (2, 2, 3)}
+    params = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    targets = {n: rng.normal(0.0, 4.0, size=shape) for n, shape in shapes.items()}
+    return params, targets
+
+
+@pytest.mark.parametrize("clip_norm", [10.0, None])
+@pytest.mark.parametrize("lr_scales", [None, {"b": 0.1, "d": 0.25}])
+def test_adam_matches_reference(rng, clip_norm, lr_scales):
+    """Over 50 steps of a toy problem every parameter stays within atol
+    1e-12 of the textbook Adam in ``adam_reference``, whose rounding
+    differs.  ``c`` has no gradient on odd steps, so its moments only
+    decay there and it still moves."""
+    start, targets = _toy_problem(rng)
+    runs = []
+    for cls in (Adam, ReferenceAdam):
+        tensors = {n: Tensor(v.copy(), requires_grad=True) for n, v in start.items()}
+        opt = cls(list(tensors.items()), lr=0.05, clip_norm=clip_norm, lr_scales=lr_scales)
+        for step in range(50):
+            opt.zero_grad()
+            for name, t in tensors.items():
+                if name != "c" or step % 2 == 0:
+                    diff = t.data - targets[name]
+                    t.grad = 3.0 * diff + diff ** 3
+            opt.step()
+        runs.append(tensors)
+    got, want = runs
+    for name in start:
+        assert np.abs(want[name].data - start[name]).max() > 0.1, name
+        np.testing.assert_allclose(got[name].data, want[name].data, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_adam_clips_a_huge_finite_gradient():
+    """A finite gradient whose square overflows is clipped to the norm it
+    has; before, the norm read inf, the clip factor 0 and the step was
+    silently skipped with an overflow warning."""
+    for big in (1e100, 1e200, 1e307):
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        opt = Adam([("x", t)], lr=1e-3)
+        t.grad = np.array([big, 1.0])
+        opt.step()
+        np.testing.assert_allclose(t.data, [0.999, 2.0], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "overflow"])
+def test_adam_fault_writes_no_parameter(case):
+    """A non-finite gradient, or an update that overflows, raises
+    ``TrainingFault`` with no parameter changed and no warning."""
+    x = Tensor(np.array([1.79e308 if case == "overflow" else 1.0, 2.0]), requires_grad=True)
+    y = Tensor(np.array([[0.5, -0.5]]), requires_grad=True)
+    opt = Adam([("x", x), ("y", y)], lr=1e308 if case == "overflow" else 1e-3)
+    before = [x.data.copy(), y.data.copy()]
+    x.grad = np.array([{"nan": np.nan, "inf": np.inf, "overflow": -1.0}[case], 1.0])
+    y.grad = np.ones((1, 2))
+    with pytest.raises(TrainingFault, match="non-finite parameters after step 0"):
+        opt.step()
+    assert np.array_equal(x.data, before[0]) and np.array_equal(y.data, before[1])
+
+
+def test_adam_writes_into_the_parameter_arrays(rng):
+    """Parameters of a store opened on a payload stay views of its one
+    buffer through a step, and ``restore`` writes back into them too."""
+    src = ParameterStore()
+    src.add("a.w", rng.normal(size=(2, 3)))
+    src.add("b.running_var", np.ones(2), trainable=False)
+    store = ParameterStore.opened(src.manifest(), bytearray(src.to_payload()))
+    w = store.param("a.w", (2, 3))
+    var = store.param("b.running_var", (2,), trainable=False)
+    buffer = w.data.base
+    stats = store.snapshot(trainable=False)
+    assert list(stats) == ["b.running_var"]
+    opt = Adam(list(store.trainable_items()))
+    w.grad = rng.normal(size=(2, 3))
+    opt.step()
+    var.data *= 3.0
+    store.restore(stats)
+    assert w.data.base is buffer and var.data.base is buffer
+    assert np.array_equal(var.data, [1.0, 1.0])
+    assert not np.array_equal(w.data, src["a.w"].data)

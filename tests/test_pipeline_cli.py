@@ -35,6 +35,7 @@ from urbanflows.pipeline import (
     format_report,
     generate_batch,
     generate_one,
+    train_config_stage,
     train_zone_stage,
 )
 from urbanflows.render import render_config_ppm
@@ -132,6 +133,45 @@ def test_stage1_fault_restores_zone_namespace_only(monkeypatch):
     for name, arr in good[-1].items():
         want = arr + 1.0 if name in others else arr
         assert np.array_equal(store[name].data, want), name
+
+
+@pytest.mark.parametrize("stage", ["zone", "config"])
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_poisoned_gradient_leaves_the_last_good_state(monkeypatch, stage, poison):
+    """A gradient poisoned after the backward of step 2 ends that stage in
+    the "non-finite ... parameters after step 2" fault.  Every parameter
+    and running statistic then equals its value after step 1, although the
+    forward of step 2 had moved the running statistics, and no
+    ``RuntimeWarning`` is raised on the way."""
+    bundle = mini_bundle()
+    rc = bundle.cfg
+    samples = make_dataset(16, rc.n, rc.m, rc.p, seed=2)
+    store = bundle.store
+    good = []  # the whole store after each good step
+    moved = []
+
+    class PoisonedAdam(pipeline.Adam):
+        def step(self):
+            if self.t == 2:
+                moved.extend(n for n, arr in good[-1].items()
+                             if not np.array_equal(store[n].data, arr))
+                grad = next(t.grad for _, t in self.params if t.grad is not None)
+                grad.flat[0] = poison
+            super().step()
+
+    monkeypatch.setattr(pipeline, "Adam", PoisonedAdam)
+    train, message = {
+        "zone": (train_zone_stage, "non-finite zone parameters after step 2"),
+        "config": (train_config_stage, "non-finite parameters after step 2"),
+    }[stage]
+    with pytest.raises(TrainingFault, match=message):
+        train(bundle, samples, np.random.default_rng(0), steps=5,
+              log=lambda *_: good.append(store.snapshot()))
+    assert len(good) == 2
+    assert any(n.endswith(".running_mean") for n in moved)
+    assert sorted(good[-1]) == store.names()
+    for name, arr in good[-1].items():
+        assert np.array_equal(store[name].data, arr), name
 
 
 def test_dataset_arrays_matches_per_sample_info_vectors():
@@ -755,6 +795,23 @@ def test_cli_rejects_contradictory_context_flags(tmp_path, capsys, command, flag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "trace"])
+@pytest.mark.parametrize("flag", ["--seed", "--context-seed"])
+def test_cli_rejects_a_negative_seed_before_writing(tmp_path, capsys, command, flag):
+    """A negative generation or context seed exits 1 naming the flag and
+    writes nothing; before, numpy's ``ValueError`` ended the command in a
+    traceback."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    out = tmp_path / "g"
+    capsys.readouterr()
+    assert main([command, "--ckpt", ckpt, "--green-level", "1", "--out-dir", str(out),
+                 flag, "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 0, got -1\n"
     assert not out.exists()
 
 
