@@ -1,4 +1,4 @@
-"""Adam with global gradient-norm clipping, computed before it is written."""
+"""Adam with global gradient-norm clipping."""
 
 from __future__ import annotations
 

@@ -494,14 +494,6 @@ def test_adam_lr_scales_slow_named_params():
     db = 1.0 - float(b.data[0])
     assert abs(db - 0.1 * da) < 1e-12
 
-def _toy_problem(rng):
-    """Parameters of four shapes, a 0-d one among them, and their targets."""
-    shapes = {"a": (4, 5), "b": (3,), "c": (), "d": (2, 2, 3)}
-    params = {n: rng.normal(size=shape) for n, shape in shapes.items()}
-    targets = {n: rng.normal(0.0, 4.0, size=shape) for n, shape in shapes.items()}
-    return params, targets
-
-
 @pytest.mark.parametrize("clip_norm", [10.0, None])
 @pytest.mark.parametrize("lr_scales", [None, {"b": 0.1, "d": 0.25}])
 def test_adam_matches_reference(rng, clip_norm, lr_scales):
@@ -509,7 +501,11 @@ def test_adam_matches_reference(rng, clip_norm, lr_scales):
     1e-12 of the textbook Adam in ``adam_reference``, whose rounding
     differs.  ``c`` has no gradient on odd steps, so its moments only
     decay there and it still moves."""
-    start, targets = _toy_problem(rng)
+    shapes = {"a": (4, 5), "b": (3,), "c": (), "d": (2, 2, 3)}
+    start = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    targets = {n: rng.normal(0.0, 4.0, size=shape) for n, shape in shapes.items()}
+    first = [3.0 * (start[n] - targets[n]) + (start[n] - targets[n]) ** 3 for n in start]
+    assert np.sqrt(sum((g * g).sum() for g in first)) > 10.0  # clip_norm=10 clips
     runs = []
     for cls in (Adam, ReferenceAdam):
         tensors = {n: Tensor(v.copy(), requires_grad=True) for n, v in start.items()}
