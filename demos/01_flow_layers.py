@@ -38,7 +38,7 @@ layers = {
 # fresh conditioners are zero-initialized, so nudge everything off identity
 for name, t in store.items():
     if "running" not in name:
-        t.data = t.data + rng.normal(0.0, 0.2, size=t.shape)
+        t.data += rng.normal(0.0, 0.2, size=t.shape)
 
 # batch-norm needs running statistics before eval mode means anything
 layers["batch-norm"].forward(Tensor(rng.normal(0.5, 1.4, size=(64, d))),

@@ -13,10 +13,13 @@ Conventions used throughout:
   so exp(s) stays within [e^-5, e^5] no matter what the conditioner emits.
 * Every affine layer takes its (s, b) from a ``Conditioner``: dense for
   coupling and condition projection, MADE-masked for the two AR layers.
-  A taped layer forward is one ``affine_step`` or ``batchnorm_flow`` node,
-  whose [y | log-det] output ``forward`` slices into (y, ld); a coupling or
-  batch-norm inverse is one node too.  Under ``no_grad`` the layers run the
-  nodes' numpy bodies, and the Jacobi sweeps run ``Conditioner.bind``.
+* ``FlowStack.forward`` carries one packed (B, d + 1) state ``[h |
+  log-det]``: each layer's ``step`` is one ``affine_step`` or
+  ``batchnorm_flow`` node that maps it to ``[y | log-det + its own]``, and
+  the stack splits it once, at the end.  A layer's ``forward(x, ...) ->
+  (y, ld)`` is ``step`` on ``[x | 0]``.  A coupling or batch-norm inverse
+  is one node too, and the AR layers' Jacobi sweeps run
+  ``Conditioner.bind`` on ndarrays.
 * Layers register their parameters as (name, shape, init recipe), so a
   store opened on a checkpoint builds them without drawing anything.
 """
@@ -32,11 +35,9 @@ from .errors import ConfigurationError, ModeError, SamplingFault, check_mode
 from .numerics import (
     Tensor,
     affine_step,
-    affine_step_arrays,
+    append_zero_column,
     batchnorm_flow,
-    batchnorm_flow_arrays,
     conditioner_mlp_arrays,
-    grad_enabled,
     normal,
     pass_arrays,
     permute_columns,
@@ -51,6 +52,11 @@ _CALLS_LOCK = threading.Lock()
 def _check_width(width, got, what="flow layer"):
     if got != width:
         raise ConfigurationError(f"{what} built for width {width}, got {got}")
+
+
+def _split(state):
+    """(y, log-det) of a packed ``[y | log-det]`` state."""
+    return state[:, :-1], state[:, -1]
 
 
 def gaussian_logp(z):
@@ -158,9 +164,9 @@ class Conditioner:
     pass ``x -> (s, b)`` on ndarrays, off the tape, which the fixed-point
     inverse sweeps: it builds the masked weights and condition terms once
     per bind, and each pass runs ``conditioner_mlp_arrays``.  ``step`` is a
-    whole affine layer step around one pass, taped or not.  ``calls`` counts
-    every pass, which the sampling-complexity audit reads; it stays exact
-    when passes run on several threads at once.
+    whole affine layer step around one pass, one ``affine_step`` node.
+    ``calls`` counts every pass, which the sampling-complexity audit reads;
+    it stays exact when passes run on several threads at once.
     """
 
     def __init__(self, store, prefix, in_dim, d, rng, widths=(64, 64), cond_dim=0,
@@ -211,21 +217,14 @@ class Conditioner:
     def step(self, x, cond, lo, reads, inverse=False):
         """An affine layer step around one pass, which reads x's first
         ``reads`` columns (then ``cond``, when there are no condition
-        terms) and transforms its columns from ``lo`` on: (y, log-det)
-        forward, x inverse.  Taped, one ``affine_step`` node whose [y |
-        log-det] is sliced; under ``no_grad``, its numpy body."""
-        _check_width(lo + self.d, x.shape[-1])
+        terms) and transforms its columns from ``lo`` on, as one
+        ``affine_step`` node: packed ``[h | ld]`` to ``[y | ld + log-det]``
+        forward, y to h inverse."""
+        _check_width(lo + self.d, x.shape[-1] - (not inverse))
         self._check_cond(cond)
         self._count(reads if self.cond_dim or cond is None else reads + cond.shape[-1])
-        if grad_enabled():
-            out = affine_step(x, cond, self.hidden, *self.final, CLAMP, lo, reads,
-                              self.weight_masks, inverse)
-            return out if inverse else (out[:, : x.shape[1]], out[:, x.shape[1]])
-        weights, hidden = pass_arrays(self.hidden, self.final[0], self.weight_masks)
-        res, ld, *_ = affine_step_arrays(x.data, None if cond is None else cond.data, hidden,
-                                         weights[-1], self.final[1].data, CLAMP, lo, reads,
-                                         inverse)
-        return Tensor(res) if inverse else (Tensor(res), Tensor(ld))
+        return affine_step(x, cond, self.hidden, *self.final, CLAMP, lo, reads,
+                           self.weight_masks, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +248,13 @@ class CouplingLayer:
         self.net = Conditioner(store, prefix, self.reads + cond_dim, d - self.half, rng,
                                widths)
 
-    def forward(self, x, cond, mode="train"):
+    def step(self, state, cond, mode="train"):
+        """Packed forward: ``[h | ld]`` -> ``[y | ld + log-det]``."""
         check_mode(mode)
-        return self.net.step(x, cond, self.half, self.reads)
+        return self.net.step(state, cond, self.half, self.reads)
+
+    def forward(self, x, cond, mode="train"):
+        return _split(self.step(append_zero_column(x), cond, mode))
 
     def inverse(self, y, cond, mode="eval"):
         check_mode(mode)
@@ -288,26 +291,30 @@ class BatchNormFlow:
         return (self.running_mean.data.reshape(1, self.d),
                 self.running_var.data.reshape(1, self.d))
 
-    def forward(self, x, mode="train", update_stats=True):
+    def step(self, state, mode="train", update_stats=True):
+        """Packed forward: ``[h | ld]`` -> ``[y | ld + log-det]``.  Train
+        mode updates the running statistics in place, so a store opened
+        on a checkpoint keeps them as views of its buffer."""
         check_mode(mode)
-        _check_width(self.d, x.shape[-1])
+        _check_width(self.d, state.shape[-1] - 1)
         if mode == "train":
-            if x.shape[0] < 2:
+            if state.shape[0] < 2:
                 raise ConfigurationError("train-mode batchnorm needs batch size >= 2")
-            mu = x.data.mean(axis=0, keepdims=True)
-            centered = x.data - mu
+            x = state.data[:, : self.d]
+            mu = x.mean(axis=0, keepdims=True)
+            centered = x - mu
             var = (centered * centered).mean(axis=0, keepdims=True)
             if update_stats:
                 m = self.momentum
-                self.running_mean.data = m * self.running_mean.data + (1 - m) * mu[0]
-                self.running_var.data = m * self.running_var.data + (1 - m) * var[0]
+                for stat, batch in ((self.running_mean.data, mu[0]),
+                                    (self.running_var.data, var[0])):
+                    np.add(m * stat, (1 - m) * batch, out=stat)
         else:
             mu, var = self._running()
-        if grad_enabled():
-            out = batchnorm_flow(x, mu, var, self.eps, batch_stats=mode == "train")
-            return out[:, : self.d], out[:, self.d]
-        y, ld, _ = batchnorm_flow_arrays(x.data, mu, var, self.eps)
-        return Tensor(y), Tensor(ld)
+        return batchnorm_flow(state, mu, var, self.eps, batch_stats=mode == "train")
+
+    def forward(self, x, mode="train", update_stats=True):
+        return _split(self.step(append_zero_column(x), mode, update_stats))
 
     def inverse(self, y, mode="eval"):
         check_mode(mode)
@@ -315,9 +322,7 @@ class BatchNormFlow:
             raise ModeError("batchnorm flow cannot invert with batch statistics")
         _check_width(self.d, y.shape[-1])
         mu, var = self._running()
-        if grad_enabled():
-            return batchnorm_flow(y, mu, var, self.eps, inverse=True)
-        return Tensor(batchnorm_flow_arrays(y.data, mu, var, self.eps, inverse=True)[0])
+        return batchnorm_flow(y, mu, var, self.eps, inverse=True)
 
 
 class MaskedARLayer:
@@ -337,9 +342,13 @@ class MaskedARLayer:
         self.cond_dim = cond_dim
         self.net = Conditioner(store, prefix, d, d, rng, widths, cond_dim, mask_seed)
 
-    def forward(self, x, cond=None, mode="train"):
+    def step(self, state, cond=None, mode="train"):
+        """Packed forward: ``[h | ld]`` -> ``[y | ld + log-det]``."""
         check_mode(mode)
-        return self.net.step(x, cond if self.cond_dim else None, 0, self.d)
+        return self.net.step(state, cond if self.cond_dim else None, 0, self.d)
+
+    def forward(self, x, cond=None, mode="train"):
+        return _split(self.step(append_zero_column(x), cond, mode))
 
     def inverse(self, y, cond=None, mode="eval"):
         """Jacobi fixed-point inversion: x <- (y - b(x)) * exp(-s(x)) from
@@ -422,7 +431,8 @@ class FlowStack:
     ``layout`` names the canonical coordinate each position holds at the
     layer's input, so the ``collect`` hooks report states in data
     coordinates.  ``cond`` goes to every layer but batch-norm; a layer with
-    no conditioning input ignores it.
+    no conditioning input ignores it.  ``packed_perm`` is the permutation
+    extended by the log-det column, which stays last.
     """
 
     def __init__(self, blocks, perm):
@@ -439,6 +449,7 @@ class FlowStack:
                     self.layers.append((layer.kind, block_idx, layer, layout))
         self.final_layout = layout
         self.final_inv = np.argsort(layout)
+        self.packed_perm = np.append(perm.perm, self.d)
 
     def forward(self, x, cond, mode="train", update_stats=True, collect=None):
         """Data -> latent; returns (z in canonical coords, per-sample logdet).
@@ -447,21 +458,19 @@ class FlowStack:
         after each layer when provided.
         """
         check_mode(mode)
-        h = x
-        logdet = Tensor(np.zeros(x.shape[0]))
+        state = append_zero_column(x)
         prev_block = 0
         for flat_idx, (kind, block_idx, layer, layout) in enumerate(self.layers):
             if block_idx != prev_block:
-                h, _ = self.perm.forward(h)
+                state = permute_columns(state, self.packed_perm)
                 prev_block = block_idx
             if kind == "batchnorm":
-                h, ld = layer.forward(h, mode, update_stats)
+                state = layer.step(state, mode, update_stats)
             else:
-                h, ld = layer.forward(h, cond, mode)
-            logdet = logdet + ld
+                state = layer.step(state, cond, mode)
             if collect is not None:
-                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
-        return permute_columns(h, self.final_inv), logdet
+                collect(flat_idx, kind, state.data[:, np.argsort(layout)])
+        return permute_columns(state, self.final_inv), state[:, self.d]
 
     def inverse(self, z, cond, mode="eval", collect=None):
         """Latent -> data.  Differentiable through coupling, condition

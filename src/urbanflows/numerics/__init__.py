@@ -9,6 +9,7 @@ from .tape import (
     exp,
     clip,
     permute_columns,
+    append_zero_column,
 )
 from .kernels import (
     conv2d,
@@ -17,9 +18,7 @@ from .kernels import (
     gelu,
     conditioner_mlp_arrays,
     affine_step,
-    affine_step_arrays,
     batchnorm_flow,
-    batchnorm_flow_arrays,
     pass_arrays,
     softmax_rows,
     global_avg_pool,
@@ -37,15 +36,14 @@ __all__ = [
     "exp",
     "clip",
     "permute_columns",
+    "append_zero_column",
     "conv2d",
     "depthwise_conv2d",
     "layer_norm",
     "gelu",
     "conditioner_mlp_arrays",
     "affine_step",
-    "affine_step_arrays",
     "batchnorm_flow",
-    "batchnorm_flow_arrays",
     "pass_arrays",
     "softmax_rows",
     "global_avg_pool",

@@ -20,17 +20,18 @@ nine per layer-norm) and the intermediates each one would keep.
 
 ``affine_step`` (the conditioner pass, ``y = x * exp(s) + b`` and the
 log-det, or the inverse) and ``batchnorm_flow`` are whole flow-layer steps
-as one node each, bit for bit the flow layers composed from tape ops; a
-forward returns ``[y | log-det]`` as one (B, d + 1) array, since a node has
-one output.  The conditioner pass inside ``affine_step`` (dense layers with
-an optional condition term, GELU, the output layer and the tanh scale
-clamp) is ``conditioner_mlp_arrays``, and ``_mlp_backward`` its backward.
-MADE masks are constants of the node, applied to the weights in the
-forward and to their gradients in the backward.  A node keeps the
-intermediates its backward needs only when it goes on the tape.  The
-``*_arrays`` bodies are what the layers run under ``no_grad``, and
-``conditioner_mlp_arrays`` is also each pass of an AR layer's fixed-point
-inverse, with the weights masked once per bind.
+as one node each, bit for bit the flow layers composed from tape ops.  A
+forward takes the packed state ``[h | log-det]`` a flow stack carries, one
+(B, d + 1) array, and returns ``[y | log-det + this layer's]``; its
+backward passes the gradient of the log-det column on to the input's.  An
+inverse maps (B, d) to (B, d).  Under ``no_grad`` a node is its forward
+alone: nothing is kept for a backward.  The conditioner pass inside
+``affine_step`` (dense layers with an optional condition term, GELU, the
+output layer and the tanh scale clamp) is ``conditioner_mlp_arrays``, and
+``_mlp_backward`` its backward.  MADE masks are constants of the node,
+applied to the weights in the forward and to their gradients in the
+backward.  ``conditioner_mlp_arrays`` is also each pass of an AR layer's
+fixed-point inverse, with the weights masked once per bind.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ __all__ = [
     "gelu",
     "conditioner_mlp_arrays",
     "affine_step",
-    "affine_step_arrays",
     "batchnorm_flow",
-    "batchnorm_flow_arrays",
     "pass_arrays",
     "softmax_rows",
     "global_avg_pool",
@@ -275,47 +274,16 @@ def pass_arrays(hidden, w_out, masks):
                      for wd, (_, b, c) in zip(weights, hidden)]
 
 
-def affine_step_arrays(x, cond, hidden, w_out, b_out, clamp, lo, reads, inverse=False,
-                       ld_column=False, saved=None):
-    """The numpy body of ``affine_step``; ``hidden`` holds ``(w, b, v)``
-    arrays, the weights masked.  Returns ``(res, ld, t, h_last, e)``: y (x
-    for the inverse), with the log-det as one more column when
-    ``ld_column``; the (B,) log-det (None for the inverse); the pass's ``t``
-    and ``h_last``; and exp(s) (exp(-s) for the inverse)."""
-    n = x.shape[1]
-    if cond is None or any(v is not None for _, _, v in hidden):
-        u = x[:, :reads]
-    else:
-        u = cond if reads == 0 else np.concatenate([x[:, :reads], cond], axis=1)
-    out, t, h_last = conditioner_mlp_arrays(
-        u, [(w, b, None if v is None else cond @ v) for w, b, v in hidden], w_out, b_out,
-        n - lo, clamp, saved)
-    s, shift = out[:, : n - lo], out[:, n - lo :]
-    res = np.empty((x.shape[0], n + ld_column))
-    res[:, :lo] = x[:, :lo]
-    e = np.exp(-s if inverse else s)
-    if inverse:
-        np.multiply(x[:, lo:] - shift, e, out=res[:, lo:])
-        return res, None, t, h_last, e
-    y2 = x[:, lo:] * e  # contiguous, then copied: faster than strided writes
-    y2 += shift
-    res[:, lo:n] = y2
-    ld = s.sum(axis=1)
-    if ld_column:
-        res[:, n] = ld
-    return res, ld, t, h_last, e
-
-
 def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
                 inverse=False):
     """One affine flow step, conditioner pass included, as one tape node.
 
-    The pass reads the first ``reads`` columns of ``x`` (B, D), then
-    ``cond``; but when the hidden layers ``(w, b, v)`` have condition
-    weights ``v``, ``cond`` enters each as ``cond @ v`` instead.  Its (s, b)
-    transform the columns from ``lo`` on: the forward gives ``[y | log-det]``
-    as one (B, D + 1) array, ``y = x * exp(s) + b`` there and x elsewhere,
-    the log-det ``s.sum(1)``; the inverse gives x = (y - b) * exp(-s).
+    A forward takes the packed state ``[h | ld]`` (B, D + 1) and returns
+    ``[y | ld + log-det]``: ``y = h * exp(s) + b`` from column ``lo`` on
+    and h elsewhere, the log-det ``s.sum(1)``.  The inverse maps y (B, D)
+    to h = (y - b) * exp(-s).  The pass reads the first ``reads`` columns,
+    then ``cond``; but when the hidden layers ``(w, b, v)`` have condition
+    weights ``v``, ``cond`` enters each as ``cond @ v`` instead.
     ``masks``, when given, lists one constant array per weight matrix (the
     hidden ones in order, then ``w_out``): the pass uses each weight times
     its mask, and each weight gradient is multiplied by the same mask, as
@@ -325,11 +293,28 @@ def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
                if p is not None]
     saved = [] if grad_enabled() and any(p.requires_grad for p in parents) else None
     weights, arrays = pass_arrays(hidden, w_out, masks)
-    res, _, t, h_last, e = affine_step_arrays(
-        x.data, None if cond is None else cond.data, arrays, weights[-1], b_out.data, clamp,
-        lo, reads, inverse, not inverse, saved)
-    n, d = x.shape[1], x.shape[1] - lo
-    cond_in = cond is not None and all(v is None for _, _, v in hidden)
+    h, c = x.data, None if cond is None else cond.data
+    n = h.shape[1] - (not inverse)
+    d = n - lo
+    cond_in = c is not None and all(v is None for _, _, v in arrays)
+    if not cond_in:
+        u = h[:, :reads]
+    else:
+        u = c if reads == 0 else np.concatenate([h[:, :reads], c], axis=1)
+    out, t, h_last = conditioner_mlp_arrays(
+        u, [(w, b, None if v is None else c @ v) for w, b, v in arrays], weights[-1],
+        b_out.data, d, clamp, saved)
+    s, shift = out[:, :d], out[:, d:]
+    res = np.empty(h.shape)
+    res[:, :lo] = h[:, :lo]
+    e = np.exp(-s if inverse else s)
+    if inverse:
+        np.multiply(h[:, lo:] - shift, e, out=res[:, lo:])
+    else:
+        y2 = h[:, lo:n] * e  # contiguous, then copied: faster than strided writes
+        y2 += shift
+        res[:, lo:n] = y2
+        np.add(h[:, n], s.sum(axis=1), out=res[:, n])
 
     def backward(g):
         g2 = g[:, lo:n]
@@ -338,18 +323,19 @@ def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
             g_out = np.concatenate([g2 * res[:, lo:], g_y2], axis=1)
             np.negative(g_out, out=g_out)
         else:  # y2 = x2 e + b and ld = sum(s)
-            g_out = np.concatenate([g2 * x.data[:, lo:] * e + g[:, n:], g2], axis=1)
+            g_out = np.concatenate([g2 * h[:, lo:n] * e + g[:, n:], g2], axis=1)
         need_u = (x.requires_grad and reads > 0) or (cond_in and cond.requires_grad)
         g_u, grads = _mlp_backward(g_out, t, saved, h_last, weights, masks, d, need_u)
         for (w, b, v), (g_w, g_b, g_pre) in zip([*hidden, (w_out, b_out, None)], grads):
             _accumulate(w, g_w)
             _accumulate(b, g_b)
             if v is not None:
-                _accumulate(v, cond.data.T @ g_pre)
+                _accumulate(v, c.T @ g_pre)
                 if cond.requires_grad:
                     _accumulate(cond, g_pre @ v.data.T)
         if x.requires_grad:
-            g_x = np.concatenate([g[:, :lo], g_y2], axis=1)
+            # a forward's input log-det column passes g[:, n] on unchanged
+            g_x = np.concatenate([g[:, :lo], g_y2, g[:, n:]], axis=1)
             if reads:
                 g_x[:, :reads] += g_u[:, :reads]
             _accumulate(x, g_x)
@@ -359,41 +345,30 @@ def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
     return _node(res, parents, backward)
 
 
-def batchnorm_flow_arrays(x, mu, var, eps, inverse=False, ld_column=False):
-    """The numpy body of ``batchnorm_flow``.  Returns ``(res, ld, std)``: y
-    (x for the inverse), with the log-det as one more column when
-    ``ld_column``; the (B,) log-det (None for the inverse); sqrt(var + eps)."""
+def batchnorm_flow(x, mu, var, eps, batch_stats=False, inverse=False):
+    """Batch-norm flow y = (h - mu) / sqrt(var + eps), (1, d) ``mu`` and
+    ``var``, as one tape node: a forward takes the packed state ``[h | ld]``
+    (B, d + 1) and returns ``[y | ld + log-det]``; the inverse maps y (B, d)
+    to h = y sqrt(var + eps) + mu.  With ``batch_stats`` they are h's own
+    biased batch statistics, and the backward runs through them, the
+    log-det's included."""
     std = np.power(var + eps, 0.5)
     if inverse:
-        return x * std + mu, None, std
-    ld = np.full(x.shape[0], np.log(var + eps).sum() * (-0.5))
-    if not ld_column:
-        return (x - mu) / std, ld, std
-    res = np.empty((x.shape[0], x.shape[1] + 1))
-    np.divide(x - mu, std, out=res[:, :-1])
-    res[:, -1] = ld
-    return res, ld, std
-
-
-def batchnorm_flow(x, mu, var, eps, batch_stats=False, inverse=False):
-    """Batch-norm flow y = (x - mu) / sqrt(var + eps), (1, d) ``mu`` and
-    ``var``, as one tape node: the forward gives ``[y | log-det]`` as one
-    (B, d + 1) array, the inverse x = y sqrt(var + eps) + mu.  With
-    ``batch_stats`` they are x's own biased batch statistics, and the
-    backward runs through them, the log-det's included."""
-    res, _, std = batchnorm_flow_arrays(x.data, mu, var, eps, inverse, not inverse)
-    if inverse:
-        return _node(res, (x,), lambda g: _accumulate(x, g * std))
-    d = x.shape[1]
+        return _node(x.data * std + mu, (x,), lambda g: _accumulate(x, g * std))
+    d = x.shape[1] - 1
+    res = np.empty(x.shape)
+    np.divide(x.data[:, :d] - mu, std, out=res[:, :d])
+    np.add(x.data[:, d], np.log(var + eps).sum() * (-0.5), out=res[:, d])
 
     def backward(g):
         g_y = g[:, :d]
-        if not batch_stats:
-            return _accumulate(x, g_y / std)
-        # y is x_hat, and d ld / d x = -x_hat / (B std) in every row
-        x_hat = res[:, :d]
-        coupled = (g_y * x_hat).mean(axis=0) + g[:, d].sum() / g.shape[0]
-        _accumulate(x, (g_y - g_y.mean(axis=0) - x_hat * coupled) / std)
+        if batch_stats:
+            # y is x_hat, and d ld / d x = -x_hat / (B std) in every row
+            x_hat = res[:, :d]
+            coupled = (g_y * x_hat).mean(axis=0) + g[:, d].sum() / g.shape[0]
+            g_y = g_y - g_y.mean(axis=0) - x_hat * coupled
+        # the input log-det column passes g[:, d] on unchanged
+        _accumulate(x, np.concatenate([g_y / std, g[:, d:]], axis=1))
 
     return _node(res, (x,), backward)
 

@@ -22,6 +22,7 @@ __all__ = [
     "exp",
     "clip",
     "permute_columns",
+    "append_zero_column",
     "sum_",
     "mean_",
 ]
@@ -368,16 +369,30 @@ def getitem(a, idx):
 
 
 def permute_columns(a, perm):
-    """Reorder the last axis by a permutation index array."""
+    """Reorder the last axis by an index array: a permutation, or distinct
+    columns picked from it."""
     a = as_tensor(a)
     perm = np.asarray(perm)
 
     def backward(g):
-        full = np.empty_like(g)
+        full = np.zeros(a.shape)
         full[..., perm] = g
         _accumulate(a, full)
 
     return _node(a.data[..., perm], (a,), backward)
+
+
+def append_zero_column(a):
+    """``[a | 0]``: a (B, d) tensor with a zero column appended, (B, d + 1).
+    A flow stack starts its packed ``[h | log-det]`` state with it."""
+    a = as_tensor(a)
+    out = np.zeros((a.shape[0], a.shape[1] + 1))
+    out[:, :-1] = a.data
+
+    def backward(g):
+        _accumulate(a, g[:, :-1])
+
+    return _node(out, (a,), backward)
 
 
 # ---- reductions ----------------------------------------------------------

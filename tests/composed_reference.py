@@ -14,10 +14,15 @@ picks one of them by ``net.masks``.
 
 The layer bodies below are the flow layers composed from tape ops, as they
 were before each layer became one ``affine_step`` or ``batchnorm_flow``
-node, and the AR layers' Jacobi inverse, one composed pass a sweep.
+node, and the AR layers' Jacobi inverse, one composed pass a sweep.  Each
+forward body gives (y, ld); ``packed`` wraps it as a layer's packed
+``step``, which splits ``[h | ld_in]`` with slices and joins ``[y | ld_in +
+ld]`` with ``concat``, so the log-det adds keep the stack's order.
 ``COMPOSED_LAYERS`` lists (class, method name, body);
-``use_composed_layers(monkeypatch)`` patches them all in, and a layer, a
-``FlowStack``, a sampler or ``joint_loss`` then runs through them.
+``use_composed_layers(monkeypatch)`` patches them all in, and a layer's
+``forward`` and ``inverse``, a ``FlowStack``, a sampler or ``joint_loss``
+then runs through them.  ``tape_nodes`` counts the nodes behind a result,
+so a test can show that a run went through the patched bodies.
 """
 
 import numpy as np
@@ -31,7 +36,7 @@ from urbanflows.flow_layers import (
     MaskedARLayer,
 )
 from urbanflows.numerics import Tensor, as_tensor, exp
-from urbanflows.numerics.tape import _accumulate, _node
+from urbanflows.numerics.tape import _accumulate, _node, _topo_order
 
 
 # Tape ops the package itself no longer calls, kept for the compositions
@@ -217,15 +222,31 @@ def batchnorm_inverse(layer, y, mode="eval"):
     return y * (var + layer.eps) ** 0.5 + mu
 
 
+def packed(body):
+    """A packed ``step`` around a composed forward ``body`` giving (y, ld)."""
+
+    def step(layer, state, *args):
+        y, ld = body(layer, state[:, :-1], *args)
+        return concat([y, (state[:, -1] + ld).reshape(-1, 1)], axis=1)
+
+    return step
+
+
 # ConditionProjectionLayer and UncondARLayer inherit these methods
 COMPOSED_LAYERS = (
-    (CouplingLayer, "forward", coupling_forward),
+    (CouplingLayer, "step", packed(coupling_forward)),
     (CouplingLayer, "inverse", coupling_inverse),
-    (MaskedARLayer, "forward", ar_forward),
+    (MaskedARLayer, "step", packed(ar_forward)),
     (MaskedARLayer, "inverse", ar_inverse),
-    (BatchNormFlow, "forward", batchnorm_forward),
+    (BatchNormFlow, "step", packed(batchnorm_forward)),
     (BatchNormFlow, "inverse", batchnorm_inverse),
 )
+
+
+def tape_nodes(t):
+    """The number of tape nodes ``t`` was computed through, before its
+    backward runs."""
+    return sum(1 for node in _topo_order(t) if node._parents)
 
 
 def use_composed_layers(monkeypatch):

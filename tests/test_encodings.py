@@ -143,7 +143,7 @@ def test_generate_batch_quantizes_once_per_block_and_trace_step(monkeypatch):
     bundle = ModelBundle(rc)
     rng = np.random.default_rng(4)
     for _, t in bundle.store.trainable_items():
-        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+        t.data += rng.normal(0.0, 0.1, size=t.shape)
     es = dataset_arrays(make_dataset(6, rc.n, rc.m, rc.p, seed=2))[0]
     zone_calls = _counting(monkeypatch, pipeline, "quantize_zone_batch")
     config_calls = _counting(monkeypatch, pipeline, "quantize_config_batch")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ar_reference import sequential_inverse
-from composed_reference import composed_pass, concat, use_composed_layers
+from composed_reference import composed_pass, concat, tape_nodes, use_composed_layers
 from urbanflows import flow_layers
 from urbanflows.config_flow import ConfigFlowModel
 from urbanflows.errors import ConfigurationError, ModeError
@@ -45,7 +45,7 @@ def perturbed_layer(cls, rng, scale=0.3, **kwargs):
     store = ParameterStore()
     layer = cls(store, "t", rng=rng, **kwargs)
     for name, t in store.items():
-        t.data = t.data + rng.normal(0.0, scale, size=t.shape)
+        t.data += rng.normal(0.0, scale, size=t.shape)
     return layer, store
 
 
@@ -315,7 +315,9 @@ def test_fused_layers_match_composed_reference(case, batch, rng, monkeypatch):
         store.zero_grad()
         x, cond = inputs()
         y, ld = forward(x, cond)
-        ((y * Tensor(g)).sum() + (ld * Tensor(g_ld)).sum()).backward()
+        loss = (y * Tensor(g)).sum() + (ld * Tensor(g_ld)).sum()
+        nodes = tape_nodes(loss)
+        loss.backward()
         forward_grads = _grads(store, x=x, cond=cond)
         stats = [t.data.copy() for name, t in store.items() if "running" in name]
         store.restore(start)
@@ -331,11 +333,13 @@ def test_fused_layers_match_composed_reference(case, batch, rng, monkeypatch):
             y_ng, ld_ng = forward(Tensor(x_data), None if cond is None else Tensor(cond_data))
             back_ng = inverse(Tensor(x_data), None if cond is None else Tensor(cond_data))
         values = [y.data, ld.data, back.data, y_ng.data, ld_ng.data, back_ng.data, *stats]
-        return values, forward_grads, inverse_grads
+        return values, forward_grads, inverse_grads, nodes
 
-    got, got_fwd, got_inv = run()
+    got, got_fwd, got_inv, got_nodes = run()
     use_composed_layers(monkeypatch)
-    want, want_fwd, want_inv = run()
+    want, want_fwd, want_inv, want_nodes = run()
+    # the composed forward ran: its layer is many tape ops, not one node
+    assert want_nodes > got_nodes
     names = ("y", "logdet", "inverse", "y no_grad", "logdet no_grad", "inverse no_grad",
              "running_mean", "running_var")
     assert len(got) == len(want)
@@ -366,6 +370,7 @@ def test_fused_stacks_match_composed_reference(stage, mode, rng, monkeypatch):
         cond = Tensor(cond_data, requires_grad=True)
         z, logdet = model.forward(x, cond, mode)
         nll = gaussian_logp(z) * (-1.0) - logdet
+        nodes = tape_nodes(nll)
         nll.mean().backward()
         grads = _grads(store, x=x, cond=cond)
         stats = [t.data.copy() for name, t in store.items() if "running" in name]
@@ -374,11 +379,13 @@ def test_fused_stacks_match_composed_reference(stage, mode, rng, monkeypatch):
                                             update_stats=False)
             back = model.inverse(Tensor(z_data), Tensor(cond_data))
         return [z.data, logdet.data, nll.data, z_ng.data, logdet_ng.data, back.data,
-                *stats], grads
+                *stats], grads, nodes
 
-    got, got_grads = run()
+    got, got_grads, got_nodes = run()
     use_composed_layers(monkeypatch)
-    want, want_grads = run()
+    want, want_grads, want_nodes = run()
+    # the stack ran the patched steps, not its own one-node ones
+    assert want_nodes > got_nodes
     for i, (a, r) in enumerate(zip(got, want)):
         assert np.array_equal(a, r), i
     _assert_grads_close(got_grads, want_grads)
@@ -583,7 +590,7 @@ def test_flow_stack_with_general_permutation(rng):
     perm = np.roll(np.arange(D), 1)
     stack = FlowStack(blocks, Permutation(perm))
     for _, t in store.trainable_items():
-        t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+        t.data += rng.normal(0.0, 0.3, size=t.shape)
     assert [(kind, block) for kind, block, _, _ in stack.layers] == [
         ("coupling", 0), ("batchnorm", 0), ("coupling", 1), ("batchnorm", 1),
         ("coupling", 2), ("batchnorm", 2)]
@@ -604,7 +611,7 @@ def stage_model(stage, rng, store=None):
     else:
         model = ConfigFlowModel(store, "config", 12, COND, rng, k=2, widths=(8,))
     for _, t in store.items():
-        t.data = t.data + rng.normal(0.0, 0.08, size=t.shape)
+        t.data += rng.normal(0.0, 0.08, size=t.shape)
     return model
 
 

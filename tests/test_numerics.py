@@ -24,6 +24,7 @@ from urbanflows.numerics import (
     ParameterStore,
     Tensor,
     affine_step,
+    append_zero_column,
     batchnorm_flow,
     clip,
     conv2d,
@@ -142,10 +143,21 @@ def test_permute_columns_gradient(rng):
     x = rng.normal(size=(4, 6))
     perm = np.array([3, 1, 5, 0, 2, 4])
     check_scalar_grad(lambda a: (permute_columns(a, perm) * np.arange(6.0)).sum(), x)
+    # distinct columns picked, as a flow stack splits off its latent
+    check_scalar_grad(lambda a: (permute_columns(a, perm[:4]) * np.arange(4.0)).sum(), x)
     # permutation round trip
     t = Tensor(x)
     back = permute_columns(permute_columns(t, perm), np.argsort(perm))
     assert np.array_equal(back.data, x)
+
+
+def test_append_zero_column_gradient(rng):
+    x = rng.normal(size=(4, 6))
+    packed = append_zero_column(Tensor(x))
+    assert packed.shape == (4, 7)
+    assert np.array_equal(packed.data[:, :6], x) and np.all(packed.data[:, 6] == 0.0)
+    weight = rng.normal(size=(4, 7))
+    check_scalar_grad(lambda a: (append_zero_column(a) ** 2 * weight).sum(), x)
 
 
 def test_sum_mean_axis_gradients(rng):
@@ -250,15 +262,15 @@ def test_gelu_layer_norm_match_composed_reference(rng, case, batch):
         assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
 
 
-def _affine_case(rng, kind, batch=3, n=6, widths=(5, 4), cond_dim=2):
-    """(arrays, fn) for a gradient check of one ``affine_step`` kind: the
-    scalar is a random weighting of every output column, the log-det
-    column of a forward step included."""
+def _affine_case(rng, kind, batch=3, n=6, widths=(5, 4), cond_dim=2, inverse=False):
+    """(arrays, fn, masks) for a gradient check of one ``affine_step`` kind:
+    a forward step's input is a packed (batch, n + 1) state ``[h | ld]``,
+    an inverse's a (batch, n) y."""
     lo, reads = {"coupling": (3, 3), "projection": (3, 0), "masked": (0, n)}[kind]
     masked = kind == "masked"
     d = n - lo
     in_dim = reads if masked else reads + cond_dim
-    arrays = [rng.normal(size=(batch, n)), rng.normal(size=(batch, cond_dim))]
+    arrays = [rng.normal(size=(batch, n + (not inverse))), rng.normal(size=(batch, cond_dim))]
     fan = in_dim
     for width in widths:
         arrays += [rng.normal(size=(fan, width)), rng.normal(size=(width,))]
@@ -269,7 +281,7 @@ def _affine_case(rng, kind, batch=3, n=6, widths=(5, 4), cond_dim=2):
     masks = build_made_masks(n, widths, 3).weight_masks if masked else None
     per = 3 if masked else 2
 
-    def step(x, cond, *params, inverse=False):
+    def step(x, cond, *params):
         hidden = [(params[i], params[i + 1], params[i + 2] if masked else None)
                   for i in range(0, per * len(widths), per)]
         return affine_step(x, cond, hidden, params[-2], params[-1], 5.0, lo, reads, masks,
@@ -280,10 +292,11 @@ def _affine_case(rng, kind, batch=3, n=6, widths=(5, 4), cond_dim=2):
 
 @pytest.mark.parametrize("kind", ["coupling", "projection", "masked"])
 def test_affine_step_gradients(rng, kind):
-    """Forward step: gradients of x, the condition and every conditioner
-    parameter, through y and the log-det column."""
+    """Forward step: gradients of the packed state, the condition and every
+    conditioner parameter, through y and the log-det column, the input
+    log-det column's pass-through included."""
     arrays, step, _ = _affine_case(rng, kind)
-    weight = rng.normal(size=(arrays[0].shape[0], arrays[0].shape[1] + 1))
+    weight = rng.normal(size=arrays[0].shape)
     check_scalar_grad(lambda *t: (step(*t) * weight).sum(), *arrays)
 
 
@@ -299,27 +312,30 @@ def test_affine_step_masked_weight_gradients_are_masked(rng):
 
 @pytest.mark.parametrize("kind", ["coupling", "projection"])
 def test_affine_step_inverse_gradients(rng, kind):
-    arrays, step, _ = _affine_case(rng, kind)
+    arrays, step, _ = _affine_case(rng, kind, inverse=True)
     weight = rng.normal(size=arrays[0].shape)
-    check_scalar_grad(lambda *t: (step(*t, inverse=True) * weight).sum(), *arrays)
+    check_scalar_grad(lambda *t: (step(*t) * weight).sum(), *arrays)
 
 
 def test_batchnorm_flow_gradients(rng):
     """Train mode through the batch mean and variance, log-det column
-    included; eval mode and the eval inverse with constant statistics."""
-    x = rng.normal(1.0, 2.0, size=(5, 4))
+    included; eval mode and the eval inverse with constant statistics.  A
+    forward's input is a packed (B, d + 1) state ``[h | ld]``, so the
+    input log-det column's pass-through is checked too."""
+    x = rng.normal(1.0, 2.0, size=(5, 5))
     weight = rng.normal(size=(5, 5))
 
     def train(t):
-        mu = t.data.mean(axis=0, keepdims=True)
-        var = ((t.data - mu) ** 2).mean(axis=0, keepdims=True)
+        mu = t.data[:, :4].mean(axis=0, keepdims=True)
+        var = ((t.data[:, :4] - mu) ** 2).mean(axis=0, keepdims=True)
         return (batchnorm_flow(t, mu, var, 1e-5, batch_stats=True) * weight).sum()
 
     check_scalar_grad(train, x)
     mu, var = rng.normal(size=(1, 4)), rng.uniform(0.5, 2.0, size=(1, 4))
     check_scalar_grad(lambda t: (batchnorm_flow(t, mu, var, 1e-5) * weight).sum(), x)
     check_scalar_grad(
-        lambda t: (batchnorm_flow(t, mu, var, 1e-5, inverse=True) * weight[:, :4]).sum(), x)
+        lambda t: (batchnorm_flow(t, mu, var, 1e-5, inverse=True) * weight[:, :4]).sum(),
+        x[:, :4])
 
 
 def test_backward_skips_constant_operands(rng):

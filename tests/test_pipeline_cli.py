@@ -18,6 +18,7 @@ from urbanflows import checkpoint, cli, config_flow, pipeline
 from urbanflows.checkpoint import read_header
 from urbanflows.cli import main
 from urbanflows.config_flow import dequantize_config_batch
+from urbanflows.numerics import ParameterStore
 from urbanflows.errors import (
     CheckpointValueError,
     ConfigurationError,
@@ -120,7 +121,7 @@ def test_stage1_fault_restores_zone_namespace_only(monkeypatch):
             moved.extend(n for n, arr in good[-1].items()
                          if not np.array_equal(store[n].data, arr))
             for n in others:
-                store[n].data = store[n].data + 1.0
+                store[n].data += 1.0
             per = per.copy()
             per[1] = np.nan
         return mean, per
@@ -216,7 +217,7 @@ def test_generate_one_is_generate_batch_at_b1(trace):
     bundle = mini_bundle()
     rng = np.random.default_rng(8)
     for _, t in bundle.store.trainable_items():
-        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+        t.data += rng.normal(0.0, 0.1, size=t.shape)
     rc = bundle.cfg
     sample = make_dataset(1, rc.n, rc.m, rc.p, seed=7)[0]
     e = build_info_vector(sample.context, 3)[0]
@@ -740,6 +741,26 @@ def test_bundle_from_checkpoint_lives_in_one_buffer(tmp_path):
     for (na, a), (nb, b) in zip(items, items[1:]):
         assert not np.may_share_memory(a.data, b.data), (na, nb)
     assert bundle.store.to_payload() == blob[len(blob) - header["payload_bytes"]:]
+
+
+def test_a_training_step_keeps_an_opened_store_in_its_buffer():
+    """After a stage-2 step on a store opened on a payload, every parameter,
+    the batch-norm running statistics included, is still a view of the
+    payload's buffer, so the buffer holds the step's values."""
+    fresh = mini_bundle()
+    payload = bytearray(fresh.store.to_payload())
+    bundle = ModelBundle(fresh.cfg, ParameterStore.opened(fresh.store.manifest(), payload))
+    rc = bundle.cfg
+    samples = make_dataset(16, rc.n, rc.m, rc.p, seed=2)
+    train_config_stage(bundle, samples, np.random.default_rng(0), steps=1)
+    buffer = np.frombuffer(payload, dtype="<f8")
+    for name, t in bundle.store.items():
+        assert np.shares_memory(t.data, buffer), name
+    moved = [name for name, t in bundle.store.items()
+             if not np.array_equal(t.data, fresh.store[name].data)]
+    assert any(name.endswith(".running_mean") for name in moved)
+    assert any(name.endswith(".running_var") for name in moved)
+    assert bytes(payload) == bundle.store.to_payload()
 
 
 def test_cli_module_entry_point(tmp_path):

@@ -41,7 +41,7 @@ def bundle():
     b = ModelBundle(mini_runconfig(k_config=2))
     rng = np.random.default_rng(8)
     for _, t in b.store.trainable_items():
-        t.data = t.data + rng.normal(0.0, 0.1, size=t.shape)
+        t.data += rng.normal(0.0, 0.1, size=t.shape)
     return b
 
 

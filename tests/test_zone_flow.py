@@ -42,7 +42,7 @@ def build_model(seed=0, k=2, perturb=0.0, widths=(8,)):
     model = ZoneFlowModel(store, "zone", D, COND, rng, k=k, widths=widths)
     if perturb:
         for name, t in store.items():
-            t.data = t.data + rng.normal(0.0, perturb, size=t.shape)
+            t.data += rng.normal(0.0, perturb, size=t.shape)
     return model, store
 
 
