@@ -8,12 +8,7 @@ every Jacobian log-determinant and gradient in the package is checkable
 against finite differences.
 """
 
-from .config_flow import (
-    ConfigFlowModel,
-    ConfigTensor,
-    joint_finetune_step,
-    quantize_config,
-)
+from .config_flow import ConfigFlowModel, ConfigTensor, quantize_config
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -58,7 +53,6 @@ __all__ = [
     "generate_one",
     "generate_sample",
     "hellinger",
-    "joint_finetune_step",
     "kl_div",
     "make_dataset",
     "quantize_config",

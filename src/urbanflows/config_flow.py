@@ -22,7 +22,7 @@ from .flow_layers import (
     reversal_perm,
 )
 from .numerics import Tensor, as_tensor, no_grad
-from .zone_flow import dequantize_zone_batch, nll_tensors, quantize_zone_batch, soft_labels
+from .zone_flow import nll_tensors, quantize_zone_batch, soft_labels
 
 # guards against overflow when quantizing unbounded latents from an
 # untrained model; ordinary data lives far below this
@@ -140,7 +140,9 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
     masks and the rescaled continuous vector for the extractor, which is the
     gradient path into the zone parameters.
 
-    Returns (total loss tensor, dict of float parts).
+    Returns (total loss tensor, dict of float parts).  A non-finite NLL of
+    either stack raises ``TrainingFault`` naming its first bad sample and
+    layer.
     """
     es_t = es if isinstance(es, Tensor) else Tensor(np.asarray(es, dtype=np.float64))
     m = fusion_mod.m
@@ -168,48 +170,10 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
         "zone_nll": float(zone_mean.item()),
         "total": float(cfg_mean.item()) + lam * float(zone_mean.item()),
     }
-    for name, per in (("config", cfg_per), ("zone", zone_per)):
+    for name, per, model, x, cond in (("config", cfg_per, config_model, cfg_x, a_flat),
+                                      ("zone", zone_per, zone_model, zx, es_t)):
         if not np.all(np.isfinite(per)):
             bad = int(np.flatnonzero(~np.isfinite(per))[0])
-            layer = (_first_nonfinite_layer(config_model, cfg_x, a_flat, mode)
-                     if name == "config" else None)
-            raise TrainingFault(f"non-finite {name} NLL at sample {bad}",
-                                sample_index=bad, layer_index=layer)
+            raise TrainingFault(f"non-finite {name} NLL at sample {bad}", sample_index=bad,
+                                layer_index=model.first_nonfinite_layer(x, cond, mode))
     return total, parts
-
-
-def _first_nonfinite_layer(model, x, a_flat, mode):
-    """Flat index of the first stage-2 layer whose output is non-finite,
-    found by replaying the forward with batch statistics left as they are
-    (fault path only)."""
-    bad = []
-
-    def watch(flat_idx, kind, state):
-        if not bad and not np.all(np.isfinite(state)):
-            bad.append(flat_idx)
-
-    with no_grad():
-        model.forward(x, a_flat, mode, update_stats=False, collect=watch)
-    return bad[0] if bad else None
-
-def joint_finetune_step(zone_model, fusion_mod, config_model, batch, lam,
-                        rng, optimizer, use_sampled_u=True):
-    """One optimizer step of stage-2 training.
-
-    batch: (es, zone_labels, config_counts) arrays.  Draws the latent and
-    both dequantization noises from ``rng``; returns the loss parts dict.
-    """
-    es, zone_labels, config_counts = batch
-    b = es.shape[0]
-    z_fixed = rng.standard_normal((b, zone_model.d))
-    zone_x = dequantize_zone_batch(zone_labels, fusion_mod.m, rng)
-    config_x = dequantize_config_batch(config_counts, rng)
-    optimizer.zero_grad()
-    total, parts = joint_loss(zone_model, fusion_mod, config_model, es,
-                              zone_x, config_x, z_fixed, lam,
-                              zone_labels=zone_labels, mode="train",
-                              update_stats=True, use_sampled_u=use_sampled_u,
-                              rng=rng)
-    total.backward()
-    optimizer.step()
-    return parts

@@ -28,7 +28,11 @@ def check_mode(mode):
 
 
 class TrainingFault(UrbanFlowsError):
-    """Non-finite loss during training; carries the offending sample index."""
+    """Non-finite value during training.  A non-finite NLL carries the
+    index of its first bad sample in the batch and the flat index of the
+    first flow layer whose output is non-finite (None if the replay finds
+    none); Adam's non-finite update ("non-finite parameters after step N")
+    carries neither."""
 
     def __init__(self, message, sample_index=None, layer_index=None):
         super().__init__(message)

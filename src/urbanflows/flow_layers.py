@@ -38,6 +38,7 @@ from .numerics import (
     append_zero_column,
     batchnorm_flow,
     conditioner_mlp_arrays,
+    no_grad,
     normal,
     pass_arrays,
     permute_columns,
@@ -471,6 +472,20 @@ class FlowStack:
             if collect is not None:
                 collect(flat_idx, kind, state.data[:, np.argsort(layout)])
         return permute_columns(state, self.final_inv), state[:, self.d]
+
+    def first_nonfinite_layer(self, x, cond, mode):
+        """Flat index of the first layer whose output is non-finite, or
+        None, found by replaying the forward with batch statistics left as
+        they are (fault path only)."""
+        bad = []
+
+        def watch(flat_idx, kind, state):
+            if not bad and not np.all(np.isfinite(state)):
+                bad.append(flat_idx)
+
+        with no_grad():
+            self.forward(x, cond, mode, update_stats=False, collect=watch)
+        return bad[0] if bad else None
 
     def inverse(self, z, cond, mode="eval", collect=None):
         """Latent -> data.  Differentiable through coupling, condition

@@ -5,6 +5,11 @@ A ModelBundle owns one ParameterStore holding three namespaces: ``zone.*``
 ``config.*`` (stage-2 flow).  Checkpoints serialize the whole store, so a
 stage-1 checkpoint already carries identity-initialized stage-2 parameters
 and can be resumed directly by stage-2 training.
+
+Both stages train through one loop, ``_train``; ``train_zone_stage`` and
+``train_config_stage`` differ only in their loss, their namespaces and the
+learning-rate scales.  A ``TrainingFault`` leaves the store at the last good
+step in either stage.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .config_flow import (
     ConfigTensor,
     config_sample_batch,
     dequantize_config_batch,
-    joint_finetune_step,
+    joint_loss,
     quantize_config_batch,
 )
 from .errors import ConfigurationError, DataError, TrainingFault
@@ -74,11 +79,8 @@ class ModelBundle:
         )
         self.store.check_complete()
 
-    def named_trainable(self, prefixes=None):
-        items = list(self.store.trainable_items())
-        if prefixes is None:
-            return items
-        return [(n, t) for n, t in items if n.startswith(tuple(prefixes))]
+    def named_trainable(self, prefixes):
+        return [(n, t) for n, t in self.store.trainable_items() if n.startswith(tuple(prefixes))]
 
 
 def dataset_arrays(samples):
@@ -96,81 +98,78 @@ def dataset_arrays(samples):
 
 
 # ---------------------------------------------------------------------------
-# Training loops
+# Training
 # ---------------------------------------------------------------------------
 
 
-def train_zone_stage(bundle, samples, rng, steps=None, log=None):
-    """Stage-1 maximum-likelihood training.
+def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None):
+    """The training loop of both stages, over the parameters of ``namespaces``.
 
-    Returns the per-step loss history.  On a non-finite loss or parameter
-    update the ``zone.*`` values are those of the last good step when the
-    fault propagates, so whatever checkpoint the caller writes is the last
-    good state.  ``Adam`` writes no parameter on a fault, so only the
-    running statistics the forward updates are copied and put back.
+    Each step draws a batch, takes (loss tensor, float parts with "total")
+    from ``loss_of(step, es, zones, counts)``, backpropagates and runs one
+    Adam step; ``log`` gets (step, total, parts).  Returns the (step, total)
+    history.  On a ``TrainingFault`` (a non-finite NLL from ``loss_of``, or
+    Adam's non-finite update, which writes no parameter) the running
+    statistics of ``namespaces`` are put back before it propagates, so the
+    store, and any checkpoint the caller writes, holds the last good step.
     """
     rc = bundle.cfg
-    steps = rc.steps_zone if steps is None else steps
-    es, zones, _, _ = dataset_arrays(samples)
-    total = len(samples)
-    opt = Adam(bundle.named_trainable(("zone.",)), lr=rc.lr)
+    es, zones, counts, _ = dataset_arrays(samples)
+    opt = Adam(bundle.named_trainable(namespaces), lr=rc.lr, lr_scales=lr_scales)
     history = []
     for step in range(steps):
-        idx = rng.integers(0, total, size=rc.batch_size)
-        x = dequantize_zone_batch(zones[idx], rc.m, rng)
-        stats = bundle.store.snapshot("zone.", trainable=False)
+        idx = rng.integers(0, len(samples), size=rc.batch_size)
+        stats = bundle.store.snapshot(namespaces, trainable=False)
         opt.zero_grad()
-        mean, per = nll_tensors(bundle.zone, Tensor(x), Tensor(es[idx]),
-                                mode="train", update_stats=True)
-        loss = float(mean.item())
-        if not np.isfinite(per).all():
-            bundle.store.restore(stats)
-            bad = int(np.flatnonzero(~np.isfinite(per))[0])
-            raise TrainingFault(f"non-finite zone NLL at step {step}",
-                                sample_index=bad)
-        mean.backward()
         try:
+            loss, parts = loss_of(step, es[idx], zones[idx], counts[idx])
+            loss.backward()
             opt.step()
         except TrainingFault:
-            bundle.store.restore(stats)
-            raise TrainingFault(f"non-finite zone parameters after step {step}") from None
-        history.append((step, loss))
-        if log is not None:
-            log(step, loss)
-    return history
-
-
-def train_config_stage(bundle, samples, rng, steps=None, log=None):
-    """Stage-2 joint fine-tuning (config flow + fusion, zone at reduced lr).
-
-    On a fault the store holds the last good step's values, as in
-    ``train_zone_stage``; the running statistics of every namespace are
-    the values put back.
-    """
-    rc = bundle.cfg
-    steps = rc.steps_config if steps is None else steps
-    es, zones, counts, _ = dataset_arrays(samples)
-    total = len(samples)
-    named = bundle.named_trainable(("zone.", "fusion.", "config."))
-    scales = {n: rc.zone_lr_scale for n, _ in named if n.startswith("zone.")}
-    opt = Adam(named, lr=rc.lr, lr_scales=scales)
-    history = []
-    for step in range(steps):
-        idx = rng.integers(0, total, size=rc.batch_size)
-        stats = bundle.store.snapshot(trainable=False)
-        try:
-            parts = joint_finetune_step(
-                bundle.zone, bundle.fusion, bundle.config,
-                (es[idx], zones[idx], counts[idx]),
-                rc.lambda_zone, rng, opt, use_sampled_u=rc.use_sampled_u,
-            )
-        except TrainingFault:  # a non-finite NLL, or Adam's "after step {step}"
             bundle.store.restore(stats)
             raise
         history.append((step, parts["total"]))
         if log is not None:
             log(step, parts["total"], parts)
     return history
+
+
+def train_zone_stage(bundle, samples, rng, steps=None, log=None):
+    """Stage-1 maximum-likelihood training of ``zone.*``; see ``_train``.
+    A fault restores only the ``zone.*`` running statistics."""
+    rc = bundle.cfg
+
+    def zone_loss(step, es, zones, counts):
+        x, e = Tensor(dequantize_zone_batch(zones, rc.m, rng)), Tensor(es)
+        mean, per = nll_tensors(bundle.zone, x, e, mode="train", update_stats=True)
+        if not np.isfinite(per).all():
+            raise TrainingFault(f"non-finite zone NLL at step {step}",
+                                sample_index=int(np.flatnonzero(~np.isfinite(per))[0]),
+                                layer_index=bundle.zone.first_nonfinite_layer(x, e, "train"))
+        loss = float(mean.item())
+        return mean, {"zone_nll": loss, "total": loss}
+
+    return _train(bundle, samples, rng, rc.steps_zone if steps is None else steps,
+                  ("zone.",), zone_loss, log)
+
+
+def train_config_stage(bundle, samples, rng, steps=None, log=None):
+    """Stage-2 joint fine-tuning of config flow and fusion, zone at reduced
+    lr; see ``_train``.  A fault restores the running statistics of every
+    namespace."""
+    rc = bundle.cfg
+
+    def joint_step_loss(step, es, zones, counts):
+        z_fixed = rng.standard_normal((len(es), bundle.zone.d))
+        zone_x = dequantize_zone_batch(zones, rc.m, rng)
+        config_x = dequantize_config_batch(counts, rng)
+        return joint_loss(bundle.zone, bundle.fusion, bundle.config, es, zone_x, config_x,
+                          z_fixed, rc.lambda_zone, zone_labels=zones, mode="train",
+                          update_stats=True, use_sampled_u=rc.use_sampled_u, rng=rng)
+
+    scales = {n: rc.zone_lr_scale for n, _ in bundle.named_trainable(("zone.",))}
+    return _train(bundle, samples, rng, rc.steps_config if steps is None else steps,
+                  ("zone.", "fusion.", "config."), joint_step_loss, log, lr_scales=scales)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from urbanflows.config_flow import (
     ConfigTensor,
     config_sample_batch,
     dequantize_config_batch,
-    joint_finetune_step,
     joint_loss,
     quantize_config,
     quantize_config_batch,
@@ -321,25 +320,20 @@ def test_joint_loss_matches_composed_layers(use_sampled_u, monkeypatch):
             np.testing.assert_allclose(a, r, rtol=0.0, atol=1e-12, err_msg=name)
 
 
-def test_joint_finetune_step_updates_all_namespaces():
-    store, zone, fusion, config, (n, m, p, info) = mini_pipeline()
-    rng = np.random.default_rng(8)
-    samples = [generate_sample(200 + i, n, m, p, i % 5) for i in range(8)]
-    es = np.concatenate([build_info_vector(s.context, s.green_level)
-                         for s in samples])
-    zl = np.stack([s.zones.labels for s in samples])
-    cc = np.stack([s.config.counts for s in samples])
+def test_train_config_stage_updates_all_namespaces():
+    bundle = ModelBundle(mini_runconfig())
+    rc = bundle.cfg
+    store = bundle.store
+    samples = [generate_sample(200 + i, rc.n, rc.m, rc.p, i % 5) for i in range(8)]
     before = store.snapshot()
-    opt = Adam(list(store.trainable_items()), lr=1e-3)
     # at exact identity init the config NLL ignores its conditioning (the
     # masked heads are zero), so fusion gradients only appear from step 2 on
-    for _ in range(3):
-        parts = joint_finetune_step(zone, fusion, config, (es, zl, cc),
-                                    lam=0.1, rng=rng, optimizer=opt)
-    assert np.isfinite(parts["total"])
+    history = train_config_stage(bundle, samples, np.random.default_rng(8), steps=3)
+    assert np.isfinite(history[-1][1])
     moved = {name.split(".")[0] for name, t in store.trainable_items()
              if not np.array_equal(t.data, before[name])}
     assert {"zone", "fusion", "config"} <= moved
+
 
 def test_tape_node_counts_of_default_losses():
     """A stack's forward is one ``affine_step`` or ``batchnorm_flow`` node

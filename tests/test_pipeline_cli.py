@@ -129,7 +129,7 @@ def test_stage1_fault_restores_zone_namespace_only(monkeypatch):
     monkeypatch.setattr(pipeline, "nll_tensors", faulty_nll)
     with pytest.raises(TrainingFault, match="step 2"):
         train_zone_stage(bundle, samples, np.random.default_rng(0), steps=5,
-                         log=lambda step, loss: good.append(store.snapshot()))
+                         log=lambda *_: good.append(store.snapshot()))
     assert any(n.endswith(".running_mean") for n in moved)
     for name, arr in good[-1].items():
         want = arr + 1.0 if name in others else arr
@@ -140,7 +140,7 @@ def test_stage1_fault_restores_zone_namespace_only(monkeypatch):
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 def test_poisoned_gradient_leaves_the_last_good_state(monkeypatch, stage, poison):
     """A gradient poisoned after the backward of step 2 ends that stage in
-    the "non-finite ... parameters after step 2" fault.  Every parameter
+    Adam's "non-finite parameters after step 2" fault.  Every parameter
     and running statistic then equals its value after step 1, although the
     forward of step 2 had moved the running statistics, and no
     ``RuntimeWarning`` is raised on the way."""
@@ -162,7 +162,7 @@ def test_poisoned_gradient_leaves_the_last_good_state(monkeypatch, stage, poison
 
     monkeypatch.setattr(pipeline, "Adam", PoisonedAdam)
     train, message = {
-        "zone": (train_zone_stage, "non-finite zone parameters after step 2"),
+        "zone": (train_zone_stage, "non-finite parameters after step 2"),
         "config": (train_config_stage, "non-finite parameters after step 2"),
     }[stage]
     with pytest.raises(TrainingFault, match=message):
@@ -173,6 +173,25 @@ def test_poisoned_gradient_leaves_the_last_good_state(monkeypatch, stage, poison
     assert sorted(good[-1]) == store.names()
     for name, arr in good[-1].items():
         assert np.array_equal(store[name].data, arr), name
+
+
+@pytest.mark.parametrize("train,part", [(train_zone_stage, "zone_nll"),
+                                         (train_config_stage, "config_nll")])
+def test_both_stages_log_step_loss_and_parts(train, part):
+    """Each stage calls ``log(step, loss, parts)`` once per step, with
+    ``parts["total"] == loss`` and the stage's own NLL among the parts, and
+    returns the logged (step, loss) pairs as its history."""
+    bundle = mini_bundle()
+    rc = bundle.cfg
+    samples = make_dataset(16, rc.n, rc.m, rc.p, seed=2)
+    logged = []
+    history = train(bundle, samples, np.random.default_rng(0), steps=3,
+                    log=lambda step, loss, parts: logged.append((step, loss, parts)))
+    assert [step for step, _, _ in logged] == [0, 1, 2]
+    for _, loss, parts in logged:
+        assert {part, "zone_nll", "total"} <= set(parts)
+        assert parts["total"] == loss
+    assert history == [(step, loss) for step, loss, _ in logged]
 
 
 def test_dataset_arrays_matches_per_sample_info_vectors():

@@ -136,6 +136,8 @@ def test_zone_nll_raises_training_fault_on_poisoned_params(rng):
     with pytest.raises(TrainingFault) as info:
         train_zone_stage(bundle, data, rng, steps=1)
     assert info.value.sample_index is not None
+    # the replayed forward names the poisoned coupling, flat layer 0
+    assert info.value.layer_index == 0
 
 
 def test_sampling_and_trace(rng):
