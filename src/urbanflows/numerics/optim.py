@@ -26,7 +26,7 @@ class Adam:
     each array operation over them.  It writes the parameters only once
     every new value is known to be finite.  Otherwise it raises
     ``TrainingFault("non-finite parameters after step N")``, N counting
-    from 0 as the training loops do, and no parameter has changed.  The
+    from 0 as the training loop does, and no parameter has changed.  The
     moments may have advanced, so an Adam whose step raised is spent.
     """
 

@@ -187,6 +187,18 @@ def test_config_nll_training_fault_reports_layer(rng):
         np.testing.assert_array_equal(bundle.store[name].data, value)
 
 
+def test_stage2_zone_nll_training_fault_reports_layer(rng):
+    """With ground-truth conditioning the zone NLL of the joint loss is the
+    one that fails, and the fault names the poisoned zone coupling."""
+    bundle = ModelBundle(mini_runconfig(use_sampled_u=False))
+    bundle.store["zone.block0.coupling.out.w"].data[0, 0] = np.nan
+    data = make_dataset(8, 4, 2, 2, seed=0)
+    with pytest.raises(TrainingFault, match="non-finite zone NLL") as info:
+        train_config_stage(bundle, data, rng, steps=1)
+    assert info.value.sample_index is not None
+    assert info.value.layer_index == 0
+
+
 def perturbed_bundle(**overrides):
     """A mini bundle moved off the identity initialization."""
     bundle = ModelBundle(mini_runconfig(**overrides))
