@@ -50,12 +50,6 @@ def rng_state_of(rng):
     return _clean(rng.bit_generator.state)
 
 
-def restore_rng(state):
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
 def save_checkpoint(path, store, config_dict, rng_state=None, extra=None):
     payload = store.to_payload()
     header = {

@@ -23,6 +23,7 @@ from .errors import (
     DataError,
     ParseError,
     PipelineError,
+    TrainingFault,
     UrbanFlowsError,
 )
 from .fileio import atomic_write
@@ -121,7 +122,9 @@ def cmd_synth(args):
 
 def _train(args, make_bundle, train_stage, stage, stage_no):
     """Train ``make_bundle(rc)`` from seed + stage_no - 1, then write the
-    checkpoint and loss log, also after a fault (rolled back to the last good step)."""
+    checkpoint and loss log, also after a ``TrainingFault`` (rolled back to
+    the last good step).  Any other error, such as an empty dataset, writes
+    nothing."""
     rc = _load_run_config(args)
     samples, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
@@ -132,7 +135,7 @@ def _train(args, make_bundle, train_stage, stage, stage_no):
     try:
         train_stage(bundle, samples, rng,
                     log=lambda step, loss, *parts: history.append((step, loss)))
-    except UrbanFlowsError as exc:
+    except TrainingFault as exc:
         fault = exc
     save_checkpoint(args.out_ckpt, bundle.store, rc.as_dict(),
                     rng_state=rng_state_of(rng), extra={"stage": stage})

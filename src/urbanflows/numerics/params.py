@@ -124,12 +124,6 @@ class ParameterStore:
         self._trainable[name] = bool(trainable)
         return t
 
-    def add(self, name, data, trainable=True):
-        """Register a tensor with the given values (an opened store keeps
-        its payload's values instead)."""
-        return self.param(name, np.shape(data),
-                          lambda shape: np.array(data, dtype=np.float64), trainable)
-
     def check_complete(self):
         """For an opened store, once the model is built on it: raise
         ``CheckpointManifestError`` if the payload holds a parameter the

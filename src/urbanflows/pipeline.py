@@ -181,9 +181,6 @@ def train_config_stage(bundle, samples, rng, steps=None, log=None):
 _BLOCK_ROWS = 128
 # worker count, or None for ``_worker_rule``; tests force it
 _WORKERS = None
-_POOL = None
-_POOL_THREADS = 0
-_POOL_LOCK = threading.Lock()
 
 
 def _worker_rule(cpus, env):
@@ -205,37 +202,17 @@ def _worker_rule(cpus, env):
     return max(1, cpus // blas_threads)
 
 
-def _forget_pool():
-    global _POOL, _POOL_THREADS, _POOL_LOCK
-    _POOL, _POOL_THREADS, _POOL_LOCK = None, 0, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool(threads):
-    """The shared pool, built lazily with at least ``threads`` threads.  A
-    pool that is too small is dropped, not shut down: a caller may still
-    hold it, and its idle threads exit once it is collected."""
-    global _POOL, _POOL_THREADS
-    with _POOL_LOCK:
-        if _POOL_THREADS < threads:
-            _POOL = ThreadPoolExecutor(threads, thread_name_prefix="urbanflows-rows")
-            _POOL_THREADS = threads
-        return _POOL
-
-
 def _row_blocks(n, fn):
     """``[fn(lo, hi) for each block]`` over ``n`` rows cut into blocks of at
     most ``_BLOCK_ROWS``, in block order.
 
-    The blocks run on the calling thread plus ``workers - 1`` pool threads,
-    each in a copy of the caller's context (numpy's error state lives
-    there); one block, or one worker, runs inline.  Whatever the worker
-    count, the exception raised is the first failing block's, and a pool
-    run raises it only once every block has finished.  The tape's
-    grad flag is global to the process, so the caller must hold
-    ``no_grad``.
+    The blocks run on the calling thread plus ``workers - 1`` threads that
+    this call starts and joins before it returns; each worker runs in its
+    own copy of the caller's context (numpy's error state lives there).
+    One block, or one worker, runs inline.  Whatever the worker count, the
+    exception raised is the first failing block's, and a threaded run
+    raises it only once every block has finished.  The tape's grad flag is
+    global to the process, so the caller must hold ``no_grad``.
     """
     if grad_enabled():
         raise RuntimeError("row blocks run only under no_grad")
@@ -244,7 +221,6 @@ def _row_blocks(n, fn):
     workers = min(len(bounds), workers)
     if workers <= 1:
         return [fn(lo, hi) for lo, hi in bounds]
-    contexts = [contextvars.copy_context() for _ in bounds]
     results = [None] * len(bounds)
     errors = [None] * len(bounds)
     todo = iter(range(len(bounds)))
@@ -257,16 +233,16 @@ def _row_blocks(n, fn):
             if i is None:
                 return
             try:
-                results[i] = contexts[i].run(fn, *bounds[i])
+                results[i] = fn(*bounds[i])
             except BaseException as exc:  # raised below, in block order
                 errors[i] = exc
 
-    pool = _pool(workers - 1)
-    helpers = [pool.submit(drain) for _ in range(workers - 1)]
-    drain()
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="urbanflows-rows") as pool:
+        helpers = [pool.submit(contextvars.copy_context().run, drain)
+                   for _ in range(workers - 1)]
+        contextvars.copy_context().run(drain)
     for helper in helpers:
-        if not helper.cancel():  # one that has not started would find no block
-            helper.result()
+        helper.result()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -20,6 +20,19 @@ def mini_runconfig(**overrides):
     return RunConfig(**base).validate()
 
 
+def add_param(store, name, data, trainable=True):
+    """Register a parameter of a fresh ``store`` that holds a copy of ``data``."""
+    return store.param(name, np.shape(data),
+                       lambda shape: np.array(data, dtype=np.float64), trainable)
+
+
+def restore_rng(state):
+    """A generator that continues the stream whose ``rng_state_of`` is ``state``."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
 def _rewrite_header(path, edit):
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -7,7 +7,6 @@ from urbanflows import fileio
 from urbanflows.checkpoint import (
     load_checkpoint,
     read_header,
-    restore_rng,
     rng_state_of,
     save_checkpoint,
 )
@@ -19,13 +18,15 @@ from urbanflows.errors import (
 )
 from urbanflows.numerics.params import ParameterStore
 
+from conftest import add_param, restore_rng
+
 
 def small_store(seed=3):
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    store.add("a.w", rng.normal(size=(3, 2)))
-    store.add("a.b", rng.normal(size=(2,)))
-    store.add("z.running_var", np.ones(2), trainable=False)
+    add_param(store, "a.w", rng.normal(size=(3, 2)))
+    add_param(store, "a.b", rng.normal(size=(2,)))
+    add_param(store, "z.running_var", np.ones(2), trainable=False)
     return store
 
 
@@ -185,7 +186,7 @@ def test_manifest_mismatches(tmp_path):
     save_checkpoint(path, store, {})
 
     other = ParameterStore()
-    other.add("a.w", np.zeros((4, 4)))
+    add_param(other, "a.w", np.zeros((4, 4)))
     with pytest.raises(CheckpointManifestError):
         load_checkpoint(path, store=other)
 

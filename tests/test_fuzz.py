@@ -23,7 +23,7 @@ from urbanflows.pipeline import ModelBundle
 from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import make_dataset, read_dataset, write_dataset
 
-from conftest import mini_runconfig
+from conftest import add_param, mini_runconfig
 
 FUZZ = settings(database=None, deadline=None, max_examples=150)
 
@@ -46,8 +46,8 @@ def parses_or_raises_typed(fn, *args):
 
 def _store():
     store = ParameterStore()
-    store.add("a.w", np.arange(6.0).reshape(2, 3))
-    store.add("b.stat", np.ones(2), trainable=False)
+    add_param(store, "a.w", np.arange(6.0).reshape(2, 3))
+    add_param(store, "b.stat", np.ones(2), trainable=False)
     return store
 
 

@@ -12,6 +12,7 @@ import composed_reference
 import conv_reference
 from adam_reference import ReferenceAdam
 from composed_reference import concat, log, sqrt, tanh
+from conftest import add_param
 from urbanflows.errors import (
     CheckpointManifestError,
     CheckpointValueError,
@@ -414,9 +415,9 @@ def test_numerical_gradient_rejects_nonfinite():
 
 def test_parameter_store_payload_roundtrip(rng):
     store = ParameterStore()
-    store.add("b.mat", rng.normal(size=(3, 2)))
-    store.add("a.vec", rng.normal(size=(4,)))
-    store.add("c.stat", np.ones(2), trainable=False)
+    add_param(store, "b.mat", rng.normal(size=(3, 2)))
+    add_param(store, "a.vec", rng.normal(size=(4,)))
+    add_param(store, "c.stat", np.ones(2), trainable=False)
     manifest = store.manifest()
     assert [m[0] for m in manifest] == ["a.vec", "b.mat", "c.stat"]
     payload = store.to_payload()
@@ -447,9 +448,9 @@ def _never(shape):
 
 def test_opened_store_hands_out_views_and_draws_nothing(rng):
     src = ParameterStore()
-    src.add("a.w", rng.normal(size=(2, 3)))
-    src.add("b.running_var", np.ones(2), trainable=False)
-    src.add("c", np.array(4.0))
+    add_param(src, "a.w", rng.normal(size=(2, 3)))
+    add_param(src, "b.running_var", np.ones(2), trainable=False)
+    add_param(src, "c", np.array(4.0))
     manifest, payload = src.manifest(), src.to_payload()
 
     store = ParameterStore.opened(manifest, bytearray(payload))
@@ -487,7 +488,7 @@ def test_opened_store_hands_out_views_and_draws_nothing(rng):
 
 def test_adam_descends_quadratic():
     store = ParameterStore()
-    t = store.add("x", np.array([5.0, -3.0]))
+    t = add_param(store, "x", np.array([5.0, -3.0]))
     opt = Adam([("x", t)], lr=0.1)
     for _ in range(300):
         opt.zero_grad()
@@ -499,8 +500,8 @@ def test_adam_descends_quadratic():
 
 def test_adam_lr_scales_slow_named_params():
     store = ParameterStore()
-    a = store.add("a", np.array([1.0]))
-    b = store.add("b", np.array([1.0]))
+    a = add_param(store, "a", np.array([1.0]))
+    b = add_param(store, "b", np.array([1.0]))
     opt = Adam([("a", a), ("b", b)], lr=0.01, lr_scales={"b": 0.1})
     opt.zero_grad()
     ((a * a).sum() + (b * b).sum()).backward()
@@ -572,8 +573,8 @@ def test_adam_writes_into_the_parameter_arrays(rng):
     """Parameters of a store opened on a payload stay views of its one
     buffer through a step, and ``restore`` writes back into them too."""
     src = ParameterStore()
-    src.add("a.w", rng.normal(size=(2, 3)))
-    src.add("b.running_var", np.ones(2), trainable=False)
+    add_param(src, "a.w", rng.normal(size=(2, 3)))
+    add_param(src, "b.running_var", np.ones(2), trainable=False)
     store = ParameterStore.opened(src.manifest(), bytearray(src.to_payload()))
     w = store.param("a.w", (2, 3))
     var = store.param("b.running_var", (2,), trainable=False)

@@ -691,6 +691,26 @@ def test_train_commands_write_the_last_good_state_on_a_fault(tmp_path, capsys, m
     assert log_lines[2:] == ["0\t1.500000000000", "1\t0.250000000000"]
 
 
+@pytest.mark.parametrize("command", ["train-zone", "train-config"])
+def test_train_commands_on_an_empty_dataset_write_nothing(tmp_path, capsys, command):
+    """An input error raised before the first step is not a training fault:
+    the command exits 1 and leaves a good checkpoint and log at
+    ``--out-ckpt`` as they were."""
+    cfg = write_mini_config(tmp_path, steps_zone=1)
+    data, empty = str(tmp_path / "data.jsonl"), str(tmp_path / "empty.jsonl")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    assert main(["synth", "--config", cfg, "--count", "0", "--out", empty]) == 0
+    out = tmp_path / "out.ckpt"
+    assert main(["train-zone", "--config", cfg, "--dataset", data, "--out-ckpt", str(out)]) == 0
+    good = out.read_bytes(), (tmp_path / "out.ckpt.log").read_bytes()
+    capsys.readouterr()
+    extra = ["--zone-ckpt", str(out)] if command == "train-config" else []
+    assert main([command, "--config", cfg, "--dataset", empty, "--out-ckpt", str(out),
+                 *extra]) == 1
+    assert capsys.readouterr().err == "error: empty dataset\n"
+    assert (out.read_bytes(), (tmp_path / "out.ckpt.log").read_bytes()) == good
+
+
 @pytest.mark.parametrize("key,value", [("green_level", 2.7), ("green_level", True),
                                        ("green_level", 5), ("id", 1.5)])
 def test_cli_rejects_a_non_integer_id_or_level(tmp_path, capsys, key, value):

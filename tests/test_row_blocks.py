@@ -184,12 +184,29 @@ def test_conditioner_calls_exact_under_two_threads():
 
 def test_generate_one_starts_no_thread(bundle, samples, monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 3)
-    monkeypatch.setattr(pipeline, "_POOL", None)
-    monkeypatch.setattr(pipeline, "_POOL_THREADS", 0)
     before = threading.active_count()
     generate_one(bundle, dataset_arrays(samples[:1])[0][0], np.random.default_rng(1))
     assert threading.active_count() == before
-    assert pipeline._POOL is None
+
+
+def _row_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("urbanflows-rows")]
+
+
+def test_no_row_thread_outlives_its_call(monkeypatch):
+    monkeypatch.setattr(pipeline, "_WORKERS", 3)
+
+    def block(lo, hi):
+        if lo == 256:
+            raise ValueError("bad block")
+        return lo
+
+    with no_grad():
+        assert pipeline._row_blocks(4 * 128, lambda lo, hi: lo) == [0, 128, 256, 384]
+        assert _row_threads() == []
+        with pytest.raises(ValueError, match="bad block"):
+            pipeline._row_blocks(4 * 128, block)
+    assert _row_threads() == []
 
 
 @pytest.mark.parametrize("cpus,env,workers", [
@@ -210,17 +227,15 @@ def test_worker_rule_table(cpus, env, workers):
     assert pipeline._worker_rule(cpus, env) == workers
 
 
-def test_forked_child_drops_the_pool(monkeypatch):
+def test_forked_child_runs_row_blocks(monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 2)
     with no_grad():
-        pipeline._row_blocks(300, lambda lo, hi: lo)
-    assert pipeline._POOL is not None
+        assert pipeline._row_blocks(300, lambda lo, hi: lo) == [0, 128, 256]
     pid = os.fork()
-    if pid == 0:  # child: must not use the parent's pool, whose threads are gone
+    if pid == 0:  # child: a threaded call after the parent ran one
         signal.alarm(30)
-        ok = pipeline._POOL is None
         with no_grad():
-            ok = ok and pipeline._row_blocks(300, lambda lo, hi: lo) == [0, 128, 256]
+            ok = pipeline._row_blocks(300, lambda lo, hi: lo) == [0, 128, 256]
         os._exit(0 if ok else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
