@@ -14,10 +14,8 @@ from .errors import ConfigurationError, DataError, DimensionError, check_mode
 from .numerics import (
     Tensor,
     as_tensor,
-    conv2d,
-    depthwise_conv2d,
-    gelu,
-    global_avg_pool,
+    conv2d_nhwc,
+    convnext_layer,
     layer_norm,
     normal,
     softmax_rows,
@@ -39,7 +37,12 @@ class GeoExtractor:
     ConvNeXt layers and 2x2/stride-2 channel-doubling down-samples, ending
     with one more ConvNeXt layer and a pooled, normalized linear head to D.
     Each ConvNeXt layer is depthwise conv -> layer-norm -> 1x1 expand (4x)
-    -> GELU -> 1x1 back -> LayerScale -> drop-path -> residual.
+    -> GELU -> 1x1 back -> LayerScale -> drop-path -> residual, one
+    ``convnext_layer`` tape node.  Activations are channels-last (B, H, W,
+    C) from the stem to the pool; the stem and the down-samples are
+    ``conv2d_nhwc`` im2col GEMMs, and the channel layer-norms run over the
+    last axis.  In train mode with drop-path, each layer draws its keep mask
+    ``rng.random(B) >= drop_path`` in turn.
     """
 
     def __init__(self, store, prefix, out_dim, rng, stem_channels=8, n_cx=3,
@@ -90,29 +93,6 @@ class GeoExtractor:
             "b": store.param(f"{prefix}.b", (2 * c,)),
         }
 
-    @staticmethod
-    def _channel_ln(h, ln):
-        gamma, beta = ln
-        c = gamma.shape[0]
-        return layer_norm(h, gamma.reshape(1, c, 1, 1), beta.reshape(1, c, 1, 1), axis=1)
-
-    def _convnext(self, h, p, mode, rng):
-        branch = depthwise_conv2d(h, p["dw_w"], p["dw_b"])
-        branch = self._channel_ln(branch, p["ln"])
-        t = branch.transpose((0, 2, 3, 1))
-        t = gelu(t @ p["up_w"] + p["up_b"])
-        t = t @ p["down_w"] + p["down_b"]
-        branch = t.transpose((0, 3, 1, 2))
-        c = p["ls"].shape[0]
-        branch = branch * p["ls"].reshape(1, c, 1, 1)
-        if mode == "train" and self.drop_path > 0.0:
-            if rng is None:
-                raise ConfigurationError("train-mode drop-path needs an rng")
-            keep = (rng.random(h.shape[0]) >= self.drop_path).astype(np.float64)
-            keep = keep / (1.0 - self.drop_path)
-            branch = branch * Tensor(keep.reshape(-1, 1, 1, 1))
-        return h + branch
-
     def forward(self, x, mode="eval", rng=None):
         """x is (B, 1, N, N) with values already rescaled to [0, 1]."""
         check_mode(mode)
@@ -123,16 +103,21 @@ class GeoExtractor:
             raise ConfigurationError(
                 f"grid side {size} incompatible with {self.n_cx - 1} down-samples"
             )
-        h = conv2d(x, self.stem_w, self.stem_b, stride=1)
-        h = self._channel_ln(h, self.stem_ln)
-        for i, block in enumerate(self.blocks):
-            h = self._convnext(h, block, mode, rng)
+        drop = mode == "train" and self.drop_path > 0.0
+        if drop and rng is None:
+            raise ConfigurationError("train-mode drop-path needs an rng")
+        h = conv2d_nhwc(x.transpose((0, 2, 3, 1)), self.stem_w, self.stem_b, stride=1)
+        h = layer_norm(h, *self.stem_ln)
+        for i, p in enumerate(self.blocks):
+            keep = None
+            if drop:
+                keep = (rng.random(x.shape[0]) >= self.drop_path) / (1.0 - self.drop_path)
+            h = convnext_layer(h, p["dw_w"], p["dw_b"], *p["ln"], p["up_w"], p["up_b"],
+                               p["down_w"], p["down_b"], p["ls"], keep)
             if i < len(self.downs):
                 down = self.downs[i]
-                h = self._channel_ln(h, down["ln"])
-                h = conv2d(h, down["w"], down["b"], stride=2)
-        pooled = global_avg_pool(h)
-        pooled = layer_norm(pooled, self.head_ln[0], self.head_ln[1], axis=-1)
+                h = conv2d_nhwc(layer_norm(h, *down["ln"]), down["w"], down["b"], stride=2)
+        pooled = layer_norm(h.mean(axis=(1, 2)), *self.head_ln)
         return pooled @ self.head_w + self.head_b
 
 

@@ -12,16 +12,14 @@ from .tape import (
     append_zero_column,
 )
 from .kernels import (
-    conv2d,
-    depthwise_conv2d,
+    conv2d_nhwc,
     layer_norm,
-    gelu,
+    convnext_layer,
     conditioner_mlp_arrays,
     affine_step,
     batchnorm_flow,
     pass_arrays,
     softmax_rows,
-    global_avg_pool,
 )
 from .params import ParameterStore, normal
 from .optim import Adam
@@ -37,16 +35,14 @@ __all__ = [
     "clip",
     "permute_columns",
     "append_zero_column",
-    "conv2d",
-    "depthwise_conv2d",
+    "conv2d_nhwc",
     "layer_norm",
-    "gelu",
+    "convnext_layer",
     "conditioner_mlp_arrays",
     "affine_step",
     "batchnorm_flow",
     "pass_arrays",
     "softmax_rows",
-    "global_avg_pool",
     "ParameterStore",
     "normal",
     "Adam",

@@ -1,22 +1,24 @@
 """Neural-net building blocks on top of the tape.
 
-``conv2d``, ``depthwise_conv2d``, ``layer_norm`` and ``gelu`` are true
-primitives: one tape node each, with a hand-written backward.
-``softmax_rows`` and ``global_avg_pool`` are composed from tape ops, so
-their gradients are exact by construction.
+``conv2d_nhwc``, ``layer_norm`` and ``convnext_layer`` are true
+primitives on channels-last (B, H, W, C) activations: one tape node each,
+with a hand-written backward.  ``softmax_rows`` is composed from tape ops,
+so its gradient is exact by construction.
 
-``conv2d`` is lowered to one BLAS matrix product: the input's k x k windows
-are copied once into an im2col matrix with one row per output pixel, which
-the forward and the weight gradient each multiply once; the input gradient
-is the product with the weight matrix, scattered back by k*k strided slice
-adds (col2im).  ``depthwise_conv2d`` mixes no channels, so it is k*k
-multiply-adds of shifted slices of the padded input, in the forward and in
-both gradients.
+``conv2d_nhwc`` is lowered to one BLAS matrix product: the input's k x k
+windows are copied once into an im2col matrix, one row per output pixel and
+(ki, kj, channel) along the row, which the forward and the weight gradient
+each multiply once; the input gradient is the product with the weight
+matrix, scattered back by k*k strided slice adds (col2im).  ``layer_norm``
+normalizes the last axis and takes its means as products with a 1/C column.
 
-``layer_norm`` and ``gelu`` run the same numpy operations, in the same
-order, as their compositions from tape ops, so their outputs are bit for
-bit the composed ones; the primitive saves the tape nodes (five per GELU,
-nine per layer-norm) and the intermediates each one would keep.
+``convnext_layer`` is a whole ConvNeXt layer: depthwise conv, layer-norm,
+1x1 expand, exact GELU, 1x1 back, LayerScale, drop-path and residual.  The
+depthwise conv is k*k multiply-adds of shifted windows of (B, H, W*C) rows.
+The norm's gamma and beta fold into the expand weights and LayerScale into
+the back ones, so the rest is two GEMMs, the norm and the GELU, and the
+backward is GEMMs over (rows, C) and (rows, 4C) arrays.  Under ``no_grad``
+the (rows, 4C) arrays are made a block of rows at a time.
 
 ``affine_step`` (the conditioner pass, ``y = x * exp(s) + b`` and the
 log-det, or the inverse) and ``batchnorm_flow`` are whole flow-layer steps
@@ -41,179 +43,240 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf as _erf
 
 from ..errors import DimensionError
-from .tape import Tensor, as_tensor, exp, grad_enabled, _accumulate, _node, _unbroadcast
+from .tape import Tensor, as_tensor, exp, grad_enabled, _accumulate, _node
 
 __all__ = [
-    "conv2d",
-    "depthwise_conv2d",
+    "conv2d_nhwc",
     "layer_norm",
-    "gelu",
+    "convnext_layer",
     "conditioner_mlp_arrays",
     "affine_step",
     "batchnorm_flow",
     "pass_arrays",
     "softmax_rows",
-    "global_avg_pool",
 ]
 
 
-def conv2d(x, w, b, stride=1):
-    """2-D convolution over NCHW input.
+def conv2d_nhwc(x, w, b, stride=1):
+    """2-D convolution over channels-last input: x (B, H, W, C), w (O, C,
+    k, k) as its parameter is stored, b (O,); the output is (B, H', W', O).
 
     stride 1 keeps the spatial size (zero "same" padding, odd kernel only);
-    stride 2 tiles non-overlapping patches and requires the input size to be
-    a multiple of the stride.
+    stride 2 tiles non-overlapping patches and requires even spatial dims.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError("conv2d expects x (B,C,H,W) and w (O,C,k,k)")
+        raise DimensionError("conv2d_nhwc expects x (B,H,W,C) and w (O,C,k,k)")
     out_ch, in_ch, k, k2 = w.shape
     if k != k2:
-        raise DimensionError("conv2d kernel must be square")
-    if x.shape[1] != in_ch:
+        raise DimensionError("conv2d_nhwc kernel must be square")
+    if x.shape[3] != in_ch:
         raise DimensionError(
-            f"conv2d channel mismatch: input has {x.shape[1]}, kernel expects {in_ch}"
+            f"conv2d_nhwc channel mismatch: input has {x.shape[3]}, kernel expects {in_ch}"
         )
     if stride == 1:
         if k % 2 == 0:
-            raise DimensionError("stride-1 conv2d needs an odd kernel size")
+            raise DimensionError("stride-1 conv2d_nhwc needs an odd kernel size")
         pad = (k - 1) // 2
     elif stride == 2:
-        if x.shape[2] % 2 or x.shape[3] % 2:
-            raise DimensionError("stride-2 conv2d needs even spatial dims")
+        if x.shape[1] % 2 or x.shape[2] % 2:
+            raise DimensionError("stride-2 conv2d_nhwc needs even spatial dims")
         pad = 0
     else:
-        raise DimensionError("conv2d supports stride 1 or 2 only")
+        raise DimensionError("conv2d_nhwc supports stride 1 or 2 only")
 
-    if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x.data
-    windows = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    batch, h_out, w_out = windows.shape[0], windows.shape[2], windows.shape[3]
-    # im2col: one row per output pixel, (channel, ki, kj) along the row
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch * h_out * w_out, in_ch * k * k)
-    wmat = w.data.reshape(out_ch, in_ch * k * k)
+    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    batch, h_out, w_out = windows.shape[:3]
+    # im2col: one row per output pixel, (ki, kj, channel) along the row
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * in_ch)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(out_ch, -1)
     out_rows = cols @ wmat.T
     out_rows += b.data
-    out_data = out_rows.reshape(batch, h_out, w_out, out_ch).transpose(0, 3, 1, 2)
-    padded_shape = xp.shape
 
     def backward(g):
-        g_rows = g.transpose(0, 2, 3, 1).reshape(-1, out_ch)
-        _accumulate(b, g.sum(axis=(0, 2, 3)))
-        _accumulate(w, (g_rows.T @ cols).reshape(w.shape))
+        g_rows = g.reshape(-1, out_ch)
+        _accumulate(b, g_rows.sum(axis=0))
+        _accumulate(w, (g_rows.T @ cols).reshape(out_ch, k, k, in_ch).transpose(0, 3, 1, 2))
         if x.requires_grad:
             # col2im: scatter each kernel tap's column block back onto the input
-            g_cols = (g_rows @ wmat).reshape(batch, h_out, w_out, in_ch, k, k)
-            gx = np.zeros(padded_shape)
+            g_cols = (g_rows @ wmat).reshape(batch, h_out, w_out, k, k, in_ch)
+            gx = np.zeros(xp.shape)
             for ki in range(k):
                 for kj in range(k):
-                    gx[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += (
-                        g_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                    gx[:, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += (
+                        g_cols[:, :, :, ki, kj]
                     )
-            if pad:
-                gx = gx[:, :, pad:-pad, pad:-pad]
-            _accumulate(x, gx)
+            _accumulate(x, gx[:, pad : pad + x.shape[1], pad : pad + x.shape[2]])
 
-    return _node(out_data, (x, w, b), backward)
+    return _node(out_rows.reshape(batch, h_out, w_out, out_ch), (x, w, b), backward)
 
 
-def depthwise_conv2d(x, w, b):
-    """Per-channel stride-1 same-padding convolution.
-
-    x is (B,C,H,W); w is (C,k,k) with one kernel per channel; b is (C,).
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 4 or w.ndim != 3:
-        raise DimensionError("depthwise_conv2d expects x (B,C,H,W) and w (C,k,k)")
-    ch, k, k2 = w.shape
-    if k != k2 or k % 2 == 0:
-        raise DimensionError("depthwise kernel must be square with odd size")
-    if x.shape[1] != ch:
-        raise DimensionError("depthwise_conv2d channel mismatch")
-    pad = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    h_out, w_out = x.shape[2], x.shape[3]
-    taps = w.data[None, :, :, :, None, None]  # (1, C, k, k, 1, 1)
-
-    def shifted(ki, kj):
-        return xp[:, :, ki : ki + h_out, kj : kj + w_out]
-
-    out_data = np.empty(x.shape)
-    out_data[...] = b.data[None, :, None, None]
-    tmp = np.empty(x.shape)
-    for ki in range(k):
-        for kj in range(k):
-            out_data += np.multiply(shifted(ki, kj), taps[:, :, ki, kj], out=tmp)
-
-    def backward(g):
-        _accumulate(b, g.sum(axis=(0, 2, 3)))
-        prod = np.empty(g.shape)
-        gw = np.empty(w.shape)
-        for ki in range(k):
-            for kj in range(k):
-                gw[:, ki, kj] = np.multiply(g, shifted(ki, kj), out=prod).sum(axis=(0, 2, 3))
-        _accumulate(w, gw)
-        if x.requires_grad:
-            gx = np.zeros_like(xp)
-            for ki in range(k):
-                for kj in range(k):
-                    gx[:, :, ki : ki + h_out, kj : kj + w_out] += np.multiply(g, taps[:, :, ki, kj], out=prod)
-            _accumulate(x, gx[:, :, pad:-pad, pad:-pad])
-
-    return _node(out_data, (x, w, b), backward)
+def _normalize_rows(a, eps, out=None):
+    """Each row of the 2-D ``a`` less its mean, over sigma = sqrt(its
+    variance + eps): returns (normed, sigma (R, 1)).  The means are
+    products with a 1/C column, so each is one matrix-vector product."""
+    mean_col = np.full((a.shape[1], 1), 1.0 / a.shape[1])
+    normed = np.subtract(a, a @ mean_col, out=out)
+    sigma = np.multiply(normed, normed) @ mean_col
+    sigma += eps
+    np.sqrt(sigma, out=sigma)
+    normed /= sigma
+    return normed, sigma
 
 
-def layer_norm(x, gamma, beta, axis=-1, eps=1e-5):
-    """Normalize over one axis; gamma/beta must broadcast against x.
+def _normalize_rows_grad(g, normed, sigma):
+    """The input gradient of ``_normalize_rows`` from that of its normed
+    rows, overwriting ``g``: (g - mean(g) - normed mean(g normed)) / sigma,
+    means along each row."""
+    mean_col = np.full((g.shape[1], 1), 1.0 / g.shape[1])
+    prod = g * normed
+    g -= g @ mean_col
+    g -= np.multiply(normed, prod @ mean_col, out=prod)
+    g /= sigma
+    return g
 
-    With x_hat the normalized input, sigma = sqrt(var + eps) and
-    g_hat = g * gamma, the input gradient is the closed form
-    (g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / sigma, means over
-    ``axis``.
-    """
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize over the last axis; gamma and beta are (C,)."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=axis, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    normed = centered / sigma
-    out_data = normed * gamma.data + beta.data
+    c = x.shape[-1]
+    normed, sigma = _normalize_rows(x.data.reshape(-1, c), eps)
+    out = normed * gamma.data
+    out += beta.data
 
     def backward(g):
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.shape))
-        if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * normed, gamma.shape))
+        g = g.reshape(-1, c)
+        _accumulate(beta, g.sum(axis=0))
+        _accumulate(gamma, np.einsum("rc,rc->c", g, normed))
         if x.requires_grad:
-            g_hat = g * gamma.data
-            gx = (g_hat - g_hat.mean(axis=axis, keepdims=True)
-                  - normed * (g_hat * normed).mean(axis=axis, keepdims=True))
-            _accumulate(x, gx / sigma)
+            _accumulate(x, _normalize_rows_grad(g * gamma.data, normed, sigma).reshape(x.shape))
 
-    return _node(out_data, (x, gamma, beta), backward)
+    return _node(out.reshape(x.shape), (x, gamma, beta), backward)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(x):
-    """Exact Gaussian error linear unit: 0.5 x (1 + erf(x/sqrt(2))).
+def _gelu(pre, out=None):
+    """Exact GELU of ``pre``: returns (pre * cdf, cdf), cdf = 0.5 (1 +
+    erf(pre / sqrt(2))) the standard normal CDF.  ``out`` may be ``pre``
+    itself when the caller no longer needs it."""
+    cdf = pre * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return np.multiply(pre, cdf, out=out), cdf
 
-    Its derivative is 0.5 (1 + erf(x/sqrt(2))) + x phi(x), phi the standard
-    normal density; the backward reuses the forward's 1 + erf.
+
+def _gelu_slope(pre, cdf):
+    """GELU's derivative cdf + pre phi(pre), phi the standard normal
+    density."""
+    slope = np.multiply(pre, pre)
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= pre
+    slope += cdf
+    return slope
+
+
+def _dw_shift(t, k, c, h, wc):
+    """Index tuples (dst, src) of tap ``t`` of a same-padded k x k
+    depthwise conv on (B, H, W*C) arrays: the tap adds ``x[src]`` times its
+    weights into ``out[dst]``, and the padding, being zero, adds nothing."""
+    di, dj = t // k - k // 2, (t % k - k // 2) * c
+    return ((slice(None), slice(max(-di, 0), h - max(di, 0)), slice(max(-dj, 0), wc - max(dj, 0))),
+            (slice(None), slice(max(di, 0), h - max(-di, 0)), slice(max(dj, 0), wc - max(-dj, 0))))
+
+
+_CONVNEXT_ROWS = 512
+
+
+def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=None,
+                   eps=1e-5):
+    """One ConvNeXt layer on channels-last x (B, H, W, C) as one tape node.
+
+    Depthwise k x k conv ``dw_w`` (C, k, k) + ``dw_b`` -> layer-norm over
+    the channels (``gamma``, ``beta``) -> 1x1 expand ``up_w`` (C, 4C) +
+    ``up_b`` -> exact GELU -> 1x1 back ``pw_w`` (4C, C) + ``pw_b`` ->
+    LayerScale ``ls`` -> times ``keep`` -> plus x.  ``keep``, when given, is
+    a (B,) array of drop-path factors: the keep mask over the keep
+    probability.
     """
     x = as_tensor(x)
-    one_plus_erf = _erf(x.data * _INV_SQRT2) + 1.0
-    out_data = (x.data * 0.5) * one_plus_erf
+    params = (dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls)
+    tracked = grad_enabled() and any(p.requires_grad for p in (x, *params))
+    batch, h, w, c = x.shape
+    k = dw_w.shape[1]
+    wc = w * c
+    rows = batch * h * w
+    # the depthwise conv on (B, H, W*C) rows: each tap is a shifted window
+    # of the input times the tap's weights tiled along the row
+    xd = x.data.reshape(batch, h, wc)
+    taps = np.tile(dw_w.data.reshape(c, k * k).T, (1, w))
+    normed = np.tile(dw_b.data, (batch, h, w))
+    tmp = np.empty_like(normed)
+    for t in range(k * k):
+        dst, src = _dw_shift(t, k, c, h, wc)
+        normed[dst] += np.multiply(xd[src], taps[t, dst[2]], out=tmp[dst])
+    # the layer-norm in place; gamma and beta fold into the expand
+    # weights, ls into the back ones
+    normed, sigma = _normalize_rows(normed.reshape(rows, c), eps, out=normed.reshape(rows, c))
+    w_up = gamma.data[:, None] * up_w.data
+    b_up = beta.data @ up_w.data + up_b.data
+    w_back = pw_w.data * ls.data
+    out = tmp.reshape(rows, c)
+    # without a backward, the (rows, 4C) arrays are made a block of rows at
+    # a time, which keeps them small and in cache
+    step = rows if tracked else _CONVNEXT_ROWS
+    for lo in range(0, rows, step):
+        pre = normed[lo : lo + step] @ w_up
+        pre += b_up
+        act, cdf = _gelu(pre, out=None if tracked else pre)
+        np.matmul(act, w_back, out=out[lo : lo + step])
+    out += pw_b.data * ls.data
+    out = out.reshape(x.shape)
+    if keep is not None:
+        out *= keep[:, None, None, None]
+    out += x.data
 
     def backward(g):
-        phi = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        _accumulate(x, g * (0.5 * one_plus_erf + x.data * phi))
+        g_branch = g.reshape(rows, c)
+        if keep is not None:
+            g_branch = (g * keep[:, None, None, None]).reshape(rows, c)
+        # back and LayerScale: branch = (act @ pw_w + pw_b) * ls
+        g_sum = g_branch.sum(axis=0)
+        act_g = act.T @ g_branch
+        _accumulate(ls, (pw_w.data * act_g).sum(axis=0) + pw_b.data * g_sum)
+        _accumulate(pw_w, act_g * ls.data)
+        _accumulate(pw_b, g_sum * ls.data)
+        g_pre = g_branch @ w_back.T
+        g_pre *= _gelu_slope(pre, cdf)
+        # expand and the norm's affine: pre = (normed gamma + beta) @ up_w + up_b
+        g_sum = g_pre.sum(axis=0)
+        normed_g = normed.T @ g_pre
+        _accumulate(up_w, gamma.data[:, None] * normed_g + np.outer(beta.data, g_sum))
+        _accumulate(up_b, g_sum)
+        _accumulate(gamma, (up_w.data * normed_g).sum(axis=1))
+        _accumulate(beta, up_w.data @ g_sum)
+        g_dw = _normalize_rows_grad(g_pre @ w_up.T, normed, sigma).reshape(batch, h, wc)
+        _accumulate(dw_b, g_dw.sum(axis=(0, 1)).reshape(w, c).sum(axis=0))
+        prod = np.empty_like(g_dw)
+        g_taps = np.empty((k * k, c))
+        gx = g.reshape(batch, h, wc).copy() if x.requires_grad else None
+        for t in range(k * k):
+            dst, src = _dw_shift(t, k, c, h, wc)
+            np.multiply(g_dw[dst], xd[src], out=prod[dst])
+            g_taps[t] = prod[dst].sum(axis=(0, 1)).reshape(-1, c).sum(axis=0)
+            if gx is not None:
+                gx[src] += np.multiply(g_dw[dst], taps[t, dst[2]], out=prod[dst])
+        _accumulate(dw_w, g_taps.T.reshape(c, k, k))
+        if gx is not None:
+            _accumulate(x, gx.reshape(x.shape))
 
-    return _node(out_data, (x,), backward)
+    return _node(out, (x, *params), backward)
 
 
 def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
@@ -223,7 +286,7 @@ def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
     ``[-clamp, clamp]`` by ``clamp * tanh(. / clamp)``.  Returns ``(out,
     t, h)``: the ``(B, 2d)`` output, the tanh of the scale columns and the
     last hidden activation.  When ``saved`` is a list, each hidden layer
-    appends ``(input, pre-activation, 1 + erf)`` to it.
+    appends ``(input, pre-activation, its normal CDF)`` to it.
     """
     h = x
     for w, b, cv in hidden:
@@ -231,13 +294,10 @@ def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
         pre += b
         if cv is not None:
             pre += cv
-        one_plus_erf = pre * _INV_SQRT2
-        _erf(one_plus_erf, out=one_plus_erf)
-        one_plus_erf += 1.0
+        h_in = h
+        h, cdf = _gelu(pre)
         if saved is not None:
-            saved.append((h, pre, one_plus_erf))
-        h = pre * 0.5
-        h *= one_plus_erf
+            saved.append((h_in, pre, cdf))
     out = h @ w_out
     out += b_out
     t = np.tanh(out[:, :d] * (1.0 / clamp))
@@ -254,10 +314,9 @@ def _mlp_backward(g_pre, t, saved, h_last, weights, masks, d, need_input):
     inputs = [*saved, (h_last, None, None)]
     grads = [None] * len(inputs)
     for i in range(len(inputs) - 1, -1, -1):
-        h_in, pre, one_plus_erf = inputs[i]
+        h_in, pre, cdf = inputs[i]
         if pre is not None:  # a hidden layer: back through the GELU
-            phi = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
-            g_pre = (g_pre @ weights[i + 1].T) * (0.5 * one_plus_erf + pre * phi)
+            g_pre = (g_pre @ weights[i + 1].T) * _gelu_slope(pre, cdf)
         g_w = h_in.T @ g_pre
         if masks is not None:
             g_w *= masks[i]
@@ -378,10 +437,3 @@ def softmax_rows(x):
     shift = Tensor(x.data.max(axis=-1, keepdims=True))
     e = exp(x - shift)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def global_avg_pool(x):
-    """Mean over the spatial axes of an NCHW tensor, giving (B, C)."""
-    if x.ndim != 4:
-        raise DimensionError("global_avg_pool expects (B,C,H,W)")
-    return x.mean(axis=(2, 3))

@@ -73,9 +73,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 

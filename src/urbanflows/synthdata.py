@@ -262,7 +262,11 @@ def read_dataset(path):
             context = ContextGraph(np.array(rec["context"], dtype=np.float64))
             if context.p != p:
                 raise DataError(f"context rows must have P + 2 = {p + 2} entries")
+            if not np.all(np.isfinite(context.node_features)):
+                raise DataError("context values must be finite")
             zones = np.array(rec["zones"], dtype=np.int64).reshape(n, n)
+            if zones.max() >= m:
+                raise DataError(f"zone labels must lie in [0, {m - 1}]")
             config = np.array(rec["config"], dtype=np.int64).reshape(n, n, p)
             sample = SynthSample(rec["id"], rec["green_level"], context,
                                  ZoneMap(zones), ConfigTensor(config))

@@ -1,7 +1,7 @@
 """Reference implementations the fused GELU, layer-norm, the conditioner
 pass and the fused flow layers are tested against, and the tape ops
-``log``, ``sqrt``, ``tanh``, ``erf`` and ``concat``, which only these
-compositions use.
+``log``, ``sqrt``, ``tanh``, ``erf``, ``concat`` and ``detach``, which only
+these compositions use.
 
 ``gelu``, ``layer_norm`` and ``clamp_scale`` are composed from tape ops, so
 their gradients follow from the tape's elementary rules.  The two
@@ -83,6 +83,11 @@ def erf(a):
         _accumulate(a, g * _TWO_OVER_SQRT_PI * np.exp(-a.data * a.data))
 
     return _node(scipy_erf(a.data), (a,), backward)
+
+
+def detach(t):
+    """A constant tensor holding ``t``'s values: no gradient flows back."""
+    return Tensor(t.data)
 
 
 def concat(parts, axis):
@@ -205,9 +210,9 @@ def batchnorm_forward(layer, x, mode="train", update_stats=True):
             layer.running_mean.data = m * layer.running_mean.data + (1 - m) * mu.data[0]
             layer.running_var.data = m * layer.running_var.data + (1 - m) * var.data[0]
     else:
-        mu = layer.running_mean.detach().reshape(1, layer.d)
+        mu = detach(layer.running_mean).reshape(1, layer.d)
         centered = x - mu
-        var = layer.running_var.detach().reshape(1, layer.d)
+        var = detach(layer.running_var).reshape(1, layer.d)
     y = centered / (var + layer.eps) ** 0.5
     # identical for every sample in the batch, broadcast to (B,)
     ld = log(var + layer.eps).sum() * (-0.5)
@@ -217,8 +222,8 @@ def batchnorm_forward(layer, x, mode="train", update_stats=True):
 def batchnorm_inverse(layer, y, mode="eval"):
     if mode == "train":
         raise ModeError("batchnorm flow cannot invert with batch statistics")
-    mu = layer.running_mean.detach().reshape(1, layer.d)
-    var = layer.running_var.detach().reshape(1, layer.d)
+    mu = detach(layer.running_mean).reshape(1, layer.d)
+    var = detach(layer.running_var).reshape(1, layer.d)
     return y * (var + layer.eps) ** 0.5 + mu
 
 

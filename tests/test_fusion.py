@@ -5,6 +5,7 @@ path."""
 import numpy as np
 import pytest
 
+import geo_reference
 from urbanflows.errors import ConfigurationError, DataError, DimensionError, ModeError
 from urbanflows.fusion import (
     FusionModule,
@@ -132,6 +133,84 @@ def test_extractor_gradients_match_finite_differences(rng):
         num = numerical_gradient(probe, t.data.ravel()).reshape(t.shape)
         worst = max(worst, max_relative_error(t.grad, num))
     assert worst < 1e-5, f"worst extractor grad err {worst:.2e}"
+
+
+def _extractor_run(forward, ext, store, x, g, mode):
+    """Output, input gradient and every parameter gradient of one extractor
+    run; its drop-path masks come from a generator of a fixed seed, and the
+    generator's next draw shows how many it took."""
+    store.zero_grad()
+    xt = Tensor(x.copy(), requires_grad=True)
+    rng = np.random.default_rng(3)
+    out = forward(ext, xt, mode=mode, rng=rng)
+    (out * Tensor(g)).sum().backward()
+    return out.data, xt.grad, {name: t.grad for name, t in store.items()}, rng.random()
+
+
+def _largest_gap(a, b):
+    """The largest absolute difference between two ``_extractor_run``s'
+    outputs and gradients."""
+    assert a[2].keys() == b[2].keys()
+    return max([np.abs(a[0] - b[0]).max(), np.abs(a[1] - b[1]).max()]
+               + [np.abs(a[2][name] - b[2][name]).max() for name in a[2]])
+
+
+def _oracle_case(n, stem, n_cx, batch, drop_path, seed):
+    rng = np.random.default_rng(seed)
+    ext, store = make_extractor(rng, out_dim=7, stem=stem, n_cx=n_cx, drop_path=drop_path)
+    for _, t in store.items():
+        t.data[...] += rng.normal(scale=0.3, size=t.shape)
+    return ext, store, rng.random((batch, 1, n, n)), rng.normal(size=(batch, 7))
+
+
+@pytest.mark.parametrize("batch", [1, 37])
+@pytest.mark.parametrize("mode,drop_path", [("eval", 0.0), ("train", 0.0), ("train", 0.3),
+                                            ("eval", 0.3)])
+def test_extractor_matches_the_composed_nchw_oracle(batch, mode, drop_path):
+    """At the default geometry the channels-last extractor, one node per
+    ConvNeXt layer, gives the composed NCHW extractor's output, input
+    gradient and every parameter gradient within atol 1e-12, and draws the
+    same keep masks from the generator.  Every parameter is moved off its
+    init, so LayerScale does not hide the layers' gradients."""
+    ext, store, x, g = _oracle_case(8, 8, 3, batch, drop_path, seed=batch)
+    got = _extractor_run(GeoExtractor.forward, ext, store, x, g, mode)
+    want = _extractor_run(geo_reference.composed_forward, ext, store, x, g, mode)
+    assert _largest_gap(got, want) <= 1e-12
+    assert got[3] == want[3]
+    if mode == "train" and drop_path and batch > 1:
+        # the masks dropped some layers of some samples
+        assert not np.allclose(got[0], _extractor_run(GeoExtractor.forward, ext, store,
+                                                      x, g, "eval")[0])
+
+
+def test_extractor_matches_the_oracle_at_the_ci_tiny_geometry():
+    """One case at the CI's tiny geometry (n=4, n_cx=2, stem_channels=2),
+    in train mode with drop-path.  A layer-norm over two channels divides
+    by half their gap, so where two channel values nearly meet, moving x by
+    one ulp moves either implementation's gradients by more than 1e-12
+    (2.4e-9 in one of 40 seeds tried).  The case first checks that its data
+    is not such a point: the oracle's own results move by at most 1e-13."""
+    ext, store, x, g = _oracle_case(4, 2, 2, 37, 0.3, seed=0)
+    want = _extractor_run(geo_reference.composed_forward, ext, store, x, g, "train")
+    nudged = _extractor_run(geo_reference.composed_forward, ext, store, np.nextafter(x, 2.0),
+                            g, "train")
+    assert _largest_gap(nudged, want) <= 1e-13
+    got = _extractor_run(GeoExtractor.forward, ext, store, x, g, "train")
+    assert _largest_gap(got, want) <= 1e-12
+    assert got[3] == want[3]
+
+
+def test_extractor_forward_without_a_tape_is_the_taped_one(rng):
+    """Under ``no_grad`` each ConvNeXt layer runs its (rows, 4C) arrays a
+    block of rows at a time; its output is the taped run's."""
+    ext, store = make_extractor(rng, out_dim=7, stem=8, n_cx=3)
+    for _, t in store.items():
+        t.data[...] += rng.normal(scale=0.3, size=t.shape)
+    x = rng.random((37, 1, 8, 8))
+    taped = ext.forward(Tensor(x, requires_grad=True))
+    with no_grad():
+        untaped = ext.forward(Tensor(x))
+    np.testing.assert_allclose(untaped.data, taped.data, rtol=0.0, atol=1e-13)
 
 
 def test_semantic_projection_properties(rng):

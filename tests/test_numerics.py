@@ -13,9 +13,12 @@ import conv_reference
 from adam_reference import ReferenceAdam
 from composed_reference import concat, log, sqrt, tanh
 from conftest import add_param
+import geo_reference
+from geo_reference import conv2d, depthwise_conv2d, gelu, global_avg_pool
 from urbanflows.errors import (
     CheckpointManifestError,
     CheckpointValueError,
+    DimensionError,
     OracleError,
     TrainingFault,
 )
@@ -28,11 +31,9 @@ from urbanflows.numerics import (
     append_zero_column,
     batchnorm_flow,
     clip,
-    conv2d,
-    depthwise_conv2d,
+    conv2d_nhwc,
+    convnext_layer,
     exp,
-    gelu,
-    global_avg_pool,
     layer_norm,
     max_relative_error,
     no_grad,
@@ -237,11 +238,69 @@ def test_conv_kernels_match_einsum_reference(rng, name, k, stride, batch):
         assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
 
 
+def _nhwc(kernel):
+    """``kernel`` on channels-last input, seen from NCHW input and output."""
+    return lambda x, *args, **kw: kernel(x.transpose((0, 2, 3, 1)), *args, **kw).transpose(
+        (0, 3, 1, 2))
+
+
+@pytest.mark.parametrize("batch", [1, 37])
+@pytest.mark.parametrize("k,stride", [(3, 1), (5, 1), (2, 2)])
+def test_conv2d_nhwc_matches_einsum_reference(rng, k, stride, batch):
+    """The channels-last im2col convolution gives the NCHW einsum
+    reference's output and all three gradients within atol 1e-12."""
+    c, o, h, w = 3, 4, 6, 4
+    x = rng.normal(size=(batch, c, h, w))
+    wt, b = rng.normal(size=(o, c, k, k)), rng.normal(size=(o,))
+    g = rng.normal(size=(batch, o, h // stride, w // stride))
+    got = _output_and_grads(_nhwc(conv2d_nhwc), (x, wt, b), g, stride=stride)
+    want = _output_and_grads(conv_reference.conv2d, (x, wt, b), g, stride=stride)
+    for part, a, r in zip(("out", "x", "w", "b"), got, want):
+        assert a.shape == r.shape, part
+        assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
+
+
+def test_conv2d_nhwc_rejects_bad_shapes(rng):
+    x = Tensor(rng.normal(size=(2, 4, 4, 3)))
+    for w, stride in [((5, 2, 3, 3), 1), ((5, 3, 2, 3), 1), ((5, 3, 2, 2), 1),
+                      ((5, 3, 3, 3), 3)]:
+        with pytest.raises(DimensionError):
+            conv2d_nhwc(x, Tensor(np.zeros(w)), Tensor(np.zeros(5)), stride=stride)
+    with pytest.raises(DimensionError):
+        conv2d_nhwc(Tensor(rng.normal(size=(2, 5, 4, 3))), Tensor(np.zeros((5, 3, 2, 2))),
+                    Tensor(np.zeros(5)), stride=2)
+
+
+def test_conv2d_nhwc_gradients(rng):
+    x = rng.normal(size=(2, 6, 4, 3))
+    b = rng.normal(size=(4,))
+    for w, stride in [(rng.normal(size=(4, 3, 3, 3)), 1), (rng.normal(size=(4, 3, 2, 2)), 2)]:
+        check_scalar_grad(lambda a, k, c: (conv2d_nhwc(a, k, c, stride=stride) ** 2).sum(),
+                          x, w, b, tol=1e-5)
+
+
+@pytest.mark.parametrize("keep", [None, np.array([2.0, 0.0, 2.0])], ids=["no-drop", "keep-mask"])
+def test_convnext_layer_gradients(rng, keep):
+    """Finite differences through the one-node ConvNeXt layer, on a
+    non-square (B, H, W, C) input and with a drop-path keep mask whose
+    middle sample drops its branch."""
+    c = 3
+    arrays = (rng.normal(size=(3, 4, 5, c)),                       # x
+              rng.normal(size=(c, 3, 3)), rng.normal(size=(c,)),   # depthwise w, b
+              rng.normal(size=(c,)) + 1.0, rng.normal(size=(c,)),  # layer-norm gamma, beta
+              rng.normal(size=(c, 4 * c)), rng.normal(size=(4 * c,)),
+              rng.normal(size=(4 * c, c)), rng.normal(size=(c,)),
+              rng.normal(size=(c,)))                                # LayerScale
+    check_scalar_grad(lambda *t: (convnext_layer(*t, keep=keep) ** 2).sum(), *arrays,
+                      tol=1e-5)
+
+
 @pytest.mark.parametrize("batch", [1, 37])
 @pytest.mark.parametrize("case", ["gelu", "layer_norm_nchw_axis1", "layer_norm_last_axis"])
 def test_gelu_layer_norm_match_composed_reference(rng, case, batch):
-    """The fused primitives give bit-identical outputs to their tape-op
-    compositions, and gradients within atol 1e-12."""
+    """The one-node GELU and layer-norm the NCHW oracle extractor runs give
+    bit-identical outputs to their tape-op compositions, and gradients
+    within atol 1e-12."""
     if case == "gelu":
         name, kw = "gelu", {}
         arrays = (rng.normal(scale=2.0, size=(batch, 5, 7)),)
@@ -253,12 +312,27 @@ def test_gelu_layer_norm_match_composed_reference(rng, case, batch):
         name, kw, c = "layer_norm", {"axis": -1}, 6
         arrays = (rng.normal(size=(batch, c)), rng.normal(size=(c,)) + 1.0,
                   rng.normal(size=(c,)))
-    shipped = {"gelu": gelu, "layer_norm": layer_norm}[name]
+    shipped = {"gelu": gelu, "layer_norm": geo_reference.layer_norm}[name]
     g = rng.normal(size=arrays[0].shape)
     got = _output_and_grads(shipped, arrays, g, **kw)
     want = _output_and_grads(getattr(composed_reference, name), arrays, g, **kw)
     assert np.array_equal(got[0], want[0])
     for part, a, r in zip(("x", "gamma", "beta"), got[1:], want[1:]):
+        assert a.shape == r.shape, part
+        assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (37, 3, 5, 4), (37, 2, 2, 32)])
+def test_channels_last_layer_norm_matches_composed_reference(rng, shape):
+    """The shipped layer-norm over the last axis, its means taken as
+    matrix-vector products, agrees with the tape-op composition within
+    atol 1e-12, forward and all three gradients."""
+    c = shape[-1]
+    arrays = (rng.normal(size=shape), rng.normal(size=(c,)) + 1.0, rng.normal(size=(c,)))
+    g = rng.normal(size=shape)
+    got = _output_and_grads(layer_norm, arrays, g)
+    want = _output_and_grads(composed_reference.layer_norm, arrays, g)
+    for part, a, r in zip(("out", "x", "gamma", "beta"), got, want):
         assert a.shape == r.shape, part
         assert np.allclose(a, r, rtol=0.0, atol=1e-12), part
 

@@ -735,6 +735,40 @@ def test_cli_rejects_a_non_integer_id_or_level(tmp_path, capsys, key, value):
     assert not out_ckpt.exists()
 
 
+@pytest.mark.parametrize("command", ["train-zone", "train-config", "evaluate"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda rec: rec["zones"].__setitem__(5, 9), "zone labels must lie in [0, 1]"),
+    (lambda rec: rec["context"][3].__setitem__(1, float("nan")), "context values must be finite"),
+    (lambda rec: rec["context"][0].__setitem__(0, float("inf")), "context values must be finite"),
+], ids=["label-9", "nan-context", "inf-context"])
+def test_cli_rejects_out_of_range_labels_and_non_finite_context(tmp_path, capsys, command,
+                                                                 edit, message):
+    """A zone label past M - 1 used to train and score silently, and a NaN
+    context made ``train-zone`` write an untrained checkpoint over
+    ``--out-ckpt``; now the command exits 1 naming the line and writes
+    nothing."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    cfg = write_mini_config(tmp_path)
+    data = tmp_path / "bad.jsonl"
+    assert main(["synth", "--config", cfg, "--count", "4", "--out", str(data)]) == 0
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[3])
+    edit(rec)
+    lines[3] = json.dumps(rec, sort_keys=True)
+    data.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {"train-zone": ["--config", cfg, "--out-ckpt", str(out)],
+            "train-config": ["--config", cfg, "--zone-ckpt", ckpt, "--out-ckpt", str(out)],
+            "evaluate": ["--ckpt", ckpt, "--out", str(out)]}[command]
+    assert main([command, "--dataset", str(data), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:4: bad record: ")
+    assert message in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.jsonl", "data.jsonl", "mini.cfg", "z.ckpt",
+                                            "z.ckpt.log"]
+
+
 def test_fresh_bundle_init_is_pinned():
     """The initial values of a fresh bundle, pinned by sha256 of its
     payload: layers register (name, shape, init recipe), and a fresh store
