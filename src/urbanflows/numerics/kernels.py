@@ -216,14 +216,15 @@ def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=
     # of the input times the tap's weights tiled along the row
     xd = x.data.reshape(batch, h, wc)
     taps = np.tile(dw_w.data.reshape(c, k * k).T, (1, w))
-    normed = np.tile(dw_b.data, (batch, h, w))
-    tmp = np.empty_like(normed)
+    dw = np.tile(dw_b.data, (batch, h, w))
+    tmp = np.empty_like(dw)
     for t in range(k * k):
         dst, src = _dw_shift(t, k, c, h, wc)
-        normed[dst] += np.multiply(xd[src], taps[t, dst[2]], out=tmp[dst])
+        dw[dst] += np.multiply(xd[src], taps[t, dst[2]], out=tmp[dst])
     # the layer-norm in place; gamma and beta fold into the expand
     # weights, ls into the back ones
-    normed, sigma = _normalize_rows(normed.reshape(rows, c), eps, out=normed.reshape(rows, c))
+    dw = dw.reshape(rows, c)
+    normed, sigma = _normalize_rows(dw, eps, out=dw)
     w_up = gamma.data[:, None] * up_w.data
     b_up = beta.data @ up_w.data + up_b.data
     w_back = pw_w.data * ls.data
@@ -247,20 +248,20 @@ def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=
         if keep is not None:
             g_branch = (g * keep[:, None, None, None]).reshape(rows, c)
         # back and LayerScale: branch = (act @ pw_w + pw_b) * ls
-        g_sum = g_branch.sum(axis=0)
+        g_back_b = g_branch.sum(axis=0)
         act_g = act.T @ g_branch
-        _accumulate(ls, (pw_w.data * act_g).sum(axis=0) + pw_b.data * g_sum)
+        _accumulate(ls, (pw_w.data * act_g).sum(axis=0) + pw_b.data * g_back_b)
         _accumulate(pw_w, act_g * ls.data)
-        _accumulate(pw_b, g_sum * ls.data)
+        _accumulate(pw_b, g_back_b * ls.data)
         g_pre = g_branch @ w_back.T
         g_pre *= _gelu_slope(pre, cdf)
         # expand and the norm's affine: pre = (normed gamma + beta) @ up_w + up_b
-        g_sum = g_pre.sum(axis=0)
+        g_up_b = g_pre.sum(axis=0)
         normed_g = normed.T @ g_pre
-        _accumulate(up_w, gamma.data[:, None] * normed_g + np.outer(beta.data, g_sum))
-        _accumulate(up_b, g_sum)
+        _accumulate(up_w, gamma.data[:, None] * normed_g + np.outer(beta.data, g_up_b))
+        _accumulate(up_b, g_up_b)
         _accumulate(gamma, (up_w.data * normed_g).sum(axis=1))
-        _accumulate(beta, up_w.data @ g_sum)
+        _accumulate(beta, up_w.data @ g_up_b)
         g_dw = _normalize_rows_grad(g_pre @ w_up.T, normed, sigma).reshape(batch, h, wc)
         _accumulate(dw_b, g_dw.sum(axis=(0, 1)).reshape(w, c).sum(axis=0))
         prod = np.empty_like(g_dw)
