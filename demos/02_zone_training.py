@@ -11,12 +11,7 @@ from urbanflows.numerics import Adam, Tensor, no_grad
 from urbanflows.pipeline import ModelBundle, dataset_arrays, eval_zone_nll
 from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import build_info_vector, make_dataset
-from urbanflows.zone_flow import (
-    dequantize_zone_batch,
-    nll_tensors,
-    quantize_zone,
-    zone_sample_batch,
-)
+from urbanflows.zone_flow import dequantize_zone_batch, nll_tensors, quantize_zone_batch
 
 rc = RunConfig(n=4, m=2, p=2, k_zone=2, k_config=1, zone_hidden=(16,),
                config_hidden=(8,), heads=1, stem_channels=2, n_cx=2,
@@ -60,6 +55,6 @@ print(f"held-out NLL: real maps {nll_real.mean():.2f}, "
 
 # sampling takes a batch of info vectors; one map is a batch of one
 e = build_info_vector(samples[0].context, 2)
-x, _ = zone_sample_batch(bundle.zone, e, np.random.default_rng(3))
+x, _ = bundle.zone.sample(e, np.random.default_rng(3))
 print("one sampled map:")
-print(quantize_zone(x[0], rc.m, rc.n).labels)
+print(quantize_zone_batch(x, rc.m, rc.n)[0])

@@ -30,7 +30,7 @@ print("cells per zone:", masks[0].sum(axis=(1, 2)).astype(int),
 store = ParameterStore()
 fusion = FusionModule(store, "fusion", N, M, D, heads=1,
                       rng=np.random.default_rng(42), stem_channels=4, n_cx=2)
-print(f"fusion parameters: {len(store)} tensors, D = {D}")
+print(f"fusion parameters: {len(store.names())} tensors, D = {D}")
 
 # step 2: the extractor turns the map image into a geographic embedding o
 img = Tensor(labels[:, None].astype(np.float64) / (M - 1))

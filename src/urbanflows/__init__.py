@@ -8,7 +8,7 @@ every Jacobian log-determinant and gradient in the package is checkable
 against finite differences.
 """
 
-from .config_flow import ConfigFlowModel, ConfigTensor, quantize_config
+from .config_flow import ConfigFlowModel, ConfigTensor
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -25,7 +25,7 @@ from .metrics import hellinger, kl_div, to_distribution, wasserstein_1d
 from .pipeline import ModelBundle, evaluate_model, generate_batch, generate_one
 from .runconfig import RunConfig
 from .synthdata import SynthSample, build_info_vector, generate_sample, make_dataset
-from .zone_flow import ZoneFlowModel, ZoneMap, quantize_zone
+from .zone_flow import ZoneFlowModel, ZoneMap
 
 __version__ = "0.1.0"
 
@@ -55,8 +55,6 @@ __all__ = [
     "hellinger",
     "kl_div",
     "make_dataset",
-    "quantize_config",
-    "quantize_zone",
     "to_distribution",
     "wasserstein_1d",
 ]

@@ -141,9 +141,8 @@ def read_header(path):
     return header, payload
 
 
-def load_checkpoint(path, store=None):
-    """Read a checkpoint; if a store is given, install the payload into it."""
+def load_checkpoint(path, store):
+    """Read a checkpoint and install its payload into ``store``."""
     header, payload = read_header(path)
-    if store is not None:
-        store.load_payload(header["manifest"], payload)
+    store.load_payload(header["manifest"], payload)
     return header, payload

@@ -35,7 +35,10 @@ class ConfigTensor:
     __slots__ = ("n", "p", "counts")
 
     def __init__(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "iu":
+            raise DataError("POI counts must be integers")
+        counts = counts.astype(np.int64, copy=False)
         if counts.ndim != 3 or counts.shape[0] != counts.shape[1]:
             raise DataError("config tensor must be (N, N, P)")
         if counts.min() < 0:
@@ -64,17 +67,12 @@ def quantize_config_batch(vecs, n, p):
     return counts.reshape(-1, n, n, p)
 
 
-def quantize_config(vec, n, p):
-    """The ``ConfigTensor`` of one vector: ``quantize_config_batch`` at B=1."""
-    return ConfigTensor(quantize_config_batch(vec, n, p)[0])
-
-
 class ConfigFlowModel(FlowStack):
     """K' blocks of [masked AR, unconditional AR, batch-norm] with a
-    reversal between blocks; ``forward``, ``inverse`` and the per-layer
-    ``collect`` hook are the ``FlowStack``'s, conditioned on the flattened
-    attention matrix from ``condition_of``.  Each AR layer is inverted by a
-    fixed-point solve of at most d + 1 conditioner passes.
+    reversal between blocks; ``forward``, ``inverse``, ``sample`` and the
+    per-layer ``collect`` hook are the ``FlowStack``'s, conditioned on the
+    flattened attention matrix from ``condition_of``.  Each AR layer is
+    inverted by a fixed-point solve of at most d + 1 conditioner passes.
 
     ``attend`` is the attention submodel: a callable mapping the fused
     embedding batch (B, M, D) to the conditioning matrix batch, or None to
@@ -103,24 +101,18 @@ class ConfigFlowModel(FlowStack):
 
     def condition_of(self, cs):
         """(B, M, D) fused embeddings -> flattened conditioning (B, M*D)."""
-        if not isinstance(cs, Tensor):
-            cs = Tensor(np.asarray(cs, dtype=np.float64))
+        cs = as_tensor(cs)
         b = cs.shape[0]
         a = self.attend(cs) if self.attend is not None else cs
         return a.reshape(b, -1)
 
 
 def config_sample_batch(model, cs, rng, collect=None, z=None):
-    """Sample (B, d) continuous config vectors given fused embeddings; the
-    latent ``z`` is drawn from ``rng`` unless given."""
-    if not isinstance(cs, Tensor):
-        cs = Tensor(np.asarray(cs, dtype=np.float64))
-    if z is None:
-        z = rng.standard_normal((cs.shape[0], model.d))
+    """Sample (B, d) continuous config vectors given fused embeddings:
+    ``model.sample`` on their ``condition_of``."""
     with no_grad():
         a_flat = model.condition_of(cs)
-        x = model.inverse(Tensor(z), a_flat, mode="eval", collect=collect)
-    return x.data, z
+    return model.sample(a_flat, rng, collect, z)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +136,13 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
     either stack raises ``TrainingFault`` naming its first bad sample and
     layer.
     """
-    es_t = es if isinstance(es, Tensor) else Tensor(np.asarray(es, dtype=np.float64))
+    es_t = as_tensor(es)
     m = fusion_mod.m
     n = fusion_mod.n
     b = es_t.shape[0]
     zx = as_tensor(zone_x)
     if use_sampled_u:
-        u_cont = zone_model.inverse(Tensor(z_fixed), es_t, mode="eval")
+        u_cont = zone_model.inverse(Tensor(z_fixed), es_t)
         hard = quantize_zone_batch(u_cont.data, m, n)
     else:
         if zone_labels is None:

@@ -36,6 +36,7 @@ from .numerics import (
     Tensor,
     affine_step,
     append_zero_column,
+    as_tensor,
     batchnorm_flow,
     conditioner_mlp_arrays,
     no_grad,
@@ -273,19 +274,20 @@ class BatchNormFlow:
     """Batch normalization as an invertible flow.
 
     Train mode normalizes with biased batch statistics and updates running
-    stats with momentum; eval mode applies the frozen affine map, which is
-    the only direction-invertible regime.  Running variance is initialized
-    to 1 - eps so a fresh layer is exactly the identity in eval mode.
+    stats with ``momentum``; eval mode applies the frozen affine map, which
+    is the only direction-invertible regime.  Running variance is
+    initialized to 1 - eps so a fresh layer is exactly the identity in eval
+    mode.
     """
 
     kind = "batchnorm"
+    momentum = 0.9
+    eps = 1e-5
 
-    def __init__(self, store, prefix, d, momentum=0.9, eps=1e-5):
+    def __init__(self, store, prefix, d):
         self.d = d
-        self.momentum = momentum
-        self.eps = eps
         self.running_mean = store.param(f"{prefix}.running_mean", (d,), trainable=False)
-        self.running_var = store.param(f"{prefix}.running_var", (d,), 1.0 - eps,
+        self.running_var = store.param(f"{prefix}.running_var", (d,), 1.0 - self.eps,
                                        trainable=False)
 
     def _running(self):
@@ -487,23 +489,23 @@ class FlowStack:
             self.forward(x, cond, mode, update_stats=False, collect=watch)
         return bad[0] if bad else None
 
-    def inverse(self, z, cond, mode="eval", collect=None):
-        """Latent -> data.  Differentiable through coupling, condition
-        projection and eval-mode batch-norm; AR layers are inverted by a
-        fixed-point solve that is not.
+    def inverse(self, z, cond, collect=None):
+        """Latent -> data, with batch-norm in eval mode, the only mode it
+        inverts in.  Differentiable through coupling, condition projection
+        and batch-norm; AR layers are inverted by a fixed-point solve that
+        is not.
 
         Raises ``SamplingFault`` naming the first layer whose output is
         non-finite.  ``collect`` receives (flat_index, kind, canonical state
         ndarray) after each inverted layer when provided.
         """
-        check_mode(mode)
         h = permute_columns(z, self.final_layout)
         for flat_idx in range(len(self.layers) - 1, -1, -1):
             kind, block_idx, layer, layout = self.layers[flat_idx]
             if kind == "batchnorm":
-                h = layer.inverse(h, mode)
+                h = layer.inverse(h)
             else:
-                h = layer.inverse(h, cond, mode)
+                h = layer.inverse(h, cond)
             if not np.all(np.isfinite(h.data)):
                 raise SamplingFault(
                     f"non-finite state after inverting layer {flat_idx} "
@@ -513,3 +515,15 @@ class FlowStack:
             if flat_idx > 0 and self.layers[flat_idx - 1][1] != block_idx:
                 h = self.perm.inverse(h)
         return h
+
+    def sample(self, cond, rng, collect=None, z=None):
+        """Draw a batch by inverting the stack off the tape: the (B, d)
+        latent ``z`` is drawn from ``rng`` unless given.  ``cond`` is the
+        stage's condition, an ndarray or tensor with one row per sample;
+        ``collect`` is ``inverse``'s.  Returns (x ndarray, z)."""
+        cond = as_tensor(cond)
+        if z is None:
+            z = rng.standard_normal((cond.shape[0], self.d))
+        with no_grad():
+            x = self.inverse(Tensor(z), cond, collect)
+        return x.data, z

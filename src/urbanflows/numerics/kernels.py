@@ -112,14 +112,18 @@ def conv2d_nhwc(x, w, b, stride=1):
     return _node(out_rows.reshape(batch, h_out, w_out, out_ch), (x, w, b), backward)
 
 
-def _normalize_rows(a, eps, out=None):
+# the variance offset of every layer-norm
+LN_EPS = 1e-5
+
+
+def _normalize_rows(a, out=None):
     """Each row of the 2-D ``a`` less its mean, over sigma = sqrt(its
-    variance + eps): returns (normed, sigma (R, 1)).  The means are
+    variance + LN_EPS): returns (normed, sigma (R, 1)).  The means are
     products with a 1/C column, so each is one matrix-vector product."""
     mean_col = np.full((a.shape[1], 1), 1.0 / a.shape[1])
     normed = np.subtract(a, a @ mean_col, out=out)
     sigma = np.multiply(normed, normed) @ mean_col
-    sigma += eps
+    sigma += LN_EPS
     np.sqrt(sigma, out=sigma)
     normed /= sigma
     return normed, sigma
@@ -137,11 +141,12 @@ def _normalize_rows_grad(g, normed, sigma):
     return g
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis; gamma and beta are (C,)."""
+def layer_norm(x, gamma, beta):
+    """Normalize over the last axis with variance + ``LN_EPS``; gamma and
+    beta are (C,)."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
-    normed, sigma = _normalize_rows(x.data.reshape(-1, c), eps)
+    normed, sigma = _normalize_rows(x.data.reshape(-1, c))
     out = normed * gamma.data
     out += beta.data
 
@@ -194,8 +199,7 @@ def _dw_shift(t, k, c, h, wc):
 _CONVNEXT_ROWS = 512
 
 
-def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=None,
-                   eps=1e-5):
+def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=None):
     """One ConvNeXt layer on channels-last x (B, H, W, C) as one tape node.
 
     Depthwise k x k conv ``dw_w`` (C, k, k) + ``dw_b`` -> layer-norm over
@@ -224,7 +228,7 @@ def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=
     # the layer-norm in place; gamma and beta fold into the expand
     # weights, ls into the back ones
     dw = dw.reshape(rows, c)
-    normed, sigma = _normalize_rows(dw, eps, out=dw)
+    normed, sigma = _normalize_rows(dw, out=dw)
     w_up = gamma.data[:, None] * up_w.data
     b_up = beta.data @ up_w.data + up_b.data
     w_back = pw_w.data * ls.data

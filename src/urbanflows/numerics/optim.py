@@ -8,18 +8,41 @@ import numpy as np
 
 from ..errors import TrainingFault
 
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+CLIP_NORM = 10.0
+
+
+def _clip_factor(grads):
+    """CLIP_NORM / |grads| when the global norm exceeds ``CLIP_NORM``,
+    else 1.  A square that overflows is taken again on grads / max|g|;
+    a non-finite gradient is not clipped, and its values fail the
+    check of the step."""
+    big = 1.0
+    total = float(np.dot(grads, grads))
+    if not math.isfinite(total):
+        if not np.isfinite(grads).all():
+            return 1.0
+        big = max(float(grads.max()), -float(grads.min()))
+        scaled = grads / big
+        total = float(np.dot(scaled, scaled))
+    norm = math.sqrt(total)  # of grads / big
+    if norm * big > CLIP_NORM:
+        return CLIP_NORM / big / norm
+    return 1.0
+
 
 class Adam:
     """Adam over (name, tensor) pairs with optional per-name lr scaling.
 
     Gradients are clipped jointly (Pascanu et al. 2013): if the global L2
-    norm across every parameter exceeds ``clip_norm``, all gradients are
+    norm across every parameter exceeds ``CLIP_NORM``, all gradients are
     scaled down by the same factor before the moment updates.  The update
     is the efficient form Kingma & Ba give after their Algorithm 1,
     ``theta -= alpha_t * m / (sqrt(v) + eps_hat)`` with
     ``alpha_t = lr * scale * sqrt(1 - b2^t) / (1 - b1^t)`` and
-    ``eps_hat = eps * sqrt(1 - b2^t)``: the bias-corrected update
-    ``m_hat / (sqrt(v_hat) + eps)`` rearranged, so only rounding differs.
+    ``eps_hat = EPS * sqrt(1 - b2^t)``: the bias-corrected update
+    ``m_hat / (sqrt(v_hat) + EPS)`` rearranged, so only rounding differs.
 
     The moments and one scratch buffer of new values are each one flat
     array over every parameter, allocated here; ``step`` makes one pass of
@@ -30,13 +53,9 @@ class Adam:
     moments may have advanced, so an Adam whose step raised is spent.
     """
 
-    def __init__(self, named_params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 clip_norm=10.0, lr_scales=None):
+    def __init__(self, named_params, lr=1e-3, lr_scales=None):
         self.params = list(named_params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.lr_scales = dict(lr_scales or {})
         self.t = 0
         size = sum(t.size for _, t in self.params)
@@ -54,26 +73,6 @@ class Adam:
         for _, t in self.params:
             t.grad = None
 
-    def _clip_factor(self, grads):
-        """clip_norm / |grads| when the global norm exceeds ``clip_norm``,
-        else 1.  A square that overflows is taken again on grads / max|g|;
-        a non-finite gradient is not clipped, and its values fail the
-        check of the step."""
-        if self.clip_norm is None:
-            return 1.0
-        big = 1.0
-        total = float(np.dot(grads, grads))
-        if not math.isfinite(total):
-            if not np.isfinite(grads).all():
-                return 1.0
-            big = max(float(grads.max()), -float(grads.min()))
-            scaled = grads / big
-            total = float(np.dot(scaled, scaled))
-        norm = math.sqrt(total)  # of grads / big
-        if norm * big > self.clip_norm:
-            return self.clip_norm / big / norm
-        return 1.0
-
     def step(self):
         new = self._new
         for (_, t), view in zip(self.params, self._views):
@@ -82,13 +81,13 @@ class Adam:
             else:
                 np.copyto(view, t.grad)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         root = math.sqrt(1.0 - b2 ** self.t)
         alpha = self.lr * root / (1.0 - b1 ** self.t)
         # an overflow, or a non-finite gradient, ends in values that the
         # finite check below rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            new *= (1.0 - b1) * self._clip_factor(new)  # (1 - b1) g
+            new *= (1.0 - b1) * _clip_factor(new)  # (1 - b1) g
             self._m *= b1
             self._m += new
             new *= new
@@ -96,7 +95,7 @@ class Adam:
             self._v *= b2
             self._v += new
             np.sqrt(self._v, out=new)
-            new += self.eps * root
+            new += EPS * root
             np.divide(self._m, new, out=new)
             new *= -alpha
             for (name, t), view in zip(self.params, self._views):

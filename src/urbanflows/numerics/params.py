@@ -140,12 +140,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
         return sorted(self._params)
 

@@ -42,7 +42,6 @@ from .zone_flow import (
     dequantize_zone_batch,
     nll_tensors,
     quantize_zone_batch,
-    zone_sample_batch,
 )
 
 
@@ -319,7 +318,7 @@ def generate_batch(bundle, es, rng, trace=False):
     z = rng.standard_normal((len(es), bundle.config.d))
 
     def sample_block(lo, hi):
-        xz, _ = zone_sample_batch(bundle.zone, es[lo:hi], None, z=z_zone[lo:hi])
+        xz, _ = bundle.zone.sample(es[lo:hi], None, z=z_zone[lo:hi])
         hard = quantize_zone_batch(xz, rc.m, rc.n)
         c = bundle.fusion.embed(hard, es[lo:hi])
         states = []

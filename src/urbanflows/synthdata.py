@@ -233,6 +233,14 @@ def write_dataset(path, samples, n, m, p):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _int_array(values, key):
+    """The int64 array of a record's flat list of JSON integers; a float,
+    a boolean or any other entry raises ``DataError``."""
+    if not isinstance(values, list) or set(map(type, values)) - {int}:
+        raise DataError(f"{key} entries must all be integers")
+    return np.array(values, dtype=np.int64)
+
+
 def read_dataset(path):
     """Returns (samples, meta dict with N/M/P)."""
     lines = read_text_lines(path)
@@ -264,10 +272,10 @@ def read_dataset(path):
                 raise DataError(f"context rows must have P + 2 = {p + 2} entries")
             if not np.all(np.isfinite(context.node_features)):
                 raise DataError("context values must be finite")
-            zones = np.array(rec["zones"], dtype=np.int64).reshape(n, n)
+            zones = _int_array(rec["zones"], "zones").reshape(n, n)
             if zones.max() >= m:
                 raise DataError(f"zone labels must lie in [0, {m - 1}]")
-            config = np.array(rec["config"], dtype=np.int64).reshape(n, n, p)
+            config = _int_array(rec["config"], "config").reshape(n, n, p)
             sample = SynthSample(rec["id"], rec["green_level"], context,
                                  ZoneMap(zones), ConfigTensor(config))
         except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:

@@ -20,7 +20,6 @@ from .flow_layers import (
     gaussian_logp,
     half_swap_perm,
 )
-from .numerics import Tensor, no_grad
 
 
 class ZoneMap:
@@ -29,7 +28,10 @@ class ZoneMap:
     __slots__ = ("n", "labels")
 
     def __init__(self, labels):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":
+            raise DataError("zone labels must be integers")
+        labels = labels.astype(np.int64, copy=False)
         if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
             raise DataError("zone map must be a square 2-D grid")
         if labels.shape[0] < 2:
@@ -59,11 +61,6 @@ def quantize_zone_batch(vecs, m, n):
     return labels.reshape(-1, n, n)
 
 
-def quantize_zone(vec, m, n):
-    """The ``ZoneMap`` of one continuous vector: ``quantize_zone_batch`` at B=1."""
-    return ZoneMap(quantize_zone_batch(vec, m, n)[0])
-
-
 def soft_labels(vec, m):
     """Differentiable label surrogate in [0, M-1] for the fine-tune path."""
     from .numerics import clip
@@ -73,9 +70,9 @@ def soft_labels(vec, m):
 
 class ZoneFlowModel(FlowStack):
     """K blocks of [coupling, condition projection, batch-norm] with a
-    half-swap between blocks; ``forward``, ``inverse`` and the per-layer
-    ``collect`` hook are the ``FlowStack``'s, conditioned on the info
-    vectors e.
+    half-swap between blocks; ``forward``, ``inverse``, ``sample`` and the
+    per-layer ``collect`` hook are the ``FlowStack``'s, conditioned on the
+    info vectors e.
 
     The model works on any even d; the zone pipeline uses d = N^2.
     """
@@ -107,19 +104,3 @@ def nll_tensors(model, x, cond, mode="train", update_stats=True):
     z, logdet = model.forward(x, cond, mode, update_stats)
     nll = gaussian_logp(z) * (-1.0) - logdet
     return nll.mean(), nll.data
-
-
-def zone_sample_batch(model, e, rng, collect=None, z=None):
-    """Draw a batch of continuous zone vectors by inverting the stack.
-
-    e is (B, cond_dim); returns the (B, d) pre-quantization array.  The
-    latent ``z`` is drawn from ``rng`` unless given, and is returned too so
-    callers can trace or reuse it.
-    """
-    if z is None:
-        z = rng.standard_normal((e.shape[0], model.d))
-    with no_grad():
-        x = model.inverse(Tensor(z), Tensor(np.asarray(e, dtype=np.float64)),
-                          mode="eval", collect=collect)
-    return x.data, z
-

@@ -13,13 +13,12 @@ import numpy as np
 
 
 class ReferenceAdam:
-    def __init__(self, named_params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 clip_norm=10.0, lr_scales=None):
+    def __init__(self, named_params, lr=1e-3, lr_scales=None):
         self.params = list(named_params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
+        self.clip_norm = 10.0
         self.lr_scales = dict(lr_scales or {})
         self.t = 0
         self._m = {name: np.zeros(t.shape) for name, t in self.params}
@@ -34,7 +33,7 @@ class ReferenceAdam:
         for g in grads.values():
             total += float(np.sum(g * g))
         norm = np.sqrt(total)
-        if self.clip_norm is not None and norm > self.clip_norm:
+        if norm > self.clip_norm:
             return self.clip_norm / norm
         return 1.0
 

@@ -20,10 +20,11 @@ from urbanflows.checkpoint import read_header, save_checkpoint
 from urbanflows.cli import main
 from urbanflows.config_flow import (
     ConfigFlowModel,
+    ConfigTensor,
     config_sample_batch,
     dequantize_config_batch,
     joint_loss,
-    quantize_config,
+    quantize_config_batch,
 )
 from urbanflows.errors import (
     CheckpointManifestError,
@@ -122,7 +123,7 @@ def test_criterion_1_invertibility():
         zone.forward(Tensor(xz), ez, mode="train")
         with no_grad():
             z, _ = zone.forward(Tensor(xz), ez, mode="eval", update_stats=False)
-            back = zone.inverse(z, ez, mode="eval")
+            back = zone.inverse(z, ez)
         err = np.abs(back.data - xz).max()
         assert err < tol, f"zone stack round trip {err:.3e}"
 
@@ -134,7 +135,7 @@ def test_criterion_1_invertibility():
         cfg.forward(Tensor(xc), ac, mode="train")
         with no_grad():
             zc, _ = cfg.forward(Tensor(xc), ac, mode="eval", update_stats=False)
-            backc = cfg.inverse(zc, ac, mode="eval")
+            backc = cfg.inverse(zc, ac)
         err = np.abs(backc.data - xc).max()
         assert err < tol, f"config stack round trip {err:.3e}"
         assert time.perf_counter() - t0 < 30.0
@@ -462,7 +463,7 @@ def test_criterion_9_traceability(trained_session):
             replay.standard_normal((1, rc.d_zone))     # the zone latent comes first
             want_z = replay.standard_normal((1, rc.d_config))
             np.testing.assert_array_equal(first.state, want_z[0])
-            assert quantize_config(last.state, rc.n, rc.p) == ct
+            assert ConfigTensor(quantize_config_batch(last.state, rc.n, rc.p)[0]) == ct
             hist = ct.counts.sum(axis=(0, 1))
             np.testing.assert_array_equal(last.histogram, hist)
 
@@ -490,14 +491,14 @@ def test_trained_stack_fixed_point_inverse_matches_sequential(trained_session,
     for net in nets:
         net.calls = 0
     with no_grad():
-        x = model.inverse(Tensor(z), a_flat, mode="eval").data
+        x = model.inverse(Tensor(z), a_flat).data
         z_back, _ = model.forward(Tensor(x), a_flat, mode="eval", update_stats=False)
     assert all(2 <= net.calls <= rc.d_config + 1 for net in nets)
     np.testing.assert_allclose(z_back.data, z, rtol=0.0, atol=1e-10)
 
     monkeypatch.setattr(MaskedARLayer, "inverse", sequential_inverse)
     with no_grad():
-        want = model.inverse(Tensor(z), a_flat, mode="eval").data
+        want = model.inverse(Tensor(z), a_flat).data
     np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-12)
 
 

@@ -12,7 +12,6 @@ from urbanflows.config_flow import (
     config_sample_batch,
     dequantize_config_batch,
     joint_loss,
-    quantize_config,
     quantize_config_batch,
 )
 from urbanflows.errors import ConfigurationError, DataError, SamplingFault, TrainingFault
@@ -71,12 +70,12 @@ def test_quantize_inverts_dequantize(rng):
     ct = ConfigTensor(counts)
     for _ in range(25):
         v = dequantize_config_batch(counts[None], rng)[0]
-        assert quantize_config(v, N, P) == ct
+        assert ConfigTensor(quantize_config_batch(v, N, P)[0]) == ct
     # nonpositive latents quantize to empty cells
-    assert quantize_config(np.zeros(D), N, P).counts.sum() == 0
-    assert quantize_config(np.full(D, -3.0), N, P).counts.sum() == 0
+    assert ConfigTensor(quantize_config_batch(np.zeros(D), N, P)[0]).counts.sum() == 0
+    assert ConfigTensor(quantize_config_batch(np.full(D, -3.0), N, P)[0]).counts.sum() == 0
     # overflow guard: huge latents do not wrap to negatives
-    big = quantize_config(np.full(D, 1e6), N, P)
+    big = ConfigTensor(quantize_config_batch(np.full(D, 1e6), N, P)[0])
     assert big.counts.min() > 0
 
 
@@ -85,6 +84,9 @@ def test_config_tensor_validation():
         ConfigTensor(np.zeros((N, N + 1, P), dtype=int))
     with pytest.raises(DataError):
         ConfigTensor(-np.ones((N, N, P), dtype=int))
+    for not_integers in (np.full((N, N, P), 2.9), np.ones((N, N, P), dtype=bool)):
+        with pytest.raises(DataError, match="integers"):
+            ConfigTensor(not_integers)
     ct = ConfigTensor(np.arange(N * N * P).reshape(N, N, P))
     hist = ct.counts.sum(axis=(0, 1))
     assert np.array_equal(hist, [ct.counts[:, :, k].sum() for k in range(P)])
@@ -106,8 +108,8 @@ def test_zero_latent_generates_empty_configuration(rng):
     model, _ = build_model()   # identity init
     cond = rng.normal(size=(1, COND))
     with no_grad():
-        x = model.inverse(Tensor(np.zeros((1, D))), Tensor(cond), mode="eval")
-    ct = quantize_config(x.data[0], N, P)
+        x = model.inverse(Tensor(np.zeros((1, D))), Tensor(cond))
+    ct = ConfigTensor(quantize_config_batch(x.data[0], N, P)[0])
     assert ct.counts.sum() == 0
 
 
@@ -118,7 +120,7 @@ def test_forward_inverse_roundtrip_eval(rng):
     cond = Tensor(rng.normal(size=(5, COND)))
     z = rng.normal(size=(5, D))
     with no_grad():
-        x = model.inverse(Tensor(z), cond, mode="eval")
+        x = model.inverse(Tensor(z), cond)
         z2, _ = model.forward(x, cond, mode="eval", update_stats=False)
     assert np.max(np.abs(z2.data - z)) < 1e-8
 
@@ -130,7 +132,7 @@ def test_poisoned_ar_layer_raises_sampling_fault_within_cap(rng):
     nets = [layer.net for kind, _, layer, _ in model.layers if kind != "batchnorm"]
     cond = Tensor(rng.normal(size=(3, COND)))
     with no_grad(), pytest.raises(SamplingFault) as info:
-        model.inverse(Tensor(rng.normal(size=(3, D))), cond, mode="eval")
+        model.inverse(Tensor(rng.normal(size=(3, D))), cond)
     assert info.value.layer_index == 1
     calls = [net.calls for net in nets]
     assert calls[0] == 0                          # mar0 is never reached
@@ -229,7 +231,7 @@ def test_sampling_trace_structure():
         assert kinds.count("uncond_ar") == rc.k_config
         assert kinds.count("batchnorm") == rc.k_config
         # final state quantizes to the emitted tensor, histograms included
-        assert quantize_config(trace[-1].state, rc.n, rc.p) == ct
+        assert ConfigTensor(quantize_config_batch(trace[-1].state, rc.n, rc.p)[0]) == ct
         assert np.array_equal(trace[-1].histogram, ct.counts.sum(axis=(0, 1)))
     # determinism, and tracing leaves the samples as they are
     _, cts2, none = generate_batch(bundle, es, np.random.default_rng(4))

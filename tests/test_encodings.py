@@ -13,7 +13,6 @@ from urbanflows import config_flow, pipeline
 from urbanflows.config_flow import (
     dequantize_config_batch,
     joint_loss,
-    quantize_config,
     quantize_config_batch,
 )
 from urbanflows.errors import ConfigurationError, DataError
@@ -21,12 +20,7 @@ from urbanflows.numerics import Tensor
 from urbanflows.pipeline import ModelBundle, dataset_arrays, generate_batch
 from urbanflows.runconfig import GUIDANCE_LEVELS, RunConfig, check_guidance_levels
 from urbanflows.synthdata import build_info_vector, generate_sample, info_vectors, make_dataset
-from urbanflows.zone_flow import (
-    dequantize_zone_batch,
-    quantize_zone,
-    quantize_zone_batch,
-    zone_sample_batch,
-)
+from urbanflows.zone_flow import dequantize_zone_batch, quantize_zone_batch
 
 SEEDS = (1, 7, 1101)
 # (N, M, P): the defaults and a small set
@@ -115,7 +109,7 @@ def test_quantizers_match_per_sample_reference(seed, n, m, p):
         got = quantize_zone_batch(zone, m, n)
         assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
         for v, row in zip(zone, want):
-            assert quantize_zone(v, m, n).labels.tobytes() == row.tobytes()
+            assert quantize_zone_batch(v, m, n)[0].tobytes() == row.tobytes()
     for config in (xc, rc):
         want = np.stack([ref.quantize_config(v, n, p) for v in config])
         got = quantize_config_batch(config, n, p)
@@ -123,7 +117,7 @@ def test_quantizers_match_per_sample_reference(seed, n, m, p):
         hists = np.stack([ref.category_histogram_of(v, n, p) for v in config])
         assert got.sum(axis=(1, 2)).tobytes() == hists.tobytes()
         for v, row in zip(config, want):
-            assert quantize_config(v, n, p).counts.tobytes() == row.tobytes()
+            assert quantize_config_batch(v, n, p)[0].tobytes() == row.tobytes()
 
 
 def _counting(monkeypatch, module, name):
@@ -153,7 +147,7 @@ def test_generate_batch_quantizes_once_per_block_and_trace_step(monkeypatch):
     assert config_calls == [6] * (1 + len(traces[0]))   # the configs, then each step
 
     z_zone = np.random.default_rng(5).standard_normal((6, bundle.zone.d))
-    xz, _ = zone_sample_batch(bundle.zone, es, None, z=z_zone)
+    xz, _ = bundle.zone.sample(es, None, z=z_zone)
     for x, zm, ct, trace in zip(xz, zone_maps, configs, traces):
         assert zm.labels.tobytes() == ref.quantize_zone(x, rc.m, rc.n).tobytes()
         assert ct.counts.tobytes() == ref.quantize_config(trace[-1].state, rc.n, rc.p).tobytes()
@@ -178,6 +172,6 @@ def test_joint_loss_takes_hard_labels_from_the_batched_quantizer(monkeypatch):
                dequantize_zone_batch(zones, rc.m, rng), dequantize_config_batch(counts, rng),
                z_fixed, rc.lambda_zone, mode="eval")
     assert calls == [5]
-    u = bundle.zone.inverse(Tensor(z_fixed), Tensor(es), mode="eval").data
+    u = bundle.zone.inverse(Tensor(z_fixed), Tensor(es)).data
     want = np.stack([ref.quantize_zone(v, rc.m, rc.n) for v in u])
     assert seen[0].tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ from ar_reference import sequential_inverse
 from composed_reference import composed_pass, concat, tape_nodes, use_composed_layers
 from urbanflows import flow_layers
 from urbanflows.config_flow import ConfigFlowModel
-from urbanflows.errors import ConfigurationError, ModeError
+from urbanflows.errors import ConfigurationError, ModeError, SamplingFault
 from urbanflows.flow_layers import (
     CLAMP,
     BatchNormFlow,
@@ -30,6 +30,7 @@ from urbanflows.numerics import (
     ParameterStore,
     Tensor,
     conditioner_mlp_arrays,
+    grad_enabled,
     no_grad,
     numerical_jacobian,
 )
@@ -423,9 +424,6 @@ def test_flow_stacks_reject_unknown_modes(stage, rng):
     cond = Tensor(rng.normal(size=(4, COND)))
     with pytest.raises(ModeError, match="'Train'"):
         model.forward(x, cond, mode="Train")
-    with pytest.raises(ModeError, match="'evaluate'"):
-        with no_grad():
-            model.inverse(x, cond, mode="evaluate")
 
 
 @pytest.mark.parametrize("width", [1, D - 1, D + 2, 2 * D])
@@ -600,7 +598,7 @@ def test_flow_stack_with_general_permutation(rng):
     cond = Tensor(rng.normal(size=(4, COND)))
     with no_grad():
         z, _ = stack.forward(Tensor(x), cond, mode="eval", update_stats=False)
-        back = stack.inverse(z, cond, mode="eval")
+        back = stack.inverse(z, cond)
     assert np.max(np.abs(back.data - x)) < 1e-10
 
 
@@ -623,7 +621,7 @@ def test_flow_stack_inverse_hook_is_forward_hook_shifted(stage, rng):
     cond = Tensor(rng.normal(size=(5, COND)))
     inv, fwd = {}, {}
     with no_grad():
-        x = model.inverse(Tensor(rng.normal(size=(5, model.d))), cond, mode="eval",
+        x = model.inverse(Tensor(rng.normal(size=(5, model.d))), cond,
                           collect=lambda i, kind, s: inv.setdefault(i, (kind, s)))
         z, _ = model.forward(x, cond, mode="eval", update_stats=False,
                              collect=lambda i, kind, s: fwd.setdefault(i, (kind, s)))
@@ -636,6 +634,53 @@ def test_flow_stack_inverse_hook_is_forward_hook_shifted(stage, rng):
     for j in range(1, n):
         assert np.max(np.abs(inv[j][1] - fwd[j - 1][1])) < 1e-8
     assert np.array_equal(fwd[n - 1][1], z.data)
+
+
+@pytest.mark.parametrize("stage", ["zone", "config"])
+def test_flow_stack_sample_is_the_inverse_off_the_tape(stage, rng):
+    """Given z, ``sample`` returns the bits of ``inverse`` run under
+    no_grad on the same z and reports the same collect states, each
+    collected with the tape off; without z it draws z from rng.  The grad
+    flag is as it found it afterwards."""
+    model = stage_model(stage, rng)
+    cond = rng.normal(size=(5, COND))
+    z = rng.normal(size=(5, model.d))
+    got, want = [], []
+    x, z_out = model.sample(cond, None, z=z,
+                            collect=lambda *state: got.append((*state, grad_enabled())))
+    assert grad_enabled()
+    assert z_out is z
+    with no_grad():
+        back = model.inverse(Tensor(z), Tensor(cond), collect=lambda *state: want.append(state))
+    assert isinstance(x, np.ndarray) and x.tobytes() == back.data.tobytes()
+    assert len(got) == len(want) == len(model.layers)
+    for (i, kind, state, taped), (want_i, want_kind, want_state) in zip(got, want):
+        assert (i, kind, taped) == (want_i, want_kind, False)
+        assert state.tobytes() == want_state.tobytes()
+    x2, z2 = model.sample(cond, np.random.default_rng(4))
+    np.testing.assert_array_equal(z2, np.random.default_rng(4).standard_normal((5, model.d)))
+    assert x2.tobytes() == model.sample(cond, None, z=z2)[0].tobytes()
+    with no_grad():
+        model.sample(cond, None, z=z)
+        assert not grad_enabled()
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["taped", "no_grad"])
+@pytest.mark.parametrize("stage", ["zone", "config"])
+def test_flow_stack_sample_keeps_the_grad_flag_through_a_sampling_fault(stage, grad, rng):
+    """A poisoned first layer, the last one inverted, raises
+    ``SamplingFault`` naming it, and the grad flag is as ``sample``
+    found it."""
+    model = stage_model(stage, rng)
+    model.layers[0][2].net.final[1].data[:] = np.inf
+    with contextlib.ExitStack() as stack:
+        if not grad:
+            stack.enter_context(no_grad())
+        with pytest.raises(SamplingFault) as info:
+            model.sample(rng.normal(size=(3, COND)), np.random.default_rng(1))
+        assert grad_enabled() is grad
+    assert info.value.layer_index == 0
+    assert grad_enabled()
 
 
 def test_gaussian_logp_reference():

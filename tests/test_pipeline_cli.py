@@ -542,6 +542,37 @@ def test_cli_rejects_dataset_header_that_is_not_an_object(tmp_path, capsys):
     assert rc == 1 and "error:" in err and "not a JSON object" in err
 
 
+@pytest.mark.parametrize("key,value", [("zones", 1.7), ("config", 2.9), ("config", True)])
+@pytest.mark.parametrize("command", ["train-zone", "train-config", "evaluate"])
+def test_cli_rejects_non_integer_dataset_entries(tmp_path, capsys, command, key, value):
+    """A zone label or POI count that is not a JSON integer is a bad
+    record naming its line, not a value truncated to an integer, and the
+    command writes nothing."""
+    cfg = write_mini_config(tmp_path, steps_zone=0)
+    data = tmp_path / "data.jsonl"
+    ckpt = str(tmp_path / "z.ckpt")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", str(data)]) == 0
+    assert main(["train-zone", "--config", cfg, "--dataset", str(data),
+                 "--out-ckpt", ckpt]) == 0
+    lines = data.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[key][1] = value
+    lines[2] = json.dumps(rec, sort_keys=True)
+    data.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "train-zone": ["train-zone", "--config", cfg, "--out-ckpt", out],
+        "train-config": ["train-config", "--config", cfg, "--zone-ckpt", ckpt,
+                         "--out-ckpt", out],
+        "evaluate": ["evaluate", "--ckpt", ckpt, "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--dataset", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:3: bad record: {key} entries must all be integers")
+    assert not os.path.exists(out) and not os.path.exists(out + ".log")
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda header: header.update(config=5), "config is not a JSON object"),
     (lambda header: header["config"].update(n=[4]), "n: expected an integer"),

@@ -15,9 +15,8 @@ from urbanflows.zone_flow import (
     ZoneMap,
     dequantize_zone_batch,
     nll_tensors,
-    quantize_zone,
+    quantize_zone_batch,
     soft_labels,
-    zone_sample_batch,
 )
 
 N = 4
@@ -67,14 +66,14 @@ def test_quantize_inverts_dequantize(rng):
     zm = ZoneMap(labels)
     for _ in range(20):
         v = dequantize_zone_batch(labels[None], M, rng)[0]
-        assert quantize_zone(v, M, N) == zm
+        assert ZoneMap(quantize_zone_batch(v, M, N)[0]) == zm
     # clamping at the edges
-    assert quantize_zone(np.full(D, 10.0), M, N).labels.max() == M - 1
-    assert quantize_zone(np.full(D, -10.0), M, N).labels.min() == 0
+    assert ZoneMap(quantize_zone_batch(np.full(D, 10.0), M, N)[0]).labels.max() == M - 1
+    assert ZoneMap(quantize_zone_batch(np.full(D, -10.0), M, N)[0]).labels.min() == 0
 
 
 def test_quantize_zero_vector_yields_middle_label():
-    zm = quantize_zone(np.zeros(D), M, N)
+    zm = ZoneMap(quantize_zone_batch(np.zeros(D), M, N)[0])
     assert np.all(zm.labels == M // 2)
 
 
@@ -94,6 +93,9 @@ def test_zone_map_validation():
         ZoneMap(-np.ones((4, 4), dtype=int))
     with pytest.raises(DataError):
         ZoneMap(np.zeros((4, 4, 1), dtype=int))
+    for not_integers in (np.full((4, 4), 1.7), np.ones((4, 4), dtype=bool)):
+        with pytest.raises(DataError, match="integers"):
+            ZoneMap(not_integers)
 
 
 def test_identity_init_nll_is_exact(rng):
@@ -112,7 +114,7 @@ def test_forward_inverse_roundtrip_eval(rng):
     e = Tensor(rng.normal(size=(6, COND)))
     z = rng.normal(size=(6, D))
     with no_grad():
-        x = model.inverse(Tensor(z), e, mode="eval")
+        x = model.inverse(Tensor(z), e)
         z2, _ = model.forward(x, e, mode="eval", update_stats=False)
     assert np.max(np.abs(z2.data - z)) < 1e-8
 
@@ -144,17 +146,17 @@ def test_sampling_and_trace(rng):
     model, _ = build_model(perturb=0.2, k=3)
     e = rng.normal(size=(1, COND))
     states = []
-    xs, zs = zone_sample_batch(model, e, np.random.default_rng(5),
-                               collect=lambda i, kind, s: states.append((i, s)))
-    zm = quantize_zone(xs[0], M, N)
+    xs, zs = model.sample(e, np.random.default_rng(5),
+                          collect=lambda i, kind, s: states.append((i, s)))
+    zm = ZoneMap(quantize_zone_batch(xs[0], M, N)[0])
     assert isinstance(zm, ZoneMap) and zm.labels.shape == (N, N)
     assert [i for i, _ in states] == list(range(len(model.layers) - 1, -1, -1))
     np.testing.assert_array_equal(zs, np.random.default_rng(5).standard_normal((1, D)))
     # deterministic under the seed
-    xs2, _ = zone_sample_batch(model, e, np.random.default_rng(5))
-    assert quantize_zone(xs2[0], M, N) == zm
+    xs2, _ = model.sample(e, np.random.default_rng(5))
+    assert ZoneMap(quantize_zone_batch(xs2[0], M, N)[0]) == zm
     # the last collected state, in data coordinates, is the emitted sample
-    assert quantize_zone(states[-1][1][0], M, N) == zm
+    assert ZoneMap(quantize_zone_batch(states[-1][1][0], M, N)[0]) == zm
 
 
 def test_poisoned_layer_raises_sampling_fault_naming_layer(rng):
@@ -165,7 +167,7 @@ def test_poisoned_layer_raises_sampling_fault_naming_layer(rng):
     assert layer_index == 4
     store["zone.block1.proj.out.b"].data[D // 2] = np.inf   # a shift entry
     with pytest.raises(SamplingFault) as info:
-        zone_sample_batch(model, rng.normal(size=(3, COND)), np.random.default_rng(1))
+        model.sample(rng.normal(size=(3, COND)), np.random.default_rng(1))
     assert info.value.layer_index == layer_index
     assert "layer 4" in str(info.value)
     assert "condition_projection of block 1" in str(info.value)
@@ -182,7 +184,7 @@ def eval_logp(model, x, e):
 def test_sample_batch_scores_match_single_path(rng):
     model, _ = build_model(perturb=0.15)
     e = rng.normal(size=(8, COND))
-    xs, zs = zone_sample_batch(model, e, np.random.default_rng(3))
+    xs, zs = model.sample(e, np.random.default_rng(3))
     # scoring the continuous samples recovers the latent density exactly
     logp = eval_logp(model, xs, e)
     with no_grad():
@@ -213,7 +215,7 @@ def test_trained_model_scores_own_samples_like_heldout(rng):
         opt.step()
     held = dequantize_zone_batch(labels[250:], M, data_rng)
     held_logp = eval_logp(model, held, es[250:])
-    xs, _ = zone_sample_batch(model, es[:100], np.random.default_rng(9))
+    xs, _ = model.sample(es[:100], np.random.default_rng(9))
     own_logp = eval_logp(model, xs, es[:100])
     assert np.all(np.isfinite(own_logp))
     se = np.sqrt(held_logp.var() / held_logp.size + own_logp.var() / own_logp.size)
