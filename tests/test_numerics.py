@@ -595,7 +595,7 @@ def test_adam_matches_reference(rng, lr_scales):
     start = {n: rng.normal(size=shape) for n, shape in shapes.items()}
     targets = {n: rng.normal(0.0, 4.0, size=shape) for n, shape in shapes.items()}
     first = [3.0 * (start[n] - targets[n]) + (start[n] - targets[n]) ** 3 for n in start]
-    assert np.sqrt(sum((g * g).sum() for g in first)) > 10.0  # clip_norm=10 clips
+    assert np.sqrt(sum((g * g).sum() for g in first)) > 10.0  # CLIP_NORM = 10 clips
     runs = []
     for cls in (Adam, ReferenceAdam):
         tensors = {n: Tensor(v.copy(), requires_grad=True) for n, v in start.items()}
