@@ -175,9 +175,14 @@ def train_config_stage(bundle, samples, rng, steps=None, log=None):
 # Row-parallel inference
 # ---------------------------------------------------------------------------
 
-# rows per block; the cut depends on the row count only, so every output is
-# the same for any number of workers
-_BLOCK_ROWS = 128
+# most rows in a block: a forward pass (the dataset NLLs) makes fewer numpy
+# calls per row in larger blocks, but the Jacobi sweeps of a sampling inverse
+# cost more per row above about 128 rows
+_PASS_ROWS = 256
+_SAMPLE_ROWS = 128
+# a call of more rows than this is cut in at least two blocks, so that a
+# second worker has one of its own
+_SPLIT_ROWS = 128
 # worker count, or None for ``_worker_rule``; tests force it
 _WORKERS = None
 
@@ -201,9 +206,20 @@ def _worker_rule(cpus, env):
     return max(1, cpus // blas_threads)
 
 
-def _row_blocks(n, fn):
-    """``[fn(lo, hi) for each block]`` over ``n`` rows cut into blocks of at
-    most ``_BLOCK_ROWS``, in block order.
+def _block_bounds(n, most):
+    """``n`` rows cut into the fewest near-equal contiguous blocks of at most
+    ``most`` rows, and into at least two once ``n`` is more than
+    ``_SPLIT_ROWS``: ``k = max(ceil(n / most), min(2, ceil(n / _SPLIT_ROWS)))``
+    blocks with bounds ``n * i // k``.  Block sizes differ by at most one
+    row, and the cut depends on ``n`` and ``most`` only, so every output is
+    the same for any number of workers."""
+    k = max(-(-n // most), min(2, -(-n // _SPLIT_ROWS)))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _row_blocks(n, most, fn):
+    """``[fn(lo, hi) for each block]`` over the ``_block_bounds(n, most)``
+    blocks of ``n`` rows, in block order.
 
     The blocks run on the calling thread plus ``workers - 1`` threads that
     this call starts and joins before it returns; each worker runs in its
@@ -215,7 +231,7 @@ def _row_blocks(n, fn):
     """
     if grad_enabled():
         raise RuntimeError("row blocks run only under no_grad")
-    bounds = [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
+    bounds = _block_bounds(n, most)
     workers = _WORKERS or _worker_rule(len(os.sched_getaffinity(0)), os.environ)
     workers = min(len(bounds), workers)
     if workers <= 1:
@@ -265,7 +281,7 @@ def eval_zone_nll(bundle, samples, seed=0):
                            mode="eval", update_stats=False)[1]
 
     with no_grad():
-        vals = _row_blocks(len(samples), block_nll)
+        vals = _row_blocks(len(samples), _PASS_ROWS, block_nll)
     return float(np.concatenate(vals).mean())
 
 
@@ -281,7 +297,7 @@ def eval_config_nll(bundle, samples, seed=0):
                            mode="eval", update_stats=False)[1]
 
     with no_grad():
-        vals = _row_blocks(len(samples), block_nll)
+        vals = _row_blocks(len(samples), _PASS_ROWS, block_nll)
     return float(np.concatenate(vals).mean())
 
 
@@ -328,7 +344,10 @@ def generate_batch(bundle, es, rng, trace=False):
         return hard, xc, states
 
     with no_grad():
-        hards, xcs, block_states = zip(*_row_blocks(len(es), sample_block))
+        blocks = _row_blocks(len(es), _SAMPLE_ROWS, sample_block)
+    if not blocks:  # zero rows
+        return [], [], [] if trace else None
+    hards, xcs, block_states = zip(*blocks)
     zone_maps = [ZoneMap(h) for h in np.concatenate(hards)]
     configs = [ConfigTensor(c) for c in quantize_config_batch(np.concatenate(xcs), rc.n, rc.p)]
     if not trace:

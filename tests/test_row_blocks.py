@@ -1,9 +1,11 @@
-"""Row-parallel inference: the dataset NLLs and ``generate_batch`` run
-128-row blocks on several threads and must give the same numbers for any
-worker count.  The worker count is forced through ``pipeline._WORKERS``;
-None leaves it to the automatic rule, which ``test_worker_rule_table``
-checks.  With ``OPENBLAS_NUM_THREADS=1`` on two or more cores that rule
-picks several workers too."""
+"""Row-parallel inference: the dataset NLLs cut their rows into near-equal
+blocks of at most 256 rows and ``generate_batch`` into blocks of at most
+128, at least two once there are more than 128 rows
+(``test_block_cut_table``); the blocks run on several threads and must give
+the same numbers for any worker count.  The worker count is forced through
+``pipeline._WORKERS``; None leaves it to the automatic rule, which
+``test_worker_rule_table`` checks.  With ``OPENBLAS_NUM_THREADS=1`` on two
+or more cores that rule picks several workers too."""
 
 import os
 import signal
@@ -31,7 +33,11 @@ from urbanflows.synthdata import make_dataset
 from urbanflows.zone_flow import dequantize_zone_batch, nll_tensors
 
 WORKERS = (None, 1, 2, 3)
-ROWS = 300  # blocks of 128, 128 and 44 rows
+ROWS = 300  # NLL blocks of 150 and 150 rows, sampling blocks of 100 rows
+# the 128-row blocks of earlier versions cut these into 128 + 1, 128 + 128 + 1
+# and 3 x 128 + 116 rows; the NLLs now cut them into 64 + 65, 128 + 129 and
+# 250 + 250 rows, and sampling into 64 + 65, 3 x 85-86 and 4 x 125
+EQUAL_ROWS = (129, 257, ROWS, 500)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +54,7 @@ def bundle():
 @pytest.fixture(scope="module")
 def samples(bundle):
     rc = bundle.cfg
-    return make_dataset(ROWS, rc.n, rc.m, rc.p, seed=21)
+    return make_dataset(max(EQUAL_ROWS), rc.n, rc.m, rc.p, seed=21)
 
 
 def serial_nlls(bundle, samples, seed, chunk=256):
@@ -71,12 +77,13 @@ def serial_nlls(bundle, samples, seed, chunk=256):
 
 
 def test_eval_nlls_equal_for_any_worker_count(bundle, samples, monkeypatch):
-    want = serial_nlls(bundle, samples, seed=4)
-    for workers in WORKERS:
-        monkeypatch.setattr(pipeline, "_WORKERS", workers)
-        got = (eval_zone_nll(bundle, samples, seed=4),
-               eval_config_nll(bundle, samples, seed=4))
-        assert got == want, workers
+    for rows in EQUAL_ROWS:
+        want = serial_nlls(bundle, samples[:rows], seed=4)
+        for workers in WORKERS:
+            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            got = (eval_zone_nll(bundle, samples[:rows], seed=4),
+                   eval_config_nll(bundle, samples[:rows], seed=4))
+            assert got == want, (rows, workers)
 
 
 def _generate(bundle, samples):
@@ -90,17 +97,57 @@ def _generate(bundle, samples):
 
 
 def test_generate_batch_equal_for_any_worker_count(bundle, samples, monkeypatch):
-    # one block of all 300 rows is the unsplit batch
-    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", ROWS)
-    want = _generate(bundle, samples)
-    monkeypatch.undo()
-    assert len(want[4]) == 3 * bundle.cfg.k_config + 1
+    for rows in EQUAL_ROWS:
+        monkeypatch.setattr(pipeline, "_block_bounds", lambda n, most: [(0, n)])
+        want = _generate(bundle, samples[:rows])
+        monkeypatch.undo()
+        assert len(want[4]) == 3 * bundle.cfg.k_config + 1
+        for workers in WORKERS:
+            monkeypatch.setattr(pipeline, "_WORKERS", workers)
+            got = _generate(bundle, samples[:rows])
+            for a, b in zip(got[:4], want[:4]):
+                assert np.array_equal(a, b), (rows, workers)
+            assert got[4] == want[4]
+
+
+def test_nlls_pass_256_row_blocks_and_sampling_128(bundle, samples, monkeypatch):
+    seen = []
+    row_blocks = pipeline._row_blocks
+
+    def spy(n, most, fn):
+        seen.append((n, most))
+        return row_blocks(n, most, fn)
+
+    monkeypatch.setattr(pipeline, "_row_blocks", spy)
+    eval_zone_nll(bundle, samples[:ROWS])
+    eval_config_nll(bundle, samples[:ROWS])
+    _generate(bundle, samples[:ROWS])
+    assert seen == [(ROWS, 256), (ROWS, 256), (ROWS, 128)]
+
+
+def test_generate_batch_of_zero_rows_is_empty(bundle):
+    es = np.empty((0, bundle.cfg.info_dim))
+    assert generate_batch(bundle, es, np.random.default_rng(0)) == ([], [], None)
+    assert generate_batch(bundle, es, np.random.default_rng(0), trace=True) == ([], [], [])
+
+
+@pytest.mark.parametrize("most", [pipeline._PASS_ROWS, pipeline._SAMPLE_ROWS])
+@pytest.mark.parametrize("n", [0, 1, 64, 128, 129, 255, 256, 257, 300, 500, 513, 1000])
+def test_block_cut_table(n, most, monkeypatch):
+    cuts = []
     for workers in WORKERS:
         monkeypatch.setattr(pipeline, "_WORKERS", workers)
-        got = _generate(bundle, samples)
-        for a, b in zip(got[:4], want[:4]):
-            assert np.array_equal(a, b), workers
-        assert got[4] == want[4]
+        with no_grad():
+            cuts.append(pipeline._row_blocks(n, most, lambda lo, hi: (lo, hi)))
+    bounds = cuts[0]
+    assert all(cut == bounds for cut in cuts)
+    edges = [0] + [hi for _, hi in bounds]  # contiguous from 0 to n
+    assert [lo for lo, _ in bounds] == edges[:-1] and edges[-1] == n
+    sizes = [hi - lo for lo, hi in bounds]
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert max(sizes, default=0) <= most <= 256
+    assert len(bounds) >= 2 or n <= 128
+    assert len(bounds) == max(-(-n // most), min(2, -(-n // 128)))
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -126,22 +173,22 @@ def test_first_failing_block_is_raised_after_every_block_ran(monkeypatch):
 
     def block(lo, hi):
         ran.append(lo)
-        if lo >= 128:
+        if lo >= 250:
             raise ValueError(f"block at {lo}")
         return lo
 
-    with no_grad(), pytest.raises(ValueError, match="block at 128$"):
-        pipeline._row_blocks(4 * 128, block)
-    assert sorted(ran) == [0, 128, 256, 384]
+    with no_grad(), pytest.raises(ValueError, match="block at 250$"):
+        pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)  # four blocks of 250 rows
+    assert sorted(ran) == [0, 250, 500, 750]
     with no_grad():
-        assert pipeline._row_blocks(300, lambda lo, hi: (lo, hi)) == [
-            (0, 128), (128, 256), (256, 300)]
+        assert pipeline._row_blocks(257, pipeline._PASS_ROWS, lambda lo, hi: (lo, hi)) == [
+            (0, 128), (128, 257)]
 
 
 def test_blocks_need_no_grad_and_see_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 2)
     with pytest.raises(RuntimeError, match="no_grad"):
-        pipeline._row_blocks(300, lambda lo, hi: lo)
+        pipeline._row_blocks(ROWS, pipeline._PASS_ROWS, lambda lo, hi: lo)
     both = threading.Barrier(2, timeout=30)  # each block waits for a block on the other thread
 
     def block(lo, hi):
@@ -149,7 +196,7 @@ def test_blocks_need_no_grad_and_see_the_callers_errstate(monkeypatch):
         return threading.get_ident(), np.geterr()["over"], np.geterr()["invalid"]
 
     with no_grad(), np.errstate(over="ignore", invalid="raise"):
-        seen = pipeline._row_blocks(4 * 128, block)
+        seen = pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)
     assert len({ident for ident, _, _ in seen}) == 2
     assert [state for _, *state in seen] == [["ignore", "raise"]] * 4
 
@@ -197,15 +244,16 @@ def test_no_row_thread_outlives_its_call(monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 3)
 
     def block(lo, hi):
-        if lo == 256:
+        if lo == 500:
             raise ValueError("bad block")
         return lo
 
     with no_grad():
-        assert pipeline._row_blocks(4 * 128, lambda lo, hi: lo) == [0, 128, 256, 384]
+        assert pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == [
+            0, 250, 500, 750]
         assert _row_threads() == []
         with pytest.raises(ValueError, match="bad block"):
-            pipeline._row_blocks(4 * 128, block)
+            pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)
     assert _row_threads() == []
 
 
@@ -229,13 +277,14 @@ def test_worker_rule_table(cpus, env, workers):
 
 def test_forked_child_runs_row_blocks(monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 2)
+    lows = [0, 250, 500, 750]
     with no_grad():
-        assert pipeline._row_blocks(300, lambda lo, hi: lo) == [0, 128, 256]
+        assert pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == lows
     pid = os.fork()
     if pid == 0:  # child: a threaded call after the parent ran one
         signal.alarm(30)
         with no_grad():
-            ok = pipeline._row_blocks(300, lambda lo, hi: lo) == [0, 128, 256]
+            ok = pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == lows
         os._exit(0 if ok else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
