@@ -91,11 +91,12 @@ class TraceStep:
 
 
 class MadeMaskSet:
-    """Binary masks enforcing strict autoregression through an MLP.
+    """Boolean masks enforcing strict autoregression through an MLP.
 
     hidden_masks[l] has shape (fan_in, fan_out) and multiplies the l-th
-    weight matrix elementwise; out_mask has shape (last_width, d), and
-    sb_out_mask is out_mask tiled across the (s, b) output panels.
+    weight matrix elementwise, as exactly 0.0 or 1.0; out_mask has shape
+    (last_width, d), and sb_out_mask is out_mask tiled across the (s, b)
+    output panels.
     weight_masks lists the mask of each conditioner weight matrix, hidden
     then output, as ``affine_step`` takes them.  Input coordinate j
     carries degree j (1-based); output i connects only to hidden units of
@@ -140,11 +141,11 @@ def _made_masks(d, hidden_widths, seed):
     for width in hidden_widths:
         deg = rng.integers(1, d, size=width)
         # unit h keeps input j iff deg(h) >= deg(j)
-        hidden_masks.append((prev[:, None] <= deg[None, :]).astype(np.float64))
+        hidden_masks.append(prev[:, None] <= deg[None, :])
         hidden_degrees.append(deg)
         prev = deg
     # output i keeps hidden h iff i > deg(h): strictly lower inputs only
-    out_mask = (prev[:, None] < in_degrees[None, :]).astype(np.float64)
+    out_mask = prev[:, None] < in_degrees[None, :]
     masks = MadeMaskSet(d, tuple(hidden_masks), out_mask, tuple(hidden_degrees))
     for arr in (*hidden_masks, out_mask, masks.sb_out_mask, *hidden_degrees):
         arr.flags.writeable = False

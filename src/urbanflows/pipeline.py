@@ -18,7 +18,6 @@ import contextvars
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import ConfigurationError, DataError, TrainingFault
 from .flow_layers import TraceStep
 from .fusion import FusionModule
 from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
-from .numerics import Adam, ParameterStore, Tensor, grad_enabled, no_grad
+from .numerics import Adam, ParameterStore, Tensor, no_grad
 from .synthdata import info_vectors
 from .zone_flow import (
     ZoneFlowModel,
@@ -219,45 +218,41 @@ def _block_bounds(n, most):
 
 def _row_blocks(n, most, fn):
     """``[fn(lo, hi) for each block]`` over the ``_block_bounds(n, most)``
-    blocks of ``n`` rows, in block order.
+    blocks of ``n`` rows, in block order, under ``no_grad``.
 
-    The blocks run on the calling thread plus ``workers - 1`` threads that
-    this call starts and joins before it returns; each worker runs in its
-    own copy of the caller's context (numpy's error state lives there).
-    One block, or one worker, runs inline.  Whatever the worker count, the
-    exception raised is the first failing block's, and a threaded run
-    raises it only once every block has finished.  The tape's grad flag is
-    global to the process, so the caller must hold ``no_grad``.
+    Worker w runs blocks w, w + workers, ... in its own copy of the
+    caller's context (numpy's error state lives there): worker 0 on the
+    calling thread, each other one on a thread named ``urbanflows-rows-<w>``
+    that this call starts and joins before it returns, so a single block
+    starts no thread.  Every block runs; then the first failing block's
+    exception is raised.  The tape's grad flag is global to the process, so
+    it stays off for every worker until the last one is joined.
     """
-    if grad_enabled():
-        raise RuntimeError("row blocks run only under no_grad")
     bounds = _block_bounds(n, most)
-    workers = _WORKERS or _worker_rule(len(os.sched_getaffinity(0)), os.environ)
-    workers = min(len(bounds), workers)
-    if workers <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(len(bounds), _WORKERS or _worker_rule(cpus, os.environ)))
     results = [None] * len(bounds)
     errors = [None] * len(bounds)
-    todo = iter(range(len(bounds)))
-    todo_lock = threading.Lock()
 
-    def drain():
-        while True:
-            with todo_lock:
-                i = next(todo, None)
-            if i is None:
-                return
+    def run(w):
+        for i in range(w, len(bounds), workers):
             try:
                 results[i] = fn(*bounds[i])
             except BaseException as exc:  # raised below, in block order
                 errors[i] = exc
 
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="urbanflows-rows") as pool:
-        helpers = [pool.submit(contextvars.copy_context().run, drain)
-                   for _ in range(workers - 1)]
-        contextvars.copy_context().run(drain)
-    for helper in helpers:
-        helper.result()
+    with no_grad():
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, w),
+                                    name=f"urbanflows-rows-{w}") for w in range(1, workers)]
+        try:
+            for thread in threads:
+                thread.start()
+            contextvars.copy_context().run(run, 0)
+        finally:  # no started worker outlives the call or its no_grad
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -269,36 +264,30 @@ def _row_blocks(n, most, fn):
 # ---------------------------------------------------------------------------
 
 
-def eval_zone_nll(bundle, samples, seed=0):
-    """Eval-mode dataset NLL with seeded dequantization noise."""
-    rc = bundle.cfg
-    es, zones, _, _ = dataset_arrays(samples)
-    rng = np.random.default_rng(seed)
-    x = dequantize_zone_batch(zones, rc.m, rng)
+def _eval_nll(flow, x, condition):
+    """Mean eval-mode NLL of the rows of ``x`` under ``flow``, in row
+    blocks; ``condition(lo, hi)`` is the condition tensor of rows lo:hi."""
 
     def block_nll(lo, hi):
-        return nll_tensors(bundle.zone, Tensor(x[lo:hi]), Tensor(es[lo:hi]),
-                           mode="eval", update_stats=False)[1]
+        return nll_tensors(flow, Tensor(x[lo:hi]), condition(lo, hi), mode="eval",
+                           update_stats=False)[1]
 
-    with no_grad():
-        vals = _row_blocks(len(samples), _PASS_ROWS, block_nll)
-    return float(np.concatenate(vals).mean())
+    return float(np.concatenate(_row_blocks(len(x), _PASS_ROWS, block_nll)).mean())
+
+
+def eval_zone_nll(bundle, samples, seed=0):
+    """Eval-mode dataset NLL with seeded dequantization noise."""
+    es, zones, _, _ = dataset_arrays(samples)
+    x = dequantize_zone_batch(zones, bundle.cfg.m, np.random.default_rng(seed))
+    return _eval_nll(bundle.zone, x, lambda lo, hi: Tensor(es[lo:hi]))
 
 
 def eval_config_nll(bundle, samples, seed=0):
     """Eval-mode stage-2 NLL conditioned on the ground-truth zone maps."""
     es, zones, counts, _ = dataset_arrays(samples)
-    rng = np.random.default_rng(seed)
-    x = dequantize_config_batch(counts, rng)
-
-    def block_nll(lo, hi):
-        c = bundle.fusion.embed(zones[lo:hi], es[lo:hi])
-        return nll_tensors(bundle.config, Tensor(x[lo:hi]), bundle.config.condition_of(c),
-                           mode="eval", update_stats=False)[1]
-
-    with no_grad():
-        vals = _row_blocks(len(samples), _PASS_ROWS, block_nll)
-    return float(np.concatenate(vals).mean())
+    x = dequantize_config_batch(counts, np.random.default_rng(seed))
+    return _eval_nll(bundle.config, x, lambda lo, hi: bundle.config.condition_of(
+        bundle.fusion.embed(zones[lo:hi], es[lo:hi])))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +332,7 @@ def generate_batch(bundle, es, rng, trace=False):
                                     z=z[lo:hi])
         return hard, xc, states
 
-    with no_grad():
-        blocks = _row_blocks(len(es), _SAMPLE_ROWS, sample_block)
+    blocks = _row_blocks(len(es), _SAMPLE_ROWS, sample_block)
     if not blocks:  # zero rows
         return [], [], [] if trace else None
     hards, xcs, block_states = zip(*blocks)

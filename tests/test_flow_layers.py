@@ -131,6 +131,8 @@ def test_made_masks_are_shared_and_read_only(rng):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
+    for arr in (masks.out_mask, *masks.weight_masks):
+        assert arr.dtype == bool
     assert np.array_equal(masks.sb_out_mask, np.tile(masks.out_mask, (1, 2)))
     a = Conditioner(ParameterStore(), "a", 5, 5, rng, widths=(7, 7), mask_seed=3)
     b = Conditioner(ParameterStore(), "b", 5, 5, rng, widths=(7, 7), mask_seed=3)

@@ -5,7 +5,9 @@ blocks of at most 256 rows and ``generate_batch`` into blocks of at most
 the same numbers for any worker count.  The worker count is forced through
 ``pipeline._WORKERS``; None leaves it to the automatic rule, which
 ``test_worker_rule_table`` checks.  With ``OPENBLAS_NUM_THREADS=1`` on two
-or more cores that rule picks several workers too."""
+or more cores that rule picks several workers too.  Every call takes one
+path: worker w runs blocks w, w + workers, ..., worker 0 on the calling
+thread, and the call holds ``no_grad`` itself."""
 
 import os
 import signal
@@ -20,7 +22,7 @@ from urbanflows import pipeline
 from urbanflows.config_flow import dequantize_config_batch
 from urbanflows.errors import SamplingFault
 from urbanflows.flow_layers import Conditioner
-from urbanflows.numerics import ParameterStore, Tensor, no_grad
+from urbanflows.numerics import ParameterStore, Tensor, grad_enabled, no_grad
 from urbanflows.pipeline import (
     ModelBundle,
     dataset_arrays,
@@ -137,8 +139,7 @@ def test_block_cut_table(n, most, monkeypatch):
     cuts = []
     for workers in WORKERS:
         monkeypatch.setattr(pipeline, "_WORKERS", workers)
-        with no_grad():
-            cuts.append(pipeline._row_blocks(n, most, lambda lo, hi: (lo, hi)))
+        cuts.append(pipeline._row_blocks(n, most, lambda lo, hi: (lo, hi)))
     bounds = cuts[0]
     assert all(cut == bounds for cut in cuts)
     edges = [0] + [hi for _, hi in bounds]  # contiguous from 0 to n
@@ -168,37 +169,56 @@ def test_poisoned_layer_names_the_same_layer_at_any_batch(samples, monkeypatch, 
 
 
 def test_first_failing_block_is_raised_after_every_block_ran(monkeypatch):
+    for workers in WORKERS:  # one worker runs every block too
+        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+        ran = []
+
+        def block(lo, hi):
+            ran.append(lo)
+            if lo >= 250:
+                raise ValueError(f"block at {lo}")
+            return lo
+
+        with pytest.raises(ValueError, match="block at 250$"):
+            pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)  # four blocks of 250 rows
+        assert sorted(ran) == [0, 250, 500, 750], workers
+    assert pipeline._row_blocks(257, pipeline._PASS_ROWS, lambda lo, hi: (lo, hi)) == [
+        (0, 128), (128, 257)]
+
+
+def test_blocks_run_without_grad_and_see_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 2)
-    ran = []
-
-    def block(lo, hi):
-        ran.append(lo)
-        if lo >= 250:
-            raise ValueError(f"block at {lo}")
-        return lo
-
-    with no_grad(), pytest.raises(ValueError, match="block at 250$"):
-        pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)  # four blocks of 250 rows
-    assert sorted(ran) == [0, 250, 500, 750]
-    with no_grad():
-        assert pipeline._row_blocks(257, pipeline._PASS_ROWS, lambda lo, hi: (lo, hi)) == [
-            (0, 128), (128, 257)]
-
-
-def test_blocks_need_no_grad_and_see_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(pipeline, "_WORKERS", 2)
-    with pytest.raises(RuntimeError, match="no_grad"):
-        pipeline._row_blocks(ROWS, pipeline._PASS_ROWS, lambda lo, hi: lo)
     both = threading.Barrier(2, timeout=30)  # each block waits for a block on the other thread
 
     def block(lo, hi):
         both.wait()
-        return threading.get_ident(), np.geterr()["over"], np.geterr()["invalid"]
+        return (threading.get_ident(), grad_enabled(), np.geterr()["over"],
+                np.geterr()["invalid"])
 
-    with no_grad(), np.errstate(over="ignore", invalid="raise"):
+    assert grad_enabled()
+    with np.errstate(over="ignore", invalid="raise"):
         seen = pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)
-    assert len({ident for ident, _, _ in seen}) == 2
-    assert [state for _, *state in seen] == [["ignore", "raise"]] * 4
+    assert grad_enabled()
+    assert len({ident for ident, *_ in seen}) == 2
+    assert [state for _, *state in seen] == [[False, "ignore", "raise"]] * 4
+
+
+def test_block_i_runs_on_worker_i_mod_workers(monkeypatch):
+    monkeypatch.setattr(pipeline, "_WORKERS", 2)
+    names = pipeline._row_blocks(1000, pipeline._PASS_ROWS,
+                                 lambda lo, hi: threading.current_thread().name)
+    caller = threading.current_thread().name
+    assert names == [caller, "urbanflows-rows-1", caller, "urbanflows-rows-1"]
+
+
+def test_cpus_counted_without_sched_getaffinity(bundle, samples, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pipeline._WORKERS is None
+    _, config, _ = generate_one(bundle, dataset_arrays(samples[:1])[0][0],
+                                np.random.default_rng(1))
+    assert config.counts.shape == (bundle.cfg.n, bundle.cfg.n, bundle.cfg.p)
+    assert np.isfinite(eval_zone_nll(bundle, samples[:ROWS]))
 
 
 def test_conditioner_calls_exact_under_two_threads():
@@ -248,12 +268,11 @@ def test_no_row_thread_outlives_its_call(monkeypatch):
             raise ValueError("bad block")
         return lo
 
-    with no_grad():
-        assert pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == [
-            0, 250, 500, 750]
-        assert _row_threads() == []
-        with pytest.raises(ValueError, match="bad block"):
-            pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)
+    assert pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == [
+        0, 250, 500, 750]
+    assert _row_threads() == []
+    with pytest.raises(ValueError, match="bad block"):
+        pipeline._row_blocks(1000, pipeline._PASS_ROWS, block)
     assert _row_threads() == []
 
 
@@ -278,13 +297,11 @@ def test_worker_rule_table(cpus, env, workers):
 def test_forked_child_runs_row_blocks(monkeypatch):
     monkeypatch.setattr(pipeline, "_WORKERS", 2)
     lows = [0, 250, 500, 750]
-    with no_grad():
-        assert pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == lows
+    assert pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == lows
     pid = os.fork()
     if pid == 0:  # child: a threaded call after the parent ran one
         signal.alarm(30)
-        with no_grad():
-            ok = pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == lows
+        ok = pipeline._row_blocks(1000, pipeline._PASS_ROWS, lambda lo, hi: lo) == lows
         os._exit(0 if ok else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
