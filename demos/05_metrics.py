@@ -1,8 +1,8 @@
 """What the evaluation report is made of.
 
 The three distances over category distributions, checked against closed
-forms, then the pooling that turns a pile of configurations into one
-distribution, and the count-weighted average that collapses the per-level
+forms, then the pooling that turns a stack of configurations' counts into one
+probability array, and the count-weighted average that collapses the per-level
 rows into a single number.
 """
 
@@ -27,27 +27,26 @@ print("self:", kl_div(p, p), hellinger(p, p), wasserstein_1d(p, p))
 # pooling: two disjoint halves of one dataset should be near-identical,
 # while a uniform reference is visibly far from the pooled real mix
 data = make_dataset(400, n=8, m=4, p=5, seed=21)
-configs = [s.config for s in data]
-d_a = to_distribution(configs[:200])
-d_b = to_distribution(configs[200:])
+counts = np.stack([s.config.counts for s in data])  # (400, 8, 8, 5)
+levels = np.array([s.green_level for s in data])
+d_a = to_distribution(counts[:200])
+d_b = to_distribution(counts[200:])
 uniform = np.full(5, 0.2)
-print("\npooled mix, first half:", np.round(d_a.probs, 3))
+print("\ncounts", counts.shape, "-> pooled mix, first half:", np.round(d_a, 3))
 print("half vs half   KL", f"{kl_div(d_a, d_b):.6f}",
       "HD", f"{hellinger(d_a, d_b):.6f}")
 print("half vs uniform KL", f"{kl_div(d_a, uniform):.6f}",
       "HD", f"{hellinger(d_a, uniform):.6f}")
 
 # the report's AVG_* lines: per-level distances weighted by sample count
-by_level = {}
-for s in data:
-    by_level.setdefault(s.green_level, []).append(s.config)
 triples = []
-for level in sorted(by_level):
-    half = len(by_level[level]) // 2
-    pl = to_distribution(by_level[level][:half])
-    ql = to_distribution(by_level[level][half:])
-    triples.append((pl, ql, len(by_level[level])))
-    print(f"level {level}: count {len(by_level[level]):3d}  "
+for level in np.unique(levels):
+    rows = counts[levels == level]
+    half = len(rows) // 2
+    pl = to_distribution(rows[:half])
+    ql = to_distribution(rows[half:])
+    triples.append((pl, ql, len(rows)))
+    print(f"level {level}: count {len(rows):3d}  "
           f"KL {kl_div(pl, ql):.6f}")
 print("AVG_KL", f"{avg_weighted(kl_div, triples):.6f}")
 print("AVG_HD", f"{avg_weighted(hellinger, triples):.6f}")

@@ -259,8 +259,6 @@ def cmd_evaluate(args):
     samples, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
     report = evaluate_model(bundle, samples, seed=rc.seed)
-    for warning in report["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
     text = format_report(report, rc.as_dict())
     with atomic_write(args.out) as fh:
         fh.write(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, TrainingFault
+from .errors import ConfigurationError, DataError, SamplingFault, TrainingFault
 from .flow_layers import (
     BatchNormFlow,
     FlowStack,
@@ -32,7 +32,7 @@ _MAX_LOG_COUNT = 25.0
 class ConfigTensor:
     """N x N x P nonnegative integer POI counts."""
 
-    __slots__ = ("n", "p", "counts")
+    __slots__ = ("counts",)
 
     def __init__(self, counts):
         counts = np.asarray(counts)
@@ -43,8 +43,6 @@ class ConfigTensor:
             raise DataError("config tensor must be (N, N, P)")
         if counts.min() < 0:
             raise DataError("POI counts must be nonnegative")
-        self.n = counts.shape[0]
-        self.p = counts.shape[2]
         self.counts = counts
 
     def __eq__(self, other):
@@ -134,7 +132,8 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
 
     Returns (total loss tensor, dict of float parts).  A non-finite NLL of
     either stack raises ``TrainingFault`` naming its first bad sample and
-    layer.
+    layer, and so does a non-finite sampled zone map, naming the zone layer
+    whose inverse went non-finite.
     """
     es_t = as_tensor(es)
     m = fusion_mod.m
@@ -142,7 +141,11 @@ def joint_loss(zone_model, fusion_mod, config_model, es, zone_x, config_x,
     b = es_t.shape[0]
     zx = as_tensor(zone_x)
     if use_sampled_u:
-        u_cont = zone_model.inverse(Tensor(z_fixed), es_t)
+        try:
+            u_cont = zone_model.inverse(Tensor(z_fixed), es_t)
+        except SamplingFault as fault:  # a training step, so the caller rolls back
+            raise TrainingFault(f"sampled zone map: {fault}",
+                                layer_index=fault.layer_index) from fault
         hard = quantize_zone_batch(u_cont.data, m, n)
     else:
         if zone_labels is None:

@@ -160,7 +160,9 @@ class Conditioner:
     (h1 ‖ e).  With a seed it is a MADE network over ``in_dim == d``
     coordinates (``masks``, a shared ``MadeMaskSet``): output i sees only
     inputs j < i.  A ``cond_dim``-wide condition enters each hidden layer
-    as an unmasked term ``cond @ v``, so it never breaks that ordering.
+    as an unmasked term ``cond @ v``, so it never breaks that ordering; a
+    MADE network with a condition and no hidden layer raises
+    ``ConfigurationError``.
     The zero-initialized output layer makes fresh flows the identity.
 
     ``bind(cond)`` fixes the condition (an ndarray or None) and returns the
@@ -174,6 +176,9 @@ class Conditioner:
 
     def __init__(self, store, prefix, in_dim, d, rng, widths=(64, 64), cond_dim=0,
                  mask_seed=None):
+        if mask_seed is not None and cond_dim and not widths:
+            raise ConfigurationError("a conditioned MADE network needs a hidden layer "
+                                     "for its condition terms")
         self.in_dim = in_dim
         self.d = d
         self.cond_dim = cond_dim
@@ -501,20 +506,22 @@ class FlowStack:
         ndarray) after each inverted layer when provided.
         """
         h = permute_columns(z, self.final_layout)
-        for flat_idx in range(len(self.layers) - 1, -1, -1):
-            kind, block_idx, layer, layout = self.layers[flat_idx]
-            if kind == "batchnorm":
-                h = layer.inverse(h)
-            else:
-                h = layer.inverse(h, cond)
-            if not np.all(np.isfinite(h.data)):
-                raise SamplingFault(
-                    f"non-finite state after inverting layer {flat_idx} "
-                    f"({kind} of block {block_idx})", layer_index=flat_idx)
-            if collect is not None:
-                collect(flat_idx, kind, h.data[:, np.argsort(layout)])
-            if flat_idx > 0 and self.layers[flat_idx - 1][1] != block_idx:
-                h = self.perm.inverse(h)
+        # overflow on the way to a non-finite state ends in the fault below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for flat_idx in range(len(self.layers) - 1, -1, -1):
+                kind, block_idx, layer, layout = self.layers[flat_idx]
+                if kind == "batchnorm":
+                    h = layer.inverse(h)
+                else:
+                    h = layer.inverse(h, cond)
+                if not np.all(np.isfinite(h.data)):
+                    raise SamplingFault(
+                        f"non-finite state after inverting layer {flat_idx} "
+                        f"({kind} of block {block_idx})", layer_index=flat_idx)
+                if collect is not None:
+                    collect(flat_idx, kind, h.data[:, np.argsort(layout)])
+                if flat_idx > 0 and self.layers[flat_idx - 1][1] != block_idx:
+                    h = self.perm.inverse(h)
         return h
 
     def sample(self, cond, rng, collect=None, z=None):

@@ -1,9 +1,9 @@
 """Distribution distances over POI-category histograms.
 
-A set of configurations becomes one categorical distribution by pooling
-counts over samples and cells, smoothing every category by eps, and
-normalizing.  The three distances and the guidance-level weighted averages
-follow the standard definitions.
+A stack of configurations' counts becomes one categorical distribution, a
+plain (P,) probability array, by pooling counts over samples and cells,
+smoothing every category by eps, and normalizing.  The three distances and
+the guidance-level weighted averages follow the standard definitions.
 """
 
 from __future__ import annotations
@@ -15,44 +15,25 @@ from .errors import DataError
 DEFAULT_SMOOTHING = 1e-9
 
 
-class CategoryDistribution:
-    __slots__ = ("probs", "smoothing")
-
-    def __init__(self, probs, smoothing=0.0):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.min() < 0:
-            raise DataError("probabilities must be nonnegative")
-        total = probs.sum()
-        if not np.isclose(total, 1.0, atol=1e-9):
-            raise DataError(f"probabilities sum to {total}, expected 1")
-        self.probs = probs
-        self.smoothing = smoothing
-
-
-def to_distribution(samples, smoothing=DEFAULT_SMOOTHING):
-    """Pool per-category counts of a sample list into one distribution."""
-    if not samples:
-        raise DataError("need at least one sample to build a distribution")
-    first = samples[0]
-    p = first.p if hasattr(first, "p") else np.asarray(first).shape[-1]
-    totals = np.zeros(p)
-    for s in samples:
-        counts = np.asarray(getattr(s, "counts", s), dtype=np.float64)
-        totals += counts.reshape(-1, p).sum(axis=0)
-    totals = totals + smoothing
+def to_distribution(counts, smoothing=DEFAULT_SMOOTHING):
+    """Pool a (..., P) count array over every axis but the last, smooth
+    every category by ``smoothing`` and normalize: a (P,) probability
+    array."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim == 0 or counts.size == 0:
+        raise DataError("need at least one count to build a distribution")
+    if counts.min() < 0:
+        raise DataError("counts must be nonnegative")
+    totals = counts.reshape(-1, counts.shape[-1]).sum(axis=0) + smoothing
     denom = totals.sum()
     if denom <= 0:
         raise DataError("all counts zero and no smoothing; distribution undefined")
-    return CategoryDistribution(totals / denom, smoothing)
-
-
-def _probs(dist):
-    return dist.probs if isinstance(dist, CategoryDistribution) else np.asarray(dist, dtype=np.float64)
+    return totals / denom
 
 
 def kl_div(p, q):
     """sum p_i ln(p_i / q_i), with 0 ln 0 = 0."""
-    pa, qa = _probs(p), _probs(q)
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     mask = pa > 0
     if np.any(qa[mask] == 0):
         raise DataError("KL undefined: q has a zero where p is positive")
@@ -61,13 +42,13 @@ def kl_div(p, q):
 
 def hellinger(p, q):
     """(1/sqrt(2)) * ||sqrt(p) - sqrt(q)||_2, bounded in [0, 1]."""
-    pa, qa = _probs(p), _probs(q)
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     return float(np.linalg.norm(np.sqrt(pa) - np.sqrt(qa)) / np.sqrt(2.0))
 
 
 def wasserstein_1d(p, q):
     """Discrete earth mover over index-ordered categories: sum |CDF diffs|."""
-    pa, qa = _probs(p), _probs(q)
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     return float(np.abs(np.cumsum(pa) - np.cumsum(qa)).sum())
 
 

@@ -110,6 +110,8 @@ def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None
     Adam's non-finite update, which writes no parameter) the running
     statistics of ``namespaces`` are put back before it propagates, so the
     store, and any checkpoint the caller writes, holds the last good step.
+    A step runs with numpy's overflow and invalid warnings off: every
+    non-finite value it makes ends in that fault.
     """
     rc = bundle.cfg
     es, zones, counts, _ = dataset_arrays(samples)
@@ -120,9 +122,10 @@ def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None
         stats = bundle.store.snapshot(namespaces, trainable=False)
         opt.zero_grad()
         try:
-            loss, parts = loss_of(step, es[idx], zones[idx], counts[idx])
-            loss.backward()
-            opt.step()
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, parts = loss_of(step, es[idx], zones[idx], counts[idx])
+                loss.backward()
+                opt.step()
         except TrainingFault:
             bundle.store.restore(stats)
             raise
@@ -354,61 +357,50 @@ def generate_batch(bundle, es, rng, trace=False):
 # ---------------------------------------------------------------------------
 
 
-def evaluate_pools(originals_by_level, generated_by_level):
+def evaluate_pools(original, generated, levels):
     """Per-level KL/HD/WD plus count-weighted averages.
 
-    KL is taken from the pooled original distribution to the generated one.
-    Levels present in the originals but with no generated pool (or vice
-    versa) are excluded and reported in the warnings list.
+    ``original`` and ``generated`` are row-aligned (B, N, N, P) count
+    arrays and ``levels`` their (B,) guidance levels; each level present
+    pools its rows of both.  KL is taken from the pooled original
+    distribution to the generated one.
     """
-    levels = sorted(set(originals_by_level) & set(generated_by_level))
-    warnings = []
-    for lvl in sorted(set(originals_by_level) ^ set(generated_by_level)):
-        warnings.append(f"level {lvl} has no counterpart pool; excluded")
+    if not len(original) == len(generated) == len(levels):
+        raise DataError("original, generated and levels need one row per sample")
     rows = []
     pairs = []
-    for lvl in levels:
-        orig = to_distribution(originals_by_level[lvl])
-        gen = to_distribution(generated_by_level[lvl])
-        weight = len(originals_by_level[lvl])
+    for lvl in np.unique(levels):
+        at_level = levels == lvl
+        orig = to_distribution(original[at_level])
+        gen = to_distribution(generated[at_level])
+        weight = int(at_level.sum())
         rows.append({
-            "level": lvl,
+            "level": int(lvl),
             "count": weight,
             "kl": kl_div(orig, gen),
             "hd": hellinger(orig, gen),
             "wd": wasserstein_1d(orig, gen),
         })
         pairs.append((orig, gen, weight))
-    if not rows:
-        raise DataError("no level has both original and generated samples")
     avg = {
         "KL": avg_weighted(kl_div, pairs),
         "HD": avg_weighted(hellinger, pairs),
         "WD": avg_weighted(wasserstein_1d, pairs),
     }
-    return {"levels": rows, "avg": avg, "warnings": warnings}
+    return {"levels": rows, "avg": avg}
 
 
 def evaluate_model(bundle, samples, seed=0):
     """Generate one configuration per dataset sample (matched info vector)
     and compare the per-level pooled category distributions."""
-    es, _, _, levels = dataset_arrays(samples)
-    rng = np.random.default_rng(seed)
-    _, generated, _ = generate_batch(bundle, es, rng)
-    orig_pools = {}
-    gen_pools = {}
-    for s, g, lvl in zip(samples, generated, levels):
-        orig_pools.setdefault(int(lvl), []).append(s.config)
-        gen_pools.setdefault(int(lvl), []).append(g)
-    return evaluate_pools(orig_pools, gen_pools)
+    es, _, counts, levels = dataset_arrays(samples)
+    _, generated, _ = generate_batch(bundle, es, np.random.default_rng(seed))
+    return evaluate_pools(counts, np.stack([g.counts for g in generated]), levels)
 
 
-def format_report(report, config_dict=None):
-    lines = ["# urbanflows evaluation report"]
-    if config_dict is not None:
-        lines.append("# config " + json.dumps(config_dict, sort_keys=True))
-    for warning in report["warnings"]:
-        lines.append(f"# warning: {warning}")
+def format_report(report, config_dict):
+    lines = ["# urbanflows evaluation report",
+             "# config " + json.dumps(config_dict, sort_keys=True)]
     for row in report["levels"]:
         lines.append(
             "level {level} count {count} KL {kl:.12f} HD {hd:.12f} WD {wd:.12f}"

@@ -94,6 +94,9 @@ class RunConfig:
         for name in ("zone_hidden", "config_hidden"):
             if any(width < 1 for width in getattr(self, name)):
                 raise ConfigurationError(f"{name}: hidden widths must be >= 1")
+        # stage 2's AR conditioners take their condition in the hidden layers
+        if not self.config_hidden:
+            raise ConfigurationError("config_hidden needs at least one width")
         if self.n % 2:
             raise ConfigurationError("n must be even (coupling splits N^2 in half)")
         if not 2 <= self.p <= 20:

@@ -11,13 +11,24 @@ def rng():
     return np.random.default_rng(0)
 
 
+# the CI's tiny geometry: the smallest bundle that exercises every code path
+TINY = dict(n=4, m=2, p=2, k_zone=1, k_config=1, zone_hidden=(6,), config_hidden=(6,),
+            heads=1, stem_channels=2, n_cx=2, batch_size=4)
+
+
 def mini_runconfig(**overrides):
     """Smallest bundle that exercises every code path: N=4, M=2, P=2."""
-    base = dict(n=4, m=2, p=2, k_zone=1, k_config=1,
-                zone_hidden=(6,), config_hidden=(6,), heads=1,
-                stem_channels=2, n_cx=2, batch_size=4, seed=11)
+    base = dict(TINY, seed=11)
     base.update(overrides)
     return RunConfig(**base).validate()
+
+
+def tiny_set_args(**extra):
+    """``--set key=value`` arguments of ``TINY`` with ``extra`` on top,
+    whose values go in as given."""
+    values = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in TINY.items()}
+    return [arg for key, value in {**values, **extra}.items()
+            for arg in ("--set", f"{key}={value}")]
 
 
 def add_param(store, name, data, trainable=True):

@@ -201,6 +201,30 @@ def test_stage2_zone_nll_training_fault_reports_layer(rng):
     assert info.value.layer_index == 0
 
 
+def test_stage2_sampled_zone_fault_is_a_training_fault(rng):
+    """With the default sampled conditioning the zone inverse runs first,
+    and a poisoned zone coupling sends it non-finite: the step ends in a
+    ``TrainingFault`` naming that layer, and the store holds the last good
+    step, as for any training fault."""
+    bundle = ModelBundle(mini_runconfig())
+    assert bundle.cfg.use_sampled_u
+    data = make_dataset(8, 4, 2, 2, seed=0)
+    good = []
+
+    def poison_after_step_0(step, *_):
+        bundle.store["zone.block0.coupling.out.w"].data[0, 0] = np.nan
+        good.append(bundle.store.snapshot())
+
+    with pytest.raises(TrainingFault, match="sampled zone map") as info:
+        train_config_stage(bundle, data, rng, steps=3, log=poison_after_step_0)
+    assert len(good) == 1
+    assert info.value.layer_index == 0
+    assert isinstance(info.value.__cause__, SamplingFault)
+    assert sorted(good[0]) == bundle.store.names()
+    for name, value in good[0].items():
+        np.testing.assert_array_equal(bundle.store[name].data, value)
+
+
 def perturbed_bundle(**overrides):
     """A mini bundle moved off the identity initialization."""
     bundle = ModelBundle(mini_runconfig(**overrides))

@@ -694,6 +694,18 @@ def test_gaussian_logp_reference():
     assert abs(float(gaussian_logp(z2).data[0]) - expect) < 1e-14
 
 
+def test_conditioned_made_network_needs_a_hidden_layer(rng):
+    """With no hidden layer a MADE network has nowhere to add its condition
+    terms, so it would ignore the condition; it is refused instead.  A
+    dense one, or a MADE one without a condition, is linear."""
+    with pytest.raises(ConfigurationError, match="needs a hidden layer"):
+        Conditioner(ParameterStore(), "n", D, D, rng, widths=(), cond_dim=COND, mask_seed=0)
+    for cond_dim, mask_seed in ((COND, None), (0, 0)):
+        net = Conditioner(ParameterStore(), "n", D, D, rng, widths=(), cond_dim=cond_dim,
+                          mask_seed=mask_seed)
+        assert net.hidden == []
+
+
 def test_conditioner_net_shapes(rng):
     store = ParameterStore()
     net = Conditioner(store, "n", in_dim=5, d=4, rng=rng, widths=(8, 8))

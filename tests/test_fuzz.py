@@ -1,6 +1,6 @@
 """Property fuzz of every file reader: checkpoint headers, dataset header
-and record lines, and config files; and of the model build from a parsed
-config.
+and record lines, and config files; of the model build from a parsed
+config; and a table of ``--set`` values run through every CLI stage.
 
 Each input, however malformed, must either parse or raise an
 ``UrbanFlowsError``; anything else would leave the CLI as a Python
@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from urbanflows.checkpoint import MAGIC, read_header, save_checkpoint
+from urbanflows.cli import main
 from urbanflows.errors import UrbanFlowsError
 from urbanflows.numerics import ParameterStore
 from urbanflows.pipeline import ModelBundle
 from urbanflows.runconfig import RunConfig
 from urbanflows.synthdata import make_dataset, read_dataset, write_dataset
 
-from conftest import add_param, mini_runconfig
+from conftest import add_param, mini_runconfig, tiny_set_args
 
 FUZZ = settings(database=None, deadline=None, max_examples=150)
 
@@ -174,3 +175,39 @@ def test_fuzz_model_config_values(edit):
     key, value = edit
     rc = dataclasses.replace(mini_runconfig(), **{key: value})
     parses_or_raises_typed(lambda: ModelBundle(rc.validate()))
+
+
+SET_TOKENS = ["", "0", "-1", "1", "x", "1,,1", "nan", "inf", "1e300", "true"]
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(workdir):
+    path = str(workdir / "tiny.jsonl")
+    assert main(["synth", "--count", "12", "--out", path, *tiny_set_args()]) == 0
+    return path
+
+
+@pytest.mark.parametrize("token", SET_TOKENS)
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+def test_set_table_runs_every_stage_or_fails_typed(tmp_path, capsys, tiny_dataset, key, token):
+    """``--set key=token`` on the tiny geometry through both training
+    stages (one step each), ``generate`` and ``evaluate``: every command
+    exits 0, or 1 with an ``error:`` line, and no ``RuntimeWarning`` (an
+    error in this suite) or other exception escapes.  Each case has a
+    directory of its own, so a failed stage leaves no earlier case's
+    checkpoint for the next one to read."""
+    override = tiny_set_args(**{"steps_zone": 1, "steps_config": 1, key: token})
+    zone, model = str(tmp_path / "zone.ckpt"), str(tmp_path / "model.ckpt")
+    for argv in (["train-zone", "--dataset", tiny_dataset, "--out-ckpt", zone],
+                 ["train-config", "--dataset", tiny_dataset, "--zone-ckpt", zone,
+                  "--out-ckpt", model],
+                 ["generate", "--ckpt", model, "--green-level", "1", "--count", "2",
+                  "--out-dir", str(tmp_path / "gen")],
+                 ["evaluate", "--ckpt", model, "--dataset", tiny_dataset,
+                  "--out", str(tmp_path / "report.txt")]):
+        capsys.readouterr()
+        code = main([*argv, *override])
+        assert code in (0, 1), argv[0]
+        if code == 1:
+            assert any(line.startswith("error:")
+                       for line in capsys.readouterr().err.splitlines()), argv[0]

@@ -8,47 +8,57 @@ Hellinger(p, q) = (1/sqrt 2) ||sqrt p - sqrt q||_2 and the discrete
 import numpy as np
 import pytest
 
-from urbanflows.config_flow import ConfigTensor
 from urbanflows.errors import DataError
 from urbanflows.metrics import (
     DEFAULT_SMOOTHING,
-    CategoryDistribution,
     avg_weighted,
     hellinger,
     kl_div,
     to_distribution,
     wasserstein_1d,
 )
-
-
-def test_category_distribution_validation():
-    CategoryDistribution(np.array([0.25, 0.75]))
-    with pytest.raises(DataError):
-        CategoryDistribution(np.array([0.5, 0.4]))
-    with pytest.raises(DataError):
-        CategoryDistribution(np.array([1.5, -0.5]))
+from urbanflows.synthdata import make_dataset
 
 
 def test_to_distribution_pools_counts():
-    a = ConfigTensor(np.array([[[3, 1]]], dtype=int))
-    b = ConfigTensor(np.array([[[1, 3]]], dtype=int))
-    dist = to_distribution([a, b])
-    assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-8)
-    single = to_distribution([a])
-    assert np.allclose(single.probs, [0.75, 0.25], atol=1e-8)
+    a = np.array([[[3, 1]]])
+    b = np.array([[[1, 3]]])
+    dist = to_distribution(np.stack([a, b]))
+    assert dist.shape == (2,)
+    assert np.allclose(dist, [0.5, 0.5], atol=1e-8)
+    single = to_distribution(a)
+    assert np.allclose(single, [0.75, 0.25], atol=1e-8)
+    # every axis but the last is pooled, so the layout of the rows is free
+    assert np.array_equal(to_distribution(np.stack([a, b]).reshape(2, 2)), dist)
+    # integer counts sum exactly, so one sum over the stack equals pooling
+    # sample by sample
+    counts = np.stack([s.config.counts for s in make_dataset(40, 4, 2, 3, seed=5)])
+    totals = np.zeros(3)
+    for c in counts:
+        totals += c.reshape(-1, 3).sum(axis=0)
+    totals += DEFAULT_SMOOTHING
+    assert np.array_equal(to_distribution(counts), totals / totals.sum())
     # smoothing keeps empty categories strictly positive
-    c = ConfigTensor(np.array([[[4, 0]]], dtype=int))
-    d = to_distribution([c])
-    assert d.probs[1] > 0
-    assert abs(d.probs[1] - DEFAULT_SMOOTHING / (4 + 2 * DEFAULT_SMOOTHING)) < 1e-18
+    c = np.array([[[4, 0]]])
+    d = to_distribution(c)
+    assert d[1] > 0
+    assert abs(d[1] - DEFAULT_SMOOTHING / (4 + 2 * DEFAULT_SMOOTHING)) < 1e-18
 
 
 def test_to_distribution_rejects_empty_and_allzero():
     with pytest.raises(DataError):
-        to_distribution([])
-    zero = ConfigTensor(np.zeros((1, 1, 2), dtype=int))
+        to_distribution(np.zeros((0, 1, 1, 2), dtype=int))
+    zero = np.zeros((1, 1, 1, 2), dtype=int)
     with pytest.raises(DataError):
-        to_distribution([zero], smoothing=0.0)
+        to_distribution(zero, smoothing=0.0)
+
+
+def test_to_distribution_rejects_negative_counts():
+    with pytest.raises(DataError, match="nonnegative"):
+        to_distribution(np.array([[[3, -1]]]))
+    # even where the pooled total of that category would be positive
+    with pytest.raises(DataError, match="nonnegative"):
+        to_distribution(np.array([[[1, -1]], [[1, 2]]]))
 
 
 def test_kl_reference_values():
@@ -79,12 +89,6 @@ def test_wasserstein_reference_values():
     assert wasserstein_1d(p, p) == 0.0
     r = np.array([0.5, 0.5, 0.0])
     assert abs(wasserstein_1d(p, r) - 0.5) < 1e-15
-
-
-def test_metrics_accept_distribution_objects():
-    a = CategoryDistribution(np.array([0.3, 0.7]))
-    b = CategoryDistribution(np.array([0.6, 0.4]))
-    assert kl_div(a, b) == kl_div(np.array([0.3, 0.7]), np.array([0.6, 0.4]))
 
 
 def test_avg_weighted():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import encoding_reference
+from conftest import tiny_set_args
 from urbanflows import checkpoint, cli, config_flow, pipeline
 from urbanflows.checkpoint import read_header
 from urbanflows.cli import main
@@ -259,11 +260,8 @@ def test_generate_one_is_generate_batch_at_b1(trace):
 
 def test_evaluate_pools_self_comparison_is_zero():
     samples = make_dataset(30, 4, 2, 2, seed=11)
-    pools = {}
-    for s in samples:
-        pools.setdefault(s.green_level, []).append(s.config)
-    report = evaluate_pools(pools, pools)
-    assert report["warnings"] == []
+    _, _, counts, levels = dataset_arrays(samples)
+    report = evaluate_pools(counts, counts, levels)
     assert len(report["levels"]) == 5
     for row in report["levels"]:
         assert abs(row["kl"]) < 1e-12
@@ -273,17 +271,13 @@ def test_evaluate_pools_self_comparison_is_zero():
         assert abs(report["avg"][key]) < 1e-9
 
 
-def test_evaluate_pools_level_mismatch():
+def test_evaluate_pools_rejects_misaligned_rows():
     samples = make_dataset(30, 4, 2, 2, seed=11)
-    pools = {}
-    for s in samples:
-        pools.setdefault(s.green_level, []).append(s.config)
-    partial = {lvl: v for lvl, v in pools.items() if lvl != 3}
-    report = evaluate_pools(pools, partial)
-    assert len(report["levels"]) == 4
-    assert any("level 3" in w for w in report["warnings"])
-    with pytest.raises(DataError):
-        evaluate_pools({0: pools[0]}, {1: pools[1]})
+    _, _, counts, levels = dataset_arrays(samples)
+    for original, generated, lv in ((counts, counts[:-1], levels),
+                                    (counts, counts, levels[:-1])):
+        with pytest.raises(DataError, match="one row per sample"):
+            evaluate_pools(original, generated, lv)
 
 
 def test_evaluate_model_and_report_format():
@@ -299,6 +293,8 @@ def test_evaluate_model_and_report_format():
     assert len(level_lines) == 5
     assert level_lines[0].split()[:4] == ["level", "0", "count", "5"]
     assert [l.split()[0] for l in lines[-3:]] == ["AVG_KL", "AVG_HD", "AVG_WD"]
+    # two header lines, the level rows and the averages: nothing else
+    assert len(lines) == 2 + 5 + 3
 
 
 def test_check_dataset_dims():
@@ -720,6 +716,69 @@ def test_train_commands_write_the_last_good_state_on_a_fault(tmp_path, capsys, m
     assert read_header(out)[0]["extra"] == {"stage": stage}
     log_lines = open(out + ".log").read().splitlines()
     assert log_lines[2:] == ["0\t1.500000000000", "1\t0.250000000000"]
+
+
+@pytest.mark.parametrize("command,message", [
+    ("train-zone", "non-finite zone NLL at step 1"),
+    ("train-config", "sampled zone map: non-finite state after inverting layer"),
+], ids=["train-zone", "train-config"])
+def test_diverging_training_ends_in_a_fault_with_the_last_good_state(tmp_path, capsys,
+                                                                     command, message):
+    """At lr=1e300 the first step leaves finite but overflowing parameters,
+    and the second step turns them non-finite: in stage 1 in the zone NLL,
+    in stage 2 already in the sampled zone map.  Both commands report the
+    fault (no ``RuntimeWarning`` on the way) and write the last good state,
+    which ``generate`` then refuses with a ``SamplingFault``."""
+    cfg = write_mini_config(tmp_path, steps_zone=0)
+    data = str(tmp_path / "data.jsonl")
+    zone_ckpt = str(tmp_path / "zone.ckpt")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    assert main(["train-zone", "--config", cfg, "--dataset", data,
+                 "--out-ckpt", zone_ckpt]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.ckpt")
+    extra = ["--zone-ckpt", zone_ckpt] if command == "train-config" else []
+    assert main([command, "--config", cfg, "--dataset", data, "--out-ckpt", out, *extra,
+                 "--set", "lr=1e300", "--set", "steps_zone=3", "--set", "steps_config=3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "(last-good checkpoint written)" in err
+    assert read_header(out)[0]["extra"] == {"stage": command[len("train-"):]}
+    assert open(out + ".log").read().splitlines()[2:][0].startswith("0\t")
+    assert main(["generate", "--ckpt", out, "--green-level", "1",
+                 "--out-dir", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite state after inverting layer")
+
+
+def test_overflow_in_a_finite_training_run_is_silent(tmp_path, capsys):
+    """At lr=1e30 stage 2 overflows on the way (GELU's slope) but trains to
+    finite values, so it runs to the end without a ``RuntimeWarning``."""
+    tiny = tiny_set_args(steps_zone=3, steps_config=3)
+    data = str(tmp_path / "data.jsonl")
+    zone_ckpt = str(tmp_path / "zone.ckpt")
+    assert main(["synth", "--count", "12", "--out", data, *tiny]) == 0
+    assert main(["train-zone", "--dataset", data, "--out-ckpt", zone_ckpt, *tiny]) == 0
+    assert main(["train-config", "--dataset", data, "--zone-ckpt", zone_ckpt,
+                 "--out-ckpt", str(tmp_path / "model.ckpt"), *tiny, "--set", "lr=1e30"]) == 0
+
+
+@pytest.mark.parametrize("command", ["train-zone", "train-config"])
+def test_train_commands_reject_empty_config_hidden(tmp_path, capsys, command):
+    """``config_hidden=`` parses to no width, which would leave stage 2's
+    AR conditioners without their condition terms: both training commands
+    refuse it before writing anything."""
+    cfg = write_mini_config(tmp_path, steps_zone=0)
+    data = str(tmp_path / "data.jsonl")
+    zone_ckpt = str(tmp_path / "zone.ckpt")
+    assert main(["synth", "--config", cfg, "--count", "8", "--out", data]) == 0
+    assert main(["train-zone", "--config", cfg, "--dataset", data,
+                 "--out-ckpt", zone_ckpt]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.ckpt"
+    extra = ["--zone-ckpt", zone_ckpt] if command == "train-config" else []
+    assert main([command, "--config", cfg, "--dataset", data, "--out-ckpt", str(out), *extra,
+                 "--set", "config_hidden="]) == 1
+    assert capsys.readouterr().err == "error: config_hidden needs at least one width\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train-zone", "train-config"])

@@ -32,10 +32,19 @@ def test_defaults_are_valid_and_dimensions_derive():
     dict(lr=float("inf")),
     dict(lambda_zone=float("nan")),
     dict(zone_lr_scale=float("inf")),
+    dict(config_hidden=()),          # the AR conditioners' condition needs a layer
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
         RunConfig(**bad).validate()
+
+
+def test_empty_hidden_widths():
+    """An empty ``zone_hidden`` is a linear coupling conditioner; an empty
+    ``config_hidden`` leaves stage 2's condition nowhere to enter."""
+    assert RunConfig.from_sources(None, {"zone_hidden": ""}).zone_hidden == ()
+    with pytest.raises(ConfigurationError, match="config_hidden needs at least one width"):
+        RunConfig.from_sources(None, {"config_hidden": ""})
 
 
 def test_config_file_parsing(tmp_path):
