@@ -88,8 +88,9 @@ def read_header(path):
     the file (never from the header alone, so a header that declares more
     than the file holds raises before anything is allocated), and returned
     as a writable byte view of that buffer: ``len(payload)`` is its size
-    in bytes, and ``ParameterStore.load_payload`` installs it without a
-    copy.  Returns (header, payload).
+    in bytes.  A store opened on it (``ParameterStore.opened``, the CLI's
+    path) or ``ParameterStore.load_payload`` (``load_checkpoint``'s) takes
+    it without a copy.  Returns (header, payload).
     """
     with open(path, "rb") as fh:
         magic_line = fh.readline()

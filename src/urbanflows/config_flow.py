@@ -79,10 +79,6 @@ class ConfigFlowModel(FlowStack):
 
     def __init__(self, store, prefix, d, cond_dim, rng, k=4, widths=(64, 64),
                  use_uncond_ar=True, attend=None):
-        if k < 1:
-            raise ConfigurationError("need at least one block")
-        if d < 2:
-            raise ConfigurationError("config flow needs d >= 2")
         self.attend = attend
         blocks = [
             {

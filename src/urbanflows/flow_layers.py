@@ -90,39 +90,19 @@ class TraceStep:
 # ---------------------------------------------------------------------------
 
 
-class MadeMaskSet:
-    """Boolean masks enforcing strict autoregression through an MLP.
-
-    hidden_masks[l] has shape (fan_in, fan_out) and multiplies the l-th
-    weight matrix elementwise, as exactly 0.0 or 1.0; out_mask has shape
-    (last_width, d), and sb_out_mask is out_mask tiled across the (s, b)
-    output panels.
-    weight_masks lists the mask of each conditioner weight matrix, hidden
-    then output, as ``affine_step`` takes them.  Input coordinate j
-    carries degree j (1-based); output i connects only to hidden units of
-    degree < i, so output 1 sees nothing at all.  One set is shared by
-    every conditioner built with the same (d, widths, seed), so its arrays
-    are read-only.
-    """
-
-    __slots__ = ("d", "hidden_masks", "out_mask", "sb_out_mask", "weight_masks",
-                 "hidden_degrees")
-
-    def __init__(self, d, hidden_masks, out_mask, hidden_degrees):
-        self.d = d
-        self.hidden_masks = hidden_masks
-        self.out_mask = out_mask
-        self.sb_out_mask = np.tile(out_mask, (1, 2))
-        self.weight_masks = (*hidden_masks, self.sb_out_mask)
-        self.hidden_degrees = hidden_degrees
-
-
 def build_made_masks(d, hidden_widths, seed):
-    """Masks for input dimension d and the given hidden widths.
+    """The MADE masks for input dimension d >= 2 and the given hidden
+    widths: a tuple of read-only ``bool`` arrays, one per conditioner
+    weight matrix in order, as ``affine_step`` takes them.  Each hidden
+    layer's mask is (fan_in, fan_out); the last, (last_width, 2 d), covers
+    the (s, b) output panels alike.  Each multiplies its weight matrix
+    elementwise, as exactly 0.0 or 1.0.
 
-    Hidden degrees are drawn uniformly from [1, d-1] using the seed, so the
-    same (d, widths, seed) triple always yields identical masks; each triple
-    is built once and the set shared.
+    Input coordinate j carries degree j (1-based) and hidden degrees are
+    drawn uniformly from [1, d-1] using the seed; output i connects only to
+    hidden units of degree < i, so output 1 sees nothing at all.  The same
+    (d, widths, seed) triple always yields identical masks; each triple is
+    built once and its tuple shared.
     """
     return _made_masks(int(d), tuple(int(w) for w in hidden_widths), int(seed))
 
@@ -136,20 +116,17 @@ def _made_masks(d, hidden_widths, seed):
     rng = np.random.default_rng(seed)
     in_degrees = np.arange(1, d + 1)
     prev = in_degrees
-    hidden_masks = []
-    hidden_degrees = []
+    masks = []
     for width in hidden_widths:
         deg = rng.integers(1, d, size=width)
         # unit h keeps input j iff deg(h) >= deg(j)
-        hidden_masks.append(prev[:, None] <= deg[None, :])
-        hidden_degrees.append(deg)
+        masks.append(prev[:, None] <= deg[None, :])
         prev = deg
     # output i keeps hidden h iff i > deg(h): strictly lower inputs only
-    out_mask = prev[:, None] < in_degrees[None, :]
-    masks = MadeMaskSet(d, tuple(hidden_masks), out_mask, tuple(hidden_degrees))
-    for arr in (*hidden_masks, out_mask, masks.sb_out_mask, *hidden_degrees):
+    masks.append(np.tile(prev[:, None] < in_degrees[None, :], (1, 2)))
+    for arr in masks:
         arr.flags.writeable = False
-    return masks
+    return tuple(masks)
 
 
 class Conditioner:
@@ -158,11 +135,11 @@ class Conditioner:
 
     Dense when ``mask_seed`` is None, as for coupling, which feeds it
     (h1 ‖ e).  With a seed it is a MADE network over ``in_dim == d``
-    coordinates (``masks``, a shared ``MadeMaskSet``): output i sees only
-    inputs j < i.  A ``cond_dim``-wide condition enters each hidden layer
-    as an unmasked term ``cond @ v``, so it never breaks that ordering; a
-    MADE network with a condition and no hidden layer raises
-    ``ConfigurationError``.
+    coordinates, and ``masks`` is ``build_made_masks``' shared tuple (None
+    when dense): output i sees only inputs j < i.  A ``cond_dim``-wide
+    condition enters each hidden layer as an unmasked term ``cond @ v``, so
+    it never breaks that ordering; a MADE network with a condition and no
+    hidden layer raises ``ConfigurationError``.
     The zero-initialized output layer makes fresh flows the identity.
 
     ``bind(cond)`` fixes the condition (an ndarray or None) and returns the
@@ -183,7 +160,6 @@ class Conditioner:
         self.d = d
         self.cond_dim = cond_dim
         self.masks = None if mask_seed is None else build_made_masks(d, widths, mask_seed)
-        self.weight_masks = None if self.masks is None else self.masks.weight_masks
         self.calls = 0
         self.hidden = []
         fan = in_dim
@@ -211,7 +187,7 @@ class Conditioner:
         """Fix the condition (an ndarray or None) and return the pass
         ``x -> (s, b)`` on ndarrays, with no tape."""
         self._check_cond(cond)
-        weights, hidden = pass_arrays(self.hidden, self.final[0], self.weight_masks)
+        weights, hidden = pass_arrays(self.hidden, self.final[0], self.masks)
         hidden = [(w, b, None if v is None else cond @ v) for w, b, v in hidden]
         b_out, d = self.final[1].data, self.d
 
@@ -232,7 +208,7 @@ class Conditioner:
         self._check_cond(cond)
         self._count(reads if self.cond_dim or cond is None else reads + cond.shape[-1])
         return affine_step(x, cond, self.hidden, *self.final, CLAMP, lo, reads,
-                           self.weight_masks, inverse)
+                           self.masks, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +410,19 @@ class FlowStack:
     """Blocks of invertible layers with a fixed ``Permutation`` between
     consecutive blocks (the RealNVP/MAF layout).
 
-    ``blocks`` is a list of dicts of layers, applied in dict order; an
-    ablated layer is None and is skipped.  ``layers`` is the flat forward
-    list of (kind, block_index, layer, layout) with no permutation entries;
-    ``layout`` names the canonical coordinate each position holds at the
-    layer's input, so the ``collect`` hooks report states in data
+    ``blocks`` is a non-empty list of dicts of layers, applied in dict
+    order; an ablated layer is None and is skipped.  ``layers`` is the flat
+    forward list of (kind, block_index, layer, layout) with no permutation
+    entries; ``layout`` names the canonical coordinate each position holds
+    at the layer's input, so the ``collect`` hooks report states in data
     coordinates.  ``cond`` goes to every layer but batch-norm; a layer with
     no conditioning input ignores it.  ``packed_perm`` is the permutation
     extended by the log-det column, which stays last.
     """
 
     def __init__(self, blocks, perm):
+        if not blocks:
+            raise ConfigurationError("need at least one block")
         self.blocks = blocks
         self.perm = perm
         self.d = len(perm.perm)

@@ -79,7 +79,6 @@ class ParameterStore:
 
     def __init__(self):
         self._params = {}
-        self._trainable = {}
         # an opened store: (payload buffer, layout, {name: view} of the
         # entries not yet registered)
         self._opened = None
@@ -107,8 +106,9 @@ class ParameterStore:
 
         ``init`` is a constant fill value or a recipe ``shape -> array``
         such as ``normal(rng, std)``; only a fresh store runs it.
-        Non-trainable entries (running statistics) still appear in
-        manifests and payloads but are skipped by ``trainable_items``.
+        ``trainable`` is the tensor's ``requires_grad``: non-trainable
+        entries (running statistics) still appear in manifests and payloads
+        but are skipped by ``trainable_items``.
         """
         if name in self._params:
             raise ConfigurationError(f"duplicate parameter name: {name}")
@@ -121,7 +121,6 @@ class ParameterStore:
                 raise CheckpointManifestError(_MISMATCH)
         t = Tensor(data, requires_grad=trainable)
         self._params[name] = t
-        self._trainable[name] = bool(trainable)
         return t
 
     def check_complete(self):
@@ -148,9 +147,7 @@ class ParameterStore:
             yield name, self._params[name]
 
     def trainable_items(self):
-        for name in self.names():
-            if self._trainable[name]:
-                yield name, self._params[name]
+        return ((name, t) for name, t in self.items() if t.requires_grad)
 
     def zero_grad(self):
         for t in self._params.values():
@@ -190,7 +187,7 @@ class ParameterStore:
         are the running statistics, the only values a train-mode forward
         changes."""
         return {name: t.data.copy() for name, t in self._params.items()
-                if name.startswith(prefix) and (trainable or not self._trainable[name])}
+                if name.startswith(prefix) and (trainable or not t.requires_grad)}
 
     def restore(self, snap):
         """Write a ``snapshot``'s values back into the parameters' arrays,

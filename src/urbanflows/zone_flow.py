@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import DataError
 from .flow_layers import (
     BatchNormFlow,
     ConditionProjectionLayer,
@@ -79,10 +79,6 @@ class ZoneFlowModel(FlowStack):
 
     def __init__(self, store, prefix, d, cond_dim, rng, k=6, widths=(64, 64),
                  use_condition_projection=True):
-        if k < 1:
-            raise ConfigurationError("need at least one block")
-        if d % 2:
-            raise ConfigurationError("zone flow needs even d")
         blocks = [
             {
                 "coupling": CouplingLayer(store, f"{prefix}.block{i}.coupling",

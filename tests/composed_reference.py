@@ -146,13 +146,13 @@ def unbound_call(net, x, cond=None):
     ``net.masks``) and each condition term is a tape op of this pass."""
     net.calls += 1
     h = x
-    for (w, b, v), mask in zip(net.hidden, net.masks.hidden_masks):
+    for (w, b, v), mask in zip(net.hidden, net.masks):
         pre = h @ (w * Tensor(mask)) + b
         if v is not None:
             pre = pre + cond @ v
         h = gelu(pre)
     w, b = net.final
-    out = h @ (w * Tensor(net.masks.sb_out_mask)) + b
+    out = h @ (w * Tensor(net.masks[-1])) + b
     return clamp_scale(out[:, : net.d]), out[:, net.d :]
 
 

@@ -112,12 +112,12 @@ def test_autoregression_strictness_first_output(rng):
 def test_made_masks_deterministic_and_validated():
     a = build_made_masks(5, (7, 7), seed=3)
     b = build_made_masks(5, (7, 7), seed=3)
-    for ma, mb in zip(a.hidden_masks, b.hidden_masks):
+    for ma, mb in zip(a[:-1], b[:-1]):
         assert np.array_equal(ma, mb)
-    assert np.array_equal(a.out_mask, b.out_mask)
+    assert np.array_equal(a[-1], b[-1])
     c = build_made_masks(5, (7, 7), seed=4)
     assert any(not np.array_equal(x, y)
-               for x, y in zip(a.hidden_masks, c.hidden_masks))
+               for x, y in zip(a[:-1], c[:-1]))
     with pytest.raises(ConfigurationError):
         build_made_masks(1, (4,), seed=0)
 
@@ -125,15 +125,15 @@ def test_made_masks_deterministic_and_validated():
 def test_made_masks_are_shared_and_read_only(rng):
     masks = build_made_masks(5, (7, 7), seed=3)
     assert build_made_masks(5, [7, 7], seed=3) is masks
-    arrays = (*masks.hidden_masks, masks.out_mask, masks.sb_out_mask,
-              *masks.hidden_degrees)
-    for arr in arrays:
+    assert isinstance(masks, tuple)
+    assert [m.shape for m in masks] == [(5, 7), (7, 7), (7, 10)]
+    for arr in masks:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
-    for arr in (masks.out_mask, *masks.weight_masks):
         assert arr.dtype == bool
-    assert np.array_equal(masks.sb_out_mask, np.tile(masks.out_mask, (1, 2)))
+    # one output mask covers the s and b panels alike
+    assert np.array_equal(masks[-1][:, :5], masks[-1][:, 5:])
     a = Conditioner(ParameterStore(), "a", 5, 5, rng, widths=(7, 7), mask_seed=3)
     b = Conditioner(ParameterStore(), "b", 5, 5, rng, widths=(7, 7), mask_seed=3)
     assert a.masks is b.masks is masks
@@ -704,6 +704,36 @@ def test_conditioned_made_network_needs_a_hidden_layer(rng):
         net = Conditioner(ParameterStore(), "n", D, D, rng, widths=(), cond_dim=cond_dim,
                           mask_seed=mask_seed)
         assert net.hidden == []
+
+
+# each construction rule is checked once, by the class that enforces it:
+# (build on a fresh store and rng, message)
+CONSTRUCTION_RULES = {
+    "config-no-block": (lambda store, rng: ConfigFlowModel(store, "c", D, COND, rng, k=0),
+                        "at least one block"),
+    "config-d1": (lambda store, rng: ConfigFlowModel(store, "c", 1, COND, rng, k=1),
+                  "d >= 2"),
+    "zone-odd-d": (lambda store, rng: ZoneFlowModel(store, "z", 5, COND, rng, k=1),
+                   "even d"),
+    "zone-no-block": (lambda store, rng: ZoneFlowModel(store, "z", D, COND, rng, k=0),
+                      "at least one block"),
+    "stack-no-block": (lambda store, rng: FlowStack([], Permutation(reversal_perm(D))),
+                       "at least one block"),
+    "made-width-0": (lambda store, rng: build_made_masks(D, (4, 0), seed=0),
+                     "hidden widths"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_RULES))
+def test_construction_rules_raise_configuration_error(case, rng):
+    """A model or stack with no block, a zone model with odd d, a config
+    model with d < 2 and a MADE mask set with an empty hidden layer are
+    refused before any parameter is registered."""
+    build, message = CONSTRUCTION_RULES[case]
+    store = ParameterStore()
+    with pytest.raises(ConfigurationError, match=message):
+        build(store, rng)
+    assert store.names() == []
 
 
 def test_conditioner_net_shapes(rng):

@@ -68,12 +68,29 @@ def valid_checkpoint(workdir):
     return blob[nl1 + 1:nl2].decode(), blob[nl2 + 1:]
 
 
-def _load_checkpoint_like_cli(path):
-    """The checkpoint half of the CLI's model loading, without building a
-    model of the (fuzzed) configured size."""
+def _install_opened(manifest, payload):
+    """The CLI's install: a store opened on the payload, ``_store()``'s
+    entries registered on it with their trainability, then
+    ``check_complete``."""
+    store = ParameterStore.opened(manifest, payload)
+    for name, t in _store().items():
+        store.param(name, t.shape, trainable=t.requires_grad)
+    store.check_complete()
+
+
+def _install_loaded(manifest, payload):
+    """``load_checkpoint``'s install: a built store takes the payload."""
+    _store().load_payload(manifest, payload)
+
+
+def _load_checkpoint_both_ways(path):
+    """The checkpoint half of model loading, without building a model of
+    the (fuzzed) configured size, through each install path: the CLI's
+    and ``load_checkpoint``'s."""
     header, payload = read_header(path)
     RunConfig.from_sources(None, dict(header["config"]))
-    _store().load_payload(header["manifest"], payload)
+    for install in (_install_opened, _install_loaded):
+        parses_or_raises_typed(install, header["manifest"], payload)
 
 
 header_edits = st.one_of(
@@ -102,7 +119,7 @@ def test_fuzz_checkpoint_header_fields(workdir, valid_checkpoint, edit, drop):
         header[key] = json.loads(json.dumps(value))
     path = workdir / "f.ckpt"
     path.write_bytes(MAGIC + b" v1\n" + json.dumps(header).encode() + b"\n" + payload)
-    parses_or_raises_typed(_load_checkpoint_like_cli, path)
+    parses_or_raises_typed(_load_checkpoint_both_ways, path)
 
 
 @FUZZ
@@ -110,7 +127,7 @@ def test_fuzz_checkpoint_header_fields(workdir, valid_checkpoint, edit, drop):
 def test_fuzz_checkpoint_header_bytes(workdir, head, tail):
     path = workdir / "f.ckpt"
     path.write_bytes(MAGIC + b" v1\n" + head + b"\n" + tail)
-    parses_or_raises_typed(_load_checkpoint_like_cli, path)
+    parses_or_raises_typed(_load_checkpoint_both_ways, path)
 
 
 @pytest.fixture(scope="module")

@@ -353,7 +353,7 @@ def _affine_case(rng, kind, batch=3, n=6, widths=(5, 4), cond_dim=2, inverse=Fal
             arrays.append(rng.normal(size=(cond_dim, width)))
         fan = width
     arrays += [rng.normal(scale=0.5, size=(fan, 2 * d)), rng.normal(size=(2 * d,))]
-    masks = build_made_masks(n, widths, 3).weight_masks if masked else None
+    masks = build_made_masks(n, widths, 3) if masked else None
     per = 3 if masked else 2
 
     def step(x, cond, *params):

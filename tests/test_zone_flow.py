@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import mini_runconfig
-from urbanflows.errors import ConfigurationError, DataError, SamplingFault, TrainingFault
+from urbanflows.errors import DataError, SamplingFault, TrainingFault
 from urbanflows.flow_layers import LN_2PI
 from urbanflows.numerics import Adam, ParameterStore, Tensor, no_grad
 from urbanflows.pipeline import ModelBundle, train_zone_stage
@@ -222,12 +222,3 @@ def test_trained_model_scores_own_samples_like_heldout(rng):
     assert abs(own_logp.mean() - held_logp.mean()) < 3 * se, (
         f"own {own_logp.mean():.3f} vs held {held_logp.mean():.3f} (se {se:.3f})"
     )
-
-
-def test_model_validation():
-    store = ParameterStore()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        ZoneFlowModel(store, "z", 15, COND, rng)   # odd d
-    with pytest.raises(ConfigurationError):
-        ZoneFlowModel(ParameterStore(), "z", D, COND, rng, k=0)
