@@ -26,6 +26,7 @@ from .errors import (
     CheckpointVersionError,
 )
 from .fileio import atomic_write
+from .numerics import ParameterStore
 
 MAGIC = b"URBANFLOWS-CKPT"
 FORMAT_VERSION = 1
@@ -84,13 +85,15 @@ def _manifest_bytes(manifest):
 def read_header(path):
     """Parse and validate the header, then read the payload.
 
-    The payload is read straight into one fresh float64 buffer, sized from
-    the file (never from the header alone, so a header that declares more
-    than the file holds raises before anything is allocated), and returned
-    as a writable byte view of that buffer: ``len(payload)`` is its size
-    in bytes.  A store opened on it (``ParameterStore.opened``, the CLI's
-    path) or ``ParameterStore.load_payload`` (``load_checkpoint``'s) takes
-    it without a copy.  Returns (header, payload).
+    The header's ``format_version`` must be the magic line's version as a
+    JSON integer.  The payload is read straight into one fresh float64
+    buffer, sized from the file (never from the header alone, so a header
+    that declares more than the file holds raises before anything is
+    allocated), and returned as a writable byte view of that buffer:
+    ``len(payload)`` is its size in bytes.  A store opened on it
+    (``ParameterStore.opened``), through which both the CLI and
+    ``load_checkpoint`` install a payload, takes it without a copy.
+    Returns (header, payload).
     """
     with open(path, "rb") as fh:
         magic_line = fh.readline()
@@ -119,6 +122,11 @@ def read_header(path):
         for key in ("format_version", "config", "manifest", "payload_bytes"):
             if key not in header:
                 raise CheckpointManifestError(f"header missing key {key!r}")
+        stated = header["format_version"]
+        if type(stated) is not int or stated != version:
+            raise CheckpointVersionError(
+                f"header format_version {stated!r:.40} does not match the magic line's v{version}"
+            )
         if not isinstance(header["config"], dict):
             raise CheckpointManifestError("header config is not a JSON object")
         declared = header["payload_bytes"]
@@ -143,7 +151,19 @@ def read_header(path):
 
 
 def load_checkpoint(path, store):
-    """Read a checkpoint and install its payload into ``store``."""
+    """Read a checkpoint and install its payload into the built ``store``.
+
+    The install is the CLI's: a store opened on the payload hands out the
+    view of each of ``store``'s tensors by name and shape, and
+    ``check_complete`` rejects a left-over entry, a non-finite value or a
+    running variance <= 0.  Only then does each tensor take its view as
+    ``.data``, so a load that raises changes no parameter.  Returns
+    (header, payload).
+    """
     header, payload = read_header(path)
-    store.load_payload(header["manifest"], payload)
+    opened = ParameterStore.opened(header["manifest"], payload)
+    views = [(t, opened.param(name, t.shape).data) for name, t in store.items()]
+    opened.check_complete()
+    for t, view in views:
+        t.data = view
     return header, payload

@@ -27,60 +27,22 @@ def normal(rng, std):
     return lambda shape: rng.normal(0.0, std, size=shape)
 
 
-def _entries(manifest):
-    """A manifest's (name, shape tuple) pairs."""
-    return [(str(name), tuple(int(v) for v in shape)) for name, shape in manifest]
-
-
-def _buffer_views(entries, payload):
-    """Lay the payload out as ``entries`` (name, shape) in order.
-
-    Returns ``(flat, layout, views)``: the payload as one writable float64
-    array (its own memory when it already is one, else one copy), each
-    entry's (name, start, stop) slice, and {name: writable C-contiguous
-    view of its slice}.
-    """
-    layout = []
-    offset = 0
-    for name, shape in entries:
-        layout.append((name, offset, offset + math.prod(shape)))
-        offset += math.prod(shape)
-    if memoryview(payload).nbytes != 8 * offset:
-        raise CheckpointManifestError(
-            f"payload has {memoryview(payload).nbytes} bytes, manifest describes {8 * offset}"
-        )
-    flat = np.frombuffer(payload, dtype="<f8")
-    if not (flat.flags.writeable and flat.flags.aligned and flat.dtype.isnative):
-        flat = flat.astype(np.float64)
-    views = {name: flat[start:stop].reshape(shape)
-             for (name, start, stop), (_, shape) in zip(layout, entries)}
-    return flat, layout, views
-
-
-def _check_values(flat, layout):
-    """Raise ``CheckpointValueError`` naming the first parameter, in manifest
-    order, that holds a non-finite value or a ``*.running_var`` <= 0."""
-    all_finite = np.isfinite(flat).all()
-    for name, start, stop in layout:
-        arr = flat[start:stop]
-        if not all_finite and not np.isfinite(arr).all():
-            raise CheckpointValueError(f"parameter {name} holds a non-finite value")
-        if name.endswith(".running_var") and (arr <= 0.0).any():
-            raise CheckpointValueError(f"parameter {name} holds a variance <= 0")
-
-
 class ParameterStore:
     """Flat name -> Tensor map.
 
     Names are hierarchical strings ("zone.block0.coupling.w1").  All
     iteration, manifests, and payloads use lexicographic name order so that
-    serialization is reproducible byte for byte.
+    serialization is reproducible byte for byte.  A payload is installed one
+    way: a store ``opened`` on it hands out its views, and
+    ``check_complete`` checks them.  The CLI builds its model on such a
+    store; ``checkpoint.load_checkpoint`` takes the views for an already
+    built store's tensors the same way and swaps them in.
     """
 
     def __init__(self):
         self._params = {}
-        # an opened store: (payload buffer, layout, {name: view} of the
-        # entries not yet registered)
+        # an opened store: (payload buffer, [(name, view)] in manifest
+        # order, {name: view} of the entries not yet registered)
         self._opened = None
 
     @classmethod
@@ -89,16 +51,32 @@ class ParameterStore:
 
         ``manifest`` lists (name, shape) in lexicographic name order, as a
         checkpoint header does.  The payload becomes one float64 buffer
-        (itself, when it already is a writable one), and ``param`` hands
-        out views of it.  Building a model on the store checks the manifest
-        against the model; ``check_complete`` then checks that nothing was
-        left over and that every value is one a trained model holds.
+        (itself, when it already is a writable one, else one copy), and
+        ``param`` hands out writable C-contiguous views of it, one slice
+        per entry in manifest order.  Building a model on the store checks
+        the manifest against the model; ``check_complete`` then checks that
+        nothing was left over and that every value is one a trained model
+        holds.
         """
-        entries = _entries(manifest)
+        entries = [(str(name), tuple(int(v) for v in shape)) for name, shape in manifest]
         if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
             raise CheckpointManifestError(_MISMATCH)
+        nbytes = memoryview(payload).nbytes
+        described = 8 * sum(math.prod(shape) for _, shape in entries)
+        if nbytes != described:
+            raise CheckpointManifestError(
+                f"payload has {nbytes} bytes, manifest describes {described}")
+        flat = np.frombuffer(payload, dtype="<f8")
+        if not (flat.flags.writeable and flat.flags.aligned and flat.dtype.isnative):
+            flat = flat.astype(np.float64)
+        layout = []
+        offset = 0
+        for name, shape in entries:
+            size = math.prod(shape)
+            layout.append((name, flat[offset:offset + size].reshape(shape)))
+            offset += size
         store = cls()
-        store._opened = _buffer_views(entries, payload)
+        store._opened = (flat, layout, dict(layout))
         return store
 
     def param(self, name, shape, init=0.0, trainable=True):
@@ -127,14 +105,19 @@ class ParameterStore:
         """For an opened store, once the model is built on it: raise
         ``CheckpointManifestError`` if the payload holds a parameter the
         model did not register, and ``CheckpointValueError`` naming the
-        first non-finite value or running variance <= 0.  A fresh store
-        passes."""
+        first parameter, in manifest order, that holds a non-finite value
+        or a ``*.running_var`` <= 0.  A fresh store passes."""
         if self._opened is None:
             return
         flat, layout, unclaimed = self._opened
         if unclaimed:
             raise CheckpointManifestError(_MISMATCH)
-        _check_values(flat, layout)
+        all_finite = np.isfinite(flat).all()
+        for name, arr in layout:
+            if not all_finite and not np.isfinite(arr).all():
+                raise CheckpointValueError(f"parameter {name} holds a non-finite value")
+            if name.endswith(".running_var") and (arr <= 0.0).any():
+                raise CheckpointValueError(f"parameter {name} holds a variance <= 0")
 
     def __getitem__(self, name):
         return self._params[name]
@@ -159,25 +142,6 @@ class ParameterStore:
     def to_payload(self):
         return b"".join(np.ascontiguousarray(self._params[name].data, dtype="<f8")
                         for name in self.names())
-
-    def load_payload(self, manifest, payload):
-        """Fill parameter values from a manifest + raw float64 payload.
-
-        The manifest must list exactly this store's names with matching
-        shapes, in lexicographic order.  Each parameter becomes a writable
-        view of one float64 buffer holding the payload: the payload itself
-        when it already is one (as ``read_header`` returns it), else one
-        copy.  A non-finite value, or a ``*.running_var`` entry <= 0,
-        raises ``CheckpointValueError`` naming the parameter, and then no
-        parameter is changed.
-        """
-        entries = _entries(manifest)
-        if entries != [(name, t.shape) for name, t in self.items()]:
-            raise CheckpointManifestError(_MISMATCH)
-        flat, layout, views = _buffer_views(entries, payload)
-        _check_values(flat, layout)
-        for name, view in views.items():
-            self._params[name].data = view
 
     def snapshot(self, prefix="", trainable=True):
         """Copies of the values of every parameter whose name starts with

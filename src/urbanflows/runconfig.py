@@ -145,56 +145,35 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# One rule per field type: what a refusal says the key expected, how a string
+# (from a config file or ``--set``) parses, and which already-typed values
+# (from a checkpoint header's JSON config) the type accepts.  An accepted
+# value is then converted to the field's type: ints widen to floats, lists
+# become tuples.
+_RULES = {
+    bool: ("a boolean", lambda s: _BOOL_WORDS[s.lower()], lambda v: isinstance(v, bool)),
+    int: ("an integer", int, _is_int),
+    float: ("a number", float, lambda v: _is_int(v) or isinstance(v, float)),
+    tuple: ("a list of integers", lambda s: [int(tok) for tok in s.split(",") if tok.strip()],
+            lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
+
+
 def _coerce(raw, default, key):
-    if not isinstance(raw, str):
-        return _check_typed(raw, default, key)
-    raw = raw.strip()
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{key}: expected an integer, got {raw!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{key}: expected a float, got {raw!r}") from exc
-    if isinstance(default, tuple):
-        try:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigurationError(f"{key}: expected ints like '64,64'") from exc
-    return raw
-
-
-def _check_typed(raw, default, key):
-    """Accept an already-typed value (from a checkpoint's JSON config) only
-    if it has the field's type; ints widen to floats, lists to tuples."""
-    if isinstance(default, bool):
-        if isinstance(raw, bool):
-            return raw
-        expected = "a boolean"
-    elif isinstance(default, int):
-        if _is_int(raw):
-            return raw
-        expected = "an integer"
-    elif isinstance(default, float):
-        if _is_int(raw) or isinstance(raw, float):
-            return float(raw)
-        expected = "a number"
-    elif isinstance(default, tuple):
-        if isinstance(raw, (list, tuple)) and all(_is_int(v) for v in raw):
-            return tuple(raw)
-        expected = "a list of integers"
-    else:
-        return raw
+    """``raw`` as the type of the field whose default is ``default``; any
+    value the field's rule refuses raises ``ConfigurationError``."""
+    kind = type(default)
+    expected, parse, accepts = _RULES[kind]
+    try:
+        if isinstance(raw, str):
+            raw = raw.strip()
+            return kind(parse(raw))
+        if accepts(raw):
+            return kind(raw)
+    except (KeyError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        pass
     raise ConfigurationError(f"{key}: expected {expected}, got {raw!r:.40}")
 
 

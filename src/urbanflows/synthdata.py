@@ -252,10 +252,9 @@ def read_dataset(path):
         raise ParseError(f"bad header: {exc}", line_number=1, path=path) from exc
     if not isinstance(header, dict):
         raise ParseError("header is not a JSON object", line_number=1, path=path)
-    if header.get("format_version") != DATASET_VERSION:
-        raise FormatError(
-            f"unsupported dataset version {header.get('format_version')!r}"
-        )
+    version = header.get("format_version")
+    if type(version) is not int or version != DATASET_VERSION:
+        raise FormatError(f"unsupported dataset version {version!r:.40}")
     dims = [header.get(key) for key in ("N", "M", "P")]
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
         raise ParseError(f"header dimensions N, M, P must be integers, got {dims!r:.60}",

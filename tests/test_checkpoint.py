@@ -1,19 +1,22 @@
 """Checkpoint container format: round trips and the three failure classes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from urbanflows import fileio
 from urbanflows.checkpoint import (
+    MAGIC,
     load_checkpoint,
     read_header,
     rng_state_of,
     save_checkpoint,
 )
 from urbanflows.errors import (
-    CheckpointError,
     CheckpointManifestError,
     CheckpointTruncatedError,
+    CheckpointValueError,
     CheckpointVersionError,
 )
 from urbanflows.numerics.params import ParameterStore
@@ -96,8 +99,8 @@ def test_truncated_payload(tmp_path, rewrite_header):
 
 def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
     """``load_checkpoint`` reads the payload into one float64 buffer and
-    ``load_payload`` makes every parameter a writable, C-contiguous view
-    of it, in manifest order; immutable payload bytes are copied once."""
+    makes every parameter a writable, C-contiguous view of it, in manifest
+    order; a store opened on immutable payload bytes copies them once."""
     store = small_store()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, store, {})
@@ -122,8 +125,10 @@ def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
 
     # bytes cannot be written through, so they are copied, once
     caller = bytes(payload)
-    other = small_store(seed=5)
-    other.load_payload(other.manifest(), caller)
+    other = ParameterStore.opened(target.manifest(), caller)
+    for name, t in target.items():
+        other.param(name, t.shape, trainable=t.requires_grad)
+    other.check_complete()
     caller_values = np.frombuffer(caller, dtype="<f8")
     bases = {id(t.data.base) for _, t in other.items()}
     assert len(bases) == 1
@@ -133,28 +138,36 @@ def test_loaded_parameters_are_views_of_one_buffer(tmp_path):
         assert np.array_equal(arr, target[name].data)
 
 
-@pytest.mark.parametrize("bad", ["nan", "variance", "manifest", "short"])
+@pytest.mark.parametrize("bad", ["nan", "variance", "manifest", "extra", "short"])
 def test_failed_load_payload_changes_no_parameter(tmp_path, bad):
-    store = small_store()
+    """A load that raises leaves every parameter's array and values as they
+    were: at a value check, at a tensor the payload lacks, at an entry no
+    tensor claims, or in ``read_header``."""
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, store, {})
+    save_checkpoint(path, small_store(), {})
     header, payload = read_header(path)
-    manifest = header["manifest"]
-    values = np.frombuffer(payload, dtype=np.float64)
+    values = np.frombuffer(payload, dtype="<f8")
     if bad == "nan":
         values[3] = np.nan
     elif bad == "variance":
         values[-1] = -1.0
-    elif bad == "manifest":
-        manifest = [entry for entry in manifest if entry[0] != "a.b"]
-    else:
-        payload = bytes(payload)[:-8]
+    elif bad == "manifest":  # "a.b" dropped with its two values
+        header["manifest"] = [entry for entry in header["manifest"] if entry[0] != "a.b"]
+        values = values[2:]
+    elif bad == "extra":
+        header["manifest"].append(["zz.extra", [1]])
+        values = np.append(values, 0.5)
+    header["payload_bytes"] = values.nbytes
+    blob = MAGIC + b" v1\n" + json.dumps(header).encode() + b"\n" + values.tobytes()
+    path.write_bytes(blob[:-8] if bad == "short" else blob)
 
     target = small_store(seed=99)
     before = {name: t.data for name, t in target.items()}
     snap = target.snapshot()
-    with pytest.raises(CheckpointError):
-        target.load_payload(manifest, payload)
+    error = {"nan": CheckpointValueError, "variance": CheckpointValueError,
+             "short": CheckpointTruncatedError}.get(bad, CheckpointManifestError)
+    with pytest.raises(error):
+        load_checkpoint(path, store=target)
     for name, t in target.items():
         assert t.data is before[name]
         assert np.array_equal(t.data, snap[name])
@@ -178,6 +191,24 @@ def test_bad_magic_or_version(tmp_path, magic):
     path.write_bytes(magic + rest)
     with pytest.raises(CheckpointVersionError):
         read_header(path)
+
+
+@pytest.mark.parametrize("stated", [7, 2, 0, "one", "1", None, [1], True, 1.0])
+def test_header_format_version_must_be_the_magic_lines(tmp_path, rewrite_header, stated):
+    """Under a ``v1`` magic line the header's ``format_version`` must be the
+    JSON integer 1: not another number, a string, null, a list, ``true``
+    or ``1.0``."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, small_store(), {})
+    rewrite_header(path, lambda header: header.update(format_version=stated))
+    with pytest.raises(CheckpointVersionError, match="format_version"):
+        read_header(path)
+    target = small_store(seed=99)
+    snap = target.snapshot()
+    with pytest.raises(CheckpointVersionError):
+        load_checkpoint(path, store=target)
+    for name, t in target.items():
+        assert np.array_equal(t.data, snap[name])
 
 
 def test_manifest_mismatches(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urbanflows.checkpoint import MAGIC, read_header, save_checkpoint
+from urbanflows.checkpoint import MAGIC, load_checkpoint, read_header, save_checkpoint
 from urbanflows.cli import main
 from urbanflows.errors import UrbanFlowsError
 from urbanflows.numerics import ParameterStore
@@ -68,29 +68,15 @@ def valid_checkpoint(workdir):
     return blob[nl1 + 1:nl2].decode(), blob[nl2 + 1:]
 
 
-def _install_opened(manifest, payload):
-    """The CLI's install: a store opened on the payload, ``_store()``'s
-    entries registered on it with their trainability, then
-    ``check_complete``."""
-    store = ParameterStore.opened(manifest, payload)
-    for name, t in _store().items():
-        store.param(name, t.shape, trainable=t.requires_grad)
-    store.check_complete()
-
-
-def _install_loaded(manifest, payload):
-    """``load_checkpoint``'s install: a built store takes the payload."""
-    _store().load_payload(manifest, payload)
-
-
-def _load_checkpoint_both_ways(path):
+def _load_checkpoint(path):
     """The checkpoint half of model loading, without building a model of
-    the (fuzzed) configured size, through each install path: the CLI's
-    and ``load_checkpoint``'s."""
-    header, payload = read_header(path)
-    RunConfig.from_sources(None, dict(header["config"]))
-    for install in (_install_opened, _install_loaded):
-        parses_or_raises_typed(install, header["manifest"], payload)
+    the (fuzzed) configured size: the header's config coerced as the CLI
+    coerces it, and the payload installed into ``_store()`` by
+    ``load_checkpoint``, whose store opened on the payload, registration
+    and ``check_complete`` are the CLI's install."""
+    header, _ = read_header(path)
+    parses_or_raises_typed(RunConfig.from_sources, None, dict(header["config"]))
+    load_checkpoint(path, _store())
 
 
 header_edits = st.one_of(
@@ -119,7 +105,7 @@ def test_fuzz_checkpoint_header_fields(workdir, valid_checkpoint, edit, drop):
         header[key] = json.loads(json.dumps(value))
     path = workdir / "f.ckpt"
     path.write_bytes(MAGIC + b" v1\n" + json.dumps(header).encode() + b"\n" + payload)
-    parses_or_raises_typed(_load_checkpoint_both_ways, path)
+    parses_or_raises_typed(_load_checkpoint, path)
 
 
 @FUZZ
@@ -127,7 +113,7 @@ def test_fuzz_checkpoint_header_fields(workdir, valid_checkpoint, edit, drop):
 def test_fuzz_checkpoint_header_bytes(workdir, head, tail):
     path = workdir / "f.ckpt"
     path.write_bytes(MAGIC + b" v1\n" + head + b"\n" + tail)
-    parses_or_raises_typed(_load_checkpoint_both_ways, path)
+    parses_or_raises_typed(_load_checkpoint, path)
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from composed_reference import concat, log, sqrt, tanh
 from conftest import add_param
 import geo_reference
 from geo_reference import conv2d, depthwise_conv2d, gelu, global_avg_pool
+from urbanflows.checkpoint import load_checkpoint, save_checkpoint
 from urbanflows.errors import (
     CheckpointManifestError,
     CheckpointValueError,
@@ -487,7 +488,7 @@ def test_numerical_gradient_rejects_nonfinite():
         numerical_gradient(bad, np.array([1e-9]))
 
 
-def test_parameter_store_payload_roundtrip(rng):
+def test_parameter_store_payload_roundtrip(rng, tmp_path):
     store = ParameterStore()
     add_param(store, "b.mat", rng.normal(size=(3, 2)))
     add_param(store, "a.vec", rng.normal(size=(4,)))
@@ -497,9 +498,12 @@ def test_parameter_store_payload_roundtrip(rng):
     payload = store.to_payload()
     assert len(payload) == 8 * sum(t.size for _, t in store.items())
     snap = store.snapshot()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, store, {})
     for _, t in store.items():
         t.data = t.data * 0.0 + 7.0
-    store.load_payload(manifest, payload)
+    header, loaded = load_checkpoint(path, store)
+    assert header["manifest"] == manifest and bytes(loaded) == payload
     for name in store.names():
         assert np.array_equal(store[name].data, snap[name])
     trainables = [n for n, _ in store.trainable_items()]

@@ -217,13 +217,16 @@ def test_dataset_header_dimensions_must_be_integers(tmp_path, n_value):
 
 
 def test_dataset_version_check(tmp_path):
+    """The version is the JSON integer 1: ``true`` and ``1.0`` compare equal
+    to 1 but are refused too."""
     samples = make_dataset(2, N, M, P, seed=1)
     path = tmp_path / "data.jsonl"
     write_dataset(path, samples, N, M, P)
-    text = path.read_text().replace('"format_version": 1', '"format_version": 99')
-    path.write_text(text)
-    with pytest.raises(FormatError):
-        read_dataset(path)
+    text = path.read_text()
+    for stated in ["99", "true", "1.0", '"1"', "null", "[1]", "0"]:
+        path.write_text(text.replace('"format_version": 1', f'"format_version": {stated}'))
+        with pytest.raises(FormatError, match="unsupported dataset version"):
+            read_dataset(path)
 
 @pytest.mark.parametrize("key,value", [
     ("green_level", 2.7), ("green_level", True), ("green_level", "2"),
