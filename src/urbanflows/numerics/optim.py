@@ -44,9 +44,14 @@ class Adam:
     ``eps_hat = EPS * sqrt(1 - b2^t)``: the bias-corrected update
     ``m_hat / (sqrt(v_hat) + EPS)`` rearranged, so only rounding differs.
 
-    The moments and one scratch buffer of new values are each one flat
-    array over every parameter, allocated here; ``step`` makes one pass of
-    each array operation over them.  It writes the parameters only once
+    The moments and one buffer of gradients, then new values, are each one
+    flat array over every parameter, allocated here; ``step`` makes one
+    pass of each array operation over them.  Adam owns the gradient
+    storage: ``zero_grad`` binds each parameter to its view of the buffer,
+    the tape accumulates into that view, and ``step`` copies only a
+    ``.grad`` assigned by hand.  ``step`` releases every binding before its
+    arithmetic, so ``.grad`` is None after it and no tensor keeps the
+    buffer alive.  It writes the parameters only once
     every new value is known to be finite.  Otherwise it raises
     ``TrainingFault("non-finite parameters after step N")``, N counting
     from 0 as the training loop does, and no parameter has changed.  The
@@ -70,16 +75,26 @@ class Adam:
             start += t.size
 
     def zero_grad(self):
+        """Clear every gradient and bind each parameter to its view of the
+        buffer, so that the tape's next ``backward`` writes there."""
+        for (_, t), view in zip(self.params, self._views):
+            t.grad = None
+            t._grad_view = view
+
+    def release(self):
+        """Unbind every parameter and clear its gradient."""
         for _, t in self.params:
             t.grad = None
+            t._grad_view = None
 
     def step(self):
         new = self._new
         for (_, t), view in zip(self.params, self._views):
             if t.grad is None:
                 view.fill(0.0)
-            else:
+            elif t.grad is not view:  # assigned by hand
                 np.copyto(view, t.grad)
+        self.release()
         self.t += 1
         b1, b2 = BETA1, BETA2
         root = math.sqrt(1.0 - b2 ** self.t)

@@ -49,12 +49,14 @@ def no_grad():
 class Tensor:
     """A float64 ndarray plus an optional backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_grad_view")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        # the optimizer's storage for this tensor's gradient, while it is bound
+        self._grad_view = None
         self._parents = ()
         self._backward = None
 
@@ -174,10 +176,23 @@ def _topo_order(root):
 
 
 def _accumulate(tensor, grad):
+    """Add ``grad`` to ``tensor.grad``.
+
+    A tensor that ``Adam.zero_grad`` bound keeps its gradient in the
+    optimizer's flat buffer: the first contribution is copied into its view
+    and later ones are added there in place, which rounds as ``grad + g``
+    does.  Any other tensor gets a fresh array."""
     if not tensor.requires_grad:
         return
+    view = tensor._grad_view
     if tensor.grad is None:
-        tensor.grad = np.array(grad, dtype=np.float64)
+        if view is None:
+            tensor.grad = np.array(grad, dtype=np.float64)
+        else:
+            np.copyto(view, grad)
+            tensor.grad = view
+    elif tensor.grad is view:
+        np.add(view, grad, out=view)
     else:
         tensor.grad = tensor.grad + grad
 

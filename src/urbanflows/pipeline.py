@@ -104,8 +104,10 @@ def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None
     """The training loop of both stages, over the parameters of ``namespaces``.
 
     Each step draws a batch, takes (loss tensor, float parts with "total")
-    from ``loss_of(step, es, zones, counts)``, backpropagates and runs one
-    Adam step; ``log`` gets (step, total, parts).  Returns the (step, total)
+    from ``loss_of(step, es, zones, counts)``, backpropagates into Adam's
+    gradient buffer and runs one Adam step; ``log`` gets (step, total,
+    parts).  No parameter stays bound to that buffer after a step, or after
+    a step that raised.  Returns the (step, total)
     history.  On a ``TrainingFault`` (a non-finite NLL from ``loss_of``, or
     Adam's non-finite update, which writes no parameter) the running
     statistics of ``namespaces`` are put back before it propagates, so the
@@ -129,6 +131,8 @@ def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None
         except TrainingFault:
             bundle.store.restore(stats)
             raise
+        finally:
+            opt.release()  # a loss that raised left the parameters bound
         history.append((step, parts["total"]))
         if log is not None:
             log(step, parts["total"], parts)

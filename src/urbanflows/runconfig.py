@@ -174,7 +174,26 @@ def _coerce(raw, default, key):
             return kind(raw)
     except (KeyError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         pass
-    raise ConfigurationError(f"{key}: expected {expected}, got {raw!r:.40}")
+    raise ConfigurationError(f"{key}: expected {expected}, got {_shown(raw)}")
+
+
+def _shown(value, width=40):
+    """``repr(value)`` cut at ``width`` characters.  An int, alone or in a
+    list or tuple, converts only its leading digits: ``repr`` raises
+    ``ValueError`` for an int beyond Python's int-to-str digit limit."""
+    if _is_int(value):
+        # 10**drop has at most width + 1 fewer digits than the value
+        drop = max(0, int((abs(value).bit_length() - 1) * math.log10(2)) - width)
+        text = ("-" if value < 0 else "") + str(abs(value) // 10 ** drop)
+    elif isinstance(value, (list, tuple)):
+        items = ", ".join(_shown(v, width) for v in value)
+        if isinstance(value, list):
+            text = f"[{items}]"
+        else:
+            text = f"({items}{',' if len(value) == 1 else ''})"
+    else:
+        text = repr(value)
+    return text[:width]
 
 
 def parse_config_file(path):

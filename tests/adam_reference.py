@@ -1,15 +1,28 @@
-"""Reference Adam that ``urbanflows.numerics.Adam`` is tested against.
+"""Reference optimizers that ``urbanflows.numerics.Adam`` is tested against.
 
-This is the textbook form: the gradients, clipped by their global norm,
+``ReferenceAdam`` is the textbook form: the gradients, clipped by their global norm,
 update the moments, and each parameter moves by
 ``lr * scale * m_hat / (sqrt(v_hat) + eps)`` with the bias-corrected
 moments ``m_hat = m / (1 - b1^t)`` and ``v_hat = v / (1 - b2^t)``.  It
 builds full-size temporaries for every term and writes each parameter as
 it goes, with no finite check.  Its constructor and ``step`` match the
-package's ``Adam``.
+package's ``Adam``.  ``CopyingAdam`` is the package's arithmetic on
+copied gradients, the path that bound gradients must match bit for bit.
 """
 
 import numpy as np
+
+from urbanflows.numerics import Adam
+
+
+class CopyingAdam(Adam):
+    """The package's ``Adam`` with gradients copied rather than bound:
+    ``zero_grad`` binds nothing, so the tape gives every gradient a fresh
+    array and ``step`` copies each into the flat buffer."""
+
+    def zero_grad(self):
+        for _, t in self.params:
+            t.grad = None
 
 
 class ReferenceAdam:

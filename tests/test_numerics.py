@@ -10,7 +10,7 @@ import pytest
 
 import composed_reference
 import conv_reference
-from adam_reference import ReferenceAdam
+from adam_reference import CopyingAdam, ReferenceAdam
 from composed_reference import concat, log, sqrt, tanh
 from conftest import add_param
 import geo_reference
@@ -617,6 +617,34 @@ def test_adam_matches_reference(rng, lr_scales):
         assert np.abs(want[name].data - start[name]).max() > 0.1, name
         np.testing.assert_allclose(got[name].data, want[name].data, rtol=0, atol=1e-12,
                                    err_msg=name)
+
+
+def test_adam_bound_gradient_of_a_shared_parameter(rng):
+    """A parameter that feeds three tape nodes sums their contributions in
+    Adam's buffer, the later two in place; ``c`` feeds none.  Over 20 steps
+    every parameter and both moments equal, bit for bit, a run whose
+    gradients are fresh arrays copied in by ``step``."""
+    start = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,)), "c": rng.normal(size=(2,))}
+    inputs = rng.normal(size=(20, 5, 4))
+    runs = []
+    for cls in (Adam, CopyingAdam):
+        tensors = {n: Tensor(v.copy(), requires_grad=True) for n, v in start.items()}
+        w, b = tensors["w"], tensors["b"]
+        opt = cls(list(tensors.items()), lr=0.05)
+        for x in inputs:
+            opt.zero_grad()
+            h = Tensor(x) @ w + b
+            loss = (exp(h * 0.3) * h).sum() + (w * w).sum() * 0.1 + (w @ Tensor(x[:, :3].T)).sum()
+            loss.backward()
+            assert np.shares_memory(w.grad, opt._new) == (cls is Adam)
+            assert tensors["c"].grad is None
+            opt.step()
+            assert all(t.grad is None for t in tensors.values())
+        runs.append([t.data for t in tensors.values()] + [opt._m, opt._v])
+    got, want = runs
+    assert np.abs(got[0] - start["w"]).max() > 0.1
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_adam_clips_a_huge_finite_gradient():

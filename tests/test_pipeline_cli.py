@@ -4,16 +4,19 @@ CLI tests call cli.main(argv) in-process; one smoke test goes through
 ``python3 -m urbanflows`` to cover the real entry point.
 """
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import encoding_reference
+from adam_reference import CopyingAdam
 from conftest import tiny_set_args
 from urbanflows import checkpoint, cli, config_flow, pipeline
 from urbanflows.checkpoint import read_header
@@ -174,6 +177,89 @@ def test_poisoned_gradient_leaves_the_last_good_state(monkeypatch, stage, poison
     assert sorted(good[-1]) == store.names()
     for name, arr in good[-1].items():
         assert np.array_equal(store[name].data, arr), name
+
+
+@pytest.mark.parametrize("over", [{}, {"use_geo": False, "use_attention": False}],
+                         ids=["default", "ablated"])
+def test_bound_gradients_train_as_copied_ones(monkeypatch, over):
+    """Four steps of each stage of a default-size model end in the same
+    bits whether the tape accumulates into Adam's buffer or ``step`` copies
+    fresh arrays in: every parameter, both moments and every logged loss
+    part.  The ablated model has tensors that never get a gradient."""
+    runs = []
+    for cls in (pipeline.Adam, CopyingAdam):
+        opts, parts, missing = [], [], []
+
+        class Recording(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+            def step(self):
+                missing.append(sum(t.grad is None for _, t in self.params))
+                super().step()
+
+        monkeypatch.setattr(pipeline, "Adam", Recording)
+        bundle = ModelBundle(RunConfig(**over).validate())
+        rc = bundle.cfg
+        samples = make_dataset(40, rc.n, rc.m, rc.p, seed=4)
+        log = lambda step, loss, p: parts.append({k: np.float64(v).tobytes() for k, v in p.items()})
+        train_zone_stage(bundle, samples, np.random.default_rng(0), steps=4, log=log)
+        train_config_stage(bundle, samples, np.random.default_rng(1), steps=4, log=log)
+        state = [bundle.store[n].data.tobytes() for n in bundle.store.names()]
+        state += [arr.tobytes() for opt in opts for arr in (opt._m, opt._v)]
+        runs.append((state, parts, missing))
+    (state, parts, missing), want = runs
+    assert len(parts) == 8 and len(missing) == 8
+    assert (missing[4] > 0) == bool(over)  # stage 2 leaves the unused tensors
+    assert state == want[0] and parts == want[1] and missing == want[2]
+
+
+def test_adam_buffer_does_not_outlive_training(monkeypatch):
+    """Between ``backward`` and ``step`` every gradient lies in Adam's flat
+    buffer, and ``step`` leaves each ``.grad`` None.  No tensor keeps that
+    buffer alive once ``_train`` returns, or raises ``TrainingFault`` from
+    a loss or from ``step``."""
+    buffers, steps = [], []
+
+    class Watched(pipeline.Adam):
+        poison = False
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            buffers.append(weakref.ref(self._new))
+
+        def step(self):
+            grads = [t.grad for _, t in self.params if t.grad is not None]
+            assert grads and all(np.shares_memory(g, self._new) for g in grads)
+            if self.poison:
+                grads[0].flat[0] = np.nan
+            del grads
+            try:
+                super().step()
+            finally:
+                assert all(t.grad is None for _, t in self.params)
+            steps.append(self.t)
+
+    def buffer_freed():
+        gc.collect()
+        return buffers[-1]() is None
+
+    monkeypatch.setattr(pipeline, "Adam", Watched)
+    rc = mini_bundle().cfg
+    samples = make_dataset(16, rc.n, rc.m, rc.p, seed=2)
+    bundles = [mini_bundle() for _ in range(4)]  # alive to the end, as a CLI's is
+    for train, bundle in ((train_zone_stage, bundles[0]), (train_config_stage, bundles[1])):
+        train(bundle, samples, np.random.default_rng(0), steps=2)
+        assert buffer_freed() and steps[-2:] == [1, 2]
+    bundles[2].store["zone.block0.coupling.out.w"].data.flat[0] = np.nan
+    with pytest.raises(TrainingFault, match="non-finite zone NLL"):
+        train_zone_stage(bundles[2], samples, np.random.default_rng(0), steps=2)
+    assert buffer_freed()
+    Watched.poison = True
+    with pytest.raises(TrainingFault, match="non-finite parameters after step 0"):
+        train_config_stage(bundles[3], samples, np.random.default_rng(0), steps=2)
+    assert buffer_freed() and len(buffers) == 4
 
 
 @pytest.mark.parametrize("train,part", [(train_zone_stage, "zone_nll"),

@@ -121,6 +121,12 @@ COERCION = [
     ("lr", True, _refused("lr", "a number", "True")),
     ("lr", "0.5,", _refused("lr", "a number", "'0.5,'")),
     ("lr", 10 ** 400, _refused("lr", "a number", "1" + "0" * 39)),
+    # ints beyond Python's int-to-str limit (4,300 digits) show their
+    # leading digits, as a shorter int does
+    ("lr", 10 ** 5000, _refused("lr", "a number", "1" + "0" * 39)),
+    ("lr", -(10 ** 5000), _refused("lr", "a number", "-1" + "0" * 38)),
+    ("use_geo", 10 ** 5000, _refused("use_geo", "a boolean", "1" + "0" * 39)),
+    ("seed", [7 * 10 ** 5000], _refused("seed", "an integer", "[7" + "0" * 38)),
     # tuple fields: comma lists of int() that skip empty tokens; typed,
     # lists of ints
     ("zone_hidden", "6,6", (6, 6)),
@@ -135,8 +141,16 @@ COERCION = [
 ]
 
 
+def _row_id(key, raw):
+    try:
+        return f"{key}={raw!r:.20}"
+    except ValueError:  # an int beyond the int-to-str limit, alone or in a list
+        sign = "-" if isinstance(raw, int) and raw < 0 else ""
+        return f"{key}={sign}{type(raw).__name__}-beyond-str-limit"
+
+
 @pytest.mark.parametrize("key,raw,want", COERCION,
-                         ids=[f"{key}={raw!r:.20}" for key, raw, _ in COERCION])
+                         ids=[_row_id(key, raw) for key, raw, _ in COERCION])
 def test_coercion_rule(key, raw, want):
     """One rule per field type for both sources; every refusal reads
     ``<key>: expected <what>, got <value>``."""
