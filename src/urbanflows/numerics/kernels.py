@@ -17,8 +17,9 @@ normalizes the last axis and takes its means as products with a 1/C column.
 depthwise conv is k*k multiply-adds of shifted windows of (B, H, W*C) rows.
 The norm's gamma and beta fold into the expand weights and LayerScale into
 the back ones, so the rest is two GEMMs, the norm and the GELU, and the
-backward is GEMMs over (rows, C) and (rows, 4C) arrays.  Under ``no_grad``
-the (rows, 4C) arrays are made a block of rows at a time.
+backward is GEMMs over (rows, C) and (rows, 4C) arrays.  Of the (rows, 4C)
+arrays a taped layer keeps GELU's output and slope, not the pre-activation
+and its CDF.  Under ``no_grad`` they are made a block of rows at a time.
 
 ``affine_step`` (the conditioner pass, ``y = x * exp(s) + b`` and the
 log-det, or the inverse) and ``batchnorm_flow`` are whole flow-layer steps
@@ -30,10 +31,15 @@ inverse maps (B, d) to (B, d).  Under ``no_grad`` a node is its forward
 alone: nothing is kept for a backward.  The conditioner pass inside
 ``affine_step`` (dense layers with an optional condition term, GELU, the
 output layer and the tanh scale clamp) is ``conditioner_mlp_arrays``, and
-``_mlp_backward`` its backward.  MADE masks are constants of the node,
-applied to the weights in the forward and to their gradients in the
-backward.  ``conditioner_mlp_arrays`` is also each pass of an AR layer's
-fixed-point inverse, with the weights masked once per bind.
+``_mlp_backward`` its backward.  A taped ``affine_step`` keeps each hidden
+layer's input and GELU slope, the last hidden activation and the tanh of
+the scale columns; its backward rebuilds exp(+-s) from that tanh and the
+masked weights from the parameters (``pass_arrays``), the same operations
+on the same operands, so it gets the forward's bits.  MADE masks are
+constants of the node: each pass multiplies the weights by them, and the
+backward the weight gradients.  ``conditioner_mlp_arrays`` is also each
+pass of an AR layer's fixed-point inverse, with the weights masked once
+per bind.
 """
 
 from __future__ import annotations
@@ -241,6 +247,8 @@ def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=
         pre += b_up
         act, cdf = _gelu(pre, out=None if tracked else pre)
         np.matmul(act, w_back, out=out[lo : lo + step])
+    # the backward keeps act and GELU's slope; pre and cdf die here
+    slope = _gelu_slope(pre, cdf) if tracked else None
     out += pw_b.data * ls.data
     out = out.reshape(x.shape)
     if keep is not None:
@@ -258,7 +266,7 @@ def convnext_layer(x, dw_w, dw_b, gamma, beta, up_w, up_b, pw_w, pw_b, ls, keep=
         _accumulate(pw_w, act_g * ls.data)
         _accumulate(pw_b, g_back_b * ls.data)
         g_pre = g_branch @ w_back.T
-        g_pre *= _gelu_slope(pre, cdf)
+        g_pre *= slope
         # expand and the norm's affine: pre = (normed gamma + beta) @ up_w + up_b
         g_up_b = g_pre.sum(axis=0)
         normed_g = normed.T @ g_pre
@@ -291,7 +299,8 @@ def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
     ``[-clamp, clamp]`` by ``clamp * tanh(. / clamp)``.  Returns ``(out,
     t, h)``: the ``(B, 2d)`` output, the tanh of the scale columns and the
     last hidden activation.  When ``saved`` is a list, each hidden layer
-    appends ``(input, pre-activation, its normal CDF)`` to it.
+    appends ``(input, GELU slope)`` to it, all its backward needs: the
+    pre-activation and its CDF are not kept.
     """
     h = x
     for w, b, cv in hidden:
@@ -302,7 +311,7 @@ def conditioner_mlp_arrays(x, hidden, w_out, b_out, d, clamp, saved=None):
         h_in = h
         h, cdf = _gelu(pre)
         if saved is not None:
-            saved.append((h_in, pre, cdf))
+            saved.append((h_in, _gelu_slope(pre, cdf)))
     out = h @ w_out
     out += b_out
     t = np.tanh(out[:, :d] * (1.0 / clamp))
@@ -316,12 +325,12 @@ def _mlp_backward(g_pre, t, saved, h_last, weights, masks, d, need_input):
     ``need_input``) and, per weight matrix, (masked weight gradient, bias
     gradient, pre-activation gradient)."""
     g_pre[:, :d] *= 1.0 - t * t
-    inputs = [*saved, (h_last, None, None)]
+    inputs = [*saved, (h_last, None)]
     grads = [None] * len(inputs)
     for i in range(len(inputs) - 1, -1, -1):
-        h_in, pre, cdf = inputs[i]
-        if pre is not None:  # a hidden layer: back through the GELU
-            g_pre = (g_pre @ weights[i + 1].T) * _gelu_slope(pre, cdf)
+        h_in, slope = inputs[i]
+        if slope is not None:  # a hidden layer: back through the GELU
+            g_pre = (g_pre @ weights[i + 1].T) * slope
         g_w = h_in.T @ g_pre
         if masks is not None:
             g_w *= masks[i]
@@ -352,6 +361,11 @@ def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
     hidden ones in order, then ``w_out``): the pass uses each weight times
     its mask, and each weight gradient is multiplied by the same mask, as
     the tape op ``w * mask`` would give.
+
+    A taped node keeps what ``conditioner_mlp_arrays`` saves, the last
+    hidden activation and t, the tanh of the scale columns.  Its backward
+    rebuilds exp(+-s) from s = clamp t and the masked weights from the
+    parameters' current values, which no update may move before it runs.
     """
     parents = [p for p in (x, cond, *(p for layer in hidden for p in layer), w_out, b_out)
                if p is not None]
@@ -381,6 +395,11 @@ def affine_step(x, cond, hidden, w_out, b_out, clamp, lo, reads, masks=None,
         np.add(h[:, n], s.sum(axis=1), out=res[:, n])
 
     def backward(g):
+        # exp(+-s) and the masked weights are rebuilt, not kept: s = clamp t
+        # is the pass's own last step, and the parameters have not moved
+        s = np.multiply(t, clamp)
+        e = np.exp(-s if inverse else s)
+        weights = pass_arrays(hidden, w_out, masks)[0]
         g2 = g[:, lo:n]
         g_y2 = g2 * e
         if inverse:  # x2 = (y2 - b) e: dx2/ds = -x2, dx2/db = -e

@@ -242,7 +242,8 @@ def _int_array(values, key):
 
 
 def read_dataset(path):
-    """Returns (samples, meta dict with N/M/P)."""
+    """Returns (samples, meta dict with N/M/P).  Every record's id must be
+    new: ``--sample-id`` picks a sample by it."""
     lines = read_text_lines(path)
     if not lines:
         raise ParseError("dataset file has no header line", line_number=1, path=path)
@@ -261,6 +262,7 @@ def read_dataset(path):
                          line_number=1, path=path)
     n, m, p = dims
     samples = []
+    id_lines = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -279,5 +281,9 @@ def read_dataset(path):
                                  ZoneMap(zones), ConfigTensor(config))
         except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:
             raise ParseError(f"bad record: {exc}", line_number=lineno, path=path) from exc
+        first = id_lines.setdefault(sample.id, lineno)
+        if first != lineno:
+            raise ParseError(f"repeated id {sample.id} (first on line {first})",
+                             line_number=lineno, path=path)
         samples.append(sample)
     return samples, {"N": n, "M": m, "P": p}

@@ -5,6 +5,9 @@ the oracle helpers; the tolerances here gate everything downstream, since
 all flow and fusion gradients are built from these primitives.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,7 @@ from urbanflows.errors import (
     OracleError,
     TrainingFault,
 )
-from urbanflows.flow_layers import build_made_masks
+from urbanflows.flow_layers import MaskedARLayer, build_made_masks
 from urbanflows.numerics import (
     Adam,
     ParameterStore,
@@ -391,6 +394,48 @@ def test_affine_step_inverse_gradients(rng, kind):
     arrays, step, _ = _affine_case(rng, kind, inverse=True)
     weight = rng.normal(size=arrays[0].shape)
     check_scalar_grad(lambda *t: (step(*t) * weight).sum(), *arrays)
+
+
+def _held_bytes(forward):
+    """Bytes that the taped node ``forward()`` returns still holds once it
+    has returned, less its output: what its backward keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        node = forward()
+        return tracemalloc.get_traced_memory()[0] - before - node.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_masked_ar_step_keeps_no_masked_weights(rng):
+    """A taped MADE step holds no copy of its masked weights (the backward
+    rebuilds them) nor exp(s): at d=320, widths (64, 64), condition width
+    76 and B=32 it held about 792,000 bytes when it kept them, and about
+    152,000 without."""
+    layer = MaskedARLayer(ParameterStore(), "mar", 320, 76, rng, widths=(64, 64))
+    state = Tensor(np.concatenate([rng.normal(size=(32, 320)), np.zeros((32, 1))], axis=1))
+    cond = Tensor(rng.normal(size=(32, 76)))
+    masked_copies = sum(mask.size * 8 for mask in layer.net.masks)
+    assert masked_copies == 524_288
+    assert _held_bytes(lambda: layer.step(state, cond)) < masked_copies
+
+
+def test_convnext_layer_keeps_two_wide_arrays(rng):
+    """Of its (rows, 4C) arrays a taped ConvNeXt layer holds GELU's output
+    and slope, not the pre-activation and CDF: at B=32, an 8x8 grid and C=8
+    it held about 1,734,000 bytes with the output, pre-activation and CDF,
+    and about 1,210,000 with the output and slope."""
+    c = 8
+    params = [Tensor(a, requires_grad=True) for a in (
+        rng.normal(size=(c, 3, 3)), rng.normal(size=(c,)), rng.normal(size=(c,)) + 1.0,
+        rng.normal(size=(c,)), rng.normal(size=(c, 4 * c)), rng.normal(size=(4 * c,)),
+        rng.normal(size=(4 * c, c)), rng.normal(size=(c,)), rng.normal(size=(c,)))]
+    x = Tensor(rng.normal(size=(32, 8, 8, c)))
+    wide = 32 * 8 * 8 * 4 * c * 8  # bytes of one (rows, 4C) array
+    assert 2.5 * wide == 1_310_720
+    assert _held_bytes(lambda: convnext_layer(x, *params)) < 2.5 * wide
 
 
 def test_batchnorm_flow_gradients(rng):

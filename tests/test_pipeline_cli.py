@@ -655,6 +655,28 @@ def test_cli_rejects_non_integer_dataset_entries(tmp_path, capsys, command, key,
     assert not os.path.exists(out) and not os.path.exists(out + ".log")
 
 
+@pytest.mark.parametrize("command", ["generate", "trace"])
+def test_cli_rejects_a_repeated_dataset_id(tmp_path, capsys, command):
+    """A record whose id an earlier record already has is refused on its
+    line, so ``--sample-id`` never picks the first of two samples
+    silently, and nothing is written."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    data = tmp_path / "data.jsonl"
+    lines = data.read_text().splitlines()
+    rec, sid = json.loads(lines[2]), json.loads(lines[1])["id"]
+    rec["id"] = sid
+    lines[2] = json.dumps(rec, sort_keys=True)
+    data.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    rc = main([command, "--ckpt", ckpt, "--green-level", "1", "--dataset", str(data),
+               "--sample-id", str(sid), "--out-dir", out])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {data}:3: repeated id {sid} (first on line 2)")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda header: header.update(config=5), "config is not a JSON object"),
     (lambda header: header["config"].update(n=[4]), "n: expected an integer"),
