@@ -52,20 +52,24 @@ def rng_state_of(rng):
 
 
 def save_checkpoint(path, store, config_dict, rng_state=None, extra=None):
-    payload = store.to_payload()
+    """Write ``store`` atomically: the magic line, the header, then each
+    parameter's bytes straight from its array (``payload_arrays``), so the
+    payload is never held whole in memory."""
+    manifest = store.manifest()
     header = {
         "format_version": FORMAT_VERSION,
         "config": _clean(config_dict),
-        "manifest": store.manifest(),
+        "manifest": manifest,
         "rng_state": _clean(rng_state) if rng_state is not None else None,
-        "payload_bytes": len(payload),
+        "payload_bytes": _manifest_bytes(manifest),
     }
     if extra:
         header["extra"] = _clean(extra)
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC + b" v%d\n" % FORMAT_VERSION)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(payload)
+        for values in store.payload_arrays():
+            fh.write(values)
 
 
 def _manifest_bytes(manifest):

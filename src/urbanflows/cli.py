@@ -266,10 +266,20 @@ def cmd_evaluate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a malformed value, a missing
+    or unknown option or subcommand) raise ``ConfigurationError``, which
+    ``main`` reports with exit status 1, instead of exiting with status 2.
+    Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="urbanflows",
         description="Dual-stage conditional normalizing flows for grid "
                     "land-use generation.",
@@ -334,8 +344,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UrbanFlowsError as exc:
         where = ""

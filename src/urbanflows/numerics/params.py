@@ -139,9 +139,15 @@ class ParameterStore:
     def manifest(self):
         return [[name, list(self._params[name].shape)] for name in self.names()]
 
+    def payload_arrays(self):
+        """The checkpoint payload, one parameter at a time: each value array
+        as C-ordered little-endian float64 (the array itself when it already
+        is one), in manifest order."""
+        return (np.ascontiguousarray(self._params[name].data, dtype="<f8")
+                for name in self.names())
+
     def to_payload(self):
-        return b"".join(np.ascontiguousarray(self._params[name].data, dtype="<f8")
-                        for name in self.names())
+        return b"".join(self.payload_arrays())
 
     def snapshot(self, prefix="", trainable=True):
         """Copies of the values of every parameter whose name starts with

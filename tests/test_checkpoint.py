@@ -1,6 +1,7 @@
 """Checkpoint container format: round trips and the three failure classes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from urbanflows.errors import (
     CheckpointVersionError,
 )
 from urbanflows.numerics.params import ParameterStore
+from urbanflows.pipeline import ModelBundle
+from urbanflows.runconfig import RunConfig
 
 from conftest import add_param, restore_rng
 
@@ -262,9 +265,10 @@ def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, failure):
 
     store = small_store(seed=8)
     if failure == "write":
-        # header goes out, then the payload write fails part way through
-        monkeypatch.setattr(store, "to_payload", lambda: "not bytes")
-        expected = TypeError
+        # the header and the first parameters go out, then the write of the
+        # last one fails part way through the payload
+        monkeypatch.setattr(store["z.running_var"], "data", np.array(["not", "floats"]))
+        expected = ValueError
     else:
         def refuse(src, dst):
             raise OSError("disk full")
@@ -275,3 +279,21 @@ def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, failure):
         save_checkpoint(path, store, {"seed": 2})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+def test_save_streams_the_payload(tmp_path):
+    """A default-size save writes each parameter from its own array: its
+    traced peak stays below a quarter of the payload it writes, and the
+    file ends in the same bytes ``to_payload`` joins."""
+    store = ModelBundle(RunConfig().validate()).store
+    path = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, store, {"seed": 0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    header, payload = read_header(path)
+    assert header["payload_bytes"] == len(payload) > 4_000_000
+    assert peak < len(payload) / 4, f"traced peak {peak} of a {len(payload)}-byte payload"
+    assert bytes(payload) == store.to_payload()

@@ -1,6 +1,7 @@
 """Property fuzz of every file reader: checkpoint headers, dataset header
 and record lines, and config files; of the model build from a parsed
-config; and a table of ``--set`` values run through every CLI stage.
+config; a table of ``--set`` values run through every CLI stage; and the
+structure of the CLI's argv.
 
 Each input, however malformed, must either parse or raise an
 ``UrbanFlowsError``; anything else would leave the CLI as a Python
@@ -8,8 +9,12 @@ traceback.  Inputs start from a valid file and replace one part with
 arbitrary JSON or bytes, so the fuzz reaches past the first check.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -214,3 +219,114 @@ def test_set_table_runs_every_stage_or_fails_typed(tmp_path, capsys, tiny_datase
         if code == 1:
             assert any(line.startswith("error:")
                        for line in capsys.readouterr().err.splitlines()), argv[0]
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(workdir, tiny_dataset):
+    """Input paths the argv fuzz draws from: the tiny dataset, a tiny config
+    file (one step per stage), a checkpoint of the tiny model trained one
+    step per stage, and a path where nothing is."""
+    cfg = workdir / "tiny.cfg"
+    pairs = tiny_set_args(steps_zone=1, steps_config=1)[1::2]
+    cfg.write_text("".join(pair.replace("=", " = ", 1) + "\n" for pair in pairs))
+    zone, model = str(workdir / "argv-zone.ckpt"), str(workdir / "argv-model.ckpt")
+    assert main(["train-zone", "--config", str(cfg), "--dataset", tiny_dataset,
+                 "--out-ckpt", zone]) == 0
+    assert main(["train-config", "--config", str(cfg), "--dataset", tiny_dataset,
+                 "--zone-ckpt", zone, "--out-ckpt", model]) == 0
+    return {"dataset": tiny_dataset, "config": str(cfg), "model": model,
+            "missing": str(workdir / "missing")}
+
+
+def _ints(most=None):
+    """Integer tokens of any sign and size, and tokens that are no integer."""
+    return (st.integers(max_value=most).map(str)
+            | st.sampled_from(["", "x", "1.5", "0x10", "1e3", "-", "9" * 5000]))
+
+
+_OUTPUTS = ["--out", "--out-dir", "--out-ckpt"]
+_INPUTS = {"--config": ["config", "dataset", "missing"],
+           "--dataset": ["dataset", "model", "missing"],
+           "--ckpt": ["model", "dataset", "missing"],
+           "--zone-ckpt": ["model", "dataset", "missing"]}
+_GENERATION = ["--ckpt", "--green-level", "--count", "--out-dir", "--seed", "--context-seed",
+               "--dataset", "--sample-id", "--set"]
+# each subcommand's valid invocation, and every flag it takes
+ARGV_BASES = {
+    "synth": ["--config", "--count", "--out"],
+    "train-zone": ["--config", "--dataset", "--out-ckpt"],
+    "train-config": ["--config", "--dataset", "--zone-ckpt", "--out-ckpt"],
+    "generate": ["--ckpt", "--green-level", "--out-dir"],
+    "trace": ["--ckpt", "--green-level", "--out-dir"],
+    "evaluate": ["--ckpt", "--dataset", "--out"],
+}
+ARGV_FLAGS = {
+    "synth": ["--config", "--set", "--count", "--out"],
+    "train-zone": ["--config", "--set", "--dataset", "--out-ckpt"],
+    "train-config": ["--config", "--set", "--dataset", "--zone-ckpt", "--out-ckpt"],
+    "generate": [*_GENERATION, "--trace"],
+    "trace": _GENERATION,
+    "evaluate": ["--ckpt", "--dataset", "--out", "--set"],
+}
+# tokens no subcommand defines, and a flag of another subcommand
+ARGV_STRAYS = ["--bogus", "-x", "--", "stray", "--help", "--trace"]
+
+
+def _valid_value(flag, inputs, out_dir):
+    """The token a valid invocation gives ``flag``."""
+    return {"--count": "2", "--green-level": "1", "--config": inputs["config"],
+            "--dataset": inputs["dataset"], "--ckpt": inputs["model"],
+            "--zone-ckpt": inputs["model"]}.get(flag, os.path.join(out_dir, "out"))
+
+
+def _value(flag, inputs, out_dir):
+    """The strategy of the tokens that follow ``flag``: one, or one time in
+    eight none."""
+    if flag == "--count":
+        # a valid count is that many samples or generations; a larger one
+        # is well-formed and only slow, so positive counts stay small
+        one = _ints(most=3)
+    elif flag in ("--seed", "--context-seed", "--green-level", "--sample-id"):
+        one = _ints()
+    elif flag in _INPUTS:
+        one = st.sampled_from([inputs[key] for key in _INPUTS[flag]])
+    elif flag in _OUTPUTS:
+        one = st.sampled_from([os.path.join(out_dir, "out"), inputs["missing"] + "/x"])
+    elif flag == "--set":
+        one = st.sampled_from(["seed=5", "steps_zone=2", "n=5", "lr=x", "bogus=1", "n"])
+    else:
+        return st.just([])
+    return st.tuples(st.integers(0, 7), one).map(lambda kt: [kt[1]] if kt[0] else [])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_cli_argv_structure(workdir, argv_inputs, data):
+    """A subcommand's valid invocation (or none, or an unknown subcommand)
+    with options dropped, more of its flags and stray tokens added, repeats
+    allowed, in any order, each added flag with or without a value, and
+    integers of any sign and size among the values: ``main`` exits 0 or 1,
+    with an ``error:`` line on 1, and ``--help`` exits 0; no other exception
+    escapes.  Every output goes into a directory of the example's own."""
+    command = data.draw(st.sampled_from([*ARGV_FLAGS, "bogus", None]))
+    with tempfile.TemporaryDirectory(dir=workdir) as out_dir:
+        # each of the valid invocation's options is dropped one time in four
+        pairs = [[flag, _valid_value(flag, argv_inputs, out_dir)]
+                 for flag in ARGV_BASES.get(command, []) if data.draw(st.integers(0, 3))]
+        added = data.draw(st.lists(st.sampled_from(ARGV_FLAGS.get(command, ["--count"])),
+                                   max_size=4))
+        for flag in added + data.draw(st.lists(st.sampled_from(ARGV_STRAYS), max_size=2)):
+            pairs.append([flag, *data.draw(_value(flag, argv_inputs, out_dir))])
+        argv = [] if command is None else [command]
+        for pair in data.draw(st.permutations(pairs)):
+            argv += pair
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert "--help" in argv and exc.code == 0, argv
+                return
+    assert code in (0, 1), argv
+    if code == 1:
+        assert "error: " in err.getvalue(), argv

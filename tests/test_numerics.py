@@ -6,7 +6,11 @@ all flow and fusion gradients are built from these primitives.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +136,44 @@ def test_gelu_value():
     assert abs(float(out.data[0]) - 0.8413447460685429) < 1e-15
     out0 = gelu(Tensor(np.array([0.0])))
     assert float(out0.data[0]) == 0.0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ERF_IMPORTS = {
+    # importing the package runs no scipy.special __init__
+    "cli-alone": """
+import sys
+import urbanflows.cli
+assert "scipy.special" not in sys.modules, "scipy.special was imported"
+""",
+    # the real package still imports afterwards and names the same ufunc
+    "scipy-special-after": """
+import urbanflows.cli
+from urbanflows.numerics import kernels
+import scipy.special
+assert kernels._erf is scipy.special.erf
+assert scipy.special.gamma(5.0) == 24.0  # the whole package is there
+""",
+    "scipy-special-first": """
+import scipy.special
+from urbanflows.numerics import kernels
+assert kernels._erf is scipy.special.erf
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERF_IMPORTS))
+def test_gelu_erf_is_scipys_ufunc_without_scipy_special(case):
+    """``kernels`` takes scipy's ``erf`` from its compiled module.  Each case
+    runs in a new interpreter, where pytest's own imports cannot have loaded
+    ``scipy.special`` already."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", ERF_IMPORTS[case]], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_reshape_transpose_concat_getitem(rng):

@@ -793,6 +793,38 @@ def test_cli_parser_is_built_once_per_process(capsys):
     assert cli.build_parser.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--ckpt", "m.ckpt", "--green-level", "x", "--out-dir", "g"],
+     "urbanflows generate: argument --green-level: invalid int value: 'x'"),
+    (["generate", "--green-level", "1", "--out-dir", "g"],
+     "urbanflows generate: the following arguments are required: --ckpt"),
+    (["sample"], "urbanflows: argument command: invalid choice: 'sample'"),
+    ([], "urbanflows: the following arguments are required: command"),
+    (["synth", "--count", "1", "--out", "d.jsonl", "--steps", "3"],
+     "urbanflows: unrecognized arguments: --steps 3"),
+    (["evaluate", "--ckpt"], "urbanflows evaluate: argument --ckpt: expected one argument"),
+], ids=["bad-int", "missing-option", "unknown-command", "no-command", "unknown-option",
+        "missing-value"])
+def test_cli_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv, message):
+    """A malformed argv is a typed error: exit 1 with one ``error:`` line,
+    no usage dump and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [[], ["synth"], ["train-zone"], ["train-config"],
+                                     ["generate"], ["trace"], ["evaluate"]])
+def test_cli_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: urbanflows")
+
+
 @pytest.mark.parametrize("command,stage_fn,stage", [
     ("train-zone", "train_zone_stage", "zone"),
     ("train-config", "train_config_stage", "config"),
