@@ -6,10 +6,14 @@ Layout on disk::
     {json header}\n
     <payload bytes>
 
-The header records the run config, the parameter manifest (name plus shape,
-lexicographic by name), the RNG state and the exact payload byte count.  The
-payload is every parameter flattened C-order as little-endian float64 and
-concatenated in manifest order, so a save/load round trip is bit exact.
+The magic line must be exactly ``URBANFLOWS-CKPT v1``.  The header holds
+``format_version`` (the JSON integer 1), the run config, the parameter
+manifest (name plus shape, lexicographic by name), the exact payload byte
+count and, from the CLI, ``extra.stage``: a stage trains from the config's
+``seed`` plus its stage number less one.  The reader ignores any other key,
+such as the ``rng_state`` that older writers added.  The payload is every
+parameter flattened C-order as little-endian float64 and concatenated in
+manifest order, so a save/load round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -30,43 +34,24 @@ from .numerics import ParameterStore
 
 MAGIC = b"URBANFLOWS-CKPT"
 FORMAT_VERSION = 1
+MAGIC_LINE = MAGIC + b" v%d\n" % FORMAT_VERSION
 
 
-def _clean(obj):
-    # np scalars leak into rng state dicts; JSON needs builtins
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _clean(obj.tolist())
-    return obj
-
-
-def rng_state_of(rng):
-    return _clean(rng.bit_generator.state)
-
-
-def save_checkpoint(path, store, config_dict, rng_state=None, extra=None):
+def save_checkpoint(path, store, config_dict, extra=None):
     """Write ``store`` atomically: the magic line, the header, then each
     parameter's bytes straight from its array (``payload_arrays``), so the
     payload is never held whole in memory."""
     manifest = store.manifest()
     header = {
         "format_version": FORMAT_VERSION,
-        "config": _clean(config_dict),
+        "config": config_dict,
         "manifest": manifest,
-        "rng_state": _clean(rng_state) if rng_state is not None else None,
         "payload_bytes": _manifest_bytes(manifest),
     }
     if extra:
-        header["extra"] = _clean(extra)
+        header["extra"] = extra
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC + b" v%d\n" % FORMAT_VERSION)
+        fh.write(MAGIC_LINE)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for values in store.payload_arrays():
             fh.write(values)
@@ -89,31 +74,24 @@ def _manifest_bytes(manifest):
 def read_header(path):
     """Parse and validate the header, then read the payload.
 
-    The header's ``format_version`` must be the magic line's version as a
-    JSON integer.  The payload is read straight into one fresh float64
-    buffer, sized from the file (never from the header alone, so a header
-    that declares more than the file holds raises before anything is
-    allocated), and returned as a writable byte view of that buffer:
-    ``len(payload)`` is its size in bytes.  A store opened on it
-    (``ParameterStore.opened``), through which both the CLI and
-    ``load_checkpoint`` install a payload, takes it without a copy.
+    The magic line must be ``MAGIC_LINE`` byte for byte, and the header's
+    ``format_version`` the JSON integer ``FORMAT_VERSION``.  The payload
+    is read straight into one fresh float64 buffer, sized from the file
+    (never from the header alone, so a header that declares more than the
+    file holds raises before anything is allocated), and returned as a
+    writable byte view of that buffer: ``len(payload)`` is its size in
+    bytes.  A store opened on it (``ParameterStore.opened``), through which
+    both the CLI and ``load_checkpoint`` install a payload, takes it without
+    a copy.
     Returns (header, payload).
     """
     with open(path, "rb") as fh:
         magic_line = fh.readline()
         if not magic_line.endswith(b"\n"):
             raise CheckpointTruncatedError("checkpoint ends inside the magic line")
-        magic_line = magic_line[:-1]
-        if not magic_line.startswith(MAGIC + b" v"):
-            raise CheckpointVersionError(f"bad magic line: {magic_line[:40]!r}")
-        try:
-            version = int(magic_line[len(MAGIC) + 2:])
-        except ValueError:
-            raise CheckpointVersionError(f"unreadable version in {magic_line!r}")
-        if version != FORMAT_VERSION:
+        if magic_line != MAGIC_LINE:
             raise CheckpointVersionError(
-                f"format version {version} not supported (expected {FORMAT_VERSION})"
-            )
+                f"magic line {magic_line[:40]!r} is not {MAGIC_LINE!r}")
         header_line = fh.readline()
         if not header_line.endswith(b"\n"):
             raise CheckpointTruncatedError("checkpoint ends inside the header line")
@@ -127,10 +105,9 @@ def read_header(path):
             if key not in header:
                 raise CheckpointManifestError(f"header missing key {key!r}")
         stated = header["format_version"]
-        if type(stated) is not int or stated != version:
+        if type(stated) is not int or stated != FORMAT_VERSION:
             raise CheckpointVersionError(
-                f"header format_version {stated!r:.40} does not match the magic line's v{version}"
-            )
+                f"header format_version {stated!r:.40} is not the magic line's {FORMAT_VERSION}")
         if not isinstance(header["config"], dict):
             raise CheckpointManifestError("header config is not a JSON object")
         declared = header["payload_bytes"]

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import read_header, rng_state_of, save_checkpoint
+from .checkpoint import read_header, save_checkpoint
 from .errors import (
     CheckpointManifestError,
     ConfigurationError,
@@ -137,8 +137,7 @@ def _train(args, make_bundle, train_stage, stage, stage_no):
                     log=lambda step, loss, *parts: history.append((step, loss)))
     except TrainingFault as exc:
         fault = exc
-    save_checkpoint(args.out_ckpt, bundle.store, rc.as_dict(),
-                    rng_state=rng_state_of(rng), extra={"stage": stage})
+    save_checkpoint(args.out_ckpt, bundle.store, rc.as_dict(), extra={"stage": stage})
     _write_loss_log(args.out_ckpt + ".log", rc, history)
     if fault is not None:
         print(f"error: {fault} (last-good checkpoint written)", file=sys.stderr)
@@ -203,14 +202,13 @@ def _check_seed(flag, seed):
         raise ConfigurationError(f"{flag} must be >= 0, got {seed}")
 
 
-def cmd_generate(args, trace_flag=None):
+def cmd_generate(args):
     _check_count(args.count, 1)
     _check_seed("--seed", args.seed)
     _check_seed("--context-seed", args.context_seed)
     bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
     check_guidance_levels(args.green_level)
-    traced = args.trace if trace_flag is None else trace_flag
     context = _context_for_generation(args, rc)
     e = build_info_vector(context, args.green_level)
     seed = rc.seed if args.seed is None else args.seed
@@ -229,7 +227,7 @@ def cmd_generate(args, trace_flag=None):
         for lo in range(0, args.count, _GENERATE_CHUNK):
             size = min(_GENERATE_CHUNK, args.count - lo)
             zone_maps, configs, traces = generate_batch(
-                bundle, np.repeat(e, size, axis=0), rng, trace=traced)
+                bundle, np.repeat(e, size, axis=0), rng, trace=args.trace)
             for j, (zm, ct) in enumerate(zip(zone_maps, configs)):
                 i = lo + j
                 rec = {
@@ -241,7 +239,7 @@ def cmd_generate(args, trace_flag=None):
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
                 render_config_ppm(os.path.join(args.out_dir, f"gen{i:03d}.ppm"),
                                   ct.counts)
-                if traced:
+                if args.trace:
                     _write_trace(os.path.join(args.out_dir, f"gen{i:03d}.trace.jsonl"),
                                  traces[j], rc, i, args.green_level)
                     for step_no, st in enumerate(traces[j]):
@@ -331,7 +329,7 @@ def build_parser():
 
     p = sub.add_parser("trace", help="generation with tracing forced on")
     generation_args(p)
-    p.set_defaults(func=lambda a: cmd_generate(a, trace_flag=True))
+    p.set_defaults(func=cmd_generate, trace=True)
 
     p = sub.add_parser("evaluate", help="per-level metric report")
     p.add_argument("--ckpt", required=True)

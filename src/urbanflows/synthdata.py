@@ -11,6 +11,7 @@ green zones, and so on) as exact ground truth.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -241,6 +242,16 @@ def _int_array(values, key):
     return np.array(values, dtype=np.int64)
 
 
+def _context_array(rows):
+    """The float64 array of a record's context, a list of rows of JSON
+    numbers; a boolean, a string, null or any other entry raises
+    ``DataError``."""
+    if (not isinstance(rows, list) or not all(type(row) is list for row in rows)
+            or set(map(type, chain.from_iterable(rows))) - {int, float}):
+        raise DataError("context must be a list of rows of JSON numbers")
+    return np.array(rows, dtype=np.float64)
+
+
 def read_dataset(path):
     """Returns (samples, meta dict with N/M/P).  Every record's id must be
     new: ``--sample-id`` picks a sample by it."""
@@ -268,7 +279,7 @@ def read_dataset(path):
             continue
         try:
             rec = json.loads(line)
-            context = ContextGraph(np.array(rec["context"], dtype=np.float64))
+            context = ContextGraph(_context_array(rec["context"]))
             if context.p != p:
                 raise DataError(f"context rows must have P + 2 = {p + 2} entries")
             if not np.all(np.isfinite(context.node_features)):

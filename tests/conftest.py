@@ -37,13 +37,6 @@ def add_param(store, name, data, trainable=True):
                        lambda shape: np.array(data, dtype=np.float64), trainable)
 
 
-def restore_rng(state):
-    """A generator that continues the stream whose ``rng_state_of`` is ``state``."""
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
 def _rewrite_header(path, edit):
     with open(path, "rb") as fh:
         blob = fh.read()

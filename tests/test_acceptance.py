@@ -573,7 +573,6 @@ def test_criterion_10_determinism_persistence(tmp_path):
         load_checkpoint(cc, twin.store)
         resaved = str(tmp_path / "resaved.ckpt")
         save_checkpoint(resaved, twin.store, header["config"],
-                        rng_state=header["rng_state"],
                         extra=header.get("extra"))
         assert open(resaved, "rb").read() == open(cc, "rb").read()
 

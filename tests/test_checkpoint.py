@@ -11,7 +11,6 @@ from urbanflows.checkpoint import (
     MAGIC,
     load_checkpoint,
     read_header,
-    rng_state_of,
     save_checkpoint,
 )
 from urbanflows.errors import (
@@ -24,7 +23,7 @@ from urbanflows.numerics.params import ParameterStore
 from urbanflows.pipeline import ModelBundle
 from urbanflows.runconfig import RunConfig
 
-from conftest import add_param, restore_rng
+from conftest import add_param
 
 
 def small_store(seed=3):
@@ -39,9 +38,7 @@ def small_store(seed=3):
 def test_round_trip_is_bit_exact(tmp_path):
     store = small_store()
     path = tmp_path / "model.ckpt"
-    rng = np.random.default_rng(17)
-    rng.normal(size=5)  # advance the stream before capturing
-    save_checkpoint(path, store, {"n": 4, "seed": 17}, rng_state=rng_state_of(rng))
+    save_checkpoint(path, store, {"n": 4, "seed": 17})
 
     target = small_store(seed=99)  # same structure, different values
     header, payload = load_checkpoint(path, store=target)
@@ -50,27 +47,8 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert store[name].data.tobytes() == target[name].data.tobytes()
     # saving the restored store reproduces the file byte for byte
     path2 = tmp_path / "again.ckpt"
-    save_checkpoint(path2, target, {"n": 4, "seed": 17},
-                    rng_state=header["rng_state"])
+    save_checkpoint(path2, target, {"n": 4, "seed": 17})
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_rng_state_continues_the_stream(tmp_path):
-    rng = np.random.default_rng(5)
-    rng.normal(size=7)
-    state = rng_state_of(rng)
-    expected = rng.normal(size=4)
-
-    resumed = restore_rng(state)
-    np.testing.assert_array_equal(resumed.normal(size=4), expected)
-
-    # and the state survives a JSON round trip inside the header
-    store = small_store()
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, store, {}, rng_state=state)
-    header, _ = read_header(path)
-    resumed2 = restore_rng(header["rng_state"])
-    np.testing.assert_array_equal(resumed2.normal(size=4), expected)
 
 
 def _declare_huge(header):
@@ -184,8 +162,13 @@ def test_missing_header_line(tmp_path):
 
 
 @pytest.mark.parametrize("magic", [b"PICKLE v1\n", b"URBANFLOWS-CKPT v9\n",
-                                   b"URBANFLOWS-CKPT vx\n"])
+                                   b"URBANFLOWS-CKPT vx\n", b"URBANFLOWS-CKPT v+1\n",
+                                   b"URBANFLOWS-CKPT v01\n", b"URBANFLOWS-CKPT v 1\n",
+                                   b"URBANFLOWS-CKPT v1 \n", b"URBANFLOWS-CKPT v1\r\n"])
 def test_bad_magic_or_version(tmp_path, magic):
+    """The magic line is ``URBANFLOWS-CKPT v1`` byte for byte: a sign, a
+    leading zero or a space or carriage return around the version, which
+    ``int()`` reads as 1, is refused too."""
     store = small_store()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, store, {})

@@ -972,13 +972,15 @@ def test_cli_rejects_a_non_integer_id_or_level(tmp_path, capsys, key, value):
     (lambda rec: rec["zones"].__setitem__(5, 9), "zone labels must lie in [0, 1]"),
     (lambda rec: rec["context"][3].__setitem__(1, float("nan")), "context values must be finite"),
     (lambda rec: rec["context"][0].__setitem__(0, float("inf")), "context values must be finite"),
-], ids=["label-9", "nan-context", "inf-context"])
+    (lambda rec: rec["context"][2].__setitem__(1, "0.5"), "rows of JSON numbers"),
+    (lambda rec: rec["context"][5].__setitem__(0, True), "rows of JSON numbers"),
+], ids=["label-9", "nan-context", "inf-context", "string-context", "bool-context"])
 def test_cli_rejects_out_of_range_labels_and_non_finite_context(tmp_path, capsys, command,
                                                                  edit, message):
     """A zone label past M - 1 used to train and score silently, and a NaN
     context made ``train-zone`` write an untrained checkpoint over
-    ``--out-ckpt``; now the command exits 1 naming the line and writes
-    nothing."""
+    ``--out-ckpt``, and a string or boolean context value loaded as its
+    float; now the command exits 1 naming the line and writes nothing."""
     ckpt = zero_budget_checkpoint(tmp_path)
     cfg = write_mini_config(tmp_path)
     data = tmp_path / "bad.jsonl"
@@ -1098,6 +1100,70 @@ def test_cli_generate_twice_writes_identical_files(tmp_path, monkeypatch):
         assert a[name] == b[name], name
     records = [json.loads(line) for line in a["configs.jsonl"].splitlines()[1:]]
     assert [r["id"] for r in records] == list(range(5))
+
+
+@pytest.mark.parametrize("context", [["--context-seed", "2"],
+                                     ["--dataset", "{data}", "--sample-id", "{sid}"]],
+                         ids=["context-seed", "dataset"])
+def test_cli_trace_is_generate_with_trace(tmp_path, monkeypatch, context):
+    """`trace` and `generate --trace`, given the same arguments, write
+    byte-identical directories."""
+    ckpt = zero_budget_checkpoint(tmp_path)
+    data = str(tmp_path / "data.jsonl")
+    sid = str(read_dataset(data)[0][-1].id)
+    monkeypatch.setattr(cli, "_GENERATE_CHUNK", 2)
+    args = ["--ckpt", ckpt, "--green-level", "2", "--count", "3", "--seed", "6",
+            *(a.format(data=data, sid=sid) for a in context)]
+    runs = []
+    for argv in (["trace", *args], ["generate", *args, "--trace"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(runs[0]) == 1 + 3 * (2 + 3 * MINI["k_config"] + 1)
+    assert runs[0] == runs[1]
+
+
+def test_cli_checkpoint_header_holds_only_what_a_reader_checks(tmp_path):
+    """A CLI-written header holds the config, the stage, the format
+    version, the manifest and the payload size, and nothing else."""
+    header, _ = read_header(zero_budget_checkpoint(tmp_path))
+    assert sorted(header) == ["config", "extra", "format_version", "manifest",
+                              "payload_bytes"]
+    assert header["extra"] == {"stage": "zone"}
+
+
+def test_cli_loads_a_checkpoint_that_carries_rng_state(tmp_path, rewrite_header):
+    """Checkpoints written before the header dropped ``rng_state`` carry the
+    training generator's final state.  The reader ignores the key: such a
+    file installs through ``load_checkpoint`` and through the CLI's opened
+    store, and `generate` from it writes the same bytes as from the same
+    file without the key."""
+    ckpt = tmp_path / "z.ckpt"
+    assert zero_budget_checkpoint(tmp_path) == str(ckpt)
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(ckpt.read_bytes())
+    state = np.random.default_rng(11).bit_generator.state
+    rewrite_header(old, lambda header: header.update(rng_state=state))
+    header, payload = read_header(old)
+    assert header["rng_state"] == state and bytes(payload) == bytes(read_header(ckpt)[1])
+
+    rc = RunConfig.from_sources(None, header["config"])
+    want = ModelBundle(rc).store
+    checkpoint.load_checkpoint(ckpt, want)
+    loaded = ModelBundle(rc).store
+    checkpoint.load_checkpoint(old, loaded)
+    opened = cli._bundle_from_checkpoint(
+        old, lambda h: RunConfig.from_sources(None, h["config"])).store
+    for store in (loaded, opened):
+        assert store.names() == want.names()
+        for name in want.names():
+            assert store[name].data.tobytes() == want[name].data.tobytes()
+
+    for path, out in ((ckpt, "new"), (old, "old")):
+        assert main(["generate", "--ckpt", str(path), "--green-level", "3", "--count", "2",
+                     "--seed", "9", "--out-dir", str(tmp_path / out)]) == 0
+    for name in ("configs.jsonl", "gen000.ppm", "gen001.ppm"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["generate", "trace"])

@@ -207,6 +207,49 @@ def test_dataset_context_rows_must_have_p_plus_2_entries(tmp_path, extra):
     assert info.value.line_number == 3
 
 
+def _context_entry(value):
+    """An edit that sets entry (4, 1) of a record's context to ``value``."""
+    return lambda context: [row[:1] + [value] + row[2:] if i == 4 else row
+                            for i, row in enumerate(context)]
+
+
+@pytest.mark.parametrize("edit", [
+    _context_entry("0.5"), _context_entry("1e3"), _context_entry(True), _context_entry(False),
+    _context_entry(None), _context_entry([0.5]), _context_entry({"a": 0.5}),
+    lambda context: 0.5, lambda context: "ctx", lambda context: {"n": context[0]},
+    lambda context: [row[0] for row in context], lambda context: context[:7] + ["ctx"],
+], ids=["string", "string-exp", "true", "false", "null", "list", "object",
+        "number-context", "string-context", "object-context", "flat-context", "string-row"])
+def test_dataset_context_must_be_rows_of_json_numbers(tmp_path, edit):
+    """A context entry is a JSON int or float: a string or a boolean used to
+    load as its float value ("0.5" as 0.5, true as 1.0)."""
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, make_dataset(3, N, M, P, seed=1), N, M, P)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["context"] = edit(rec["context"])
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="context must be a list of rows of JSON numbers") as info:
+        read_dataset(path)
+    assert info.value.line_number == 3
+
+
+def test_dataset_context_takes_json_integers(tmp_path):
+    """An integer context entry loads as its float value."""
+    samples = make_dataset(3, N, M, P, seed=1)
+    path = tmp_path / "data.jsonl"
+    write_dataset(path, samples, N, M, P)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["context"] = _context_entry(3)(rec["context"])
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    loaded, _ = read_dataset(path)
+    assert loaded[1].context.node_features[4, 1] == 3.0
+    assert loaded[0] == samples[0] and loaded[2] == samples[2]
+
+
 @pytest.mark.parametrize("n_value", ["4.7", '"4"', "true"])
 def test_dataset_header_dimensions_must_be_integers(tmp_path, n_value):
     path = tmp_path / "data.jsonl"
