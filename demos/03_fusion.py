@@ -10,17 +10,18 @@ import numpy as np
 from urbanflows.fusion import FusionModule, partition_zones_batch
 from urbanflows.numerics import ParameterStore, Tensor
 from urbanflows.runconfig import RunConfig
-from urbanflows.synthdata import build_info_vector, generate_sample
+from urbanflows.synthdata import generate_sample, info_vectors
 
 N, M, P, LEVEL = 4, 3, 4, 2
 D = RunConfig(n=N, m=M, p=P).info_dim
 
-sample = generate_sample(seed=5, n=N, m=M, p=P, green_level=LEVEL)
+# one draw: its (8, P + 2) context, (N, N) zone map and (N, N, P) counts
+context, zone_map, _ = generate_sample(seed=5, n=N, m=M, p=P, green_level=LEVEL)
 print("zone map:")
-print(sample.zones.labels)
+print(zone_map)
 
 # step 1: M disjoint binary masks, one per zone label (a batch of one map)
-labels = sample.zones.labels[None]
+labels = zone_map[None]
 masks = partition_zones_batch(labels, M)
 print("cells per zone:", masks[0].sum(axis=(1, 2)).astype(int),
       "| masks cover the grid:", bool((masks[0].sum(axis=0) == 1).all()))
@@ -38,7 +39,7 @@ o = fusion.extract(img)
 print("geo embedding |o| =", round(float(np.linalg.norm(o.data)), 3))
 
 # step 3: semantic projection, c_k = softmax(mask stats)_k * (ws e + wg o)
-e = build_info_vector(sample.context, LEVEL)
+e = info_vectors(context[None], [LEVEL])
 c, zone_weights = fusion.fuse(masks, Tensor(e), o)
 print("zone weights:", np.round(zone_weights.data[0], 3),
       "(sum", round(float(zone_weights.data.sum()), 6), ")")

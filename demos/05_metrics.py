@@ -27,8 +27,7 @@ print("self:", kl_div(p, p), hellinger(p, p), wasserstein_1d(p, p))
 # pooling: two disjoint halves of one dataset should be near-identical,
 # while a uniform reference is visibly far from the pooled real mix
 data = make_dataset(400, n=8, m=4, p=5, seed=21)
-counts = np.stack([s.config.counts for s in data])  # (400, 8, 8, 5)
-levels = np.array([s.green_level for s in data])
+counts, levels = data.counts, data.levels  # (400, 8, 8, 5) and (400,)
 d_a = to_distribution(counts[:200])
 d_b = to_distribution(counts[200:])
 uniform = np.full(5, 0.2)

@@ -24,7 +24,7 @@ from .fusion import FusionModule
 from .metrics import hellinger, kl_div, to_distribution, wasserstein_1d
 from .pipeline import ModelBundle, evaluate_model, generate_batch, generate_one
 from .runconfig import RunConfig
-from .synthdata import SynthSample, build_info_vector, generate_sample, make_dataset
+from .synthdata import Dataset, generate_sample, make_dataset
 from .zone_flow import ZoneFlowModel, ZoneMap
 
 __version__ = "0.1.0"
@@ -35,6 +35,7 @@ __all__ = [
     "ConfigTensor",
     "ConfigurationError",
     "DataError",
+    "Dataset",
     "DimensionError",
     "FusionModule",
     "ModeError",
@@ -42,12 +43,10 @@ __all__ = [
     "PipelineError",
     "RunConfig",
     "SamplingFault",
-    "SynthSample",
     "TrainingFault",
     "UrbanFlowsError",
     "ZoneFlowModel",
     "ZoneMap",
-    "build_info_vector",
     "evaluate_model",
     "generate_batch",
     "generate_one",

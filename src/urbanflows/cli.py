@@ -39,13 +39,7 @@ from .pipeline import (
 )
 from .runconfig import RunConfig, check_guidance_levels
 from .render import render_config_ppm
-from .synthdata import (
-    build_info_vector,
-    generate_sample,
-    make_dataset,
-    read_dataset,
-    write_dataset,
-)
+from .synthdata import generate_sample, info_vectors, make_dataset, read_dataset, write_dataset
 
 
 def _overrides(pairs):
@@ -114,9 +108,9 @@ def _check_count(count, least):
 def cmd_synth(args):
     _check_count(args.count, 0)
     rc = _load_run_config(args)
-    samples = make_dataset(args.count, rc.n, rc.m, rc.p, rc.seed)
-    write_dataset(args.out, samples, rc.n, rc.m, rc.p)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    ds = make_dataset(args.count, rc.n, rc.m, rc.p, rc.seed)
+    write_dataset(args.out, ds, rc.n, rc.m, rc.p)
+    print(f"wrote {len(ds)} samples to {args.out}")
     return 0
 
 
@@ -126,14 +120,14 @@ def _train(args, make_bundle, train_stage, stage, stage_no):
     the last good step).  Any other error, such as an empty dataset, writes
     nothing."""
     rc = _load_run_config(args)
-    samples, meta = read_dataset(args.dataset)
+    ds, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
     bundle = make_bundle(rc)
     rng = np.random.default_rng(rc.seed + stage_no - 1)
     history = []
     fault = None
     try:
-        train_stage(bundle, samples, rng,
+        train_stage(bundle, ds, rng,
                     log=lambda step, loss, *parts: history.append((step, loss)))
     except TrainingFault as exc:
         fault = exc
@@ -165,14 +159,14 @@ def _context_for_generation(args, rc):
             raise ConfigurationError("--dataset requires --sample-id")
         if args.context_seed is not None:
             raise ConfigurationError("--context-seed cannot be used with --dataset")
-        samples, meta = read_dataset(args.dataset)
+        ds, meta = read_dataset(args.dataset)
         check_dataset_dims(meta, rc)
-        for s in samples:
-            if s.id == args.sample_id:
-                return s.context
-        raise DataError(f"sample id {args.sample_id} not in {args.dataset}")
+        try:
+            return ds.context[ds.ids.tolist().index(args.sample_id)]
+        except ValueError:
+            raise DataError(f"sample id {args.sample_id} not in {args.dataset}") from None
     seed = rc.seed if args.context_seed is None else args.context_seed
-    return generate_sample(seed, rc.n, rc.m, rc.p, args.green_level).context
+    return generate_sample(seed, rc.n, rc.m, rc.p, args.green_level)[0]
 
 
 def _write_trace(path, trace, rc, gen_index, green_level):
@@ -209,8 +203,7 @@ def cmd_generate(args):
     bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
     check_guidance_levels(args.green_level)
-    context = _context_for_generation(args, rc)
-    e = build_info_vector(context, args.green_level)
+    e = info_vectors(_context_for_generation(args, rc)[None], [args.green_level])
     seed = rc.seed if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -254,9 +247,9 @@ def cmd_generate(args):
 def cmd_evaluate(args):
     bundle = _checkpoint_bundle(args)
     rc = bundle.cfg
-    samples, meta = read_dataset(args.dataset)
+    ds, meta = read_dataset(args.dataset)
     check_dataset_dims(meta, rc)
-    report = evaluate_model(bundle, samples, seed=rc.seed)
+    report = evaluate_model(bundle, ds, seed=rc.seed)
     text = format_report(report, rc.as_dict())
     with atomic_write(args.out) as fh:
         fh.write(text)

@@ -81,18 +81,12 @@ class ModelBundle:
         return [(n, t) for n, t in self.store.trainable_items() if n.startswith(tuple(prefixes))]
 
 
-def dataset_arrays(samples):
-    """Stack a dataset into (es, zone_labels, config_counts, levels).
-
-    ``es`` is the ``info_vectors`` of the samples' contexts and levels.
-    """
-    if not samples:
+def dataset_arrays(ds):
+    """(es, zone_labels, config_counts, levels) of a ``Dataset``: its
+    arrays, and ``es``, the ``info_vectors`` of its contexts and levels."""
+    if not len(ds):
         raise DataError("empty dataset")
-    levels = np.array([s.green_level for s in samples], dtype=np.int64)
-    es = info_vectors(np.stack([s.context.node_features for s in samples]), levels)
-    zones = np.stack([s.zones.labels for s in samples])
-    counts = np.stack([s.config.counts for s in samples])
-    return es, zones, counts, levels
+    return info_vectors(ds.context, ds.levels), ds.zones, ds.counts, ds.levels
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ def dataset_arrays(samples):
 # ---------------------------------------------------------------------------
 
 
-def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None):
+def _train(bundle, ds, rng, steps, namespaces, loss_of, log, lr_scales=None):
     """The training loop of both stages, over the parameters of ``namespaces``.
 
     Each step draws a batch, takes (loss tensor, float parts with "total")
@@ -116,11 +110,11 @@ def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None
     non-finite value it makes ends in that fault.
     """
     rc = bundle.cfg
-    es, zones, counts, _ = dataset_arrays(samples)
+    es, zones, counts, _ = dataset_arrays(ds)
     opt = Adam(bundle.named_trainable(namespaces), lr=rc.lr, lr_scales=lr_scales)
     history = []
     for step in range(steps):
-        idx = rng.integers(0, len(samples), size=rc.batch_size)
+        idx = rng.integers(0, len(ds), size=rc.batch_size)
         stats = bundle.store.snapshot(namespaces, trainable=False)
         opt.zero_grad()
         try:
@@ -139,7 +133,7 @@ def _train(bundle, samples, rng, steps, namespaces, loss_of, log, lr_scales=None
     return history
 
 
-def train_zone_stage(bundle, samples, rng, steps=None, log=None):
+def train_zone_stage(bundle, ds, rng, steps=None, log=None):
     """Stage-1 maximum-likelihood training of ``zone.*``; see ``_train``.
     A fault restores only the ``zone.*`` running statistics."""
     rc = bundle.cfg
@@ -154,11 +148,11 @@ def train_zone_stage(bundle, samples, rng, steps=None, log=None):
         loss = float(mean.item())
         return mean, {"zone_nll": loss, "total": loss}
 
-    return _train(bundle, samples, rng, rc.steps_zone if steps is None else steps,
+    return _train(bundle, ds, rng, rc.steps_zone if steps is None else steps,
                   ("zone.",), zone_loss, log)
 
 
-def train_config_stage(bundle, samples, rng, steps=None, log=None):
+def train_config_stage(bundle, ds, rng, steps=None, log=None):
     """Stage-2 joint fine-tuning of config flow and fusion, zone at reduced
     lr; see ``_train``.  A fault restores the running statistics of every
     namespace."""
@@ -173,7 +167,7 @@ def train_config_stage(bundle, samples, rng, steps=None, log=None):
                           update_stats=True, use_sampled_u=rc.use_sampled_u, rng=rng)
 
     scales = {n: rc.zone_lr_scale for n, _ in bundle.named_trainable(("zone.",))}
-    return _train(bundle, samples, rng, rc.steps_config if steps is None else steps,
+    return _train(bundle, ds, rng, rc.steps_config if steps is None else steps,
                   ("zone.", "fusion.", "config."), joint_step_loss, log, lr_scales=scales)
 
 
@@ -282,16 +276,16 @@ def _eval_nll(flow, x, condition):
     return float(np.concatenate(_row_blocks(len(x), _PASS_ROWS, block_nll)).mean())
 
 
-def eval_zone_nll(bundle, samples, seed=0):
+def eval_zone_nll(bundle, ds, seed=0):
     """Eval-mode dataset NLL with seeded dequantization noise."""
-    es, zones, _, _ = dataset_arrays(samples)
+    es, zones, _, _ = dataset_arrays(ds)
     x = dequantize_zone_batch(zones, bundle.cfg.m, np.random.default_rng(seed))
     return _eval_nll(bundle.zone, x, lambda lo, hi: Tensor(es[lo:hi]))
 
 
-def eval_config_nll(bundle, samples, seed=0):
+def eval_config_nll(bundle, ds, seed=0):
     """Eval-mode stage-2 NLL conditioned on the ground-truth zone maps."""
-    es, zones, counts, _ = dataset_arrays(samples)
+    es, zones, counts, _ = dataset_arrays(ds)
     x = dequantize_config_batch(counts, np.random.default_rng(seed))
     return _eval_nll(bundle.config, x, lambda lo, hi: bundle.config.condition_of(
         bundle.fusion.embed(zones[lo:hi], es[lo:hi])))
@@ -394,10 +388,10 @@ def evaluate_pools(original, generated, levels):
     return {"levels": rows, "avg": avg}
 
 
-def evaluate_model(bundle, samples, seed=0):
+def evaluate_model(bundle, ds, seed=0):
     """Generate one configuration per dataset sample (matched info vector)
     and compare the per-level pooled category distributions."""
-    es, _, counts, levels = dataset_arrays(samples)
+    es, _, counts, levels = dataset_arrays(ds)
     _, generated, _ = generate_batch(bundle, es, np.random.default_rng(seed))
     return evaluate_pools(counts, np.stack([g.counts for g in generated]), levels)
 

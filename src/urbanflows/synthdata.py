@@ -10,16 +10,15 @@ green zones, and so on) as exact ground truth.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from itertools import chain
 
 import numpy as np
 
-from .config_flow import ConfigTensor
 from .errors import ConfigurationError, DataError, FormatError, ParseError
 from .fileio import atomic_write, read_text_lines
 from .runconfig import GUIDANCE_LEVELS, check_guidance_levels
-from .zone_flow import ZoneMap
 
 CATEGORY_NAMES = (
     "road", "car service", "car repair", "motorbike service", "food service",
@@ -66,54 +65,46 @@ def poisson_rates(m, p):
     return np.array(rows)
 
 
-class ContextGraph:
-    """Eight directional neighbor nodes around the target region.
+@dataclasses.dataclass(frozen=True, eq=False)
+class Dataset:
+    """A dataset as read-only stacked arrays, row b holding sample b:
+    ``ids`` (B,) (int64, or Python ints once one is past int64), guidance
+    ``levels`` (B,), ``context`` (B, 8, P + 2) (eight neighbour nodes, each
+    [normalized POI histogram | 2 socioeconomic scalars], all zero when
+    empty), zone labels ``zones`` (B, N, N) and POI ``counts`` (B, N, N, P).
+    ``len`` is B; ``ds[rows]`` (a slice, as views, or an index array) is
+    the Dataset of those rows."""
 
-    Each node carries [normalized POI histogram (P) | 2 socioeconomic
-    scalars]; all-zero rows denote empty neighbors.
-    """
+    ids: np.ndarray
+    levels: np.ndarray
+    context: np.ndarray
+    zones: np.ndarray
+    counts: np.ndarray
 
-    DIRECTIONS = ("n", "ne", "e", "se", "s", "sw", "w", "nw")
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            getattr(self, field.name).flags.writeable = False
 
-    __slots__ = ("node_features",)
+    def __len__(self):
+        return len(self.levels)
 
-    def __init__(self, node_features):
-        feats = np.asarray(node_features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != 8:
-            raise DataError("context graph needs exactly 8 neighbor nodes")
-        self.node_features = feats
-
-    @property
-    def p(self):
-        return self.node_features.shape[1] - 2
-
-    def __eq__(self, other):
-        return (isinstance(other, ContextGraph)
-                and np.array_equal(self.node_features, other.node_features))
+    def __getitem__(self, rows):
+        return Dataset(*(getattr(self, field.name)[rows] for field in dataclasses.fields(self)))
 
 
-class SynthSample:
-    """One sample.  Raises ``DataError`` unless the id is an integer and the
-    level one integer in [0, 4] (NumPy integers pass; bools do not)."""
+def _id_array(ids):
+    """(B,) ids of a list of Python ints: int64 when every one fits, else
+    the ints themselves (NumPy would turn a mix past int64 into floats)."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
 
-    __slots__ = ("id", "green_level", "context", "zones", "config")
 
-    def __init__(self, sample_id, green_level, context, zones, config):
-        if not isinstance(sample_id, (int, np.integer)) or isinstance(sample_id, bool):
-            raise DataError(f"id must be an integer, got {sample_id!r:.40}")
-        self.id = int(sample_id)
-        self.green_level = int(check_guidance_levels(green_level, shape=()))
-        self.context = context
-        self.zones = zones
-        self.config = config
-
-    def __eq__(self, other):
-        return (isinstance(other, SynthSample)
-                and self.id == other.id
-                and self.green_level == other.green_level
-                and self.context == other.context
-                and self.zones == other.zones
-                and self.config == other.config)
+def _row_arrays(count, n, p):
+    """Uninitialized context, zone and count arrays of ``count`` samples."""
+    return (np.empty((count, 8, p + 2)), np.empty((count, n, n), dtype=np.int64),
+            np.empty((count, n, n, p), dtype=np.int64))
 
 
 def _grow_zones(rng, n, m):
@@ -166,11 +157,12 @@ def _make_context(rng, labels, m, p, green_level):
         feats[node, :p] = hist
         feats[node, p] = activity
         feats[node, p + 1] = greenery
-    return ContextGraph(feats)
+    return feats
 
 
 def generate_sample(seed, n, m, p, green_level):
-    """Deterministically generate one sample from its seed."""
+    """Deterministically draw one sample from its seed: its (8, P + 2)
+    context, (N, N) zone labels and (N, N, P) POI counts."""
     check_guidance_levels(green_level, error=ConfigurationError, shape=())
     if n < 4:
         raise ConfigurationError("N must be >= 4")
@@ -184,15 +176,19 @@ def generate_sample(seed, n, m, p, green_level):
     lam = poisson_rates(m, p)
     counts = rng.poisson(lam[labels])
     counts[empty] = 0
-    context = _make_context(rng, labels, m, p, green_level)
-    return SynthSample(seed, green_level, context, ZoneMap(labels),
-                       ConfigTensor(counts))
+    return _make_context(rng, labels, m, p, green_level), labels, counts
 
 
 def make_dataset(count, n, m, p, seed):
-    """Deterministic dataset: round-robin green levels, derived seeds."""
-    return [generate_sample(seed * 1_000_003 + i, n, m, p, i % GUIDANCE_LEVELS)
-            for i in range(count)]
+    """Deterministic ``Dataset``: row i is the ``generate_sample`` draw of
+    id and seed seed * 1_000_003 + i at guidance level i mod 5."""
+    ids = [seed * 1_000_003 + i for i in range(count)]
+    levels = np.arange(count, dtype=np.int64) % GUIDANCE_LEVELS
+    arrays = _row_arrays(count, n, p)
+    for i, sample_id in enumerate(ids):
+        for array, row in zip(arrays, generate_sample(sample_id, n, m, p, i % GUIDANCE_LEVELS)):
+            array[i] = row
+    return Dataset(_id_array(ids), levels, *arrays)
 
 
 def info_vectors(node_features, levels):
@@ -207,11 +203,6 @@ def info_vectors(node_features, levels):
     return np.concatenate([feats.mean(axis=1), feats.max(axis=1), onehot], axis=1)
 
 
-def build_info_vector(context, level):
-    """The (1, D) info vector of one context graph: ``info_vectors`` at B=1."""
-    return info_vectors(context.node_features[None], [level])
-
-
 # ---------------------------------------------------------------------------
 # Dataset files
 # ---------------------------------------------------------------------------
@@ -219,17 +210,18 @@ def build_info_vector(context, level):
 DATASET_VERSION = 1
 
 
-def write_dataset(path, samples, n, m, p):
+def write_dataset(path, ds, n, m, p):
     with atomic_write(path) as fh:
         header = {"format_version": DATASET_VERSION, "N": n, "M": m, "P": p}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for s in samples:
+        for sample_id, level, context, zones, counts in zip(
+                ds.ids.tolist(), ds.levels.tolist(), ds.context, ds.zones, ds.counts):
             rec = {
-                "id": s.id,
-                "green_level": s.green_level,
-                "context": s.context.node_features.tolist(),
-                "zones": s.zones.labels.ravel().tolist(),
-                "config": s.config.counts.ravel().tolist(),
+                "id": sample_id,
+                "green_level": level,
+                "context": context.tolist(),
+                "zones": zones.ravel().tolist(),
+                "config": counts.ravel().tolist(),
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -253,8 +245,13 @@ def _context_array(rows):
 
 
 def read_dataset(path):
-    """Returns (samples, meta dict with N/M/P).  Every record's id must be
-    new: ``--sample-id`` picks a sample by it."""
+    """The ``Dataset`` of a dataset file, and its meta dict with N/M/P.
+
+    The header must give integers N >= 2 and M, P >= 1.  A record that
+    fails a check, or repeats an earlier record's id (``--sample-id`` picks
+    a sample by it), raises ``ParseError`` naming its line.  Each record is
+    copied into its row as it is read.
+    """
     lines = read_text_lines(path)
     if not lines:
         raise ParseError("dataset file has no header line", line_number=1, path=path)
@@ -267,34 +264,44 @@ def read_dataset(path):
     version = header.get("format_version")
     if type(version) is not int or version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version!r:.40}")
-    dims = [header.get(key) for key in ("N", "M", "P")]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
-        raise ParseError(f"header dimensions N, M, P must be integers, got {dims!r:.60}",
-                         line_number=1, path=path)
-    n, m, p = dims
-    samples = []
-    id_lines = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    n, m, p = dims = [header.get(key) for key in ("N", "M", "P")]
+    try:
+        if not all(type(v) is int for v in dims) or n < 2 or min(m, p) < 1:
+            raise ValueError
+        arrays = _row_arrays(0, n, p)  # numpy refuses an N and P too large to shape
+    except ValueError:
+        raise ParseError(f"header dimensions must be integers N >= 2 and M, P >= 1, "
+                         f"got {dims!r:.60}", line_number=1, path=path) from None
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    ids, id_lines = [], {}
+    levels = np.empty(len(body), dtype=np.int64)
+    for i, (lineno, line) in enumerate(body):
         try:
             rec = json.loads(line)
-            context = ContextGraph(_context_array(rec["context"]))
-            if context.p != p:
-                raise DataError(f"context rows must have P + 2 = {p + 2} entries")
-            if not np.all(np.isfinite(context.node_features)):
+            context = _context_array(rec["context"])
+            if context.shape != (8, p + 2):
+                raise DataError(f"context must be 8 rows of P + 2 = {p + 2} entries")
+            if not np.isfinite(context).all():
                 raise DataError("context values must be finite")
             zones = _int_array(rec["zones"], "zones").reshape(n, n)
-            if zones.max() >= m:
+            if zones.min() < 0 or zones.max() >= m:
                 raise DataError(f"zone labels must lie in [0, {m - 1}]")
-            config = _int_array(rec["config"], "config").reshape(n, n, p)
-            sample = SynthSample(rec["id"], rec["green_level"], context,
-                                 ZoneMap(zones), ConfigTensor(config))
+            counts = _int_array(rec["config"], "config").reshape(n, n, p)
+            if counts.min() < 0:
+                raise DataError("POI counts must be nonnegative")
+            sample_id = rec["id"]
+            if type(sample_id) is not int:
+                raise DataError(f"id must be an integer, got {sample_id!r:.40}")
+            levels[i] = check_guidance_levels(rec["green_level"], shape=())
         except (KeyError, ValueError, TypeError, OverflowError, DataError) as exc:
             raise ParseError(f"bad record: {exc}", line_number=lineno, path=path) from exc
-        first = id_lines.setdefault(sample.id, lineno)
+        first = id_lines.setdefault(sample_id, lineno)
         if first != lineno:
-            raise ParseError(f"repeated id {sample.id} (first on line {first})",
+            raise ParseError(f"repeated id {sample_id} (first on line {first})",
                              line_number=lineno, path=path)
-        samples.append(sample)
-    return samples, {"N": n, "M": m, "P": p}
+        ids.append(sample_id)
+        if i == 0:  # allocated once a record's own shapes have confirmed N and P
+            arrays = _row_arrays(len(body), n, p)
+        for array, row in zip(arrays, (context, zones, counts)):
+            array[i] = row
+    return Dataset(_id_array(ids), levels, *arrays), {"N": n, "M": m, "P": p}

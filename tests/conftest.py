@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from urbanflows.runconfig import RunConfig
+from urbanflows.synthdata import Dataset, generate_sample
 
 
 @pytest.fixture
@@ -29,6 +31,18 @@ def tiny_set_args(**extra):
     values = {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in TINY.items()}
     return [arg for key, value in {**values, **extra}.items()
             for arg in ("--set", f"{key}={value}")]
+
+
+def assert_same_dataset(a, b):
+    """``a`` and ``b`` hold equal arrays, field by field."""
+    for field in dataclasses.fields(Dataset):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+
+def dataset_of(seeds, levels, n, m, p):
+    """The ``Dataset`` of one ``generate_sample`` draw per (seed, level)."""
+    draws = [generate_sample(seed, n, m, p, level) for seed, level in zip(seeds, levels)]
+    return Dataset(np.array(seeds), np.array(levels), *map(np.stack, zip(*draws)))
 
 
 def add_param(store, name, data, trainable=True):

@@ -16,9 +16,9 @@ from urbanflows.runconfig import GUIDANCE_LEVELS
 MAX_LOG_COUNT = 25.0
 
 
-def embed_context(graph):
-    """Order-invariant context embedding: [mean ‖ max] over the 8 nodes."""
-    feats = graph.node_features
+def embed_context(feats):
+    """Order-invariant context embedding of one (8, P + 2) context: [mean ‖
+    max] over the 8 nodes."""
     return np.concatenate([feats.mean(axis=0), feats.max(axis=0)]).reshape(1, -1)
 
 

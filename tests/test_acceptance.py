@@ -53,7 +53,7 @@ from urbanflows.pipeline import (
     train_zone_stage,
 )
 from urbanflows.runconfig import RunConfig
-from urbanflows.synthdata import build_info_vector, make_dataset
+from urbanflows.synthdata import info_vectors, make_dataset
 from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch
 
 
@@ -410,9 +410,7 @@ def test_criterion_7_conditional_fidelity(trained_session):
         samples = trained_session["samples"]
         fractions = []
         for lvl in range(5):
-            es = np.concatenate(
-                [build_info_vector(samples[i].context, lvl) for i in range(200)],
-                axis=0)
+            es = info_vectors(samples.context[:200], np.full(200, lvl))
             _, cts, _ = generate_batch(bundle, es, np.random.default_rng(777 + lvl))
             fractions.append(float(np.mean(
                 [(ct.counts.sum(axis=2) == 0).mean() for ct in cts])))
@@ -451,7 +449,7 @@ def test_criterion_9_traceability(trained_session):
             return h / h.sum()
 
         for g in range(10):
-            e = build_info_vector(samples[g].context, g % 5)
+            e = info_vectors(samples.context[g:g + 1], [g % 5])
             _, cts, traces = generate_batch(bundle, e, np.random.default_rng(7000 + g),
                                             trace=True)
             ct, trace = cts[0], traces[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from composed_reference import tape_nodes, use_composed_layers
-from conftest import mini_runconfig
+from conftest import dataset_of, mini_runconfig
 from urbanflows.config_flow import (
     ConfigFlowModel,
     ConfigTensor,
@@ -26,7 +26,7 @@ from urbanflows.pipeline import (
     train_config_stage,
 )
 from urbanflows.runconfig import RunConfig
-from urbanflows.synthdata import build_info_vector, generate_sample, make_dataset
+from urbanflows.synthdata import info_vectors, make_dataset
 from urbanflows.zone_flow import ZoneFlowModel, dequantize_zone_batch, nll_tensors
 
 N = 4
@@ -238,7 +238,7 @@ def test_sampling_trace_structure():
     bundle = perturbed_bundle(k_config=2)
     rc = bundle.cfg
     samples = make_dataset(3, rc.n, rc.m, rc.p, seed=4)
-    es = np.concatenate([build_info_vector(s.context, s.green_level) for s in samples])
+    es = info_vectors(samples.context, samples.levels)
     _, cts, traces = generate_batch(bundle, es, np.random.default_rng(4), trace=True)
     # the latents: the zone draw comes first, then the config draw
     replay = np.random.default_rng(4)
@@ -293,11 +293,9 @@ def mini_pipeline(seed=3):
 def test_joint_loss_parts_and_determinism():
     store, zone, fusion, config, (n, m, p, info) = mini_pipeline()
     rng = np.random.default_rng(8)
-    samples = [generate_sample(100 + i, n, m, p, i % 5) for i in range(6)]
-    es = np.concatenate([build_info_vector(s.context, s.green_level)
-                         for s in samples])
-    zl = np.stack([s.zones.labels for s in samples])
-    cc = np.stack([s.config.counts for s in samples])
+    ds = dataset_of(range(100, 106), [i % 5 for i in range(6)], n, m, p)
+    es = info_vectors(ds.context, ds.levels)
+    zl, cc = ds.zones, ds.counts
     zone_x = dequantize_zone_batch(zl, m, np.random.default_rng(1))
     config_x = dequantize_config_batch(cc, np.random.default_rng(2))
     z_fixed = np.random.default_rng(3).standard_normal((6, zone.d))
@@ -362,7 +360,7 @@ def test_train_config_stage_updates_all_namespaces():
     bundle = ModelBundle(mini_runconfig())
     rc = bundle.cfg
     store = bundle.store
-    samples = [generate_sample(200 + i, rc.n, rc.m, rc.p, i % 5) for i in range(8)]
+    samples = dataset_of(range(200, 208), [i % 5 for i in range(8)], rc.n, rc.m, rc.p)
     before = store.snapshot()
     # at exact identity init the config NLL ignores its conditioning (the
     # masked heads are zero), so fusion gradients only appear from step 2 on

@@ -19,7 +19,7 @@ from urbanflows.errors import ConfigurationError, DataError
 from urbanflows.numerics import Tensor
 from urbanflows.pipeline import ModelBundle, dataset_arrays, generate_batch
 from urbanflows.runconfig import GUIDANCE_LEVELS, RunConfig, check_guidance_levels
-from urbanflows.synthdata import build_info_vector, generate_sample, info_vectors, make_dataset
+from urbanflows.synthdata import generate_sample, info_vectors, make_dataset
 from urbanflows.zone_flow import dequantize_zone_batch, quantize_zone_batch
 
 SEEDS = (1, 7, 1101)
@@ -30,24 +30,23 @@ DIMS = ((8, 4, 5), (4, 3, 3))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n,m,p", DIMS)
 def test_info_vectors_match_per_sample_reference(seed, n, m, p):
-    samples = make_dataset(23, n, m, p, seed=seed)
-    want = np.concatenate([ref.build_info_vector(s.context, s.green_level)
-                           for s in samples])
-    feats = np.stack([s.context.node_features for s in samples])
-    got = info_vectors(feats, [s.green_level for s in samples])
+    ds = make_dataset(23, n, m, p, seed=seed)
+    want = np.concatenate([ref.build_info_vector(context, level)
+                           for context, level in zip(ds.context, ds.levels.tolist())])
+    got = info_vectors(ds.context, ds.levels.tolist())
     assert got.shape == (23, RunConfig(n=n, m=m, p=p).info_dim) == (23, ref.info_dim(p))
     assert got.tobytes() == want.tobytes()
-    assert dataset_arrays(samples)[0].tobytes() == want.tobytes()
-    for s, row in zip(samples, want):
-        one = build_info_vector(s.context, np.int64(s.green_level))
+    assert dataset_arrays(ds)[0].tobytes() == want.tobytes()
+    for context, level, row in zip(ds.context, ds.levels, want):
+        one = info_vectors(context[None], [np.int64(level)])
         assert one.shape == (1, len(row)) and one.tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1, GUIDANCE_LEVELS, 7, 1.5, 2.0, True, "2", None])
 def test_one_level_check_rejects_every_non_level(bad):
-    sample = generate_sample(3, 4, 2, 2, 0)
+    context = generate_sample(3, 4, 2, 2, 0)[0]
     with pytest.raises(DataError, match="guidance level") as info:
-        build_info_vector(sample.context, bad)
+        info_vectors(context[None], [bad])
     assert "out of range" in str(info.value)
     with pytest.raises(DataError, match="guidance level.*out of range"):
         check_guidance_levels(bad)
@@ -74,18 +73,15 @@ def test_level_check_rejects_ragged_levels_with_its_own_error(ragged):
         check_guidance_levels(ragged)
     with pytest.raises(ConfigurationError, match="guidance level.*out of range"):
         check_guidance_levels(ragged, error=ConfigurationError)
-    feats = np.stack([generate_sample(i, 4, 2, 2, 1).context.node_features
-                      for i in range(2)])
+    feats = np.stack([generate_sample(i, 4, 2, 2, 1)[0] for i in range(2)])
     with pytest.raises(DataError, match="guidance level.*out of range"):
         info_vectors(feats, ragged)
 
 
 def _dequantized_dataset(seed, n, m, p):
-    samples = make_dataset(30, n, m, p, seed=seed)
+    ds = make_dataset(30, n, m, p, seed=seed)
     rng = np.random.default_rng(seed)
-    zones = np.stack([s.zones.labels for s in samples])
-    counts = np.stack([s.config.counts for s in samples])
-    return dequantize_zone_batch(zones, m, rng), dequantize_config_batch(counts, rng)
+    return dequantize_zone_batch(ds.zones, m, rng), dequantize_config_batch(ds.counts, rng)
 
 
 def _outside_the_clamps(rng, n, p):

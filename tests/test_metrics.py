@@ -32,7 +32,7 @@ def test_to_distribution_pools_counts():
     assert np.array_equal(to_distribution(np.stack([a, b]).reshape(2, 2)), dist)
     # integer counts sum exactly, so one sum over the stack equals pooling
     # sample by sample
-    counts = np.stack([s.config.counts for s in make_dataset(40, 4, 2, 3, seed=5)])
+    counts = make_dataset(40, 4, 2, 3, seed=5).counts
     totals = np.zeros(3)
     for c in counts:
         totals += c.reshape(-1, 3).sum(axis=0)
