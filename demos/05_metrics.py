@@ -2,19 +2,14 @@
 
 The three distances over category distributions, checked against closed
 forms, then the pooling that turns a stack of configurations' counts into one
-probability array, and the count-weighted average that collapses the per-level
-rows into a single number.
+probability array, and the count-weighted average over guidance levels that
+``evaluate_pools`` takes of its per-level rows.
 """
 
 import numpy as np
 
-from urbanflows.metrics import (
-    avg_weighted,
-    hellinger,
-    kl_div,
-    to_distribution,
-    wasserstein_1d,
-)
+from urbanflows.metrics import hellinger, kl_div, to_distribution, wasserstein_1d
+from urbanflows.pipeline import evaluate_pools
 from urbanflows.synthdata import make_dataset
 
 p, q = np.array([0.5, 0.5]), np.array([0.25, 0.75])
@@ -37,16 +32,18 @@ print("half vs half   KL", f"{kl_div(d_a, d_b):.6f}",
 print("half vs uniform KL", f"{kl_div(d_a, uniform):.6f}",
       "HD", f"{hellinger(d_a, uniform):.6f}")
 
-# the report's AVG_* lines: per-level distances weighted by sample count
-triples = []
+# the report's AVG_* lines: per-level distances weighted by sample count.
+# Each level's first half of rows is compared with its second half, as two
+# row-aligned stacks: a row keeps its counts on its own side and is zero on
+# the other, which adds nothing to either side's pooled counts
+first = np.zeros(len(levels), dtype=bool)
 for level in np.unique(levels):
-    rows = counts[levels == level]
-    half = len(rows) // 2
-    pl = to_distribution(rows[:half])
-    ql = to_distribution(rows[half:])
-    triples.append((pl, ql, len(rows)))
-    print(f"level {level}: count {len(rows):3d}  "
-          f"KL {kl_div(pl, ql):.6f}")
-print("AVG_KL", f"{avg_weighted(kl_div, triples):.6f}")
-print("AVG_HD", f"{avg_weighted(hellinger, triples):.6f}")
-print("AVG_WD", f"{avg_weighted(wasserstein_1d, triples):.6f}")
+    at_level = np.flatnonzero(levels == level)
+    first[at_level[:len(at_level) // 2]] = True
+zero = np.zeros_like(counts)
+report = evaluate_pools(np.where(first[:, None, None, None], counts, zero),
+                        np.where(first[:, None, None, None], zero, counts), levels)
+for row in report["levels"]:
+    print(f"level {row['level']}: count {row['count']:3d}  KL {row['kl']:.6f}")
+for key in ("KL", "HD", "WD"):
+    print(f"AVG_{key}", f"{report['avg'][key]:.6f}")

@@ -35,6 +35,12 @@ from .numerics import ParameterStore
 MAGIC = b"URBANFLOWS-CKPT"
 FORMAT_VERSION = 1
 MAGIC_LINE = MAGIC + b" v%d\n" % FORMAT_VERSION
+# longest header line a reader takes, newline included; real headers are a
+# few KB
+MAX_HEADER_BYTES = 1 << 20
+# the header line is read in pieces of at most this many bytes, so that a
+# line at the cap is held about once, not once in pieces and again joined
+_HEADER_PIECE = 1 << 16
 
 
 def save_checkpoint(path, store, config_dict, extra=None):
@@ -71,11 +77,26 @@ def _manifest_bytes(manifest):
     return total
 
 
+def _read_line(fh, most):
+    """The next line of ``fh`` as a bytearray: up to its newline, or its
+    first ``most`` bytes, or what is left of the file if that is less."""
+    line = bytearray()
+    while len(line) < most and not line.endswith(b"\n"):
+        piece = fh.readline(min(most - len(line), _HEADER_PIECE))
+        if not piece:
+            break
+        line += piece
+    return line
+
+
 def read_header(path):
     """Parse and validate the header, then read the payload.
 
     The magic line must be ``MAGIC_LINE`` byte for byte, and the header's
-    ``format_version`` the JSON integer ``FORMAT_VERSION``.  The payload
+    ``format_version`` the JSON integer ``FORMAT_VERSION``.  Neither line is
+    read past its bound: the magic line's length, and ``MAX_HEADER_BYTES``
+    for the header line, which raises ``CheckpointManifestError`` when it
+    reaches that bound without a newline.  The payload
     is read straight into one fresh float64 buffer, sized from the file
     (never from the header alone, so a header that declares more than the
     file holds raises before anything is allocated), and returned as a
@@ -86,14 +107,17 @@ def read_header(path):
     Returns (header, payload).
     """
     with open(path, "rb") as fh:
-        magic_line = fh.readline()
-        if not magic_line.endswith(b"\n"):
+        magic_line = fh.readline(len(MAGIC_LINE))
+        if len(magic_line) < len(MAGIC_LINE) and not magic_line.endswith(b"\n"):
             raise CheckpointTruncatedError("checkpoint ends inside the magic line")
         if magic_line != MAGIC_LINE:
             raise CheckpointVersionError(
-                f"magic line {magic_line[:40]!r} is not {MAGIC_LINE!r}")
-        header_line = fh.readline()
+                f"magic line {magic_line!r} is not {MAGIC_LINE!r}")
+        header_line = _read_line(fh, MAX_HEADER_BYTES)
         if not header_line.endswith(b"\n"):
+            if len(header_line) == MAX_HEADER_BYTES:
+                raise CheckpointManifestError(
+                    f"header line is longer than {MAX_HEADER_BYTES} bytes")
             raise CheckpointTruncatedError("checkpoint ends inside the header line")
         try:
             header = json.loads(header_line[:-1].decode("utf-8"))

@@ -169,7 +169,8 @@ def _context_for_generation(args, rc):
     return generate_sample(seed, rc.n, rc.m, rc.p, args.green_level)[0]
 
 
-def _write_trace(path, trace, rc, gen_index, green_level):
+def _write_trace(path, trace, j, rc, gen_index, green_level):
+    """Write row ``j`` of ``generate_batch``'s per-step trace records."""
     with atomic_write(path) as fh:
         head = {
             "format_version": 1,
@@ -180,13 +181,13 @@ def _write_trace(path, trace, rc, gen_index, green_level):
             "config": rc.as_dict(),
         }
         fh.write(json.dumps(head, sort_keys=True) + "\n")
-        for step_no, st in enumerate(trace):
+        for step_no, (layer_index, layer_type, states, counts) in enumerate(trace):
             rec = {
                 "step": step_no,
-                "layer_index": st.layer_index,
-                "layer_type": st.layer_type,
-                "histogram": st.histogram.tolist(),
-                "state": st.state.tolist(),
+                "layer_index": layer_index,
+                "layer_type": layer_type,
+                "histogram": counts[j].sum(axis=(0, 1)).tolist(),
+                "state": states[j].tolist(),
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -219,7 +220,7 @@ def cmd_generate(args):
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         for lo in range(0, args.count, _GENERATE_CHUNK):
             size = min(_GENERATE_CHUNK, args.count - lo)
-            zone_maps, configs, traces = generate_batch(
+            zone_maps, configs, trace = generate_batch(
                 bundle, np.repeat(e, size, axis=0), rng, trace=args.trace)
             for j, (zm, ct) in enumerate(zip(zone_maps, configs)):
                 i = lo + j
@@ -234,12 +235,12 @@ def cmd_generate(args):
                                   ct.counts)
                 if args.trace:
                     _write_trace(os.path.join(args.out_dir, f"gen{i:03d}.trace.jsonl"),
-                                 traces[j], rc, i, args.green_level)
-                    for step_no, st in enumerate(traces[j]):
+                                 trace, j, rc, i, args.green_level)
+                    for step_no, (_, _, _, counts) in enumerate(trace):
                         render_config_ppm(
                             os.path.join(args.out_dir,
                                          f"gen{i:03d}.step{step_no:02d}.ppm"),
-                            st.counts)
+                            counts[j])
     print(f"wrote {args.count} generations to {args.out_dir}")
     return 0
 

@@ -67,24 +67,6 @@ def gaussian_logp(z):
     return (z * z).sum(axis=-1) * (-0.5) - 0.5 * d * LN_2PI
 
 
-class TraceStep:
-    """One recorded step of a generation trace.
-
-    ``state`` is expressed in canonical data coordinates except for the very
-    first step, which is the latent draw itself.  ``counts`` is the quantized
-    state, (N, N, P), and ``histogram`` its per-category sum.
-    """
-
-    __slots__ = ("layer_index", "layer_type", "state", "counts", "histogram")
-
-    def __init__(self, layer_index, layer_type, state, counts):
-        self.layer_index = int(layer_index)
-        self.layer_type = str(layer_type)
-        self.state = np.asarray(state, dtype=np.float64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.histogram = self.counts.sum(axis=(0, 1))
-
-
 # ---------------------------------------------------------------------------
 # MADE masks and the conditioner network
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A stack of configurations' counts becomes one categorical distribution, a
 plain (P,) probability array, by pooling counts over samples and cells,
-smoothing every category by eps, and normalizing.  The three distances and
-the guidance-level weighted averages follow the standard definitions.
+smoothing every category by eps, and normalizing.  The three distances
+follow the standard definitions; ``pipeline.evaluate_pools`` averages them
+over guidance levels.
 """
 
 from __future__ import annotations
@@ -50,17 +51,3 @@ def wasserstein_1d(p, q):
     """Discrete earth mover over index-ordered categories: sum |CDF diffs|."""
     pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     return float(np.abs(np.cumsum(pa) - np.cumsum(qa)).sum())
-
-
-def avg_weighted(metric, pairs):
-    """Weighted mean of metric(p_j, q_j) with weights w_j >= 0."""
-    if not pairs:
-        raise DataError("no metric pairs supplied")
-    weights = np.array([w for _, _, w in pairs], dtype=np.float64)
-    if weights.min() < 0:
-        raise DataError("weights must be nonnegative")
-    total = weights.sum()
-    if total <= 0:
-        raise DataError("weights sum to zero")
-    values = np.array([metric(p, q) for p, q, _ in pairs])
-    return float(np.sum(weights * values) / total)

@@ -146,9 +146,6 @@ class ParameterStore:
         return (np.ascontiguousarray(self._params[name].data, dtype="<f8")
                 for name in self.names())
 
-    def to_payload(self):
-        return b"".join(self.payload_arrays())
-
     def snapshot(self, prefix="", trainable=True):
         """Copies of the values of every parameter whose name starts with
         ``prefix`` (all of them by default), for ``restore``.

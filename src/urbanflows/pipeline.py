@@ -30,9 +30,8 @@ from .config_flow import (
     quantize_config_batch,
 )
 from .errors import ConfigurationError, DataError, TrainingFault
-from .flow_layers import TraceStep
 from .fusion import FusionModule
-from .metrics import avg_weighted, hellinger, kl_div, to_distribution, wasserstein_1d
+from .metrics import hellinger, kl_div, to_distribution, wasserstein_1d
 from .numerics import Adam, ParameterStore, Tensor, no_grad
 from .synthdata import info_vectors
 from .zone_flow import (
@@ -296,14 +295,13 @@ def eval_config_nll(bundle, ds, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def generate_one(bundle, e_vec, rng, trace=False):
+def generate_one(bundle, e_vec, rng):
     """Two-stage generation for one info vector: ``generate_batch`` at B=1.
 
-    Returns (ZoneMap, ConfigTensor, config-stage trace or None).
+    Returns (ZoneMap, ConfigTensor).
     """
-    zone_maps, configs, traces = generate_batch(bundle, np.reshape(e_vec, (1, -1)),
-                                                rng, trace=trace)
-    return zone_maps[0], configs[0], traces[0] if trace else None
+    zone_maps, configs, _ = generate_batch(bundle, np.reshape(e_vec, (1, -1)), rng)
+    return zone_maps[0], configs[0]
 
 
 def generate_batch(bundle, es, rng, trace=False):
@@ -313,9 +311,11 @@ def generate_batch(bundle, es, rng, trace=False):
     each row block then runs zone inverse -> quantize -> fusion -> config
     inverse (see ``_row_blocks``).
 
-    Returns (ZoneMaps, ConfigTensors, traces): with ``trace`` set, one
-    config-stage trace per sample, a list of ``TraceStep`` (the latent draw,
-    then the state after each inverted layer, in data coordinates);
+    Returns (ZoneMaps, ConfigTensors, trace): with ``trace`` set, the
+    config-stage trace as one record per step, ``(layer_index, layer_type,
+    states, counts)``: the latent draw (index -1, type "latent"), then the
+    state after each inverted layer, in data coordinates, as the (B, d)
+    states of the whole batch and their (B, N, N, P) quantized counts;
     otherwise None.
     """
     rc = bundle.cfg
@@ -344,10 +344,8 @@ def generate_batch(bundle, es, rng, trace=False):
     states = [(-1, "latent", z)] + [
         (i, kind, np.concatenate([blk[k][2] for blk in block_states]))
         for k, (i, kind, _) in enumerate(block_states[0])]
-    step_counts = [quantize_config_batch(s, rc.n, rc.p) for _, _, s in states]
-    traces = [[TraceStep(i, kind, s[b], c[b]) for (i, kind, s), c in zip(states, step_counts)]
-              for b in range(len(es))]
-    return zone_maps, configs, traces
+    return zone_maps, configs, [(i, kind, s, quantize_config_batch(s, rc.n, rc.p))
+                                for i, kind, s in states]
 
 
 # ---------------------------------------------------------------------------
@@ -356,35 +354,34 @@ def generate_batch(bundle, es, rng, trace=False):
 
 
 def evaluate_pools(original, generated, levels):
-    """Per-level KL/HD/WD plus count-weighted averages.
+    """Per-level KL/HD/WD rows, and their means weighted by each level's
+    row count.
 
     ``original`` and ``generated`` are row-aligned (B, N, N, P) count
-    arrays and ``levels`` their (B,) guidance levels; each level present
-    pools its rows of both.  KL is taken from the pooled original
+    arrays and ``levels`` their (B,) guidance levels, B >= 1; each level
+    present pools its rows of both.  KL is taken from the pooled original
     distribution to the generated one.
     """
     if not len(original) == len(generated) == len(levels):
         raise DataError("original, generated and levels need one row per sample")
+    if not len(levels):
+        raise DataError("no rows to evaluate")
     rows = []
-    pairs = []
     for lvl in np.unique(levels):
         at_level = levels == lvl
         orig = to_distribution(original[at_level])
         gen = to_distribution(generated[at_level])
-        weight = int(at_level.sum())
         rows.append({
             "level": int(lvl),
-            "count": weight,
+            "count": int(at_level.sum()),
             "kl": kl_div(orig, gen),
             "hd": hellinger(orig, gen),
             "wd": wasserstein_1d(orig, gen),
         })
-        pairs.append((orig, gen, weight))
-    avg = {
-        "KL": avg_weighted(kl_div, pairs),
-        "HD": avg_weighted(hellinger, pairs),
-        "WD": avg_weighted(wasserstein_1d, pairs),
-    }
+    weights = np.array([row["count"] for row in rows], dtype=np.float64)
+    avg = {key.upper(): float(np.sum(weights * np.array([row[key] for row in rows]))
+                              / weights.sum())
+           for key in ("kl", "hd", "wd")}
     return {"levels": rows, "avg": avg}
 
 

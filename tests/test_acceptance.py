@@ -450,25 +450,26 @@ def test_criterion_9_traceability(trained_session):
 
         for g in range(10):
             e = info_vectors(samples.context[g:g + 1], [g % 5])
-            _, cts, traces = generate_batch(bundle, e, np.random.default_rng(7000 + g),
-                                            trace=True)
-            ct, trace = cts[0], traces[0]
+            _, cts, trace = generate_batch(bundle, e, np.random.default_rng(7000 + g),
+                                           trace=True)
+            ct = cts[0]
 
             assert len(trace) == depth + 1
-            first, last = trace[0], trace[-1]
-            assert first.layer_type == "latent"
+            _, first_type, first_states, first_counts = trace[0]
+            _, _, last_states, last_counts = trace[-1]
+            assert first_type == "latent"
             replay = np.random.default_rng(7000 + g)
             replay.standard_normal((1, rc.d_zone))     # the zone latent comes first
             want_z = replay.standard_normal((1, rc.d_config))
-            np.testing.assert_array_equal(first.state, want_z[0])
-            assert ConfigTensor(quantize_config_batch(last.state, rc.n, rc.p)[0]) == ct
+            np.testing.assert_array_equal(first_states[0], want_z[0])
+            assert ConfigTensor(quantize_config_batch(last_states[0], rc.n, rc.p)[0]) == ct
             hist = ct.counts.sum(axis=(0, 1))
-            np.testing.assert_array_equal(last.histogram, hist)
+            np.testing.assert_array_equal(last_counts[0].sum(axis=(0, 1)), hist)
 
             assert hist.sum() > 0
             final = norm(hist)
-            d_first = np.abs(norm(first.histogram) - final).sum()
-            d_last = np.abs(norm(last.histogram) - final).sum()
+            d_first = np.abs(norm(first_counts[0].sum(axis=(0, 1))) - final).sum()
+            d_last = np.abs(norm(last_counts[0].sum(axis=(0, 1))) - final).sum()
             assert d_last == 0.0
             assert d_first >= d_last
         assert time.perf_counter() - t0 < 10.0

@@ -9,6 +9,8 @@ import pytest
 from urbanflows import fileio
 from urbanflows.checkpoint import (
     MAGIC,
+    MAGIC_LINE,
+    MAX_HEADER_BYTES,
     load_checkpoint,
     read_header,
     save_checkpoint,
@@ -179,6 +181,55 @@ def test_bad_magic_or_version(tmp_path, magic):
         read_header(path)
 
 
+@pytest.mark.parametrize("blob", [b"", b"URBANFLOWS", MAGIC_LINE[:-1]])
+def test_file_ending_inside_the_magic_line(tmp_path, blob):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointTruncatedError, match="magic line"):
+        read_header(path)
+
+
+def test_header_line_is_capped(tmp_path):
+    """A header line of ``MAX_HEADER_BYTES``, its newline included, is
+    read; one byte more is refused with a typed error, not read on."""
+    store = small_store()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, store, {})
+    blob = path.read_bytes()
+    head_end = blob.index(b"\n", len(MAGIC_LINE))
+    header, payload = blob[len(MAGIC_LINE):head_end], blob[head_end + 1:]
+    pad = MAX_HEADER_BYTES - 1 - len(header)
+    path.write_bytes(MAGIC_LINE + header + b" " * pad + b"\n" + payload)
+    assert read_header(path)[0] == json.loads(header)
+    path.write_bytes(MAGIC_LINE + header + b" " * (pad + 1) + b"\n" + payload)
+    with pytest.raises(CheckpointManifestError, match="longer than"):
+        read_header(path)
+
+
+@pytest.mark.parametrize("head,error", [(b"", CheckpointVersionError),
+                                        (MAGIC_LINE, CheckpointManifestError)],
+                         ids=["no-newline", "endless-header"])
+def test_endless_lines_are_refused_in_bounded_memory(tmp_path, head, error):
+    """A 64 MiB file with no newline, and a magic line followed by 64 MiB
+    of ``{``, are each refused with a typed error after a bounded read:
+    the traced peak stays under 2 MiB."""
+    path = tmp_path / "m.ckpt"
+    chunk = b"{" * (1 << 20)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for _ in range(64):
+            fh.write(chunk)
+    del chunk
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            read_header(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, f"traced peak {peak}"
+
+
 @pytest.mark.parametrize("stated", [7, 2, 0, "one", "1", None, [1], True, 1.0])
 def test_header_format_version_must_be_the_magic_lines(tmp_path, rewrite_header, stated):
     """Under a ``v1`` magic line the header's ``format_version`` must be the
@@ -267,7 +318,7 @@ def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch, failure):
 def test_save_streams_the_payload(tmp_path):
     """A default-size save writes each parameter from its own array: its
     traced peak stays below a quarter of the payload it writes, and the
-    file ends in the same bytes ``to_payload`` joins."""
+    file ends in the bytes of ``payload_arrays``, joined."""
     store = ModelBundle(RunConfig().validate()).store
     path = tmp_path / "m.ckpt"
     tracemalloc.start()
@@ -279,4 +330,4 @@ def test_save_streams_the_payload(tmp_path):
     header, payload = read_header(path)
     assert header["payload_bytes"] == len(payload) > 4_000_000
     assert peak < len(payload) / 4, f"traced peak {peak} of a {len(payload)}-byte payload"
-    assert bytes(payload) == store.to_payload()
+    assert bytes(payload) == b"".join(store.payload_arrays())

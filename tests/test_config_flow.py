@@ -239,24 +239,28 @@ def test_sampling_trace_structure():
     rc = bundle.cfg
     samples = make_dataset(3, rc.n, rc.m, rc.p, seed=4)
     es = info_vectors(samples.context, samples.levels)
-    _, cts, traces = generate_batch(bundle, es, np.random.default_rng(4), trace=True)
+    _, cts, trace = generate_batch(bundle, es, np.random.default_rng(4), trace=True)
     # the latents: the zone draw comes first, then the config draw
     replay = np.random.default_rng(4)
     replay.standard_normal((3, rc.d_zone))
     z = replay.standard_normal((3, rc.d_config))
-    assert len(cts) == len(traces) == 3
-    for b, (ct, trace) in enumerate(zip(cts, traces)):
+    assert len(cts) == 3
+    assert len(trace) == 3 * rc.k_config + 1     # mar + uar + bn per block
+    for _, _, states, counts in trace:
+        assert len(states) == len(counts) == 3
+    _, first_kind, first_states, _ = trace[0]
+    assert first_kind == "latent"
+    kinds = [kind for _, kind, _, _ in trace[1:]]
+    assert kinds.count("masked_ar") == rc.k_config
+    assert kinds.count("uncond_ar") == rc.k_config
+    assert kinds.count("batchnorm") == rc.k_config
+    _, _, last_states, last_counts = trace[-1]
+    for b, ct in enumerate(cts):
         assert isinstance(ct, ConfigTensor)
-        assert len(trace) == 3 * rc.k_config + 1     # mar + uar + bn per block
-        assert trace[0].layer_type == "latent"
-        assert np.array_equal(trace[0].state, z[b])
-        kinds = [s.layer_type for s in trace[1:]]
-        assert kinds.count("masked_ar") == rc.k_config
-        assert kinds.count("uncond_ar") == rc.k_config
-        assert kinds.count("batchnorm") == rc.k_config
+        assert np.array_equal(first_states[b], z[b])
         # final state quantizes to the emitted tensor, histograms included
-        assert ConfigTensor(quantize_config_batch(trace[-1].state, rc.n, rc.p)[0]) == ct
-        assert np.array_equal(trace[-1].histogram, ct.counts.sum(axis=(0, 1)))
+        assert ConfigTensor(quantize_config_batch(last_states[b], rc.n, rc.p)[0]) == ct
+        assert np.array_equal(last_counts[b].sum(axis=(0, 1)), ct.counts.sum(axis=(0, 1)))
     # determinism, and tracing leaves the samples as they are
     _, cts2, none = generate_batch(bundle, es, np.random.default_rng(4))
     assert none is None

@@ -137,19 +137,20 @@ def test_generate_batch_quantizes_once_per_block_and_trace_step(monkeypatch):
     es = dataset_arrays(make_dataset(6, rc.n, rc.m, rc.p, seed=2))[0]
     zone_calls = _counting(monkeypatch, pipeline, "quantize_zone_batch")
     config_calls = _counting(monkeypatch, pipeline, "quantize_config_batch")
-    zone_maps, configs, traces = generate_batch(bundle, es, np.random.default_rng(5),
-                                                trace=True)
+    zone_maps, configs, trace = generate_batch(bundle, es, np.random.default_rng(5),
+                                               trace=True)
     assert zone_calls == [6]
-    assert config_calls == [6] * (1 + len(traces[0]))   # the configs, then each step
+    assert config_calls == [6] * (1 + len(trace))   # the configs, then each step
 
     z_zone = np.random.default_rng(5).standard_normal((6, bundle.zone.d))
     xz, _ = bundle.zone.sample(es, None, z=z_zone)
-    for x, zm, ct, trace in zip(xz, zone_maps, configs, traces):
+    _, _, last_states, _ = trace[-1]
+    for b, (x, zm, ct) in enumerate(zip(xz, zone_maps, configs)):
         assert zm.labels.tobytes() == ref.quantize_zone(x, rc.m, rc.n).tobytes()
-        assert ct.counts.tobytes() == ref.quantize_config(trace[-1].state, rc.n, rc.p).tobytes()
-        for step in trace:
-            want = ref.category_histogram_of(step.state, rc.n, rc.p)
-            assert step.histogram.tobytes() == want.tobytes()
+        assert ct.counts.tobytes() == ref.quantize_config(last_states[b], rc.n, rc.p).tobytes()
+        for _, _, states, counts in trace:
+            want = ref.category_histogram_of(states[b], rc.n, rc.p)
+            assert counts[b].sum(axis=(0, 1)).tobytes() == want.tobytes()
 
 
 def test_joint_loss_takes_hard_labels_from_the_batched_quantizer(monkeypatch):

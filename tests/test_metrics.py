@@ -11,12 +11,12 @@ import pytest
 from urbanflows.errors import DataError
 from urbanflows.metrics import (
     DEFAULT_SMOOTHING,
-    avg_weighted,
     hellinger,
     kl_div,
     to_distribution,
     wasserstein_1d,
 )
+from urbanflows.pipeline import evaluate_pools
 from urbanflows.synthdata import make_dataset
 
 
@@ -91,15 +91,32 @@ def test_wasserstein_reference_values():
     assert abs(wasserstein_1d(p, r) - 0.5) < 1e-15
 
 
-def test_avg_weighted():
-    p = np.array([0.5, 0.5])
-    q = np.array([0.9, 0.1])
-    pairs = [(p, q, 1.0), (p, p, 3.0)]
-    want = (hellinger(p, q) * 1.0 + 0.0 * 3.0) / 4.0
-    assert abs(avg_weighted(hellinger, pairs) - want) < 1e-15
+def test_evaluate_pools_avg_is_the_count_weighted_mean_of_its_rows():
+    """Each AVG line is the mean of the level rows' values weighted by their
+    row counts; zero rows are refused."""
+    one = np.array([[[[1, 1]]]])
+    other = np.array([[[[9, 1]]]])
+    same = np.array([[[[2, 5]]], [[[4, 1]]], [[[0, 3]]]])
+    original = np.concatenate([one, same])
+    generated = np.concatenate([other, same])
+    report = evaluate_pools(original, generated, np.array([0, 1, 1, 1]))
+    assert [row["count"] for row in report["levels"]] == [1, 3]
+    gap = hellinger(to_distribution(one), to_distribution(other))
+    want = (gap * 1.0 + 0.0 * 3.0) / 4.0
+    assert abs(report["avg"]["HD"] - want) < 1e-15
     # weight renormalization is implicit in the weighted mean
-    assert abs(avg_weighted(hellinger, [(p, q, 2.0)]) - hellinger(p, q)) < 1e-15
+    alone = evaluate_pools(one, other, np.array([2]))
+    assert abs(alone["avg"]["HD"] - gap) < 1e-15
+
+    data = make_dataset(40, 4, 2, 3, seed=6)
+    shuffled = np.random.default_rng(1).permutation(data.counts)
+    report = evaluate_pools(data.counts, shuffled, data.levels)
+    weights = np.array([row["count"] for row in report["levels"]], dtype=np.float64)
+    assert len(weights) > 1
+    for key in ("kl", "hd", "wd"):
+        values = np.array([row[key] for row in report["levels"]])
+        assert report["avg"][key.upper()] == float(np.sum(weights * values) / weights.sum())
+
+    empty = np.zeros((0, 4, 4, 3), dtype=np.int64)
     with pytest.raises(DataError):
-        avg_weighted(hellinger, [])
-    with pytest.raises(DataError):
-        avg_weighted(hellinger, [(p, q, 0.0)])
+        evaluate_pools(empty, empty, np.zeros(0, dtype=np.int64))

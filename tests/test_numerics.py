@@ -582,7 +582,7 @@ def test_parameter_store_payload_roundtrip(rng, tmp_path):
     add_param(store, "c.stat", np.ones(2), trainable=False)
     manifest = store.manifest()
     assert [m[0] for m in manifest] == ["a.vec", "b.mat", "c.stat"]
-    payload = store.to_payload()
+    payload = b"".join(store.payload_arrays())
     assert len(payload) == 8 * sum(t.size for _, t in store.items())
     snap = store.snapshot()
     path = tmp_path / "m.ckpt"
@@ -616,14 +616,14 @@ def test_opened_store_hands_out_views_and_draws_nothing(rng):
     add_param(src, "a.w", rng.normal(size=(2, 3)))
     add_param(src, "b.running_var", np.ones(2), trainable=False)
     add_param(src, "c", np.array(4.0))
-    manifest, payload = src.manifest(), src.to_payload()
+    manifest, payload = src.manifest(), b"".join(src.payload_arrays())
 
     store = ParameterStore.opened(manifest, bytearray(payload))
     c = store.param("c", (), _never)
     w = store.param("a.w", (2, 3), _never)
     var = store.param("b.running_var", (2,), _never, trainable=False)
     store.check_complete()
-    assert store.manifest() == manifest and store.to_payload() == payload
+    assert store.manifest() == manifest and b"".join(store.payload_arrays()) == payload
     assert float(c.data) == 4.0 and not var.requires_grad
     assert w.data.base is var.data.base  # one buffer, no copy of the bytearray
     w.data[0, 0] = 9.0  # writable
@@ -767,7 +767,7 @@ def test_adam_writes_into_the_parameter_arrays(rng):
     src = ParameterStore()
     add_param(src, "a.w", rng.normal(size=(2, 3)))
     add_param(src, "b.running_var", np.ones(2), trainable=False)
-    store = ParameterStore.opened(src.manifest(), bytearray(src.to_payload()))
+    store = ParameterStore.opened(src.manifest(), bytearray(b"".join(src.payload_arrays())))
     w = store.param("a.w", (2, 3))
     var = store.param("b.running_var", (2,), trainable=False)
     buffer = w.data.base

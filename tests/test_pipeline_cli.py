@@ -328,15 +328,16 @@ def test_generation_shapes_and_determinism():
     rc = bundle.cfg
     e = info_vectors(make_dataset(1, rc.n, rc.m, rc.p, seed=7).context, [2])[0]
 
-    zm1, ct1, tr = generate_one(bundle, e, np.random.default_rng(4), trace=True)
-    zm2, ct2, _ = generate_one(bundle, e, np.random.default_rng(4), trace=True)
+    zm1, ct1 = generate_one(bundle, e, np.random.default_rng(4))
+    zm2, ct2 = generate_one(bundle, e, np.random.default_rng(4))
     assert zm1.labels.shape == (rc.n, rc.n)
     assert ct1.counts.shape == (rc.n, rc.n, rc.p)
     np.testing.assert_array_equal(zm1.labels, zm2.labels)
     np.testing.assert_array_equal(ct1.counts, ct2.counts)
+    _, _, tr = generate_batch(bundle, e[None], np.random.default_rng(4), trace=True)
     assert len(tr) == 3 * rc.k_config + 1
-    assert tr[0].layer_type == "latent"
-    np.testing.assert_array_equal(tr[-1].histogram, ct1.counts.sum(axis=(0, 1)))
+    assert tr[0][1] == "latent"
+    np.testing.assert_array_equal(tr[-1][3][0].sum(axis=(0, 1)), ct1.counts.sum(axis=(0, 1)))
 
     es = np.stack([e] * 6)
     zms, cts, traces = generate_batch(bundle, es, np.random.default_rng(4))
@@ -348,6 +349,10 @@ def test_generation_shapes_and_determinism():
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_generate_one_is_generate_batch_at_b1(trace):
+    """``generate_one`` is ``generate_batch`` at B=1, traced or not.  A
+    traced B=1 call holds one row per step: the latent, then each layer of
+    the stack in inverse order, each state quantized to its counts, the
+    last to ``generate_one``'s configuration."""
     bundle = mini_bundle()
     rng = np.random.default_rng(8)
     for _, t in bundle.store.trainable_items():
@@ -355,18 +360,21 @@ def test_generate_one_is_generate_batch_at_b1(trace):
     rc = bundle.cfg
     e = info_vectors(make_dataset(1, rc.n, rc.m, rc.p, seed=7).context, [3])[0]
     rng_one, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
-    zm, ct, tr = generate_one(bundle, e, rng_one, trace=trace)
+    zm, ct = generate_one(bundle, e, rng_one)
     zms, cts, trs = generate_batch(bundle, e[None], rng_batch, trace=trace)
     assert np.array_equal(zm.labels, zms[0].labels)
     assert np.array_equal(ct.counts, cts[0].counts)
     if trace:
-        assert len(tr) == len(trs[0])
-        for a, b in zip(tr, trs[0]):
-            assert (a.layer_index, a.layer_type) == (b.layer_index, b.layer_type)
-            assert np.array_equal(a.state, b.state)
-            assert np.array_equal(a.histogram, b.histogram)
+        layers = bundle.config.layers
+        assert len(trs) == len(layers) + 1
+        assert [(i, kind) for i, kind, _, _ in trs] == [(-1, "latent")] + [
+            (i, layers[i][0]) for i in reversed(range(len(layers)))]
+        for _, _, states, counts in trs:
+            assert states.shape == (1, bundle.config.d)
+            assert np.array_equal(counts, config_flow.quantize_config_batch(states, rc.n, rc.p))
+        assert np.array_equal(trs[-1][3][0], ct.counts)
     else:
-        assert tr is None and trs is None
+        assert trs is None
     # both consumed the same draws, so the streams stay aligned
     assert np.array_equal(rng_one.random(4), rng_batch.random(4))
 
@@ -514,7 +522,7 @@ def test_cli_zero_budget_checkpoint_is_identity_init(tmp_path):
                  "--out-ckpt", ckpt]) == 0
     fresh = ModelBundle(RunConfig(**{**MINI, "steps_zone": 0}))
     header, payload = read_header(ckpt)
-    assert payload == fresh.store.to_payload()
+    assert payload == b"".join(fresh.store.payload_arrays())
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -1064,7 +1072,7 @@ def test_fresh_bundle_init_is_pinned():
                  "352953c0856d1812e85799596287e5c6f629dbaa0296b4abeb4521bfa893766e"),
     }
     for name, (rc, digest) in pins.items():
-        payload = ModelBundle(rc).store.to_payload()
+        payload = b"".join(ModelBundle(rc).store.payload_arrays())
         assert hashlib.sha256(payload).hexdigest() == digest, name
 
 
@@ -1097,7 +1105,7 @@ def test_bundle_from_checkpoint_lives_in_one_buffer(tmp_path):
     assert offset == file_values.size
     for (na, a), (nb, b) in zip(items, items[1:]):
         assert not np.may_share_memory(a.data, b.data), (na, nb)
-    assert bundle.store.to_payload() == blob[len(blob) - header["payload_bytes"]:]
+    assert b"".join(bundle.store.payload_arrays()) == blob[len(blob) - header["payload_bytes"]:]
 
 
 def test_a_training_step_keeps_an_opened_store_in_its_buffer():
@@ -1105,7 +1113,7 @@ def test_a_training_step_keeps_an_opened_store_in_its_buffer():
     the batch-norm running statistics included, is still a view of the
     payload's buffer, so the buffer holds the step's values."""
     fresh = mini_bundle()
-    payload = bytearray(fresh.store.to_payload())
+    payload = bytearray(b"".join(fresh.store.payload_arrays()))
     bundle = ModelBundle(fresh.cfg, ParameterStore.opened(fresh.store.manifest(), payload))
     rc = bundle.cfg
     samples = make_dataset(16, rc.n, rc.m, rc.p, seed=2)
@@ -1117,7 +1125,7 @@ def test_a_training_step_keeps_an_opened_store_in_its_buffer():
              if not np.array_equal(t.data, fresh.store[name].data)]
     assert any(name.endswith(".running_mean") for name in moved)
     assert any(name.endswith(".running_var") for name in moved)
-    assert bytes(payload) == bundle.store.to_payload()
+    assert bytes(payload) == b"".join(bundle.store.payload_arrays())
 
 
 def test_cli_module_entry_point(tmp_path):
@@ -1171,6 +1179,54 @@ def test_cli_trace_is_generate_with_trace(tmp_path, monkeypatch, context):
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(runs[0]) == 1 + 3 * (2 + 3 * MINI["k_config"] + 1)
     assert runs[0] == runs[1]
+
+
+def test_traced_generation_is_pinned(tmp_path):
+    """The bytes of every file a traced `generate` writes, pinned by sha256:
+    the configurations, the traces and the step frames of three samples of
+    a perturbed mini model, so that no change to how ``generate_batch``
+    holds a trace changes the files written from it."""
+    rc = RunConfig(**MINI)
+    bundle = ModelBundle(rc)
+    rng = np.random.default_rng(8)
+    for _, t in bundle.store.trainable_items():
+        t.data += rng.normal(0.0, 0.1, size=t.shape)
+    ckpt = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(ckpt, bundle.store, rc.as_dict())
+    out = tmp_path / "gen"
+    assert main(["generate", "--trace", "--ckpt", str(ckpt), "--green-level", "2",
+                 "--count", "3", "--seed", "5", "--out-dir", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert got == {
+        "configs.jsonl": "b76f3de2dd921fdbfd02f000996f949adc6cb52dd743742e62f7187e0cf44d47",
+        "gen000.ppm": "17dcc2bcb41edb704482d90904555af9f3349c1ad3586bd366b345dc6a3a6fd1",
+        "gen000.step00.ppm": "2d54c6683052d0665c95f9dde79effb47d1ff0386e3e87e50b171d69c2704878",
+        "gen000.step01.ppm": "2d54c6683052d0665c95f9dde79effb47d1ff0386e3e87e50b171d69c2704878",
+        "gen000.step02.ppm": "ccbd07a5a1cd192ad8ca0b417afc780089e3c2cbdacb714724e34efe7ca4fbd2",
+        "gen000.step03.ppm": "6d5d495b406b6c01c0de5153c40f14ddd21f70caaf85df8bba36c3038d525d18",
+        "gen000.step04.ppm": "6d5d495b406b6c01c0de5153c40f14ddd21f70caaf85df8bba36c3038d525d18",
+        "gen000.step05.ppm": "6d5d495b406b6c01c0de5153c40f14ddd21f70caaf85df8bba36c3038d525d18",
+        "gen000.step06.ppm": "17dcc2bcb41edb704482d90904555af9f3349c1ad3586bd366b345dc6a3a6fd1",
+        "gen000.trace.jsonl": "d7e0f545a70c9c14b61d1beaed3cddd538900b9d637e6c9effa59a004b867d75",
+        "gen001.ppm": "2954415adb9c5946d6c21e7aced02222823a607fa180505bd79bd66b397292be",
+        "gen001.step00.ppm": "b7e6d7a9de55465998c543fbe19cab47d4c5c04c6d11daf703523aed5c289ac0",
+        "gen001.step01.ppm": "b7e6d7a9de55465998c543fbe19cab47d4c5c04c6d11daf703523aed5c289ac0",
+        "gen001.step02.ppm": "b7e6d7a9de55465998c543fbe19cab47d4c5c04c6d11daf703523aed5c289ac0",
+        "gen001.step03.ppm": "b7e6d7a9de55465998c543fbe19cab47d4c5c04c6d11daf703523aed5c289ac0",
+        "gen001.step04.ppm": "b7e6d7a9de55465998c543fbe19cab47d4c5c04c6d11daf703523aed5c289ac0",
+        "gen001.step05.ppm": "b7e6d7a9de55465998c543fbe19cab47d4c5c04c6d11daf703523aed5c289ac0",
+        "gen001.step06.ppm": "2954415adb9c5946d6c21e7aced02222823a607fa180505bd79bd66b397292be",
+        "gen001.trace.jsonl": "57d0242318a5aa51556c8b9e24e1bfe19f2a4cbde643d10ff25ac943def3124c",
+        "gen002.ppm": "8b53189dfc5384bf03ccb9b6dc32dda77f99e0b3cc69d7f6a63cd68cd24d23f3",
+        "gen002.step00.ppm": "8b53189dfc5384bf03ccb9b6dc32dda77f99e0b3cc69d7f6a63cd68cd24d23f3",
+        "gen002.step01.ppm": "8b53189dfc5384bf03ccb9b6dc32dda77f99e0b3cc69d7f6a63cd68cd24d23f3",
+        "gen002.step02.ppm": "df29a725898864b4a6dabb1261b3291d3b6b62e4ec6b49d145a3bdb675b3594c",
+        "gen002.step03.ppm": "8b53189dfc5384bf03ccb9b6dc32dda77f99e0b3cc69d7f6a63cd68cd24d23f3",
+        "gen002.step04.ppm": "8b53189dfc5384bf03ccb9b6dc32dda77f99e0b3cc69d7f6a63cd68cd24d23f3",
+        "gen002.step05.ppm": "1f13e1570d9abdf8a27475e6f390a3db7c40aa95c97ec2542f596a45199b33bc",
+        "gen002.step06.ppm": "8b53189dfc5384bf03ccb9b6dc32dda77f99e0b3cc69d7f6a63cd68cd24d23f3",
+        "gen002.trace.jsonl": "d55d93c5e4e08a1c85166fc9943e0f55821b650c7e8b6cbdaa4658f89fc4badf",
+    }
 
 
 def test_cli_checkpoint_header_holds_only_what_a_reader_checks(tmp_path):
@@ -1317,7 +1373,7 @@ def test_cli_generate_rejects_bad_parameter_value(tmp_path, capsys, name, value,
 
     header, _ = read_header(ckpt)
     bundle = ModelBundle(RunConfig.from_sources(None, header["config"]))
-    before = bundle.store.to_payload()
+    before = b"".join(bundle.store.payload_arrays())
     with pytest.raises(CheckpointValueError):
         checkpoint.load_checkpoint(ckpt, bundle.store)
-    assert bundle.store.to_payload() == before
+    assert b"".join(bundle.store.payload_arrays()) == before

@@ -90,12 +90,12 @@ def test_eval_nlls_equal_for_any_worker_count(bundle, samples, monkeypatch):
 
 def _generate(bundle, samples):
     es = dataset_arrays(samples)[0]
-    zms, cts, traces = generate_batch(bundle, es, np.random.default_rng(6), trace=True)
+    zms, cts, trace = generate_batch(bundle, es, np.random.default_rng(6), trace=True)
     return (np.stack([zm.labels for zm in zms]),
             np.stack([ct.counts for ct in cts]),
-            np.stack([[st.state for st in tr] for tr in traces]),
-            np.stack([[st.histogram for st in tr] for tr in traces]),
-            [(st.layer_index, st.layer_type) for st in traces[0]])
+            np.stack([states for _, _, states, _ in trace], axis=1),
+            np.stack([counts.sum(axis=(1, 2)) for _, _, _, counts in trace], axis=1),
+            [(layer_index, layer_type) for layer_index, layer_type, _, _ in trace])
 
 
 def test_generate_batch_equal_for_any_worker_count(bundle, samples, monkeypatch):
@@ -215,8 +215,8 @@ def test_cpus_counted_without_sched_getaffinity(bundle, samples, monkeypatch):
     # macOS and Windows have no os.sched_getaffinity
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert pipeline._WORKERS is None
-    _, config, _ = generate_one(bundle, dataset_arrays(samples[:1])[0][0],
-                                np.random.default_rng(1))
+    _, config = generate_one(bundle, dataset_arrays(samples[:1])[0][0],
+                             np.random.default_rng(1))
     assert config.counts.shape == (bundle.cfg.n, bundle.cfg.n, bundle.cfg.p)
     assert np.isfinite(eval_zone_nll(bundle, samples[:ROWS]))
 
